@@ -155,7 +155,7 @@ pub fn standard_exports(state: &CampaignState, ctx: &ArchiveContext) -> Vec<(Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consent_crawler::{build_toplist, run_campaign_with, CampaignConfig};
+    use consent_crawler::{build_toplist, run_campaign_parallel, CampaignConfig, ParallelOpts};
     use consent_crawler::{BreakerConfig, RetryPolicy};
     use consent_faultsim::FaultProfile;
     use consent_httpsim::Vantage;
@@ -177,7 +177,12 @@ mod tests {
             retry: RetryPolicy::paper(),
             breaker: BreakerConfig::default(),
         };
-        let run = run_campaign_with(&world, &list, day, &vantages, seed, &config);
+        let opts = ParallelOpts {
+            threads: 1,
+            config,
+            max_pairs: None,
+        };
+        let run = run_campaign_parallel(&world, &list, day, &vantages, seed, &opts);
         let ctx = ArchiveContext::from_campaign(day, &list, &vantages, &seed);
         (run.state, ctx)
     }

@@ -78,7 +78,7 @@ pub fn jurisdiction_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consent_crawler::{build_toplist, run_campaign};
+    use consent_crawler::{build_toplist, run_campaign_parallel, ParallelOpts};
     use consent_httpsim::Vantage;
     use consent_util::{Day, SeedTree};
     use consent_webgraph::{AdoptionConfig, World, WorldConfig};
@@ -92,13 +92,15 @@ mod tests {
         });
         let list = build_toplist(&world, 4_000, SeedTree::new(7));
         let vantage = Vantage::table1_columns()[3];
-        let result = run_campaign(
+        let result = run_campaign_parallel(
             &world,
             &list,
             Day::from_ymd(2020, 5, 15),
             &[vantage],
             SeedTree::new(9),
-        );
+            &ParallelOpts::default(),
+        )
+        .result;
         let report = jurisdiction_report(
             result.column(vantage).unwrap(),
             &Detector::hostname_only(),

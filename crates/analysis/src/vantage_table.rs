@@ -86,7 +86,7 @@ pub fn vantage_table(result: &CampaignResult, detector: &Detector) -> VantageTab
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consent_crawler::{build_toplist, run_campaign};
+    use consent_crawler::{build_toplist, run_campaign_parallel, ParallelOpts};
     use consent_util::{Day, SeedTree};
     use consent_webgraph::{AdoptionConfig, World, WorldConfig};
 
@@ -97,13 +97,15 @@ mod tests {
             adoption: AdoptionConfig::default(),
         });
         let list = build_toplist(&world, 800, SeedTree::new(7));
-        let result = run_campaign(
+        let result = run_campaign_parallel(
             &world,
             &list,
             Day::from_ymd(2020, 5, 15),
             &Vantage::table1_columns(),
             SeedTree::new(9),
-        );
+            &ParallelOpts::default(),
+        )
+        .result;
         vantage_table(&result, &Detector::hostname_only())
     }
 

@@ -57,7 +57,7 @@ pub const BENCH_SCHEMA_VERSION: i64 = 1;
 pub struct BenchRecord {
     /// Record name, e.g. `campaign/threads=4`.
     pub name: String,
-    /// Worker threads used (1 = the sequential code path).
+    /// Worker threads used (1 = pairs in order on the calling thread).
     pub threads: usize,
     /// `(domain, vantage)` pairs processed.
     pub pairs: u64,
@@ -1259,6 +1259,15 @@ fn corrupt_meta_byte(path: &std::path::Path) {
     std::fs::write(path, &bytes).expect("write corrupted checkpoint");
 }
 
+/// Serializes the tests whose sweeps reset and read the process-global
+/// telemetry registry: a reset from one sweep in the middle of another
+/// erases the counters that sweep is about to read.
+#[cfg(test)]
+pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1295,6 +1304,7 @@ mod tests {
 
     #[test]
     fn document_roundtrips_through_the_parser() {
+        let _registry = registry_lock();
         let bench = CampaignBench {
             n_sites: 400,
             domains: 8,
@@ -1329,6 +1339,7 @@ mod tests {
 
     #[test]
     fn progress_sweep_pairs_full_and_delta_records() {
+        let _registry = registry_lock();
         let bench = CheckpointBench {
             n_sites: 400,
             domains: 20,
@@ -1365,6 +1376,7 @@ mod tests {
 
     #[test]
     fn bundle_sweep_covers_pack_verify_and_replay() {
+        let _registry = registry_lock();
         let bench = BundleBench {
             threads: vec![1, 2],
             repeats: 2,
@@ -1410,6 +1422,7 @@ mod tests {
 
     #[test]
     fn checkpoint_sweep_covers_write_open_and_salvage() {
+        let _registry = registry_lock();
         let bench = CheckpointBench {
             n_sites: 400,
             domains: 8,

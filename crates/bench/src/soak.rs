@@ -321,6 +321,7 @@ mod tests {
 
     #[test]
     fn soak_sweep_records_health_columns_per_rate() {
+        let _registry = crate::registry_lock();
         let bench = small();
         let records = bench.run();
         assert_eq!(records.len(), 2);
@@ -349,6 +350,7 @@ mod tests {
 
     #[test]
     fn soak_document_keeps_diff_compatible_keys() {
+        let _registry = crate::registry_lock();
         let bench = small();
         let records = bench.run();
         let doc = bench.document(&records);

@@ -109,17 +109,6 @@ pub fn archive_roundtrip(
     })
 }
 
-/// [`archive_roundtrip`] wrapped in [`run_reported`](super::run_reported).
-pub fn archive_roundtrip_reported(
-    study: &Study,
-    store_dir: &Path,
-    bundle_dir: &Path,
-) -> io::Result<ArchiveResult> {
-    super::run_reported(study, "archive", || {
-        archive_roundtrip(study, store_dir, bundle_dir)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -145,8 +145,3 @@ mod tests {
         assert!(s.contains("2910"));
     }
 }
-
-/// [`fig10`] with telemetry: records a run report named `fig10`.
-pub fn fig10_reported(study: &Study) -> Fig10Result {
-    super::run_reported(study, "fig10", || fig10(study))
-}

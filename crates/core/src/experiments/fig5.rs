@@ -153,8 +153,3 @@ mod tests {
         );
     }
 }
-
-/// [`fig5`] with telemetry: records a run report named `fig5`.
-pub fn fig5_reported(study: &Study) -> Fig5Result {
-    super::run_reported(study, "fig5", || fig5(study))
-}

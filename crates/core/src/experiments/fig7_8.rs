@@ -164,8 +164,3 @@ mod tests {
         assert!(f8.contains("LI→Consent"));
     }
 }
-
-/// [`gvl_figures`] with telemetry: records a run report named `fig7_8`.
-pub fn gvl_figures_reported(study: &Study) -> GvlResult {
-    super::run_reported(study, "fig7_8", || gvl_figures(study))
-}

@@ -168,8 +168,3 @@ mod tests {
         assert!(s.contains("compressed"));
     }
 }
-
-/// [`fig9`] with telemetry: records a run report named `fig9`.
-pub fn fig9_reported(study: &Study) -> Fig9Result {
-    super::run_reported(study, "fig9", || fig9(study))
-}

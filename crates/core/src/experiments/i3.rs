@@ -147,14 +147,3 @@ mod tests {
         assert!(j.render().contains("EU+UK"));
     }
 }
-
-/// [`i3_customization`] with telemetry: records a run report named `i3`.
-pub fn i3_customization_reported(study: &crate::Study, table1: &Table1Result) -> I3Result {
-    super::run_reported(study, "i3", || i3_customization(table1))
-}
-
-/// [`jurisdiction`] with telemetry: records a run report named
-/// `jurisdiction`.
-pub fn jurisdiction_reported(study: &crate::Study, table1: &Table1Result) -> JurisdictionReport {
-    super::run_reported(study, "jurisdiction", || jurisdiction(table1))
-}

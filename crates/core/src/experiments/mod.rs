@@ -1,22 +1,31 @@
 //! One module per paper table/figure; see DESIGN.md's experiment index.
 //!
-//! Every experiment has a plain entry point plus a `*_reported` variant
-//! that wraps it in [`run_reported`]: the run is timed, the global
-//! telemetry registry is snapshotted before and after, and the resulting
+//! Every experiment has exactly one entry point. To record telemetry for
+//! a run, wrap the call in [`run_reported`]:
+//!
+//! ```
+//! use consent_core::{experiments::{fig1::related_work, run_reported}, Study};
+//!
+//! let study = Study::quick();
+//! let studies = run_reported(&study, "fig1", related_work);
+//! assert!(!studies.is_empty());
+//! assert_eq!(study.reports().last().unwrap().name, "fig1");
+//! ```
+//!
+//! The run is timed, the global telemetry registry is snapshotted
+//! before and after, and the resulting
 //! [`consent_telemetry::RunReport`] — capture counts per vantage and
 //! `CaptureStatus`, retries, dedup skips — is recorded on the
-//! [`Study`]. With telemetry disabled (the default) the
-//! wrappers cost two empty snapshots and a clock read. For causal
-//! per-capture tracing, [`run_traced`] additionally turns on the global
-//! `consent_trace` log around a closure and hands back the byte-stable
-//! JSONL export (see `examples/trace_explain.rs`).
+//! [`Study`]. With telemetry disabled (the default) the wrapper costs
+//! two empty snapshots and a clock read. For causal per-capture tracing,
+//! [`run_traced`] additionally turns on the global `consent_trace` log
+//! around a closure and hands back the byte-stable JSONL export (see
+//! `examples/trace_explain.rs`).
 //!
-//! Campaign-shaped experiments also have a `*_parallel` variant (e.g.
-//! [`table1::table1_parallel`]) that runs the same crawl on the
-//! worker-pool executor (`consent_crawler::run_campaign_parallel`).
-//! Because the parallel merge is byte-deterministic, the variant returns
-//! exactly the same result at any thread count — it exists purely for
-//! wall-clock speed on multicore hardware.
+//! The campaign-shaped experiments ([`table1`]) crawl through
+//! `consent_crawler::run_campaign_parallel` with one worker per
+//! available core. The campaign driver's output is byte-identical at
+//! any thread count, so the thread count only changes wall-clock time.
 
 use crate::Study;
 

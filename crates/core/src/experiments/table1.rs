@@ -2,9 +2,7 @@
 
 use crate::study::Study;
 use consent_analysis::{vantage_table, VantageTable};
-use consent_crawler::{
-    build_toplist, run_campaign, run_campaign_parallel, CampaignResult, ParallelOpts,
-};
+use consent_crawler::{build_toplist, run_campaign_parallel, CampaignResult, ParallelOpts};
 use consent_fingerprint::Detector;
 use consent_httpsim::Vantage;
 use consent_util::{date::known, Day};
@@ -41,57 +39,30 @@ pub fn table_a3(study: &Study) -> Table1Result {
     run_at(study, known::jan_2020_snapshot())
 }
 
-/// Run the campaign at an arbitrary snapshot day.
+/// Run the campaign at an arbitrary snapshot day, on one worker per
+/// available core ([`ParallelOpts::default`]): the result is the same at
+/// any thread count.
 pub fn run_at(study: &Study, snapshot: Day) -> Table1Result {
     let list = build_toplist(
         study.world(),
         study.config().toplist_size,
         study.seed().child("toplist"),
     );
-    let campaign = run_campaign(
+    let campaign = run_campaign_parallel(
         study.world(),
         &list,
         snapshot,
         &Vantage::table1_columns(),
         study.seed().child("campaign").child_idx(snapshot.0 as u64),
-    );
+        &ParallelOpts::default(),
+    )
+    .result;
     let table = vantage_table(&campaign, &Detector::hostname_only());
     Table1Result {
         snapshot,
         table,
         campaign,
     }
-}
-
-/// [`run_at`] on the worker-pool executor. Returns the same result as
-/// the sequential entry point at any `threads` — the parallel merge is
-/// byte-deterministic — just faster on multicore hardware. `threads <= 1`
-/// runs the sequential code path unchanged.
-pub fn run_at_parallel(study: &Study, snapshot: Day, threads: usize) -> Table1Result {
-    let list = build_toplist(
-        study.world(),
-        study.config().toplist_size,
-        study.seed().child("toplist"),
-    );
-    let run = run_campaign_parallel(
-        study.world(),
-        &list,
-        snapshot,
-        &Vantage::table1_columns(),
-        study.seed().child("campaign").child_idx(snapshot.0 as u64),
-        &ParallelOpts::with_threads(threads),
-    );
-    let table = vantage_table(&run.result, &Detector::hostname_only());
-    Table1Result {
-        snapshot,
-        table,
-        campaign: run.result,
-    }
-}
-
-/// [`table1`] on the worker-pool executor ([`run_at_parallel`]).
-pub fn table1_parallel(study: &Study, threads: usize) -> Table1Result {
-    run_at_parallel(study, known::may_2020_snapshot(), threads)
 }
 
 #[cfg(test)]
@@ -113,12 +84,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_variant_renders_the_same_table() {
+    fn table_is_the_same_at_any_thread_count() {
         let study = Study::quick();
-        let seq = table1(&study);
-        let par = table1_parallel(&study, 3);
-        assert_eq!(seq.render(), par.render());
-        assert_eq!(seq.campaign.columns.len(), par.campaign.columns.len());
+        let table = table1(&study);
+        let snapshot = known::may_2020_snapshot();
+        let list = build_toplist(
+            study.world(),
+            study.config().toplist_size,
+            study.seed().child("toplist"),
+        );
+        for threads in [1, 3] {
+            let campaign = run_campaign_parallel(
+                study.world(),
+                &list,
+                snapshot,
+                &Vantage::table1_columns(),
+                study.seed().child("campaign").child_idx(snapshot.0 as u64),
+                &ParallelOpts::with_threads(threads),
+            )
+            .result;
+            let again = vantage_table(&campaign, &Detector::hostname_only());
+            assert_eq!(
+                again.render("t"),
+                table.table.render("t"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -134,15 +125,4 @@ mod tests {
         // adoption ramps (70 % → 79 % in the paper).
         assert!(jan.table.coverage(0) <= may.table.coverage(0) + 0.05);
     }
-}
-
-/// [`table1`] with telemetry: records a [`consent_telemetry::RunReport`]
-/// named `table1` on the study.
-pub fn table1_reported(study: &Study) -> Table1Result {
-    super::run_reported(study, "table1", || table1(study))
-}
-
-/// [`table_a3`] with telemetry: records a run report named `table_a3`.
-pub fn table_a3_reported(study: &Study) -> Table1Result {
-    super::run_reported(study, "table_a3", || table_a3(study))
 }

@@ -47,9 +47,9 @@ use consent_bundle::{
 use consent_httpsim::Capture;
 use consent_util::{Day, SeedTree};
 
-use crate::campaign::{CampaignResult, CampaignState, STATE_HEADER};
+use crate::campaign::{CampaignResult, CampaignState, STATE_SECTIONS};
 use crate::dead_letter::vantage_code;
-use crate::export::{export as export_db, status_code};
+use crate::export::status_code;
 
 /// First line of the bundle's `config` document.
 pub const CONFIG_HEADER: &str = "#consent-bundle-config v1";
@@ -234,15 +234,11 @@ pub fn build_bundle_input(
         },
         SectionInput {
             name: "state".into(),
-            docs: vec![
-                BundleDoc::new(
-                    "meta",
-                    format!("{STATE_HEADER}\npairs_done={}\n", state.pairs_done),
-                ),
-                BundleDoc::new("capture-db", export_db(&state.db)),
-                BundleDoc::new("dead-letters", state.dead_letters.export()),
-                BundleDoc::new("provenance", state.provenance.export()),
-            ],
+            docs: state
+                .sections()
+                .into_iter()
+                .map(|(name, body)| BundleDoc::new(name, body))
+                .collect(),
         },
         SectionInput {
             name: "trace".into(),
@@ -391,12 +387,10 @@ pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Re
             .map(|d| d.body.as_str())
             .ok_or_else(|| invalid(format!("bundle state section missing {label:?}")))
     };
-    let archived = [
-        ("meta", doc("meta")?),
-        ("capture-db", doc("capture-db")?),
-        ("dead-letters", doc("dead-letters")?),
-        ("provenance", doc("provenance")?),
-    ];
+    let archived = STATE_SECTIONS
+        .iter()
+        .map(|&label| Ok((label, doc(label)?)))
+        .collect::<io::Result<Vec<(&str, &str)>>>()?;
     let concatenated: String = archived.iter().map(|(_, body)| *body).collect();
     let state = CampaignState::import(&concatenated).map_err(|e| {
         invalid(format!(
@@ -412,15 +406,7 @@ pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Re
     };
     // Round-trip proof: the re-imported state re-exports to the exact
     // archived section bodies.
-    let reexported = [
-        (
-            "meta",
-            format!("{STATE_HEADER}\npairs_done={}\n", state.pairs_done),
-        ),
-        ("capture-db", export_db(&state.db)),
-        ("dead-letters", state.dead_letters.export()),
-        ("provenance", state.provenance.export()),
-    ];
+    let reexported = state.sections();
     'compare: {
         for ((label, want), (_, got)) in archived.iter().zip(reexported.iter()) {
             report.docs_compared += 1;
@@ -475,7 +461,8 @@ pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_toplist, run_campaign_with, CampaignConfig};
+    use crate::campaign::{build_toplist, meta_section, CampaignConfig, CampaignRun};
+    use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_bundle::BlobStore;
     use consent_faultsim::FaultProfile;
@@ -501,6 +488,15 @@ mod tests {
         }
     }
 
+    fn crawl(world: &World, list: &[String], day: Day, vantages: &[Vantage]) -> CampaignRun {
+        let opts = ParallelOpts {
+            threads: 1,
+            config: quiet(),
+            max_pairs: None,
+        };
+        run_campaign_parallel(world, list, day, vantages, SeedTree::new(9), &opts)
+    }
+
     fn small_campaign() -> (CampaignState, CampaignResult, ArchiveContext) {
         let world = World::new(WorldConfig {
             n_sites: 400,
@@ -511,7 +507,7 @@ mod tests {
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = [Vantage::us_cloud(), Vantage::eu_cloud()];
         let seed = SeedTree::new(9);
-        let run = run_campaign_with(&world, &list, day, &vantages, seed.clone(), &quiet());
+        let run = crawl(&world, &list, day, &vantages);
         let ctx = ArchiveContext::from_campaign(day, &list, &vantages, &seed);
         (run.state, run.result, ctx)
     }
@@ -543,7 +539,7 @@ mod tests {
         let days = [Day::from_ymd(2020, 5, 15), Day::from_ymd(2020, 5, 16)];
         let runs: Vec<_> = days
             .iter()
-            .map(|&day| run_campaign_with(&world, &list, day, &vantages, seed.clone(), &quiet()))
+            .map(|&day| crawl(&world, &list, day, &vantages))
             .collect();
         let ctx = ArchiveContext::from_campaign(days[1], &list, &vantages, &seed);
         let artifacts = CampaignArtifacts {
@@ -644,7 +640,7 @@ mod tests {
         // Rewrite the meta blob in place (bit-rot with a fixed-up CRC
         // is indistinguishable from an honest blob to the container, so
         // this models a *semantic* attack the import layer must catch).
-        let forged = format!("{STATE_HEADER}\npairs_done=999\n");
+        let forged = meta_section(999);
         let addr = consent_bundle::BlobAddr::of(forged.as_bytes());
         store.put(forged.as_bytes()).unwrap();
         let mut m = manifest.clone();

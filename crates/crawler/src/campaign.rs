@@ -8,7 +8,8 @@
 //! crawls.
 //!
 //! This module is also where the robustness layer comes together: every
-//! capture runs through the [`FaultyEngine`] chaos wrapper, attempt
+//! capture runs through the [`FaultyEngine`](consent_faultsim::FaultyEngine)
+//! chaos wrapper, attempt
 //! scheduling follows an explicit [`RetryPolicy`], permanent failures
 //! short-circuit, a [`CircuitBreaker`]
 //! stops hammering escalating anti-bot domains, abandoned pairs land in
@@ -28,13 +29,14 @@
 
 use crate::capture_db::{CaptureDb, CmpSet};
 use crate::dead_letter::{vantage_code, AttemptRecord, DeadLetter, DeadLetterQueue};
+use crate::durable::{SECTION_DB, SECTION_DEAD_LETTERS, SECTION_META, SECTION_PROVENANCE};
 use crate::export::{export as export_db, import as import_db, status_code, ImportError};
+use crate::parallel::CampaignPlan;
 use crate::resilience::{BreakerConfig, CircuitBreaker, Outcome, RetryPolicy};
-use consent_faultsim::{FaultProfile, FaultyEngine};
-use consent_fingerprint::Detector;
-use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, Location, Vantage, WorldProber};
+use consent_faultsim::FaultProfile;
+use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, Location, Vantage};
 use consent_psl::PublicSuffixList;
-use consent_toplist::{default_providers, resolve_all, AggregationRule, SeedUrl, Toplist};
+use consent_toplist::{default_providers, AggregationRule, SeedUrl, Toplist};
 use consent_trace::{stable_id, AttemptProvenance, Provenance, ProvenanceLog};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::World;
@@ -114,45 +116,8 @@ impl Default for CampaignConfig {
 ///
 /// A campaign interrupted at any pair boundary round-trips through the
 /// text checkpoint and resumes to the same bytes an uninterrupted run
-/// produces:
-///
-/// ```
-/// use consent_crawler::{
-///     build_toplist, resume_campaign, run_campaign_with, CampaignConfig, CampaignState,
-/// };
-/// use consent_httpsim::Vantage;
-/// use consent_util::{Day, SeedTree};
-/// use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-///
-/// let world = World::new(WorldConfig {
-///     n_sites: 300,
-///     seed: 42,
-///     adoption: AdoptionConfig::default(),
-/// });
-/// let list = build_toplist(&world, 6, SeedTree::new(7));
-/// let day = Day::from_ymd(2020, 5, 15);
-/// let vantages = [Vantage::us_cloud()];
-/// let config = CampaignConfig::default();
-///
-/// // Process three pairs, then "crash": only the checkpoint text survives.
-/// let partial = resume_campaign(
-///     &world, &list, day, &vantages, SeedTree::new(9),
-///     &config, CampaignState::new(), Some(3),
-/// );
-/// assert!(!partial.complete);
-/// let checkpoint = partial.state.export();
-///
-/// // A fresh process imports the checkpoint and runs to completion.
-/// let restored = CampaignState::import(&checkpoint).unwrap();
-/// let resumed = resume_campaign(
-///     &world, &list, day, &vantages, SeedTree::new(9), &config, restored, None,
-/// );
-/// assert!(resumed.complete);
-///
-/// // Same bytes as never having been interrupted.
-/// let full = run_campaign_with(&world, &list, day, &vantages, SeedTree::new(9), &config);
-/// assert_eq!(resumed.state.export(), full.state.export());
-/// ```
+/// produces (see the example on
+/// [`resume_campaign_parallel`](crate::resume_campaign_parallel)).
 #[derive(Debug, Default)]
 pub struct CampaignState {
     /// Capture summaries, one per processed `(domain, vantage)` pair.
@@ -172,22 +137,44 @@ pub struct CampaignState {
 
 pub(crate) const STATE_HEADER: &str = "#consent-campaign-state v3";
 
+/// The names of a state's four sections, in export order. They name the
+/// checkpoint sections and the bundle `state` documents alike.
+pub(crate) const STATE_SECTIONS: [&str; 4] = [
+    SECTION_META,
+    SECTION_DB,
+    SECTION_DEAD_LETTERS,
+    SECTION_PROVENANCE,
+];
+
+/// The `meta` section body: the state header and the cursor line.
+pub(crate) fn meta_section(pairs_done: u64) -> String {
+    format!("{STATE_HEADER}\npairs_done={pairs_done}\n")
+}
+
 impl CampaignState {
     /// Fresh state (nothing crawled).
     pub fn new() -> CampaignState {
         CampaignState::default()
     }
 
+    /// The state's four sections as `(name, body)` pairs, in export
+    /// order: `meta` (header and cursor line), then the capture-db,
+    /// dead-letter, and provenance sections (each with its own header).
+    /// Checkpoints and bundles store exactly these bodies.
+    pub(crate) fn sections(&self) -> [(&'static str, String); 4] {
+        let [meta, db, dead_letters, provenance] = STATE_SECTIONS;
+        [
+            (meta, meta_section(self.pairs_done)),
+            (db, export_db(&self.db)),
+            (dead_letters, self.dead_letters.export()),
+            (provenance, self.provenance.export()),
+        ]
+    }
+
     /// Serialize the checkpoint: a cursor line, then the capture-db,
     /// dead-letter, and provenance sections (each with its own header).
     pub fn export(&self) -> String {
-        format!(
-            "{STATE_HEADER}\npairs_done={}\n{}{}{}",
-            self.pairs_done,
-            export_db(&self.db),
-            self.dead_letters.export(),
-            self.provenance.export(),
-        )
+        self.sections().into_iter().map(|(_, body)| body).collect()
     }
 
     /// Parse a checkpoint produced by [`export`](Self::export).
@@ -309,132 +296,17 @@ pub fn build_toplist(world: &World, n: usize, seed: SeedTree) -> Vec<String> {
     toplist.top(n).map(str::to_owned).collect()
 }
 
-/// Run a toplist campaign on `day` for the given vantage columns with
-/// the default [`CampaignConfig`] (chaos profile from `CONSENT_CHAOS`,
-/// §3.2 retries, anti-bot breaker).
-pub fn run_campaign(
-    world: &World,
-    domains: &[String],
-    day: Day,
-    vantages: &[Vantage],
-    seed: SeedTree,
-) -> CampaignResult {
-    run_campaign_with(
-        world,
-        domains,
-        day,
-        vantages,
-        seed,
-        &CampaignConfig::default(),
-    )
-    .result
-}
-
-/// Run a full campaign under an explicit config.
-pub fn run_campaign_with(
-    world: &World,
-    domains: &[String],
-    day: Day,
-    vantages: &[Vantage],
-    seed: SeedTree,
-    config: &CampaignConfig,
-) -> CampaignRun {
-    resume_campaign(
-        world,
-        domains,
-        day,
-        vantages,
-        seed,
-        config,
-        CampaignState::new(),
-        None,
-    )
-}
-
-/// Run (or continue) a campaign from a checkpoint.
-///
-/// Pairs are processed in a deterministic vantage-major, rank-minor
-/// order; the first `state.pairs_done` pairs are skipped without
-/// re-crawling. `max_pairs` caps how many pairs this invocation
-/// processes (useful for incremental checkpointing); `None` runs to
-/// completion. Because every random draw is keyed by `(host, day,
-/// vantage, attempt)` rather than by call order, an interrupted and
-/// resumed campaign is indistinguishable from an uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_campaign(
-    world: &World,
-    domains: &[String],
-    day: Day,
-    vantages: &[Vantage],
-    seed: SeedTree,
-    config: &CampaignConfig,
-    mut state: CampaignState,
-    max_pairs: Option<u64>,
-) -> CampaignRun {
-    let _span = consent_telemetry::span("campaign.run");
-    let engine = FaultyEngine::from_world(world, config.fault_profile, seed);
-    let prober = WorldProber::new(world, seed.child("prober"));
-    // Three resolution rounds over a week (§3.2). Resolution is a pure
-    // function of the seed, so a resumed run re-derives identical URLs.
-    let attempt_days = [day - 7, day - 4, day - 1];
-    let seeds = resolve_all(domains.iter().cloned(), &prober, &attempt_days);
-    let schedule = config.retry.schedule(day);
-    let detector = Detector::hostname_only();
-    let psl = PublicSuffixList::embedded();
-
-    let total_pairs = (vantages.len() * seeds.len()) as u64;
-    let budget = max_pairs.unwrap_or(u64::MAX);
-    let mut processed = 0u64;
-    let mut skipped = 0u64;
-    let mut pair_index = 0u64;
-    let mut columns: Vec<(Vantage, Vec<CampaignCapture>)> =
-        vantages.iter().map(|&v| (v, Vec::new())).collect();
-    'all: for (col, &vantage) in vantages.iter().enumerate() {
-        for (i, s) in seeds.iter().enumerate() {
-            if pair_index < state.pairs_done {
-                pair_index += 1;
-                skipped += 1;
-                continue;
-            }
-            if processed >= budget {
-                break 'all;
-            }
-            pair_index += 1;
-            processed += 1;
-            let out = process_pair_contained(
-                &engine,
-                s,
-                i + 1,
-                col,
-                vantage,
-                day,
-                &schedule,
-                config,
-                &detector,
-            );
-            apply_pair(&mut state, &mut columns, day, out, &psl);
-        }
-    }
-    consent_telemetry::count("campaign.pairs_skipped", skipped);
-    let complete = state.pairs_done == total_pairs;
-    CampaignRun {
-        result: CampaignResult { columns, seeds },
-        state,
-        complete,
-    }
-}
-
 /// Everything one processed `(domain, vantage)` pair contributes to the
 /// campaign, produced by [`process_pair`] and folded into the cumulative
 /// state by [`apply_pair`].
 ///
-/// The split is what makes the parallel executor
-/// ([`run_campaign_parallel`](crate::parallel::run_campaign_parallel))
+/// The split is what makes the worker pool of
+/// [`resume_campaign_parallel`](crate::parallel::resume_campaign_parallel)
 /// deterministic: production is a pure function of the pair identity
 /// (every random draw is keyed by `(host, day, vantage, attempt)` and
 /// trace ids come from [`stable_id`]), so any number of workers can
 /// produce outputs in any order, and the order-restoring merge applies
-/// them in pair order — reproducing the sequential run byte for byte.
+/// them in pair order — reproducing the in-order run byte for byte.
 #[derive(Clone, Debug)]
 pub(crate) struct PairOutput {
     /// Index into the campaign's vantage columns.
@@ -454,24 +326,16 @@ pub(crate) struct PairOutput {
     pub(crate) cmps: CmpSet,
 }
 
-/// Crawl one `(domain, vantage)` pair: open its trace, walk the retry
-/// schedule through the fault-injecting engine with a per-pair circuit
-/// breaker, run CMP detection, and return everything the merge step
-/// needs. Thread-safe: touches only shared immutable inputs, the
-/// per-thread trace context, and the commutative telemetry registry.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_pair(
-    engine: &FaultyEngine<'_>,
-    s: &SeedUrl,
-    rank: usize,
-    col: usize,
-    vantage: Vantage,
-    day: Day,
-    schedule: &[Day],
-    config: &CampaignConfig,
-    detector: &Detector,
-) -> PairOutput {
+/// Crawl the `(domain, vantage)` pair at position `idx` of the plan's
+/// pair order: open its trace, walk the retry schedule through the
+/// fault-injecting engine with a per-pair circuit breaker, run CMP
+/// detection, and return everything the merge step needs. Thread-safe:
+/// touches only the immutable plan, the per-thread trace context, and
+/// the commutative telemetry registry.
+pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     let _pair_span = consent_telemetry::span("campaign.pair");
+    let (s, rank, col, vantage) = plan.locate(idx);
+    let day = plan.day;
     let collect_dom = vantage.location == Location::EuUniversity;
     // One trace per pair. The id is a pure function of the pair
     // identity, so a resumed replay assigns the same ids an
@@ -486,19 +350,19 @@ pub(crate) fn process_pair(
     });
     let (host, _) = split_url(&s.url);
 
-    let mut breaker = CircuitBreaker::new(config.breaker);
+    let mut breaker = CircuitBreaker::new(plan.config.breaker);
     let mut history = Vec::new();
     let mut faults: Vec<Option<String>> = Vec::new();
     let mut capture = None;
     let mut outcome = Outcome::Permanent;
     let mut breaker_opened = false;
-    for (attempt, &attempt_day) in schedule.iter().enumerate() {
+    for (attempt, &attempt_day) in plan.schedule.iter().enumerate() {
         let attempt_no = attempt as u8 + 1;
         let _span = consent_trace::span("attempt", |a| {
             a.push("attempt", attempt_no.to_string());
             a.push("day", attempt_day.to_string());
         });
-        let c = engine.capture_attempt(
+        let c = plan.engine.capture_attempt(
             &s.url,
             attempt_day,
             vantage,
@@ -519,7 +383,7 @@ pub(crate) fn process_pair(
         // provenance record is identical with tracing on or off
         // (and matches the in-trace `fault.injected` event).
         faults.push(
-            engine
+            plan.engine
                 .plan()
                 .decide(&host, attempt_day, vantage, attempt_no)
                 .map(|f| f.name().to_string()),
@@ -533,7 +397,7 @@ pub(crate) fn process_pair(
             });
             break;
         }
-        let retry = config.retry.should_retry(outcome);
+        let retry = plan.config.retry.should_retry(outcome);
         consent_trace::event("retry.decision", |a| {
             a.push("retry", if retry { "yes" } else { "no" });
             a.push("outcome", outcome.name());
@@ -545,8 +409,8 @@ pub(crate) fn process_pair(
     let capture = capture.expect("schedule has at least one attempt");
     // Detection runs here — on the worker, while the pair's trace is
     // still open — so its trace events land inside the pair trace with
-    // the same sequence numbers the sequential runner assigns.
-    let cmps = CmpSet::from_iter(detector.detect(&capture));
+    // the same sequence numbers at any thread count.
+    let cmps = CmpSet::from_iter(plan.detector.detect(&capture));
     if !capture.usable() {
         consent_trace::event("dead_letter", |a| {
             a.push("outcome", outcome.name());
@@ -571,35 +435,23 @@ pub(crate) fn process_pair(
 /// [`process_pair`] with panic containment: a panic anywhere inside the
 /// capture path (an injected [`Fault::Panic`](consent_faultsim::Fault),
 /// or a genuine bug) unwinds to here and becomes a classified
-/// [`Outcome::Panic`] output instead of poisoning the executor — the
-/// sequential loop survives, and a parallel worker thread keeps draining
+/// [`Outcome::Panic`] output instead of poisoning the driver — the
+/// in-order loop survives, and a pool worker thread keeps draining
 /// pairs. The synthetic output is a pure function of the pair identity,
 /// so exports stay byte-identical at any thread count, and its capture
 /// is unusable, so [`apply_pair`] dead-letters the pair with provenance
 /// like any other abandoned pair.
 ///
-/// Both executors route every pair through this wrapper.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_pair_contained(
-    engine: &FaultyEngine<'_>,
-    s: &SeedUrl,
-    rank: usize,
-    col: usize,
-    vantage: Vantage,
-    day: Day,
-    schedule: &[Day],
-    config: &CampaignConfig,
-    detector: &Detector,
-) -> PairOutput {
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        process_pair(
-            engine, s, rank, col, vantage, day, schedule, config, detector,
-        )
-    }));
+/// The driver routes every pair through this wrapper.
+pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
+    let attempt =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process_pair(plan, idx)));
     let payload = match attempt {
         Ok(out) => return out,
         Err(payload) => payload,
     };
+    let (s, rank, col, vantage) = plan.locate(idx);
+    let day = plan.day;
     // The unwind already closed the pair's own trace (armed guards emit
     // their End events during the unwind), so the containment marker
     // goes in a sibling trace keyed by the same pair identity — reusing
@@ -626,7 +478,7 @@ pub(crate) fn process_pair_contained(
     // day: the real history died with the stack, but downstream
     // invariants (≥1 attempt per pair, `pairs_done == db.len()`,
     // unusable ⇒ dead-lettered) must hold regardless.
-    let first_day = schedule.first().copied().unwrap_or(day);
+    let first_day = plan.schedule.first().copied().unwrap_or(day);
     let capture = consent_httpsim::Capture {
         seed_url: s.url.clone(),
         final_url: s.url.clone(),
@@ -660,10 +512,10 @@ pub(crate) fn process_pair_contained(
 
 /// Fold one [`PairOutput`] into the cumulative campaign state and the
 /// per-vantage result columns. Single-threaded by construction: the
-/// sequential runner calls it right after [`process_pair`], the parallel
-/// runner calls it from the merge loop in ascending pair order, so the
-/// [`CaptureDb`] insertion order — and with it the checkpoint export —
-/// is identical on both paths.
+/// driver calls it on the calling thread in ascending pair order —
+/// right after each pair with `threads <= 1`, after the pool joins
+/// otherwise — so the [`CaptureDb`] insertion order, and with it the
+/// checkpoint export, is identical at any thread count.
 pub(crate) fn apply_pair(
     state: &mut CampaignState,
     columns: &mut [(Vantage, Vec<CampaignCapture>)],
@@ -735,6 +587,7 @@ pub(crate) fn apply_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use consent_httpsim::Timing;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
 
@@ -752,6 +605,17 @@ mod tests {
             retry: RetryPolicy::paper(),
             breaker: BreakerConfig::default(),
         }
+    }
+
+    /// A fault-free campaign on 2020-05-15, crawled in pair order.
+    fn crawl(w: &World, list: &[String], vantages: &[Vantage]) -> CampaignRun {
+        let opts = ParallelOpts {
+            threads: 1,
+            config: quiet(),
+            max_pairs: None,
+        };
+        let day = Day::from_ymd(2020, 5, 15);
+        run_campaign_parallel(w, list, day, vantages, SeedTree::new(9), &opts)
     }
 
     #[test]
@@ -780,9 +644,8 @@ mod tests {
     fn campaign_covers_all_columns() {
         let w = world();
         let list = build_toplist(&w, 150, SeedTree::new(7));
-        let day = Day::from_ymd(2020, 5, 15);
         let vantages = Vantage::table1_columns();
-        let run = run_campaign_with(&w, &list, day, &vantages, SeedTree::new(9), &quiet());
+        let run = crawl(&w, &list, &vantages);
         let result = run.result;
         assert!(run.complete);
         assert_eq!(run.state.pairs_done, 6 * 150);
@@ -822,7 +685,15 @@ mod tests {
         let list = build_toplist(&w, 400, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = Vantage::table1_columns();
-        let result = run_campaign(&w, &list, day, &vantages, SeedTree::new(9));
+        let result = run_campaign_parallel(
+            &w,
+            &list,
+            day,
+            &vantages,
+            SeedTree::new(9),
+            &ParallelOpts::default(),
+        )
+        .result;
         let det = consent_fingerprint::Detector::hostname_only();
         let count = |vantage: Vantage| {
             result
@@ -845,17 +716,14 @@ mod tests {
         let w = world();
         let list = build_toplist(&w, 100, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
-        let run = run_campaign_with(
+        let run = crawl(
             &w,
             &list,
-            day,
             &[Vantage {
                 location: Location::EuUniversity,
                 timing: Timing::Extended,
                 language: consent_httpsim::Language::EnUs,
             }],
-            SeedTree::new(9),
-            &quiet(),
         );
         for c in run.result.column(run.result.columns[0].0).unwrap() {
             assert!((1..=4).contains(&c.attempts));
@@ -875,15 +743,7 @@ mod tests {
     fn legally_blocked_eu_sites_are_dead_lettered_once() {
         let w = world();
         let list = build_toplist(&w, 300, SeedTree::new(7));
-        let day = Day::from_ymd(2020, 5, 15);
-        let run = run_campaign_with(
-            &w,
-            &list,
-            day,
-            &[Vantage::eu_cloud()],
-            SeedTree::new(9),
-            &quiet(),
-        );
+        let run = crawl(&w, &list, &[Vantage::eu_cloud()]);
         let blocked: Vec<&DeadLetter> = run
             .state
             .dead_letters
@@ -907,15 +767,7 @@ mod tests {
     fn state_roundtrips_through_export() {
         let w = world();
         let list = build_toplist(&w, 80, SeedTree::new(7));
-        let day = Day::from_ymd(2020, 5, 15);
-        let run = run_campaign_with(
-            &w,
-            &list,
-            day,
-            &[Vantage::us_cloud(), Vantage::eu_cloud()],
-            SeedTree::new(9),
-            &quiet(),
-        );
+        let run = crawl(&w, &list, &[Vantage::us_cloud(), Vantage::eu_cloud()]);
         let text = run.state.export();
         let back = CampaignState::import(&text).unwrap();
         assert_eq!(back.pairs_done, run.state.pairs_done);
@@ -964,14 +816,7 @@ mod tests {
         let run = {
             let w = world();
             let list = build_toplist(&w, 3, SeedTree::new(7));
-            run_campaign_with(
-                &w,
-                &list,
-                Day::from_ymd(2020, 5, 15),
-                &[Vantage::us_cloud()],
-                SeedTree::new(9),
-                &quiet(),
-            )
+            crawl(&w, &list, &[Vantage::us_cloud()])
         };
         let text = run.state.export();
         let prov_header = "#consent-provenance v1\n";

@@ -1,13 +1,16 @@
 //! Crash-safe campaign execution over a durable checkpoint store.
 //!
-//! The plain executors ([`resume_campaign`](crate::resume_campaign),
-//! [`resume_campaign_parallel`]) keep state in memory and leave
-//! persistence to the caller. This module closes the loop:
-//! [`run_durable_campaign`] processes pairs in chunks and writes each
-//! cut to a [`CheckpointStore`] as a five-section checkpoint — the three
-//! `CampaignState` sections plus a cursor line and the global trace
-//! log's JSONL export — so a process death at any instant loses at most
-//! one chunk of work.
+//! The plain driver
+//! ([`resume_campaign_parallel`](crate::resume_campaign_parallel))
+//! keeps state in memory and leaves persistence to the caller. This
+//! module closes the loop: [`run_durable_campaign`] builds the
+//! campaign's set-up once per process incarnation, processes pairs in
+//! chunks through the same driver loop, and writes each cut to a
+//! [`CheckpointStore`] as a five-section checkpoint — the four
+//! `CampaignState` sections (a cursor line and the capture-db,
+//! dead-letter and provenance sections) plus the global trace log's
+//! JSONL export — so a process death at any instant loses at most one
+//! chunk of work.
 //!
 //! # Recovery and salvage rules
 //!
@@ -100,12 +103,12 @@ use consent_webgraph::World;
 pub use consent_checkpoint::SalvageReport;
 
 use crate::archive::{pack_campaign_bundle, ArchiveContext, CampaignArtifacts, ExportFn};
-use crate::campaign::{CampaignConfig, CampaignResult, CampaignState, STATE_HEADER};
+use crate::campaign::{meta_section, CampaignConfig, CampaignResult, CampaignState};
 use crate::capture_db::DbMarks;
 use crate::export::export as export_db;
 use crate::export::import as import_db;
 use crate::export::{apply_delta, export_delta};
-use crate::parallel::{resume_campaign_parallel, ParallelOpts};
+use crate::parallel::CampaignPlan;
 use crate::supervisor::{DegradeLevel, HealthReport, SaveVerdict, Supervisor, SupervisorPolicy};
 
 /// Checkpoint section holding the state header + `pairs_done` cursor.
@@ -193,7 +196,9 @@ impl std::fmt::Debug for BundleSpec {
 /// How a durable campaign runs.
 #[derive(Clone, Debug)]
 pub struct DurableOpts {
-    /// Worker threads per chunk (`<= 1` is the sequential executor).
+    /// Worker threads per chunk, as in
+    /// [`ParallelOpts::threads`](crate::ParallelOpts::threads): `<= 1`
+    /// crawls each chunk in pair order on the calling thread.
     pub threads: usize,
     /// Campaign behavior: chaos profile, retry schedule, breaker.
     pub config: CampaignConfig,
@@ -237,8 +242,8 @@ pub struct DurableOpts {
 }
 
 impl Default for DurableOpts {
-    /// Sequential, default config, checkpoint every 25 pairs, no crash,
-    /// full snapshots.
+    /// One thread (pairs in order), default config, checkpoint every 25
+    /// pairs, no crash, full snapshots.
     fn default() -> DurableOpts {
         DurableOpts {
             threads: 1,
@@ -311,16 +316,13 @@ pub struct DurableRun {
 /// The concatenation of the first four bodies is exactly
 /// [`CampaignState::export`], so reassembly re-uses the importer.
 pub fn state_sections(state: &CampaignState, trace_jsonl: &str) -> Vec<Section> {
-    vec![
-        Section::new(
-            SECTION_META,
-            format!("{STATE_HEADER}\npairs_done={}\n", state.pairs_done),
-        ),
-        Section::new(SECTION_DB, export_db(&state.db)),
-        Section::new(SECTION_DEAD_LETTERS, state.dead_letters.export()),
-        Section::new(SECTION_PROVENANCE, state.provenance.export()),
-        Section::new(SECTION_TRACE, trace_jsonl),
-    ]
+    let mut sections: Vec<Section> = state
+        .sections()
+        .into_iter()
+        .map(|(name, body)| Section::new(name, body))
+        .collect();
+    sections.push(Section::new(SECTION_TRACE, trace_jsonl));
+    sections
 }
 
 /// Where each appendable store component stood at one checkpoint cut —
@@ -380,10 +382,7 @@ pub fn delta_state_sections(
     trace_delta: &str,
 ) -> Vec<Section> {
     vec![
-        Section::new(
-            SECTION_META,
-            format!("{STATE_HEADER}\npairs_done={}\n", state.pairs_done),
-        ),
+        Section::new(SECTION_META, meta_section(state.pairs_done)),
         Section::new(
             SECTION_DELTA_META,
             format!("{DELTA_META_HEADER}\nparent={parent}\nbase={base}\n"),
@@ -427,7 +426,7 @@ fn state_from_parts(
 /// the cursor always equals the number of stored captures.
 fn rebuilt_meta(db_text: &str) -> Option<String> {
     let db = import_db(db_text).ok()?;
-    Some(format!("{STATE_HEADER}\npairs_done={}\n", db.len()))
+    Some(meta_section(db.len()))
 }
 
 /// Try to salvage a state (and its trace + watch-state snapshots) from
@@ -756,9 +755,10 @@ pub fn open_chaos_store(dir: impl AsRef<Path>) -> io::Result<CheckpointStore> {
 /// Recovers the newest usable state from `store` (salvaging or
 /// quarantining corrupt generations as needed), restores the persisted
 /// trace events into the global trace log (only when the log is empty —
-/// a freshly restarted process — and tracing is enabled), then processes
-/// the remaining pairs in chunks of `opts.checkpoint_every`, writing a
-/// checkpoint generation after each chunk.
+/// a freshly restarted process — and tracing is enabled), builds the
+/// campaign's set-up once, then processes the remaining pairs in chunks
+/// of `opts.checkpoint_every`, writing a checkpoint generation after
+/// each chunk.
 ///
 /// Determinism: chunking, thread count, crashes, and salvage never
 /// change the bytes — a resumed run's final `state.export()` and trace
@@ -805,6 +805,13 @@ pub fn run_durable_campaign(
             ));
         }
     }
+
+    // The campaign's set-up, once for this incarnation; every chunk
+    // below runs through it. The recovered cursor is this incarnation's
+    // resume skip, counted once and before the rebases below, so no
+    // sample window attributes it.
+    let plan = CampaignPlan::new(world, domains, day, vantages, seed, &opts.config);
+    consent_telemetry::count("campaign.pairs_skipped", plan.skipped(&state));
 
     // Rebase the flight recorder only after recovery and trace import:
     // both re-count work this process never performed (checkpoint
@@ -871,13 +878,8 @@ pub fn run_durable_campaign(
             }
             chunk = chunk.min(remaining);
         }
-        let popts = ParallelOpts {
-            threads: opts.threads,
-            config: opts.config,
-            max_pairs: Some(chunk),
-        };
         let before = state.pairs_done;
-        let run = resume_campaign_parallel(world, domains, day, vantages, seed, &popts, state);
+        let run = plan.run(state, opts.threads, Some(chunk));
         state = run.state;
         let did = state.pairs_done - before;
         // Heartbeat: cumulative pairs applied, advanced once per chunk.
@@ -1126,7 +1128,8 @@ pub fn run_durable_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_toplist, run_campaign_with};
+    use crate::campaign::build_toplist;
+    use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_faultsim::FaultProfile;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
@@ -1157,13 +1160,17 @@ mod tests {
             adoption: AdoptionConfig::default(),
         });
         let list = build_toplist(&world, 6, SeedTree::new(7));
-        run_campaign_with(
+        run_campaign_parallel(
             &world,
             &list,
             consent_util::Day::from_ymd(2020, 5, 15),
             &[Vantage::eu_cloud()],
             SeedTree::new(9),
-            &quiet(),
+            &ParallelOpts {
+                threads: 1,
+                config: quiet(),
+                max_pairs: None,
+            },
         )
         .state
     }
@@ -1458,7 +1465,7 @@ mod tests {
         // A second generation whose sections checksum fine but whose
         // cursor lies about the stored rows.
         let mut lying = state_sections(&state, "");
-        lying[0].body = format!("{STATE_HEADER}\npairs_done=999\n");
+        lying[0].body = meta_section(999);
         store.save(&lying).unwrap();
 
         let (back, _, report) = recover_state(&store).unwrap();

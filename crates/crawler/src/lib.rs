@@ -10,10 +10,13 @@
 //! ([`resilience`]), dead-letter records for abandoned pairs
 //! ([`dead_letter`]), per-pair provenance records and causal traces
 //! (`consent_trace`), and checkpoint/resume via
-//! [`campaign::CampaignState`]. Campaigns scale across cores with the
-//! deterministic [`parallel`] executor, whose output is byte-identical
-//! to the sequential runner at any thread count, and persist across
-//! process deaths with the [`durable`] driver, which checkpoints into a
+//! [`campaign::CampaignState`]. Every campaign runs through one driver,
+//! [`resume_campaign_parallel`] (and [`run_campaign_parallel`] for a
+//! fresh start), whose output is byte-identical at any thread count:
+//! `threads <= 1` crawls in pair order on the calling thread, more
+//! threads shard the pairs across the deterministic [`parallel`] worker
+//! pool. Campaigns persist across process deaths with the [`durable`]
+//! driver, which runs the same loop chunk by chunk, checkpoints into a
 //! crash-safe [`consent_checkpoint::CheckpointStore`] and salvages
 //! corrupt checkpoints on recovery. When the *disk itself* fails, the
 //! [`supervisor`] self-heals: transient storage faults are retried out
@@ -42,8 +45,7 @@ pub use archive::{
     CampaignArtifacts, ExportFn, ReplayReport, CONFIG_HEADER,
 };
 pub use campaign::{
-    build_toplist, resume_campaign, run_campaign, run_campaign_with, CampaignCapture,
-    CampaignConfig, CampaignResult, CampaignRun, CampaignState,
+    build_toplist, CampaignCapture, CampaignConfig, CampaignResult, CampaignRun, CampaignState,
 };
 pub use capture_db::{
     shard_of, CaptureDb, CaptureSummary, CmpSet, DbMarks, SEGMENT_ROWS, SHARD_COUNT,

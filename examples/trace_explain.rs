@@ -14,7 +14,9 @@
 //! `trace_explain.chrome.json` (override with `TRACE_EXPLAIN_OUT`).
 
 use consent_core::{experiments, Study};
-use consent_crawler::{build_toplist, run_campaign_with, CampaignConfig, CampaignRun, RetryPolicy};
+use consent_crawler::{
+    build_toplist, run_campaign_parallel, CampaignConfig, CampaignRun, ParallelOpts, RetryPolicy,
+};
 use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
 use consent_trace::{Provenance, TraceTree};
@@ -43,14 +45,19 @@ fn main() {
         retry: RetryPolicy::paper(),
         ..CampaignConfig::default()
     };
+    let opts = ParallelOpts {
+        threads: 1,
+        config,
+        max_pairs: None,
+    };
     let (run, jsonl): (CampaignRun, String) = experiments::run_traced(|| {
-        run_campaign_with(
+        run_campaign_parallel(
             study.world(),
             &toplist,
             Day::from_ymd(2020, 5, 15),
             &vantages,
             study.seed().child("trace-campaign"),
-            &config,
+            &opts,
         )
     });
     let log = consent_trace::global();

@@ -206,6 +206,41 @@ fn obs_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
     unlock(guard);
 }
 
+#[test]
+fn resume_skips_are_counted_once_per_incarnation() {
+    let guard = lock();
+    let skipped = || {
+        consent_telemetry::global()
+            .snapshot()
+            .counter("campaign.pairs_skipped")
+    };
+
+    // An uninterrupted run skips nothing, however many chunks it takes.
+    let dir = tmp_dir();
+    let store = CheckpointStore::open(&dir).unwrap();
+    let (run, jsonl) = obs_incarnation(&store, 2, CrashPlan::none());
+    assert_eq!(run.outcome, DurableOutcome::Complete);
+    assert_eq!(skipped(), 0);
+    assert!(!jsonl.contains("campaign.pairs_skipped"), "{jsonl}");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A resumed incarnation skips its recovered cursor, counted once and
+    // before the sampler's rebase, so no window attributes it.
+    let dir = tmp_dir();
+    let store = CheckpointStore::open(&dir).unwrap();
+    let (crashed, _) = obs_incarnation(&store, 2, CrashPlan::after_apply(11));
+    let DurableOutcome::Crashed { durable_pairs, .. } = crashed.outcome else {
+        panic!("crashpoint apply:11 never fired: {:?}", crashed.outcome);
+    };
+    assert_eq!(durable_pairs, 10);
+    let (resumed, second) = obs_incarnation(&store, 2, CrashPlan::none());
+    assert_eq!(resumed.outcome, DurableOutcome::Complete);
+    assert_eq!(skipped(), durable_pairs);
+    assert!(!second.contains("campaign.pairs_skipped"), "{second}");
+    std::fs::remove_dir_all(&dir).unwrap();
+    unlock(guard);
+}
+
 /// Structural check against the Prometheus text format 0.0.4 line
 /// grammar: every line is a `# HELP`/`# TYPE` comment or
 /// `name[{labels}] value` with a sane metric name and a parseable

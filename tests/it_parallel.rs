@@ -1,19 +1,23 @@
-//! Parallel-executor equivalence guarantees, end to end.
+//! Worker-pool equivalence guarantees, end to end.
 //!
-//! The worker-pool executor (`run_campaign_parallel`) promises that
+//! The campaign driver (`run_campaign_parallel`) promises that
 //! parallelism is *invisible* in every artifact the pipeline persists:
 //! checkpoint exports, per-pair captures, dead letters, and the causal
-//! trace JSONL are byte-identical to the sequential runner at any
-//! thread count — with and without chaos, and across a kill-halfway
-//! checkpoint/resume cycle. This binary pins those promises.
+//! trace JSONL are byte-identical to the in-order run (`threads = 1`)
+//! at any thread count — with and without chaos, and across a
+//! kill-halfway checkpoint/resume cycle. This binary pins those
+//! promises.
 //!
-//! The trace test enables the process-global `consent_trace` log; tests
-//! serialize on a lock (cargo runs one binary's test fns concurrently)
-//! and leave the log cleared and disabled, mirroring `it_trace`.
+//! The trace test enables the process-global `consent_trace` log, and
+//! the pool test the process-global telemetry registry. Cargo runs one
+//! binary's test fns concurrently, so every test serializes on one lock
+//! — a campaign crawling while the trace test records would leak its
+//! pair traces into that test's export — and leaves both recorders
+//! cleared and disabled, mirroring `it_trace`.
 
 use consent_crawler::{
-    build_toplist, resume_campaign_parallel, run_campaign_parallel, run_campaign_with,
-    BreakerConfig, CampaignConfig, CampaignRun, CampaignState, ParallelOpts, RetryPolicy,
+    build_toplist, resume_campaign_parallel, run_campaign_parallel, BreakerConfig, CampaignConfig,
+    CampaignRun, CampaignState, ParallelOpts, RetryPolicy,
 };
 use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
@@ -23,9 +27,14 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Hold the global trace log for one test.
+/// Hold the global recorders for one test without turning either on.
+fn hold() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Hold the global recorders for one test, with the trace log recording.
 fn lock() -> MutexGuard<'static, ()> {
-    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = hold();
     consent_trace::clear();
     consent_trace::enable();
     guard
@@ -67,15 +76,9 @@ fn vantages() -> [Vantage; 2] {
     [Vantage::eu_cloud(), Vantage::us_cloud()]
 }
 
+/// The in-order reference run: one thread, pairs in order.
 fn sequential(profile: FaultProfile) -> CampaignRun {
-    run_campaign_with(
-        world(),
-        toplist(),
-        DAY(),
-        &vantages(),
-        SeedTree::new(9),
-        &config(profile),
-    )
+    parallel(profile, 1)
 }
 
 fn parallel(profile: FaultProfile, threads: usize) -> CampaignRun {
@@ -112,6 +115,7 @@ fn assert_same_run(a: &CampaignRun, b: &CampaignRun) {
 
 #[test]
 fn parallel_matches_sequential_bytes_without_chaos() {
+    let _guard = hold();
     let seq = sequential(FaultProfile::none());
     assert!(seq.complete);
     for threads in [1usize, 2, 4] {
@@ -123,6 +127,7 @@ fn parallel_matches_sequential_bytes_without_chaos() {
 
 #[test]
 fn parallel_matches_sequential_bytes_under_mild_chaos() {
+    let _guard = hold();
     let seq = sequential(FaultProfile::mild());
     assert!(seq.complete);
     // Chaos means retries, breaker opens, and dead letters — all of
@@ -141,6 +146,7 @@ fn parallel_matches_sequential_bytes_under_mild_chaos() {
 
 #[test]
 fn killed_halfway_parallel_run_resumes_to_the_same_bytes() {
+    let _guard = hold();
     let cfg = config(FaultProfile::mild());
     let full = sequential(FaultProfile::mild());
     let total = (toplist().len() * vantages().len()) as u64;
@@ -213,4 +219,27 @@ fn trace_jsonl_is_byte_identical_across_thread_counts() {
         );
     }
     unlock(guard);
+}
+
+#[test]
+fn in_order_runs_never_start_the_pool() {
+    let guard = hold();
+    consent_telemetry::reset();
+    consent_telemetry::enable();
+    let workers = || {
+        consent_telemetry::global()
+            .snapshot()
+            .histograms
+            .get("campaign.parallel.shard_pairs")
+            .map_or(0, |h| h.count)
+    };
+    for threads in [0usize, 1] {
+        assert!(parallel(FaultProfile::none(), threads).complete);
+        assert_eq!(workers(), 0, "{threads} threads spawned a worker");
+    }
+    assert!(parallel(FaultProfile::none(), 3).complete);
+    assert_eq!(workers(), 3);
+    consent_telemetry::disable();
+    consent_telemetry::reset();
+    drop(guard);
 }

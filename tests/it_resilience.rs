@@ -9,8 +9,8 @@
 //! as an uninterrupted one.
 
 use consent_crawler::{
-    build_toplist, resume_campaign, run_campaign_with, BreakerConfig, CampaignConfig,
-    CampaignState, Outcome, RetryPolicy,
+    build_toplist, resume_campaign_parallel, run_campaign_parallel, BreakerConfig, CampaignConfig,
+    CampaignState, Outcome, ParallelOpts, RetryPolicy,
 };
 use consent_faultsim::FaultProfile;
 use consent_httpsim::{CaptureOptions, CaptureStatus, Engine, Location, Vantage};
@@ -33,6 +33,15 @@ fn config(profile: FaultProfile) -> CampaignConfig {
     }
 }
 
+/// Crawl in pair order on the calling thread, at most `max_pairs` pairs.
+fn opts(config: CampaignConfig, max_pairs: Option<u64>) -> ParallelOpts {
+    ParallelOpts {
+        threads: 1,
+        config,
+        max_pairs,
+    }
+}
+
 const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
 
 #[test]
@@ -41,13 +50,13 @@ fn seeded_chaos_is_deterministic() {
     let list = build_toplist(&w, 150, SeedTree::new(7));
     let vantages = [Vantage::eu_cloud(), Vantage::table1_columns()[3]];
     let run = |_: u32| {
-        run_campaign_with(
+        run_campaign_parallel(
             &w,
             &list,
             DAY(),
             &vantages,
             SeedTree::new(9),
-            &config(FaultProfile::heavy()),
+            &opts(config(FaultProfile::heavy()), None),
         )
     };
     let a = run(0);
@@ -69,13 +78,13 @@ fn seeded_chaos_is_deterministic() {
         }
     }
     // A different fault seed genuinely changes the injected faults.
-    let c = run_campaign_with(
+    let c = run_campaign_parallel(
         &w,
         &list,
         DAY(),
         &vantages,
         SeedTree::new(10),
-        &config(FaultProfile::heavy()),
+        &opts(config(FaultProfile::heavy()), None),
     );
     assert_ne!(a.state.export(), c.state.export());
 }
@@ -86,13 +95,13 @@ fn none_profile_matches_the_unwrapped_engine() {
     let list = build_toplist(&w, 120, SeedTree::new(7));
     let vantages = [Vantage::us_cloud(), Vantage::table1_columns()[3]];
     let seed = SeedTree::new(9);
-    let run = run_campaign_with(
+    let run = run_campaign_parallel(
         &w,
         &list,
         DAY(),
         &vantages,
         seed,
-        &config(FaultProfile::none()),
+        &opts(config(FaultProfile::none()), None),
     );
     // Replay every recorded capture through a bare engine built from the
     // same seed node the campaign uses: the fault layer must have been a
@@ -129,7 +138,7 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_state() {
     let seed = SeedTree::new(9);
     let cfg = config(FaultProfile::mild());
 
-    let full = run_campaign_with(&w, &list, DAY(), &vantages, seed, &cfg);
+    let full = run_campaign_parallel(&w, &list, DAY(), &vantages, seed, &opts(cfg, None));
     assert!(full.complete);
     let total_pairs = (vantages.len() * list.len()) as u64;
     assert_eq!(full.state.pairs_done, total_pairs);
@@ -137,15 +146,14 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_state() {
     // Kill the campaign halfway (mid-column), checkpoint through the
     // text format, and resume.
     let half = total_pairs / 2;
-    let first = resume_campaign(
+    let first = resume_campaign_parallel(
         &w,
         &list,
         DAY(),
         &vantages,
         seed,
-        &cfg,
+        &opts(cfg, Some(half)),
         CampaignState::new(),
-        Some(half),
     );
     assert!(!first.complete);
     assert_eq!(first.state.pairs_done, half);
@@ -153,7 +161,15 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_state() {
 
     let checkpoint = first.state.export();
     let restored = CampaignState::import(&checkpoint).expect("checkpoint parses");
-    let second = resume_campaign(&w, &list, DAY(), &vantages, seed, &cfg, restored, None);
+    let second = resume_campaign_parallel(
+        &w,
+        &list,
+        DAY(),
+        &vantages,
+        seed,
+        &opts(cfg, None),
+        restored,
+    );
     assert!(second.complete);
 
     // The merged halves equal the uninterrupted run: same cumulative
@@ -178,13 +194,13 @@ fn breaker_dead_letters_escalating_antibot_domains() {
     // Even without injected faults, anti-bot CDN sites serve
     // interstitials to cloud vantages on every attempt: the breaker must
     // open at the threshold instead of burning the full schedule.
-    let run = run_campaign_with(
+    let run = run_campaign_parallel(
         &w,
         &list,
         DAY(),
         &[Vantage::eu_cloud()],
         SeedTree::new(9),
-        &config(FaultProfile::none()),
+        &opts(config(FaultProfile::none()), None),
     );
     let opened: Vec<_> = run.state.dead_letters.breaker_opened().collect();
     assert!(!opened.is_empty(), "no breaker opens in 300 domains");
@@ -213,13 +229,13 @@ fn degraded_captures_are_kept_not_retried() {
         truncation: 1.0,
         ..FaultProfile::none()
     };
-    let run = run_campaign_with(
+    let run = run_campaign_parallel(
         &w,
         &list,
         DAY(),
         &[Vantage::us_cloud()],
         SeedTree::new(9),
-        &config(profile),
+        &opts(config(profile), None),
     );
     let captures = run.result.column(Vantage::us_cloud()).unwrap();
     let degraded: Vec<_> = captures
@@ -247,13 +263,13 @@ fn degraded_captures_are_kept_not_retried() {
         },
         ..config(profile)
     };
-    let eager_run = run_campaign_with(
+    let eager_run = run_campaign_parallel(
         &w,
         &list,
         DAY(),
         &[Vantage::us_cloud()],
         SeedTree::new(9),
-        &eager,
+        &opts(eager, None),
     );
     let eager_attempts: u64 = eager_run
         .result
@@ -275,13 +291,13 @@ fn schedule_is_explicit_and_stays_inside_the_week() {
     // Every attempt day recorded by a campaign comes from that schedule.
     let w = world();
     let list = build_toplist(&w, 80, SeedTree::new(7));
-    let run = run_campaign_with(
+    let run = run_campaign_parallel(
         &w,
         &list,
         day,
         &[Vantage::eu_cloud()],
         SeedTree::new(9),
-        &config(FaultProfile::heavy()),
+        &opts(config(FaultProfile::heavy()), None),
     );
     for dl in run.state.dead_letters.records() {
         for a in &dl.attempts {

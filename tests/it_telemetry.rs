@@ -79,15 +79,19 @@ fn run_reports_reconcile_with_capture_db() {
     // numbers.
     let toplist = consent_crawler::build_toplist(study.world(), 120, study.seed().child("it-top"));
     let (run, campaign_report) = RunReport::collect(global(), "campaign", || {
-        consent_crawler::run_campaign_with(
+        consent_crawler::run_campaign_parallel(
             study.world(),
             &toplist,
             Day::from_ymd(2020, 5, 15),
             &[consent_httpsim::Vantage::eu_cloud()],
             study.seed().child("it-campaign"),
-            &consent_crawler::CampaignConfig {
-                fault_profile: consent_faultsim::FaultProfile::none(),
-                ..consent_crawler::CampaignConfig::default()
+            &consent_crawler::ParallelOpts {
+                threads: 1,
+                config: consent_crawler::CampaignConfig {
+                    fault_profile: consent_faultsim::FaultProfile::none(),
+                    ..consent_crawler::CampaignConfig::default()
+                },
+                max_pairs: None,
             },
         )
     });
@@ -175,7 +179,7 @@ fn run_reports_reconcile_with_capture_db() {
     // A reported experiment records onto the study, and a second report
     // only contains its own delta (snapshots isolate runs).
     let before_reports = study.reports().len();
-    let _f9 = experiments::fig9::fig9_reported(&study);
+    let _f9 = experiments::run_reported(&study, "fig9", || experiments::fig9::fig9(&study));
     let reports = study.reports();
     assert_eq!(reports.len(), before_reports + 1);
     let f9_report = reports.last().unwrap();

@@ -15,8 +15,8 @@
 //! track per vantage.
 
 use consent_crawler::{
-    build_toplist, resume_campaign, run_campaign_with, vantage_code, BreakerConfig, CampaignConfig,
-    CampaignRun, CampaignState, RetryPolicy,
+    build_toplist, resume_campaign_parallel, run_campaign_parallel, vantage_code, BreakerConfig,
+    CampaignConfig, CampaignRun, CampaignState, ParallelOpts, RetryPolicy,
 };
 use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
@@ -67,6 +67,15 @@ fn config(profile: FaultProfile) -> CampaignConfig {
     }
 }
 
+/// Crawl in pair order on the calling thread, at most `max_pairs` pairs.
+fn opts(config: CampaignConfig, max_pairs: Option<u64>) -> ParallelOpts {
+    ParallelOpts {
+        threads: 1,
+        config,
+        max_pairs,
+    }
+}
+
 const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
 
 fn campaign(
@@ -75,13 +84,13 @@ fn campaign(
     seed: u64,
     profile: FaultProfile,
 ) -> CampaignRun {
-    run_campaign_with(
+    run_campaign_parallel(
         world(),
         domains,
         DAY(),
         vantages,
         SeedTree::new(seed),
-        &config(profile),
+        &opts(config(profile), None),
     )
 }
 
@@ -151,28 +160,26 @@ fn chaos_replay_and_resume_are_byte_identical() {
     // uninterrupted run's, because ids and seqs are per-pair.
     consent_trace::clear();
     let half = (vantages.len() * list.len()) as u64 / 2;
-    let first = resume_campaign(
+    let first = resume_campaign_parallel(
         world(),
         list,
         DAY(),
         &vantages,
         SeedTree::new(9),
-        &config(FaultProfile::heavy()),
+        &opts(config(FaultProfile::heavy()), Some(half)),
         CampaignState::new(),
-        Some(half),
     );
     assert!(!first.complete);
     let restored = CampaignState::import(&first.state.export()).expect("checkpoint parses");
     assert_eq!(restored.provenance.len() as u64, half);
-    let second = resume_campaign(
+    let second = resume_campaign_parallel(
         world(),
         list,
         DAY(),
         &vantages,
         SeedTree::new(9),
-        &config(FaultProfile::heavy()),
+        &opts(config(FaultProfile::heavy()), None),
         restored,
-        None,
     );
     assert!(second.complete);
     assert_eq!(consent_trace::global().export_jsonl(), jsonl);
