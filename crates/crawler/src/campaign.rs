@@ -12,23 +12,27 @@
 //! chaos wrapper, attempt
 //! scheduling follows an explicit [`RetryPolicy`], permanent failures
 //! short-circuit, a [`CircuitBreaker`]
-//! stops hammering escalating anti-bot domains, abandoned pairs land in
-//! the [`DeadLetterQueue`], and the whole campaign checkpoints into a
-//! [`CampaignState`] that can be exported, re-imported, and resumed
-//! without re-crawling completed `(domain, vantage)` pairs.
+//! stops hammering escalating anti-bot domains, and the whole campaign
+//! checkpoints into a [`CampaignState`] that can be exported,
+//! re-imported, and resumed without re-crawling completed
+//! `(domain, vantage)` pairs.
+//!
+//! Each pair's one record is its [`Provenance`]: built on the worker
+//! that crawled the pair, unconditionally, from the attempt history and
+//! the pure fault plan (so checkpoints are byte-identical whether
+//! tracing was on or off), and appended to the state's
+//! [`ProvenanceLog`]. Abandoned pairs are the log's `dead_lettered`
+//! records; the checkpoint's dead-letter section is rendered from them
+//! ([`crate::dead_letter`]).
 //!
 //! Observability: each `(domain, vantage)` pair opens one
 //! `consent_trace` trace (id from [`consent_trace::stable_id`], so
 //! replays and resumes agree), with a child span per attempt and
 //! instant events for injected faults, attempt outcomes, retry
-//! decisions, breaker transitions, and dead-lettering. Independently of
-//! tracing, every pair appends a [`Provenance`] record to the state's
-//! [`ProvenanceLog`] — built unconditionally from the attempt history
-//! and the pure fault plan, so checkpoints are byte-identical whether
-//! tracing was on or off.
+//! decisions, breaker transitions, and dead-lettering.
 
 use crate::capture_db::{CaptureDb, CmpSet};
-use crate::dead_letter::{vantage_code, AttemptRecord, DeadLetter, DeadLetterQueue};
+use crate::dead_letter::{self, vantage_code};
 use crate::durable::{SECTION_DB, SECTION_DEAD_LETTERS, SECTION_META, SECTION_PROVENANCE};
 use crate::export::{export as export_db, import as import_db, status_code, ImportError};
 use crate::parallel::CampaignPlan;
@@ -38,7 +42,7 @@ use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, Location, Vantag
 use consent_psl::PublicSuffixList;
 use consent_toplist::{default_providers, AggregationRule, SeedUrl, Toplist};
 use consent_trace::{stable_id, AttemptProvenance, Provenance, ProvenanceLog};
-use consent_util::{Day, SeedTree};
+use consent_util::SeedTree;
 use consent_webgraph::World;
 
 /// One crawled toplist entry at one vantage.
@@ -122,11 +126,11 @@ impl Default for CampaignConfig {
 pub struct CampaignState {
     /// Capture summaries, one per processed `(domain, vantage)` pair.
     pub db: CaptureDb,
-    /// Pairs abandoned without a usable capture.
-    pub dead_letters: DeadLetterQueue,
     /// One acquisition record per processed pair, in processing order —
     /// the audit trail joining every [`CaptureDb`] row back to its
-    /// attempt history, injected faults, and trace id.
+    /// attempt history, injected faults, and trace id. The only
+    /// per-pair record: [`dead_letters`](Self::dead_letters) is a view
+    /// of it.
     pub provenance: ProvenanceLog,
     /// Cursor into the deterministic vantage-major, rank-minor pair
     /// order: the number of pairs already processed. Each processed pair
@@ -157,16 +161,24 @@ impl CampaignState {
         CampaignState::default()
     }
 
+    /// The pairs abandoned without a usable capture: the
+    /// `dead_lettered` records of the provenance log, in processing
+    /// order.
+    pub fn dead_letters(&self) -> impl Iterator<Item = &Provenance> {
+        self.provenance.records().iter().filter(|p| p.dead_lettered)
+    }
+
     /// The state's four sections as `(name, body)` pairs, in export
     /// order: `meta` (header and cursor line), then the capture-db,
-    /// dead-letter, and provenance sections (each with its own header).
+    /// dead-letter, and provenance sections (each with its own header;
+    /// the dead-letter section is rendered from the provenance log).
     /// Checkpoints and bundles store exactly these bodies.
     pub(crate) fn sections(&self) -> [(&'static str, String); 4] {
         let [meta, db, dead_letters, provenance] = STATE_SECTIONS;
         [
             (meta, meta_section(self.pairs_done)),
             (db, export_db(&self.db)),
-            (dead_letters, self.dead_letters.export()),
+            (dead_letters, dead_letter::export(&self.provenance)),
             (provenance, self.provenance.export()),
         ]
     }
@@ -177,7 +189,9 @@ impl CampaignState {
         self.sections().into_iter().map(|(_, body)| body).collect()
     }
 
-    /// Parse a checkpoint produced by [`export`](Self::export).
+    /// Parse a checkpoint produced by [`export`](Self::export). The
+    /// dead-letter section is not parsed: it must equal the section the
+    /// imported provenance log renders, line for line.
     pub fn import(text: &str) -> Result<CampaignState, ImportError> {
         let mut lines = text.lines();
         let bad = |line: usize, message: String| ImportError { line, message };
@@ -229,21 +243,20 @@ impl CampaignState {
                 format!("capture-db section: {}", e.message),
             )
         })?;
-        let dead_letters = DeadLetterQueue::import(&dl_text).map_err(|e| {
-            bad(
-                offset(3 + split, e.line),
-                format!("dead-letter section: {}", e.message),
-            )
-        })?;
         let provenance = ProvenanceLog::import(&prov_text).map_err(|e| {
             bad(
                 offset(3 + prov_split, e.line),
                 format!("provenance section: {}", e.message),
             )
         })?;
+        dead_letter::check(&dl_text, &provenance).map_err(|e| {
+            bad(
+                offset(3 + split, e.line),
+                format!("dead-letter section: {}", e.message),
+            )
+        })?;
         let state = CampaignState {
             db,
-            dead_letters,
             provenance,
             pairs_done,
         };
@@ -311,51 +324,84 @@ pub fn build_toplist(world: &World, n: usize, seed: SeedTree) -> Vec<String> {
 pub(crate) struct PairOutput {
     /// Index into the campaign's vantage columns.
     pub(crate) col: usize,
-    /// 1-based toplist rank.
-    pub(crate) rank: usize,
-    pub(crate) domain: String,
-    pub(crate) vcode: String,
-    pub(crate) trace_id: u64,
     pub(crate) capture: consent_httpsim::Capture,
-    pub(crate) history: Vec<AttemptRecord>,
-    /// Injected fault per attempt, re-derived from the pure plan.
-    pub(crate) faults: Vec<Option<String>>,
     pub(crate) outcome: Outcome,
-    pub(crate) breaker_opened: bool,
     /// CMPs detected on the final capture.
     pub(crate) cmps: CmpSet,
+    /// The pair's record: identity, trace id, every attempt with its
+    /// injected fault, outcome and flags.
+    pub(crate) provenance: Provenance,
+}
+
+/// The provenance record of the pair at position `idx` with only its
+/// identity filled in: domain, rank, vantage code, day and trace id.
+/// The trace id is a pure function of the pair identity, so a resumed
+/// replay assigns the same ids an uninterrupted one would.
+fn pair_record(plan: &CampaignPlan<'_>, idx: u64) -> Provenance {
+    let (s, rank, _, vantage) = plan.locate(idx);
+    let vantage = vantage_code(vantage);
+    let day = plan.day.to_string();
+    Provenance {
+        trace_id: stable_id(&["pair", &s.domain, &vantage, &day]),
+        domain: s.domain.clone(),
+        rank: rank as u64,
+        vantage,
+        day,
+        attempts: Vec::new(),
+        outcome: String::new(),
+        final_status: String::new(),
+        breaker_opened: false,
+        dead_lettered: false,
+    }
+}
+
+/// Close a pair's record on its final capture and package the output.
+fn finish(
+    col: usize,
+    mut provenance: Provenance,
+    capture: consent_httpsim::Capture,
+    outcome: Outcome,
+    cmps: CmpSet,
+) -> PairOutput {
+    // The log keeps every record for the whole campaign; most pairs
+    // take one attempt, so do not keep the growth headroom.
+    provenance.attempts.shrink_to_fit();
+    provenance.outcome = outcome.name().to_string();
+    provenance.final_status = status_code(capture.status).to_string();
+    provenance.dead_lettered = !capture.usable();
+    PairOutput {
+        col,
+        capture,
+        outcome,
+        cmps,
+        provenance,
+    }
 }
 
 /// Crawl the `(domain, vantage)` pair at position `idx` of the plan's
 /// pair order: open its trace, walk the retry schedule through the
 /// fault-injecting engine with a per-pair circuit breaker, run CMP
-/// detection, and return everything the merge step needs. Thread-safe:
-/// touches only the immutable plan, the per-thread trace context, and
-/// the commutative telemetry registry.
+/// detection, and return everything the merge step needs, its
+/// provenance record included. Thread-safe: touches only the immutable
+/// plan, the per-thread trace context, and the commutative telemetry
+/// registry.
 pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     let _pair_span = consent_telemetry::span("campaign.pair");
-    let (s, rank, col, vantage) = plan.locate(idx);
-    let day = plan.day;
+    let (s, _, col, vantage) = plan.locate(idx);
     let collect_dom = vantage.location == Location::EuUniversity;
-    // One trace per pair. The id is a pure function of the pair
-    // identity, so a resumed replay assigns the same ids an
-    // uninterrupted one would.
-    let vcode = vantage_code(vantage);
-    let trace_id = stable_id(&["pair", &s.domain, &vcode, &day.to_string()]);
-    let _trace = consent_trace::start_trace("pair", trace_id, |a| {
-        a.push("domain", s.domain.clone());
-        a.push("rank", rank.to_string());
-        a.push("vantage", vcode.clone());
-        a.push("day", day.to_string());
+    // One trace per pair.
+    let mut record = pair_record(plan, idx);
+    let _trace = consent_trace::start_trace("pair", record.trace_id, |a| {
+        a.push("domain", record.domain.clone());
+        a.push("rank", record.rank.to_string());
+        a.push("vantage", record.vantage.clone());
+        a.push("day", record.day.clone());
     });
     let (host, _) = split_url(&s.url);
 
     let mut breaker = CircuitBreaker::new(plan.config.breaker);
-    let mut history = Vec::new();
-    let mut faults: Vec<Option<String>> = Vec::new();
     let mut capture = None;
     let mut outcome = Outcome::Permanent;
-    let mut breaker_opened = false;
     for (attempt, &attempt_day) in plan.schedule.iter().enumerate() {
         let attempt_no = attempt as u8 + 1;
         let _span = consent_trace::span("attempt", |a| {
@@ -370,26 +416,25 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
             attempt_no,
         );
         outcome = Outcome::classify(c.status);
-        breaker_opened = breaker.record(c.status);
+        record.breaker_opened = breaker.record(c.status);
         consent_trace::event("attempt.outcome", |a| {
             a.push("status", status_code(c.status));
             a.push("outcome", outcome.name());
         });
-        history.push(AttemptRecord {
-            day: attempt_day,
-            status: c.status,
-        });
-        // Re-derive the decided fault from the pure plan so the
-        // provenance record is identical with tracing on or off
-        // (and matches the in-trace `fault.injected` event).
-        faults.push(
-            plan.engine
+        record.attempts.push(AttemptProvenance {
+            day: attempt_day.to_string(),
+            status: status_code(c.status).to_string(),
+            // Re-derive the decided fault from the pure plan so the
+            // record is identical with tracing on or off (and matches
+            // the in-trace `fault.injected` event).
+            fault: plan
+                .engine
                 .plan()
                 .decide(&host, attempt_day, vantage, attempt_no)
                 .map(|f| f.name().to_string()),
-        );
+        });
         capture = Some(c);
-        if breaker_opened {
+        if record.breaker_opened {
             consent_telemetry::count("campaign.breaker.open", 1);
             consent_telemetry::gauge_add("campaign.breaker.open_pairs", 1);
             consent_trace::event("breaker.open", |a| {
@@ -414,22 +459,10 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     if !capture.usable() {
         consent_trace::event("dead_letter", |a| {
             a.push("outcome", outcome.name());
-            a.push("attempts", history.len().to_string());
+            a.push("attempts", record.attempts.len().to_string());
         });
     }
-    PairOutput {
-        col,
-        rank,
-        domain: s.domain.clone(),
-        vcode,
-        trace_id,
-        capture,
-        history,
-        faults,
-        outcome,
-        breaker_opened,
-        cmps,
-    }
+    finish(col, record, capture, outcome, cmps)
 }
 
 /// [`process_pair`] with panic containment: a panic anywhere inside the
@@ -439,8 +472,8 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
 /// in-order loop survives, and a pool worker thread keeps draining
 /// pairs. The synthetic output is a pure function of the pair identity,
 /// so exports stay byte-identical at any thread count, and its capture
-/// is unusable, so [`apply_pair`] dead-letters the pair with provenance
-/// like any other abandoned pair.
+/// is unusable, so its provenance record is dead-lettered like any
+/// other abandoned pair's.
 ///
 /// The driver routes every pair through this wrapper.
 pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
@@ -450,8 +483,8 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
         Ok(out) => return out,
         Err(payload) => payload,
     };
-    let (s, rank, col, vantage) = plan.locate(idx);
-    let day = plan.day;
+    let (s, _, col, vantage) = plan.locate(idx);
+    let mut record = pair_record(plan, idx);
     // The unwind already closed the pair's own trace (armed guards emit
     // their End events during the unwind), so the containment marker
     // goes in a sibling trace keyed by the same pair identity — reusing
@@ -463,13 +496,12 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
         .unwrap_or("non-string panic payload")
         .to_string();
     consent_telemetry::count("campaign.panic", 1);
-    let vcode = vantage_code(vantage);
-    let panic_trace = stable_id(&["pair.panic", &s.domain, &vcode, &day.to_string()]);
+    let panic_trace = stable_id(&["pair.panic", &record.domain, &record.vantage, &record.day]);
     {
         let _t = consent_trace::start_trace("pair.panic", panic_trace, |a| {
-            a.push("domain", s.domain.clone());
-            a.push("vantage", vcode.clone());
-            a.push("day", day.to_string());
+            a.push("domain", record.domain.clone());
+            a.push("vantage", record.vantage.clone());
+            a.push("day", record.day.clone());
             a.push("message", message.clone());
         });
     }
@@ -478,7 +510,7 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
     // day: the real history died with the stack, but downstream
     // invariants (≥1 attempt per pair, `pairs_done == db.len()`,
     // unusable ⇒ dead-lettered) must hold regardless.
-    let first_day = plan.schedule.first().copied().unwrap_or(day);
+    let first_day = plan.schedule.first().copied().unwrap_or(plan.day);
     let capture = consent_httpsim::Capture {
         seed_url: s.url.clone(),
         final_url: s.url.clone(),
@@ -491,52 +523,35 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
         dialog_visible: false,
         dom: None,
     };
-    let trace_id = stable_id(&["pair", &s.domain, &vcode, &day.to_string()]);
-    PairOutput {
-        col,
-        rank,
-        domain: s.domain.clone(),
-        vcode,
-        trace_id,
-        capture,
-        history: vec![AttemptRecord {
-            day: first_day,
-            status: CaptureStatus::ConnectionFailed,
-        }],
-        faults: vec![Some("panic".to_string())],
-        outcome: Outcome::Panic,
-        breaker_opened: false,
-        cmps: CmpSet::empty(),
-    }
+    record.attempts.push(AttemptProvenance {
+        day: first_day.to_string(),
+        status: status_code(capture.status).to_string(),
+        fault: Some("panic".to_string()),
+    });
+    finish(col, record, capture, Outcome::Panic, CmpSet::empty())
 }
 
 /// Fold one [`PairOutput`] into the cumulative campaign state and the
-/// per-vantage result columns. Single-threaded by construction: the
-/// driver calls it on the calling thread in ascending pair order —
+/// per-vantage result columns: count it, ingest its capture, and move
+/// its provenance record into the log. Single-threaded by construction:
+/// the driver calls it on the calling thread in ascending pair order —
 /// right after each pair with `threads <= 1`, after the pool joins
 /// otherwise — so the [`CaptureDb`] insertion order, and with it the
 /// checkpoint export, is identical at any thread count.
 pub(crate) fn apply_pair(
     state: &mut CampaignState,
     columns: &mut [(Vantage, Vec<CampaignCapture>)],
-    day: Day,
     out: PairOutput,
     psl: &PublicSuffixList,
 ) {
     let PairOutput {
         col,
-        rank,
-        domain,
-        vcode,
-        trace_id,
         capture,
-        history,
-        faults,
         outcome,
-        breaker_opened,
         cmps,
+        provenance,
     } = out;
-    let attempts = history.len() as u8;
+    let attempts = provenance.attempts.len() as u8;
     if consent_telemetry::enabled() {
         consent_telemetry::observe("campaign.attempts", u64::from(attempts));
         consent_telemetry::count("campaign.retries", u64::from(attempts).saturating_sub(1));
@@ -544,36 +559,13 @@ pub(crate) fn apply_pair(
     }
     state.db.ingest(&capture, cmps, psl);
     state.pairs_done += 1;
-    let dead_lettered = !capture.usable();
-    state.provenance.push(Provenance {
-        domain: domain.clone(),
-        rank: rank as u64,
-        vantage: vcode,
-        day: day.to_string(),
-        trace_id,
-        attempts: history
-            .iter()
-            .zip(&faults)
-            .map(|(a, fault)| AttemptProvenance {
-                day: a.day.to_string(),
-                status: status_code(a.status).to_string(),
-                fault: fault.clone(),
-            })
-            .collect(),
-        outcome: outcome.name().to_string(),
-        final_status: status_code(capture.status).to_string(),
-        breaker_opened,
-        dead_lettered,
-    });
+    let rank = provenance.rank as usize;
+    let domain = provenance.domain.clone();
+    let dead_lettered = provenance.dead_lettered;
+    state.provenance.push(provenance);
     if dead_lettered {
-        state.dead_letters.push(DeadLetter {
-            domain: domain.clone(),
-            rank,
-            vantage: columns[col].0,
-            attempts: history,
-            outcome,
-            breaker_opened,
-        });
+        consent_telemetry::count_labeled("campaign.dead_letter", &[("outcome", outcome.name())], 1);
+        consent_telemetry::observe("campaign.dead_letter.attempts", u64::from(attempts));
     }
     columns[col].1.push(CampaignCapture {
         rank,
@@ -589,6 +581,7 @@ mod tests {
     use super::*;
     use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use consent_httpsim::Timing;
+    use consent_util::Day;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
 
     fn world() -> World {
@@ -651,17 +644,20 @@ mod tests {
         assert_eq!(run.state.pairs_done, 6 * 150);
         assert_eq!(run.state.db.len(), 6 * 150);
         assert_eq!(run.state.provenance.len(), 6 * 150);
-        // Under FaultProfile::none no attempt carries an injected fault.
-        for p in run.state.provenance.records() {
+        // Under FaultProfile::none no attempt carries an injected fault,
+        // and a record is dead-lettered exactly when its pair's capture
+        // is unusable. Records are in pair order: column by column.
+        let captures = result
+            .columns
+            .iter()
+            .flat_map(|(v, c)| c.iter().map(|c| (*v, c)));
+        for (p, (v, c)) in run.state.provenance.records().iter().zip(captures) {
             assert!(p.injected_faults().next().is_none(), "{}", p.domain);
             assert_eq!(
-                p.dead_lettered,
-                run.state
-                    .dead_letters
-                    .records()
-                    .iter()
-                    .any(|dl| dl.domain == p.domain && vantage_code(dl.vantage) == p.vantage),
+                (p.domain.as_str(), p.vantage.as_str()),
+                (c.domain.as_str(), vantage_code(v).as_str())
             );
+            assert_eq!(p.dead_lettered, !c.capture.usable(), "{}", p.domain);
         }
         assert_eq!(result.columns.len(), 6);
         assert_eq!(result.seeds.len(), 150);
@@ -744,20 +740,14 @@ mod tests {
         let w = world();
         let list = build_toplist(&w, 300, SeedTree::new(7));
         let run = crawl(&w, &list, &[Vantage::eu_cloud()]);
-        let blocked: Vec<&DeadLetter> = run
+        let blocked: Vec<&Provenance> = run
             .state
-            .dead_letters
-            .records()
-            .iter()
-            .filter(|r| {
-                r.attempts
-                    .iter()
-                    .any(|a| a.status == CaptureStatus::LegallyBlocked)
-            })
+            .dead_letters()
+            .filter(|r| r.attempts.iter().any(|a| a.status == "blocked451"))
             .collect();
         assert!(!blocked.is_empty(), "no 451 sites in a 300-domain EU crawl");
         for dl in blocked {
-            assert_eq!(dl.outcome, Outcome::Permanent);
+            assert_eq!(dl.outcome, Outcome::Permanent.name());
             assert_eq!(dl.attempts.len(), 1, "{} retried", dl.domain);
             assert!(!dl.breaker_opened);
         }
@@ -772,11 +762,39 @@ mod tests {
         let back = CampaignState::import(&text).unwrap();
         assert_eq!(back.pairs_done, run.state.pairs_done);
         assert_eq!(back.db.len(), run.state.db.len());
-        assert_eq!(back.dead_letters, run.state.dead_letters);
         assert_eq!(back.provenance, run.state.provenance);
         assert_eq!(back.export(), text);
         // Every db row has a provenance record and vice versa.
         assert_eq!(back.provenance.len() as u64, back.db.len());
+    }
+
+    /// The empty capture-db section.
+    const EMPTY_DB: &str = "#consent-capture-db v3\nhosts=0\n";
+
+    /// The lines of a real export that dead-letters a pair, and the
+    /// line indices of its dead-letter records.
+    fn export_with_dead_letters() -> (Vec<String>, std::ops::Range<usize>) {
+        let w = world();
+        let list = build_toplist(&w, 60, SeedTree::new(7));
+        let run = crawl(&w, &list, &[Vantage::eu_cloud()]);
+        assert!(run.state.dead_letters().next().is_some());
+        let lines: Vec<String> = run.state.export().lines().map(str::to_owned).collect();
+        let header = |h: &str| lines.iter().position(|l| l == h).unwrap();
+        let records = header("#consent-dead-letters v2") + 1..header("#consent-provenance v1");
+        (lines, records)
+    }
+
+    fn joined(lines: &[String]) -> String {
+        lines.join("\n") + "\n"
+    }
+
+    /// `lines` with the breaker flag of line `at` flipped.
+    fn flip_breaker(lines: &[String], at: usize) -> Vec<String> {
+        let mut out = lines.to_vec();
+        let mut fields: Vec<&str> = lines[at].split('\t').collect();
+        fields[4] = if fields[4] == "0" { "1" } else { "0" };
+        out[at] = fields.join("\t");
+        out
     }
 
     #[test]
@@ -784,32 +802,35 @@ mod tests {
         assert!(CampaignState::import("").is_err());
         assert!(CampaignState::import("#wrong\n").is_err());
         // v1 checkpoints (no provenance section) are not importable.
-        assert!(CampaignState::import(
-            "#consent-campaign-state v1\npairs_done=0\n#consent-capture-db v2\n#consent-dead-letters v1\n"
-        )
+        assert!(CampaignState::import(&format!(
+            "#consent-campaign-state v1\npairs_done=0\n{EMPTY_DB}#consent-dead-letters v1\n"
+        ))
         .is_err());
         assert!(CampaignState::import(STATE_HEADER).is_err());
-        let no_dl = format!("{STATE_HEADER}\npairs_done=0\n#consent-capture-db v2\n");
+        let no_dl = format!("{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}");
         assert!(CampaignState::import(&no_dl).is_err());
-        let no_prov = format!(
-            "{STATE_HEADER}\npairs_done=0\n#consent-capture-db v2\n#consent-dead-letters v2\n"
-        );
+        let no_prov = format!("{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}#consent-dead-letters v2\n");
         assert!(CampaignState::import(&no_prov).is_err());
         // Sections out of order are corruption.
         let swapped = format!(
-            "{STATE_HEADER}\npairs_done=0\n#consent-capture-db v2\n#consent-provenance v1\n#consent-dead-letters v2\n"
+            "{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}#consent-provenance v1\n#consent-dead-letters v2\n"
         );
         assert!(CampaignState::import(&swapped).is_err());
         // A cursor that disagrees with the stored rows is corruption.
         let bad_cursor = format!(
-            "{STATE_HEADER}\npairs_done=5\n#consent-capture-db v2\n#consent-dead-letters v2\n#consent-provenance v1\n"
+            "{STATE_HEADER}\npairs_done=5\n{EMPTY_DB}#consent-dead-letters v2\n#consent-provenance v1\n"
         );
-        assert!(CampaignState::import(&bad_cursor).is_err());
+        let e = CampaignState::import(&bad_cursor).unwrap_err();
+        assert!(
+            e.message.contains("disagrees with 0 stored captures"),
+            "{}",
+            e.message
+        );
         // v2 state checkpoints (unescaped dead-letter section) are a
         // different format and must not be silently reinterpreted.
-        assert!(CampaignState::import(
-            "#consent-campaign-state v2\npairs_done=0\n#consent-capture-db v2\n#consent-dead-letters v1\n#consent-provenance v1\n"
-        )
+        assert!(CampaignState::import(&format!(
+            "#consent-campaign-state v2\npairs_done=0\n{EMPTY_DB}#consent-dead-letters v1\n#consent-provenance v1\n"
+        ))
         .is_err());
         // A provenance section shorter than the cursor is corruption
         // even when the capture-db agrees.
@@ -825,45 +846,74 @@ mod tests {
         assert!(CampaignState::import(&truncated).is_err());
         let empty = CampaignState::new().export();
         assert_eq!(CampaignState::import(&empty).unwrap().pairs_done, 0);
+        // A dead-letter section that contradicts the provenance log is
+        // corruption: a dropped record, a flipped breaker flag, a record
+        // no provenance backs.
+        let (lines, records) = export_with_dead_letters();
+        assert!(CampaignState::import(&joined(&lines)).is_ok());
+        let mut dropped = lines.clone();
+        dropped.remove(records.start);
+        let mut extra = lines.clone();
+        extra.insert(
+            records.end,
+            "phantom.example\t999\teu-fast-enus\tpermanent\t0\t2020-05-15:blocked451".into(),
+        );
+        for (what, bad) in [
+            ("dropped", dropped),
+            ("flipped", flip_breaker(&lines, records.start)),
+            ("extra", extra),
+        ] {
+            let e = CampaignState::import(&joined(&bad)).unwrap_err();
+            assert!(
+                e.message.contains("dead-letter section"),
+                "{what}: {}",
+                e.message
+            );
+        }
     }
 
     #[test]
     fn state_import_reports_whole_file_line_numbers() {
         // Layout: line 1 state header, 2 pairs_done, 3 db header,
-        // 4 dl header, 5 prov header. A garbage row injected into a
-        // section must be reported at its line number in the whole
-        // checkpoint, not relative to the section header.
+        // 4 host count, 5 dl header, 6 prov header. A garbage row
+        // injected into a section must be reported at its line number
+        // in the whole checkpoint, not relative to the section header.
         let garbage_in = |section: &str| -> String {
             let mut lines = vec![
                 STATE_HEADER.to_string(),
                 "pairs_done=0".into(),
-                "#consent-capture-db v2".into(),
+                "#consent-capture-db v3".into(),
+                "hosts=0".into(),
                 "#consent-dead-letters v2".into(),
                 "#consent-provenance v1".into(),
             ];
             let at = match section {
-                "db" => 3,
-                "dl" => 4,
-                _ => 5,
+                "db" => 4,
+                "dl" => 5,
+                _ => 6,
             };
             lines.insert(at, "garbage row".into());
             lines.join("\n") + "\n"
         };
         for (section, want_line, want_msg) in [
-            ("db", 4, "capture-db section"),
-            ("dl", 5, "dead-letter section"),
-            ("prov", 6, "provenance section"),
+            ("db", 5, "capture-db section"),
+            ("dl", 6, "dead-letter section"),
+            ("prov", 7, "provenance section"),
         ] {
             let e = CampaignState::import(&garbage_in(section)).unwrap_err();
             assert_eq!(e.line, want_line, "{section}: {}", e.message);
             assert!(e.message.contains(want_msg), "{section}: {}", e.message);
         }
+        // A dead-letter record that contradicts the provenance log is
+        // reported at its own line.
+        let (lines, records) = export_with_dead_letters();
+        let e = CampaignState::import(&joined(&flip_breaker(&lines, records.start))).unwrap_err();
+        assert_eq!(e.line, records.start + 1, "{}", e.message);
+        assert!(e.message.contains("dead-letter section"), "{}", e.message);
         // Missing sections point past the end of what's there.
-        let e = CampaignState::import(&format!(
-            "{STATE_HEADER}\npairs_done=0\n#consent-capture-db v2\n"
-        ))
-        .unwrap_err();
-        assert_eq!(e.line, 3);
+        let e = CampaignState::import(&format!("{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}"))
+            .unwrap_err();
+        assert_eq!(e.line, 4);
         assert!(e.message.contains("missing dead-letter section"));
     }
 }

@@ -1,74 +1,23 @@
-//! The dead-letter record: pairs the campaign gave up on.
+//! The dead-letter view: pairs the campaign gave up on.
 //!
 //! Every `(domain, vantage)` pair that never produced a usable capture —
 //! permanent failures, exhausted transient retries, breaker-opened
-//! anti-bot escalations — is recorded here with its full attempt
-//! history and final classification, and persisted alongside the
-//! [`CaptureDb`](crate::CaptureDb) line format so a longitudinal audit
-//! can reconcile what was measured against what was abandoned, §3.5
-//! style. Format v2 escapes the separator alphabet in the domain field,
-//! so exports round-trip for *any* domain string and malformed lines
-//! fail with a structured [`DeadLetterImportError`].
+//! anti-bot escalations, contained panics — is a
+//! [`Provenance`](consent_trace::Provenance) record with
+//! `dead_lettered` set. There is no second store: the
+//! [`ProvenanceLog`] is the source of truth, and the `dead-letters`
+//! checkpoint section is *rendered* from its dead-lettered records so a
+//! longitudinal audit can reconcile what was measured against what was
+//! abandoned, §3.5 style, without reading the provenance format. On
+//! import the persisted section is checked against that rendering
+//! instead of parsed, so the two sections of a checkpoint or bundle can
+//! never disagree. Format v2 escapes the separator alphabet in the
+//! domain field, so a rendered line always has six fields for *any*
+//! domain string.
 
-use crate::export::{status_code, status_from};
-use crate::resilience::Outcome;
-use consent_httpsim::{CaptureStatus, Language, Location, Timing, Vantage};
-use consent_util::Day;
-use std::fmt;
-
-/// One capture attempt inside a dead-lettered pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AttemptRecord {
-    /// Day the attempt ran.
-    pub day: Day,
-    /// Its outcome status.
-    pub status: CaptureStatus,
-}
-
-/// One abandoned `(domain, vantage)` pair.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeadLetter {
-    /// Toplist domain of the seed URL.
-    pub domain: String,
-    /// Toplist rank (1-based).
-    pub rank: usize,
-    /// The vantage column.
-    pub vantage: Vantage,
-    /// Every attempt, in schedule order.
-    pub attempts: Vec<AttemptRecord>,
-    /// Final classification of the pair.
-    pub outcome: Outcome,
-    /// True if the circuit breaker opened and skipped the remaining
-    /// scheduled attempts.
-    pub breaker_opened: bool,
-}
-
-/// The campaign's dead-letter queue.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DeadLetterQueue {
-    records: Vec<DeadLetter>,
-}
-
-/// Import error for the dead-letter line format.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeadLetterImportError {
-    /// 1-based line number (0 for header problems).
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for DeadLetterImportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "dead-letter import error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for DeadLetterImportError {}
+use crate::export::ImportError;
+use consent_httpsim::{Language, Location, Timing, Vantage};
+use consent_trace::ProvenanceLog;
 
 const HEADER: &str = "#consent-dead-letters v2";
 
@@ -90,169 +39,76 @@ fn escape_field(s: &str) -> String {
     out
 }
 
-/// Invert [`escape_field`]. Unknown escapes and a trailing lone `\` are
-/// format errors, not silently passed through.
-fn unescape_field(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => return Err(format!("bad escape \\{other}")),
-            None => return Err("trailing backslash".into()),
-        }
-    }
-    Ok(out)
+/// The `dead-letters` section of `log`: the header, then one line per
+/// dead-lettered record (tab-separated, attempts as `day:status` comma
+/// lists).
+pub(crate) fn export(log: &ProvenanceLog) -> String {
+    let mut out = String::new();
+    out.push_str(HEADER);
+    out.push('\n');
+    out.push_str(&export_from(log, 0));
+    out
 }
 
-impl DeadLetterQueue {
-    /// Empty queue.
-    pub fn new() -> DeadLetterQueue {
-        DeadLetterQueue::default()
+/// The dead-letter lines of the records `from..` of `log` only, without
+/// the header — the body of a dead-letter delta checkpoint section.
+/// `from` counts provenance records, so a delta cut needs no cursor of
+/// its own: appending these lines to the section rendered at the cut
+/// reconstructs the full section (STORAGE.md). Cost is proportional to
+/// the records past `from`; `from` past the end yields an empty string.
+pub(crate) fn export_from(log: &ProvenanceLog, from: usize) -> String {
+    let mut out = String::new();
+    let records = log.records().get(from..).unwrap_or_default();
+    for r in records.iter().filter(|r| r.dead_lettered) {
+        let attempts: Vec<String> = r
+            .attempts
+            .iter()
+            .map(|a| format!("{}:{}", a.day, a.status))
+            .collect();
+        out.push_str(&format!(
+            "{}\t{}\t{}\t{}\t{}\t{}\n",
+            escape_field(&r.domain),
+            r.rank,
+            r.vantage,
+            r.outcome,
+            u8::from(r.breaker_opened),
+            attempts.join(","),
+        ));
     }
+    out
+}
 
-    /// Record an abandoned pair.
-    pub fn push(&mut self, letter: DeadLetter) {
-        consent_telemetry::count_labeled(
-            "campaign.dead_letter",
-            &[("outcome", letter.outcome.name())],
-            1,
-        );
-        consent_telemetry::observe(
-            "campaign.dead_letter.attempts",
-            letter.attempts.len() as u64,
-        );
-        self.records.push(letter);
-    }
-
-    /// All records, in insertion order.
-    pub fn records(&self) -> &[DeadLetter] {
-        &self.records
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing was abandoned.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The records whose breaker opened.
-    pub fn breaker_opened(&self) -> impl Iterator<Item = &DeadLetter> {
-        self.records.iter().filter(|r| r.breaker_opened)
-    }
-
-    /// Serialize to the line format (one record per line, tab-separated,
-    /// attempts as `day:status` comma lists).
-    pub fn export(&self) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&self.export_from(0));
-        out
-    }
-
-    /// The record lines of entries `from..` only, without the header —
-    /// the body of a dead-letter delta checkpoint section. Appending
-    /// these lines to the base export reconstructs the full export,
-    /// which is how chain recovery reassembles the queue (STORAGE.md).
-    /// Cost is proportional to the records past `from`, never the queue
-    /// length. `from` past the end yields an empty string.
-    pub fn export_from(&self, from: usize) -> String {
-        let mut out = String::new();
-        for r in self.records.iter().skip(from) {
-            let attempts: Vec<String> = r
-                .attempts
-                .iter()
-                .map(|a| format!("{}:{}", a.day, status_code(a.status)))
-                .collect();
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\n",
-                escape_field(&r.domain),
-                r.rank,
-                vantage_code(r.vantage),
-                r.outcome.name(),
-                u8::from(r.breaker_opened),
-                attempts.join(","),
-            ));
-        }
-        out
-    }
-
-    /// Parse the line format back.
-    pub fn import(text: &str) -> Result<DeadLetterQueue, DeadLetterImportError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(DeadLetterImportError {
-            line: 0,
-            message: "empty input".into(),
-        })?;
-        if header != HEADER {
-            return Err(DeadLetterImportError {
-                line: 0,
-                message: format!("unsupported header {header:?}"),
-            });
-        }
-        let mut queue = DeadLetterQueue::new();
-        for (i, line) in lines {
-            if line.is_empty() {
-                continue;
+/// Check a persisted `dead-letters` section against the section `log`
+/// renders. Blank lines are skipped. The first line that differs — a
+/// changed field, a record the log does not dead-letter, or a missing
+/// one (reported one past the section's last line) — is an error with
+/// its 1-based line number inside `section`.
+pub(crate) fn check(section: &str, log: &ProvenanceLog) -> Result<(), ImportError> {
+    let mut lines = section.lines().enumerate().filter(|(_, l)| !l.is_empty());
+    let err = |line: usize, message: String| Err(ImportError { line, message });
+    for want in export(log).lines() {
+        match lines.next() {
+            Some((_, got)) if got == want => {}
+            Some((i, got)) => {
+                return err(
+                    i + 1,
+                    format!("{got:?} disagrees with the provenance log, which renders {want:?}"),
+                )
             }
-            let err = |message: String| DeadLetterImportError {
-                line: i + 1,
-                message,
-            };
-            let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 6 {
-                return Err(err(format!("expected 6 fields, got {}", fields.len())));
+            None => {
+                return err(
+                    section.lines().count() + 1,
+                    format!("missing {want:?}, rendered from the provenance log"),
+                )
             }
-            let rank: usize = fields[1]
-                .parse()
-                .map_err(|e| err(format!("bad rank: {e}")))?;
-            let vantage = vantage_from(fields[2])
-                .ok_or_else(|| err(format!("bad vantage {:?}", fields[2])))?;
-            let outcome = Outcome::from_name(fields[3])
-                .ok_or_else(|| err(format!("bad outcome {:?}", fields[3])))?;
-            let breaker_opened = match fields[4] {
-                "0" => false,
-                "1" => true,
-                other => return Err(err(format!("bad breaker flag {other:?}"))),
-            };
-            let mut attempts = Vec::new();
-            if !fields[5].is_empty() {
-                for part in fields[5].split(',') {
-                    let (day, status) = part
-                        .split_once(':')
-                        .ok_or_else(|| err(format!("bad attempt {part:?}")))?;
-                    attempts.push(AttemptRecord {
-                        day: day.parse().map_err(|e| err(format!("bad day: {e}")))?,
-                        status: status_from(status)
-                            .ok_or_else(|| err(format!("bad status {status:?}")))?,
-                    });
-                }
-            }
-            let domain = unescape_field(fields[0]).map_err(|e| err(format!("bad domain: {e}")))?;
-            // Records go straight into the vec: import must not
-            // re-count telemetry that the original run already counted.
-            queue.records.push(DeadLetter {
-                domain,
-                rank,
-                vantage,
-                attempts,
-                outcome,
-                breaker_opened,
-            });
         }
-        Ok(queue)
+    }
+    match lines.next() {
+        Some((i, got)) => err(
+            i + 1,
+            format!("{got:?} has no dead-lettered provenance record"),
+        ),
+        None => Ok(()),
     }
 }
 
@@ -310,57 +166,93 @@ pub fn vantage_from(code: &str) -> Option<Vantage> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consent_trace::{AttemptProvenance, Provenance};
     use proptest::prelude::*;
 
-    fn sample() -> DeadLetterQueue {
-        let mut q = DeadLetterQueue::new();
-        q.push(DeadLetter {
-            domain: "blocked.example".into(),
-            rank: 17,
-            vantage: Vantage::eu_cloud(),
-            attempts: vec![AttemptRecord {
-                day: Day::from_ymd(2020, 5, 15),
-                status: CaptureStatus::LegallyBlocked,
-            }],
-            outcome: Outcome::Permanent,
+    fn attempt(day: &str, status: &str) -> AttemptProvenance {
+        AttemptProvenance {
+            day: day.into(),
+            status: status.into(),
+            fault: None,
+        }
+    }
+
+    /// A dead-lettered 451 at the EU cloud vantage.
+    fn letter_for(domain: &str) -> Provenance {
+        Provenance {
+            domain: domain.into(),
+            rank: 9,
+            vantage: "eu-fast-enus".into(),
+            day: "2020-05-15".into(),
+            trace_id: 1,
+            attempts: vec![attempt("2020-05-15", "blocked451")],
+            outcome: "permanent".into(),
+            final_status: "blocked451".into(),
             breaker_opened: false,
-        });
-        q.push(DeadLetter {
-            domain: "fortress.example".into(),
-            rank: 203,
-            vantage: Vantage::table1_columns()[4],
-            attempts: vec![
-                AttemptRecord {
-                    day: Day::from_ymd(2020, 5, 15),
-                    status: CaptureStatus::AntiBotInterstitial,
-                },
-                AttemptRecord {
-                    day: Day::from_ymd(2020, 5, 17),
-                    status: CaptureStatus::AntiBotInterstitial,
-                },
-                AttemptRecord {
-                    day: Day::from_ymd(2020, 5, 19),
-                    status: CaptureStatus::AntiBotInterstitial,
-                },
-            ],
-            outcome: Outcome::Transient,
-            breaker_opened: true,
-        });
-        q
+            dead_lettered: true,
+        }
+    }
+
+    fn log_of(records: impl IntoIterator<Item = Provenance>) -> ProvenanceLog {
+        let mut log = ProvenanceLog::new();
+        for r in records {
+            log.push(r);
+        }
+        log
+    }
+
+    /// Two dead letters around a pair that succeeded.
+    fn sample() -> Vec<Provenance> {
+        vec![
+            Provenance {
+                rank: 17,
+                ..letter_for("blocked.example")
+            },
+            Provenance {
+                rank: 18,
+                attempts: vec![attempt("2020-05-15", "ok")],
+                outcome: "success".into(),
+                final_status: "ok".into(),
+                dead_lettered: false,
+                ..letter_for("fine.example")
+            },
+            Provenance {
+                rank: 203,
+                vantage: vantage_code(Vantage::table1_columns()[4]),
+                attempts: vec![
+                    attempt("2020-05-15", "antibot"),
+                    attempt("2020-05-17", "antibot"),
+                    attempt("2020-05-19", "antibot"),
+                ],
+                outcome: "transient".into(),
+                final_status: "antibot".into(),
+                breaker_opened: true,
+                ..letter_for("fortress.example")
+            },
+        ]
     }
 
     #[test]
     fn roundtrip() {
-        let q = sample();
-        let text = q.export();
-        let back = DeadLetterQueue::import(&text).unwrap();
-        assert_eq!(back, q);
-        assert_eq!(back.export(), text);
-        assert_eq!(back.breaker_opened().count(), 1);
+        let records = sample();
+        let log = log_of(records.clone());
+        let text = export(&log);
         assert_eq!(
-            back.breaker_opened().next().unwrap().domain,
-            "fortress.example"
+            text,
+            format!(
+                "{HEADER}\n\
+                 blocked.example\t17\teu-fast-enus\tpermanent\t0\t2020-05-15:blocked451\n\
+                 fortress.example\t203\tuni-ext-de\ttransient\t1\t\
+                 2020-05-15:antibot,2020-05-17:antibot,2020-05-19:antibot\n"
+            )
         );
+        assert_eq!(check(&text, &log), Ok(()));
+        // The section rendered at any cut plus the delta body past it is
+        // the whole section: how chain recovery reassembles it.
+        for cut in 0..=records.len() + 1 {
+            let at_cut = log_of(records.iter().take(cut).cloned());
+            assert_eq!(export(&at_cut) + &export_from(&log, cut), text, "cut {cut}");
+        }
     }
 
     #[test]
@@ -382,109 +274,107 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(DeadLetterQueue::import("").is_err());
-        assert!(DeadLetterQueue::import("#nope\n").is_err());
-        let h = format!("{HEADER}\n");
-        assert!(DeadLetterQueue::import(&format!("{h}too\tfew\n")).is_err());
-        assert!(
-            DeadLetterQueue::import(&format!("{h}a.com\tNaN\teu-fast-enus\tpermanent\t0\t\n"))
-                .is_err()
-        );
-        assert!(
-            DeadLetterQueue::import(&format!("{h}a.com\t1\teu-fast-enus\tmaybe\t0\t\n")).is_err()
-        );
-        assert!(
-            DeadLetterQueue::import(&format!("{h}a.com\t1\teu-fast-enus\tpermanent\t2\t\n"))
-                .is_err()
-        );
-        assert!(DeadLetterQueue::import(&format!(
-            "{h}a.com\t1\teu-fast-enus\tpermanent\t0\t2020-05-15~ok\n"
-        ))
-        .is_err());
-        let e = DeadLetterQueue::import(&format!("{h}bad\n")).unwrap_err();
+        let log = log_of(sample());
+        let text = export(&log);
+        let lines: Vec<&str> = text.lines().collect();
+        let at = |section: &str| check(section, &log).unwrap_err().line;
+        // Missing or wrong header.
+        assert_eq!(at(""), 1);
+        assert_eq!(at("#nope\n"), 1);
+        // Garbage, a changed field, a flipped breaker flag.
+        assert_eq!(at(&format!("{HEADER}\ntoo\tfew\n{}\n", lines[2])), 2);
+        assert_eq!(at(&text.replace("\t17\t", "\tNaN\t")), 2);
+        assert_eq!(at(&text.replace("\ttransient\t1\t", "\ttransient\t0\t")), 3);
+        // A dropped record: the next one shows up in its place, or the
+        // section ends one line early.
+        assert_eq!(at(&format!("{HEADER}\n{}\n", lines[2])), 2);
+        assert_eq!(at(&format!("{HEADER}\n{}\n", lines[1])), 3);
+        // A record no provenance backs, even a copy of a real one.
+        let e = check(&format!("{text}{}\n", lines[1]), &log).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("no dead-lettered provenance record"));
+        // Blank lines are not records, and errors display their line.
+        assert_eq!(check(&text.replace('\n', "\n\n"), &log), Ok(()));
+        let e = check(&format!("{HEADER}\nbad\n"), &log).unwrap_err();
         assert!(e.to_string().contains("line 2"));
     }
 
     #[test]
     fn empty_queue_roundtrips() {
-        let q = DeadLetterQueue::new();
-        let back = DeadLetterQueue::import(&q.export()).unwrap();
-        assert!(back.is_empty());
-        assert_eq!(back.len(), 0);
-    }
-
-    fn letter_for(domain: &str) -> DeadLetter {
-        DeadLetter {
-            domain: domain.into(),
-            rank: 9,
-            vantage: Vantage::eu_cloud(),
-            attempts: Vec::new(),
-            outcome: Outcome::Permanent,
-            breaker_opened: false,
-        }
+        let empty = ProvenanceLog::new();
+        assert_eq!(export(&empty), format!("{HEADER}\n"));
+        assert_eq!(check(&export(&empty), &empty), Ok(()));
+        // A log that dead-lettered nothing renders the same section.
+        let kept = log_of(sample().into_iter().filter(|p| !p.dead_lettered));
+        assert_eq!(export(&kept), export(&empty));
+        assert_eq!(export_from(&kept, 0), "");
+        // ...and that section cannot stand in for one with records.
+        assert_eq!(
+            check(&export(&empty), &log_of(sample())).unwrap_err().line,
+            2
+        );
     }
 
     #[test]
     fn hostile_domains_cannot_smuggle_fields_or_records() {
-        let mut q = DeadLetterQueue::new();
-        q.push(letter_for(
-            "evil\t1\tco\nfake.example\t2\teu-fast-enus\tpermanent\t0\t",
-        ));
-        q.push(letter_for("back\\slash.example\r"));
-        let text = q.export();
+        let log = log_of([
+            letter_for("evil\t1\tco\nfake.example\t2\teu-fast-enus\tpermanent\t0\t"),
+            letter_for("back\\slash.example\r"),
+        ]);
+        let text = export(&log);
         // Exactly header + 2 records, each still 6 tab-separated fields.
         assert_eq!(text.lines().count(), 3);
         for line in text.lines().skip(1) {
             assert_eq!(line.split('\t').count(), 6);
         }
-        let back = DeadLetterQueue::import(&text).unwrap();
-        assert_eq!(back, q);
-        assert_eq!(back.export(), text);
+        assert_eq!(check(&text, &log), Ok(()));
     }
 
     #[test]
     fn bad_escapes_are_structured_errors() {
-        let h = format!("{HEADER}\n");
         for domain in ["half\\", "bad\\q.example"] {
-            let e =
-                DeadLetterQueue::import(&format!("{h}{domain}\t1\teu-fast-enus\tpermanent\t0\t\n"))
-                    .unwrap_err();
+            let log = log_of([letter_for(domain)]);
+            assert_eq!(check(&export(&log), &log), Ok(()));
+            // The unescaped line an escaping bug would persist.
+            let raw = format!(
+                "{HEADER}\n{domain}\t9\teu-fast-enus\tpermanent\t0\t2020-05-15:blocked451\n"
+            );
+            let e = check(&raw, &log).unwrap_err();
             assert_eq!(e.line, 2, "{domain:?}");
             assert!(
-                e.message.contains("bad domain"),
+                e.message.contains("disagrees"),
                 "{domain:?} -> {}",
                 e.message
             );
         }
         // v1 exports (no escaping) are a different format, not silently
         // reinterpreted.
-        let e = DeadLetterQueue::import("#consent-dead-letters v1\n").unwrap_err();
-        assert!(e.message.contains("unsupported header"));
+        let e = check("#consent-dead-letters v1\n", &ProvenanceLog::new()).unwrap_err();
+        assert_eq!(e.line, 1);
     }
 
     proptest! {
         #[test]
         fn prop_exports_roundtrip_any_domain(
             raw in proptest::collection::vec(0usize..10, 0..24),
-            rank in 1usize..100_000,
+            rank in 1u64..100_000,
             breaker in proptest::arbitrary::any::<bool>(),
         ) {
             const ALPHABET: [char; 10] =
                 ['a', 'z', '0', '.', '-', '_', '\\', '\t', '\n', '\r'];
             let domain: String = raw.iter().map(|&i| ALPHABET[i]).collect();
-            let mut q = DeadLetterQueue::new();
-            let mut letter = letter_for(&domain);
-            letter.rank = rank;
-            letter.breaker_opened = breaker;
-            letter.attempts.push(AttemptRecord {
-                day: Day::from_ymd(2020, 5, 15),
-                status: CaptureStatus::HttpError,
-            });
-            q.push(letter);
-            let text = q.export();
-            let back = DeadLetterQueue::import(&text).unwrap();
-            prop_assert_eq!(&back, &q);
-            prop_assert_eq!(back.export(), text);
+            let log = log_of([Provenance {
+                rank,
+                breaker_opened: breaker,
+                ..letter_for(&domain)
+            }]);
+            let text = export(&log);
+            prop_assert_eq!(text.lines().count(), 2);
+            let fields: Vec<&str> = text.lines().nth(1).unwrap().split('\t').collect();
+            prop_assert_eq!(fields.len(), 6);
+            prop_assert_eq!(fields[1], rank.to_string());
+            prop_assert_eq!(fields[4], if breaker { "1" } else { "0" });
+            prop_assert_eq!(check(&text, &log), Ok(()));
         }
     }
 }

@@ -41,11 +41,12 @@
 //! With [`CheckpointMode::Delta`], generations form *chains*: a full
 //! base followed by delta generations whose sections carry only what
 //! was appended since the previous cut — new capture rows (in the
-//! capture-db delta format, see `docs/STORAGE.md`), new dead-letter and
-//! provenance record lines, and the trace events recorded in the
-//! window. A delta cut therefore costs O(captures since the last cut)
-//! instead of O(campaign so far). Chain structure lives in the
-//! [`SECTION_DELTA_META`] section (`parent=`/`base=` links); filenames
+//! capture-db delta format, see `docs/STORAGE.md`), new provenance record
+//! lines and the dead-letter lines rendered from them, and the trace
+//! events recorded in the window. A delta cut therefore costs
+//! O(captures since the last cut) instead of O(campaign so far). Chain
+//! structure lives in the [`SECTION_DELTA_META`] section
+//! (`parent=`/`base=` links); filenames
 //! and generation numbering are unchanged, and the chain base is pinned
 //! against rotation via
 //! [`CheckpointStore::save_with_min_retained`]. Recovery walks the
@@ -105,6 +106,7 @@ pub use consent_checkpoint::SalvageReport;
 use crate::archive::{pack_campaign_bundle, ArchiveContext, CampaignArtifacts, ExportFn};
 use crate::campaign::{meta_section, CampaignConfig, CampaignResult, CampaignState};
 use crate::capture_db::DbMarks;
+use crate::dead_letter;
 use crate::export::export as export_db;
 use crate::export::import as import_db;
 use crate::export::{apply_delta, export_delta};
@@ -115,7 +117,8 @@ use crate::supervisor::{DegradeLevel, HealthReport, SaveVerdict, Supervisor, Sup
 pub const SECTION_META: &str = "meta";
 /// Checkpoint section holding the capture database.
 pub const SECTION_DB: &str = "capture-db";
-/// Checkpoint section holding the dead-letter queue.
+/// Checkpoint section holding the dead-letter lines rendered from the
+/// provenance log.
 pub const SECTION_DEAD_LETTERS: &str = "dead-letters";
 /// Checkpoint section holding the provenance log.
 pub const SECTION_PROVENANCE: &str = "provenance";
@@ -131,7 +134,8 @@ pub const SECTION_DELTA_META: &str = "delta-meta";
 /// the `#consent-capture-db-delta v1` format
 /// (see [`export_delta`]).
 pub const SECTION_DB_DELTA: &str = "capture-db-delta";
-/// Delta section: dead-letter record lines appended since the parent.
+/// Delta section: the dead-letter lines of the provenance records
+/// appended since the parent.
 pub const SECTION_DEAD_LETTERS_DELTA: &str = "dead-letters-delta";
 /// Delta section: provenance record lines appended since the parent.
 pub const SECTION_PROVENANCE_DELTA: &str = "provenance-delta";
@@ -332,9 +336,8 @@ pub fn state_sections(state: &CampaignState, trace_jsonl: &str) -> Vec<Section> 
 pub struct DeltaMarks {
     /// Capture-db per-shard row counts + host count.
     pub db: DbMarks,
-    /// Dead-letter records.
-    pub dead: usize,
-    /// Provenance records.
+    /// Provenance records — also the dead-letter cursor, since the
+    /// dead-letter section is rendered from the provenance log.
     pub prov: usize,
     /// Trace log per-shard event counts (of the global log).
     pub trace: TraceMark,
@@ -345,7 +348,6 @@ impl DeltaMarks {
     pub fn capture(state: &CampaignState) -> DeltaMarks {
         DeltaMarks {
             db: state.db.marks(),
-            dead: state.dead_letters.len(),
             prov: state.provenance.len(),
             trace: consent_trace::global().mark(),
         }
@@ -390,7 +392,7 @@ pub fn delta_state_sections(
         Section::new(SECTION_DB_DELTA, export_delta(&state.db, &marks.db)),
         Section::new(
             SECTION_DEAD_LETTERS_DELTA,
-            state.dead_letters.export_from(marks.dead),
+            dead_letter::export_from(&state.provenance, marks.prov),
         ),
         Section::new(
             SECTION_PROVENANCE_DELTA,

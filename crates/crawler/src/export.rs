@@ -1,5 +1,5 @@
-//! Capture-database export/import: the columnar v3 format, the legacy
-//! v2 reader, and O(new-rows) delta sections.
+//! Capture-database export/import: the columnar v3 format and O(new-rows)
+//! delta sections.
 //!
 //! Netograph's capture store persists for multi-year analyses (§3.2); this
 //! module gives [`CaptureDb`] a compact text serialization so a long
@@ -22,14 +22,12 @@
 //! f=<flags>
 //! ```
 //!
-//! # Version negotiation
+//! # Versions
 //!
-//! [`import`] dispatches on the header line: `v3` parses the columnar
-//! layout above; `v2` — the flat one-row-per-line tab-separated format
-//! every checkpoint before the columnar store used — is still accepted,
-//! so old checkpoints import cleanly and re-export as v3. Writing v2 is
-//! no longer supported. A committed v2 fixture
-//! (`tests/fixtures/capture_db_v2.txt`) pins the legacy reader.
+//! [`import`] reads only the current version, [`FORMAT_VERSION`]; any
+//! other header, the flat v2 line format of the pre-columnar store
+//! included, is an `unsupported header` error. A committed fixture
+//! (`tests/fixtures/capture_db_v3.txt`) pins the grammar.
 //!
 //! # Deltas
 //!
@@ -40,17 +38,12 @@
 //! store (segment seals included), which is what the delta-generation
 //! checkpoints in [`crate::durable`] are built on.
 
-use crate::capture_db::{CaptureDb, CaptureSummary, CmpSet, DbMarks, SEGMENT_ROWS};
-use consent_httpsim::{CaptureStatus, Location};
-use consent_util::Day;
-use consent_webgraph::ALL_CMPS;
+use crate::capture_db::{CaptureDb, DbMarks, SEGMENT_ROWS};
+use consent_httpsim::CaptureStatus;
 use std::fmt;
 
 /// Current format version: the columnar sharded layout.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The legacy flat line format (still importable, never written).
-pub const LEGACY_FORMAT_VERSION: u32 = 2;
 
 /// Header of a delta section (see [`export_delta`]).
 pub const DELTA_HEADER: &str = "#consent-capture-db-delta v1";
@@ -83,29 +76,6 @@ pub(crate) fn status_code(s: CaptureStatus) -> &'static str {
         CaptureStatus::ConnectionReset => "reset",
         CaptureStatus::Truncated => "truncated",
     }
-}
-
-pub(crate) fn status_from(code: &str) -> Option<CaptureStatus> {
-    Some(match code {
-        "ok" => CaptureStatus::Ok,
-        "timeout" => CaptureStatus::Timeout,
-        "antibot" => CaptureStatus::AntiBotInterstitial,
-        "blocked451" => CaptureStatus::LegallyBlocked,
-        "httperr" => CaptureStatus::HttpError,
-        "connfail" => CaptureStatus::ConnectionFailed,
-        "reset" => CaptureStatus::ConnectionReset,
-        "truncated" => CaptureStatus::Truncated,
-        _ => return None,
-    })
-}
-
-fn location_from(code: &str) -> Option<Location> {
-    Some(match code {
-        "us" => Location::UsCloud,
-        "eu" => Location::EuCloud,
-        "uni" => Location::EuUniversity,
-        _ => return None,
-    })
 }
 
 fn join<T: ToString>(vals: &[T]) -> String {
@@ -288,7 +258,20 @@ fn import_shard_rows(
     Ok(())
 }
 
-fn import_v3(p: &mut Parser<'_>) -> Result<CaptureDb, ImportError> {
+/// Parse a database exported by [`export`]. Only the current
+/// [`FORMAT_VERSION`] header is accepted.
+pub fn import(text: &str) -> Result<CaptureDb, ImportError> {
+    let mut p = Parser::new(text);
+    let header = p.next().ok_or(ImportError {
+        line: 0,
+        message: "empty input".into(),
+    })?;
+    if header != format!("#consent-capture-db v{FORMAT_VERSION}") {
+        return Err(ImportError {
+            line: 0,
+            message: format!("unsupported header {header:?}"),
+        });
+    }
     let mut db = CaptureDb::new();
     let hosts_line = p.expect("hosts= line")?;
     let n: usize = hosts_line
@@ -297,7 +280,7 @@ fn import_v3(p: &mut Parser<'_>) -> Result<CaptureDb, ImportError> {
         .ok_or_else(|| p.err(format!("bad hosts line {hosts_line:?}")))?;
     for _ in 0..n {
         let l = p.expect("host line")?;
-        let host = host_line(p, l)?;
+        let host = host_line(&p, l)?;
         db.preintern(&host);
     }
     let mut prev_shard = None;
@@ -320,84 +303,9 @@ fn import_v3(p: &mut Parser<'_>) -> Result<CaptureDb, ImportError> {
         if rows == 0 {
             return Err(p.err("empty shard block".into()));
         }
-        import_shard_rows(p, &mut db, shard, rows)?;
+        import_shard_rows(&mut p, &mut db, shard, rows)?;
     }
     Ok(db)
-}
-
-/// The legacy flat v2 reader: one tab-separated row per line
-/// (domain, day, location code, status code, CMP names, redirect flag,
-/// dialog flag). Kept so checkpoints written before the columnar store
-/// import cleanly; they re-export as v3.
-fn import_v2(p: &mut Parser<'_>) -> Result<CaptureDb, ImportError> {
-    let mut db = CaptureDb::new();
-    while let Some(line) = p.next() {
-        if line.is_empty() {
-            continue;
-        }
-        let err = |message: String| ImportError {
-            line: p.line,
-            message,
-        };
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 7 {
-            return Err(err(format!("expected 7 fields, got {}", fields.len())));
-        }
-        let day: Day = fields[1]
-            .parse()
-            .map_err(|e| err(format!("bad day: {e}")))?;
-        let location =
-            location_from(fields[2]).ok_or_else(|| err(format!("bad location {:?}", fields[2])))?;
-        let status =
-            status_from(fields[3]).ok_or_else(|| err(format!("bad status {:?}", fields[3])))?;
-        let cmps = if fields[4].is_empty() {
-            CmpSet::empty()
-        } else {
-            fields[4]
-                .split(',')
-                .map(|name| {
-                    ALL_CMPS
-                        .iter()
-                        .copied()
-                        .find(|c| c.name() == name)
-                        .ok_or_else(|| err(format!("unknown CMP {name:?}")))
-                })
-                .collect::<Result<CmpSet, _>>()?
-        };
-        let flag = |s: &str, what: &str| match s {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(err(format!("bad {what} flag {s:?}"))),
-        };
-        db.insert(CaptureSummary {
-            domain: fields[0].to_owned(),
-            day,
-            location,
-            status,
-            cmps,
-            redirected: flag(fields[5], "redirect")?,
-            dialog_visible: flag(fields[6], "dialog")?,
-        });
-    }
-    Ok(db)
-}
-
-/// Parse a database, negotiating the format version from the header:
-/// `v3` (columnar, current) or `v2` (legacy flat lines).
-pub fn import(text: &str) -> Result<CaptureDb, ImportError> {
-    let mut p = Parser::new(text);
-    let header = p.next().ok_or(ImportError {
-        line: 0,
-        message: "empty input".into(),
-    })?;
-    match header {
-        _ if header == format!("#consent-capture-db v{FORMAT_VERSION}") => import_v3(&mut p),
-        _ if header == format!("#consent-capture-db v{LEGACY_FORMAT_VERSION}") => import_v2(&mut p),
-        _ => Err(ImportError {
-            line: 0,
-            message: format!("unsupported header {header:?}"),
-        }),
-    }
 }
 
 /// Replay a delta section produced by [`export_delta`] onto `db`,
@@ -474,6 +382,9 @@ pub fn apply_delta(db: &mut CaptureDb, text: &str) -> Result<(), ImportError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture_db::{CaptureSummary, CmpSet};
+    use consent_httpsim::Location;
+    use consent_util::Day;
     use consent_webgraph::Cmp;
 
     fn sample_db() -> CaptureDb {
@@ -571,27 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_imports_and_reexports_as_v3() {
-        // Hand-written v2 text, as an old checkpoint would carry.
-        let v2 = "#consent-capture-db v2\n\
-                  a.com\t2020-05-01\teu\tok\tQuantcast\t0\t1\n\
-                  a.com\t2020-05-03\tus\tantibot\t\t1\t0\n\
-                  b.co.uk\t2020-05-02\tuni\tok\tOneTrust,Quantcast\t0\t1\n";
-        let db = import(v2).unwrap();
-        assert_eq!(db.len(), 3);
-        assert_eq!(db.domain_count(), 2);
-        let hist = db.domain_history("a.com");
-        assert_eq!(hist.len(), 2);
-        assert!(hist[0].cmps.contains(Cmp::Quantcast));
-        assert!(hist[1].redirected);
-        // Re-export upgrades to v3 and round-trips from there.
-        let v3 = export(&db);
-        assert!(v3.starts_with("#consent-capture-db v3\n"));
-        let back = import(&v3).unwrap();
-        assert_eq!(export(&back), v3);
-    }
-
-    #[test]
     fn delta_roundtrip_matches_direct_inserts() {
         let mut db = sample_db();
         let marks = db.marks();
@@ -676,22 +566,13 @@ mod tests {
             format!("{h}hosts=1\na.com\nshard={shard} rows=1\nd=0\nt=18383\nl=0\ns=0\nc=0\nf=0\n")
         };
         assert!(import(&wrong_shard).is_err());
-        // v2 corruption keeps line-numbered errors.
-        let good_header = "#consent-capture-db v2\n";
-        assert!(import(&format!("{good_header}too\tfew\tfields\n")).is_err());
-        assert!(import(&format!(
-            "{good_header}a.com\t2020-05-01\tmars\tok\t\t0\t0\n"
-        ))
-        .is_err());
-        assert!(import(&format!(
-            "{good_header}a.com\t2020-05-01\teu\tok\tNotACmp\t0\t0\n"
-        ))
-        .is_err());
-        assert!(import(&format!("{good_header}a.com\tnot-a-date\teu\tok\t\t0\t0\n")).is_err());
-        assert!(import(&format!("{good_header}a.com\t2020-05-01\teu\tok\t\t2\t0\n")).is_err());
+        // The flat v2 format of the pre-columnar store is no longer read.
+        let e = import("#consent-capture-db v2\na.com\t2020-05-01\teu\tok\t\t0\t0\n").unwrap_err();
+        assert_eq!(e.line, 0);
+        assert!(e.message.contains("unsupported header"), "{}", e.message);
         // Error display includes the line number.
-        let e = import(&format!("{good_header}bad line\n")).unwrap_err();
-        assert!(e.to_string().contains("line 2"));
+        let e = import(&format!("{h}hosts=0\nbad line\n")).unwrap_err();
+        assert!(e.to_string().contains("line 3"));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! ([`capture_db`]), toplist crawl campaigns across the six Table 1
 //! vantage configurations ([`campaign`]), and the robustness layer:
 //! outcome classification, retry policy, and circuit breaking
-//! ([`resilience`]), dead-letter records for abandoned pairs
-//! ([`dead_letter`]), per-pair provenance records and causal traces
-//! (`consent_trace`), and checkpoint/resume via
+//! ([`resilience`]), per-pair provenance records (`consent_trace`) with
+//! the dead-letter view of the abandoned pairs ([`dead_letter`]),
+//! causal traces, and checkpoint/resume via
 //! [`campaign::CampaignState`]. Every campaign runs through one driver,
 //! [`resume_campaign_parallel`] (and [`run_campaign_parallel`] for a
 //! fresh start), whose output is byte-identical at any thread count:
@@ -50,7 +50,7 @@ pub use campaign::{
 pub use capture_db::{
     shard_of, CaptureDb, CaptureSummary, CmpSet, DbMarks, SEGMENT_ROWS, SHARD_COUNT,
 };
-pub use dead_letter::{vantage_code, vantage_from, AttemptRecord, DeadLetter, DeadLetterQueue};
+pub use dead_letter::{vantage_code, vantage_from};
 pub use durable::{
     delta_state_sections, open_chaos_store, recover_state, run_durable_campaign, state_sections,
     BundleSpec, CheckpointMode, DeltaMarks, DurableOpts, DurableOutcome, DurableRun, SECTION_DB,
@@ -59,7 +59,6 @@ pub use durable::{
 };
 pub use export::{
     apply_delta, export as export_db, export_delta, import as import_db, FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
 };
 pub use feed::{Feed, FeedConfig, FeedItem, FeedSource};
 pub use parallel::{resume_campaign_parallel, run_campaign_parallel, ParallelOpts};

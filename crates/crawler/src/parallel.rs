@@ -28,8 +28,8 @@
 //! the export).
 //!
 //! Pair *application* — [`CaptureDb`](crate::CaptureDb) ingestion,
-//! provenance, dead letters, result columns — is order-sensitive, so it
-//! never happens on a worker. Workers push `(pair_index, PairOutput)`
+//! appending each pair's provenance record (built on the worker), result
+//! columns — is order-sensitive, so it never happens on a worker. Workers push `(pair_index, PairOutput)`
 //! into private shards; after the pool joins, the shards are flattened,
 //! sorted by pair index (the vantage-major, rank-minor order the
 //! in-order case walks), and applied on the calling thread. Because
@@ -279,7 +279,7 @@ impl<'a> CampaignPlan<'a> {
         let mut columns: Vec<(Vantage, Vec<CampaignCapture>)> =
             self.vantages.iter().map(|&v| (v, Vec::new())).collect();
         for out in outputs {
-            apply_pair(&mut state, &mut columns, self.day, out, &self.psl);
+            apply_pair(&mut state, &mut columns, out, &self.psl);
             if pooled {
                 consent_telemetry::gauge_add("campaign.parallel.merge_backlog", -1);
             }

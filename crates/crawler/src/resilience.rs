@@ -188,7 +188,7 @@ pub enum BreakerState {
     /// Attempts flow normally.
     Closed,
     /// The domain's protection escalated; remaining attempts are
-    /// skipped and the pair goes to the dead-letter record.
+    /// skipped and the pair is dead-lettered.
     Open,
 }
 

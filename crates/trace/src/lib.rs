@@ -14,10 +14,13 @@
 //!   does an interrupted-and-resumed replay, because the export sorts
 //!   by `(trace_id, seq)` and every pair's events are self-numbered.
 //! * **Provenance** — a [`Provenance`] record per pair, built by the
-//!   campaign *unconditionally* (tracing on or off) and persisted in
-//!   `CampaignState` checkpoints via [`ProvenanceLog`]. When tracing is
-//!   on, [`Provenance::from_tree`] distills the identical record from
-//!   the pair's [`TraceTree`], which cross-checks the two layers.
+//!   campaign worker that crawled the pair *unconditionally* (tracing
+//!   on or off) and persisted in `CampaignState` checkpoints via
+//!   [`ProvenanceLog`]. The log is the campaign's only per-pair record:
+//!   its dead letters are the records flagged `dead_lettered`. When
+//!   tracing is on, [`Provenance::from_tree`] distills the identical
+//!   record from the pair's [`TraceTree`], which cross-checks the two
+//!   layers.
 //!
 //! Exporters: [`TraceLog::export_jsonl`] (byte-stable line format),
 //! [`export_chrome`] (Chrome `trace_event` JSON loadable in Perfetto,

@@ -6,7 +6,8 @@
 //! and quality flags. The campaign builds these records
 //! *unconditionally* — they are state, not instrumentation, so a
 //! checkpoint exported with tracing disabled is byte-identical to one
-//! exported with tracing enabled — and [`Provenance::from_tree`]
+//! exported with tracing enabled. The log is the source of truth for
+//! every per-pair fact, dead-lettering included; [`Provenance::from_tree`]
 //! rebuilds the same record from a captured trace, which is how the
 //! trace layer is cross-checked end to end.
 
@@ -50,7 +51,8 @@ pub struct Provenance {
     pub final_status: String,
     /// True if the anti-bot circuit breaker opened.
     pub breaker_opened: bool,
-    /// True if the pair was abandoned to the dead-letter queue.
+    /// True if the pair was abandoned without a usable capture: the
+    /// campaign's dead letters are exactly the records with this set.
     pub dead_lettered: bool,
 }
 

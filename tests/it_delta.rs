@@ -12,8 +12,8 @@
 //! * corrupting one member of a delta chain quarantines the head down
 //!   to the break and recovery falls back to the longest intact prefix
 //!   of the chain, then re-crawls to the same bytes;
-//! * the committed v2 capture-db fixture keeps importing: version
-//!   negotiation upgrades legacy checkpoints to v3 on re-export.
+//! * the committed v3 capture-db fixture pins the columnar grammar:
+//!   it imports and re-exports byte for byte.
 //!
 //! The segment-boundary legs use a toplist drawn from a single shard,
 //! so shard row counts equal pairs done and the seal at row
@@ -355,33 +355,6 @@ fn corrupt_one_delta_falls_back_to_last_intact_chain_and_reconverges() {
     unlock(guard);
 }
 
-/// The committed legacy fixture: a v2 flat-format capture DB as an old
-/// checkpoint would carry. Version negotiation must keep importing it
-/// and re-export it as v3, byte-stably.
-#[test]
-fn committed_v2_fixture_imports_and_upgrades_to_v3() {
-    let text = include_str!("fixtures/capture_db_v2.txt");
-    let db = import_db(text).expect("committed v2 fixture must import");
-    assert_eq!(db.len(), 20);
-    assert_eq!(db.domain_count(), 8);
-
-    // Spot-check one domain's history survived the format upgrade.
-    let hist = db.domain_history("travel.example");
-    assert_eq!(hist.len(), 3);
-    assert!(hist[2].dialog_visible);
-
-    // Re-export negotiates up to v3 and round-trips from there.
-    let v3 = export_db(&db);
-    assert!(v3.starts_with("#consent-capture-db v3\n"));
-    let back = import_db(&v3).expect("v3 re-export must round-trip");
-    assert_eq!(export_db(&back), v3);
-    assert_eq!(back.marks(), db.marks());
-
-    // Writing v2 is gone: nothing in the upgrade path emits the old
-    // header.
-    assert!(!v3.contains("#consent-capture-db v2"));
-}
-
 /// The committed v3 columnar fixture pins the *current* on-disk
 /// grammar: the host table, shard headers, and per-column lines must
 /// re-export byte-for-byte. Any accidental format drift (reordered
@@ -396,14 +369,6 @@ fn committed_v3_fixture_pins_the_columnar_grammar() {
     assert!(
         export_db(&db) == text,
         "v3 re-export drifted from the committed fixture bytes"
-    );
-
-    // The fixture is the upgraded form of the v2 fixture: both commit
-    // the same logical database, so the upgrade path is pinned too.
-    let v2 = import_db(include_str!("fixtures/capture_db_v2.txt")).unwrap();
-    assert!(
-        export_db(&v2) == text,
-        "v2 upgrade no longer produces the committed v3 bytes"
     );
 
     // Spot-check the columnar round-trip kept the histories intact.

@@ -138,8 +138,8 @@ fn parallel_matches_sequential_bytes_under_mild_chaos() {
         assert!(par.complete);
         assert_same_run(&par, &seq);
         assert_eq!(
-            par.state.dead_letters.records().len(),
-            seq.state.dead_letters.records().len()
+            par.state.dead_letters().count(),
+            seq.state.dead_letters().count()
         );
     }
 }

@@ -124,24 +124,39 @@ fn run_reports_reconcile_with_capture_db() {
     // family like the platform above.
     assert_eq!(campaign_report.captures_total(), run.state.db.len());
     assert_eq!(run.state.db.len(), toplist.len() as u64);
-    // Dead letters cover exactly the pairs without a usable capture.
+    // Dead letters cover exactly the pairs without a usable capture, and
+    // the campaign.dead_letter{outcome=…} family counts them per outcome.
+    let dead: Vec<&consent_trace::Provenance> = run.state.dead_letters().collect();
     assert_eq!(
-        run.state.dead_letters.len() as u64,
-        captures.iter().filter(|c| !c.capture.usable()).count() as u64
+        dead.len(),
+        captures.iter().filter(|c| !c.capture.usable()).count()
     );
+    for (counter, n) in campaign_report
+        .delta
+        .counters_with_prefix("campaign.dead_letter{")
+    {
+        let outcome = counter
+            .strip_prefix("campaign.dead_letter{outcome=")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("unexpected counter {counter}"));
+        assert_eq!(
+            n,
+            dead.iter().filter(|p| p.outcome == outcome).count() as u64,
+            "{counter}"
+        );
+    }
     assert_eq!(
         campaign_report
             .delta
             .counters_with_prefix("campaign.dead_letter{")
             .map(|(_, n)| n)
             .sum::<u64>(),
-        run.state.dead_letters.len() as u64
+        dead.len() as u64
     );
 
     // Provenance: one record per pair, counted into the
-    // campaign.provenance{outcome=…} family, and the dead-letter queue
-    // is exactly the dead_lettered subset of the provenance log — three
-    // views of the same campaign that must agree record for record.
+    // campaign.provenance{outcome=…} family; the dead letters above are
+    // its dead_lettered records.
     let provenance = &run.state.provenance;
     assert_eq!(provenance.len() as u64, run.state.pairs_done);
     assert_eq!(
@@ -152,22 +167,6 @@ fn run_reports_reconcile_with_capture_db() {
             .sum::<u64>(),
         provenance.len() as u64
     );
-    let dead: Vec<&consent_trace::Provenance> = provenance
-        .records()
-        .iter()
-        .filter(|p| p.dead_lettered)
-        .collect();
-    assert_eq!(dead.len(), run.state.dead_letters.len());
-    for dl in run.state.dead_letters.records() {
-        let p = provenance
-            .find(&dl.domain, &consent_crawler::vantage_code(dl.vantage))
-            .expect("dead letter without a provenance record");
-        assert!(p.dead_lettered);
-        assert_eq!(p.rank as usize, dl.rank);
-        assert_eq!(p.attempts.len(), dl.attempts.len());
-        assert_eq!(p.outcome, dl.outcome.name());
-        assert_eq!(p.breaker_opened, dl.breaker_opened);
-    }
     // No chaos profile ⇒ no recorded faults, and per-pair attempt counts
     // reconcile with the capture column.
     for (p, c) in provenance.records().iter().zip(captures.iter()) {
