@@ -43,7 +43,7 @@ fn checkpoint_durability(c: &mut Criterion) {
         ..CheckpointBench::default()
     }
     .build_state();
-    let sections = state_sections(&state, "");
+    let sections = state_sections(&state);
 
     let mut group = c.benchmark_group("checkpoint");
     group.sample_size(20);

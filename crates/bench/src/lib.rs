@@ -265,7 +265,7 @@ impl CampaignBench {
 /// Three operations are timed, each over [`repeats`](Self::repeats)
 /// iterations:
 ///
-/// * `checkpoint_write` — [`CheckpointStore::save`] of the five-section
+/// * `checkpoint_write` — [`CheckpointStore::save`] of the four-section
 ///   state snapshot (serialize + CRC + fsync + rename + prune);
 /// * `checkpoint_open` — [`recover_state`] of an intact store (scan,
 ///   CRC validation, state reassembly and import);
@@ -358,7 +358,7 @@ impl CheckpointBench {
     pub fn run(&self) -> Vec<BenchRecord> {
         let state = self.build_state();
         let baseline = state.export();
-        let sections = state_sections(&state, "");
+        let sections = state_sections(&state);
         let pairs = state.pairs_done;
         let repeats = self.repeats.max(1) as u64;
         let dir = bench_tmp_dir();
@@ -429,7 +429,7 @@ impl CheckpointBench {
     /// campaign is advanced to that cursor, then two checkpoint writes
     /// are timed over [`repeats`](Self::repeats) iterations each:
     ///
-    /// * `checkpoint_full/progress=P` — a full five-section snapshot of
+    /// * `checkpoint_full/progress=P` — a full four-section snapshot of
     ///   the whole state ([`CheckpointStore::save`]); its cost grows
     ///   with the campaign.
     /// * `checkpoint_delta/progress=P` — the delta sections covering
@@ -496,7 +496,7 @@ impl CheckpointBench {
             let start = Instant::now();
             for _ in 0..repeats {
                 store
-                    .save(&state_sections(&state, ""))
+                    .save(&state_sections(&state))
                     .expect("full checkpoint save");
             }
             records.push(Self::record(
@@ -510,7 +510,7 @@ impl CheckpointBench {
             consent_telemetry::enable();
             let start = Instant::now();
             for _ in 0..repeats {
-                let sections = delta_state_sections(&state, &marks, 1, 1, "");
+                let sections = delta_state_sections(&state, &marks, 1, 1);
                 store
                     .save_with_min_retained(&sections, 1)
                     .expect("delta checkpoint save");
@@ -524,7 +524,7 @@ impl CheckpointBench {
 
             // Correctness: the delta applied onto the prior snapshot
             // must reproduce the grown store exactly.
-            let delta_body = delta_state_sections(&state, &marks, 1, 1, "")
+            let delta_body = delta_state_sections(&state, &marks, 1, 1)
                 .into_iter()
                 .find(|s| s.name == SECTION_DB_DELTA)
                 .expect("delta sections carry a capture-db delta")

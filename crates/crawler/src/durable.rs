@@ -6,11 +6,11 @@
 //! module closes the loop: [`run_durable_campaign`] builds the
 //! campaign's set-up once per process incarnation, processes pairs in
 //! chunks through the same driver loop, and writes each cut to a
-//! [`CheckpointStore`] as a five-section checkpoint — the four
-//! `CampaignState` sections (a cursor line and the capture-db,
-//! dead-letter and provenance sections) plus the global trace log's
-//! JSONL export — so a process death at any instant loses at most one
-//! chunk of work.
+//! [`CheckpointStore`] as the four `CampaignState` sections (a cursor
+//! line and the capture-db, dead-letter and provenance sections), plus
+//! the watchdog's `watch-state` blob when one is attached — so a process
+//! death at any instant loses at most one chunk of work. Checkpoints
+//! hold no copy of the trace log; see [below](#the-trace-on-resume).
 //!
 //! # Recovery and salvage rules
 //!
@@ -22,12 +22,9 @@
 //!    the walk continues.
 //! 2. A corrupt generation is quarantined by the store, but its
 //!    individually intact sections are still considered: if `capture-db`,
-//!    `dead-letters`, `provenance`, and `trace-jsonl` all survived, the
-//!    state is salvaged from them — rebuilding the tiny `meta` cursor
-//!    section from the capture count when it was the casualty. The
-//!    `trace-jsonl` section is required because a resumed run must
-//!    reproduce the uninterrupted run's trace export byte-for-byte,
-//!    which is impossible if already-applied pairs lost their events.
+//!    `dead-letters` and `provenance` all survived, the state is salvaged
+//!    from them — rebuilding the tiny `meta` cursor section from the
+//!    capture count when it was the casualty.
 //! 3. Otherwise the next-older generation is tried; with none left the
 //!    campaign restarts fresh.
 //!
@@ -35,15 +32,39 @@
 //! [`SalvageReport`]. Because pair processing is deterministic, any
 //! pairs lost to a quarantined generation are simply re-crawled, and the
 //! final exports reconcile byte-for-byte with an uninterrupted run.
+//! Generations written while checkpoints still carried a copy of the
+//! trace log recover the same way: recovery never reads their trace
+//! sections.
+//!
+//! # The trace on resume
+//!
+//! A pair's trace, like its capture, is a pure function of the pair, so
+//! the driver recomputes it instead of persisting it. When tracing is
+//! on and the global trace log is empty after recovery — a freshly
+//! restarted process — the driver re-crawls the recovered pairs
+//! `0..pairs_done` and drops their outputs. The replay runs chunk by
+//! chunk at the checkpoint cadence on the run's worker count, so it
+//! never holds more outputs than a normal chunk, and the resumed trace
+//! export equals an uninterrupted run's byte for byte.
+//!
+//! The replay runs before the sampler and watchdog rebase to the
+//! recovered cursor, so they swallow its telemetry together with
+//! recovery's. The registry's totals do not: a resumed incarnation's
+//! counters, gauges and histograms also count the replayed crawl —
+//! engine captures, injected faults, detections, breaker opens,
+//! contained panics, `campaign.pair` spans and the pool's
+//! `campaign.parallel.*` metrics — though not its application
+//! (`campaign.outcome`, `campaign.dead_letter` and the other counts
+//! taken when a pair is applied).
 //!
 //! # Delta chains
 //!
-//! With [`CheckpointMode::Delta`], generations form *chains*: a full
-//! base followed by delta generations whose sections carry only what
-//! was appended since the previous cut — new capture rows (in the
-//! capture-db delta format, see `docs/STORAGE.md`), new provenance record
-//! lines and the dead-letter lines rendered from them, and the trace
-//! events recorded in the window. A delta cut therefore costs
+//! With [`CheckpointMode::Delta`] and a nonzero `rebase_every`,
+//! generations form *chains*: a full base followed by delta generations
+//! whose sections carry only what was appended since the previous cut —
+//! new capture rows (in the capture-db delta format, see
+//! `docs/STORAGE.md`), and new provenance record lines and the
+//! dead-letter lines rendered from them. A delta cut therefore costs
 //! O(captures since the last cut) instead of O(campaign so far). Chain
 //! structure lives in the [`SECTION_DELTA_META`] section
 //! (`parent=`/`base=` links); filenames
@@ -77,16 +98,16 @@
 //! [`Supervisor`]: transient storage
 //! errors are retried with capped deterministic backoff out of a
 //! per-campaign budget, persistent ones (`ENOSPC`) descend the
-//! degradation ladder — shed trace section → widen cadence →
-//! memory-only — so the run always ends [`DurableOutcome::Complete`],
+//! degradation ladder — widen cadence → memory-only — so the run always
+//! ends [`DurableOutcome::Complete`],
 //! [`DurableOutcome::Degraded`] (with a loud
 //! [`HealthReport`]), or
 //! [`DurableOutcome::Crashed`], never wedged. Faults are injected
 //! deterministically at the store's [`Vfs`](consent_checkpoint::Vfs)
 //! seam via `consent-faultsim`'s [`IoFaultPlan`] / [`FaultyVfs`]
 //! (`CONSENT_IO_CHAOS`, honored by [`open_chaos_store`]). Whatever the
-//! disk does, the final `CampaignState` export stays byte-identical —
-//! only *durability* degrades, never the measurement.
+//! disk does, the final `CampaignState` and trace exports stay
+//! byte-identical — only *durability* degrades, never the measurement.
 
 use std::io;
 use std::path::Path;
@@ -96,7 +117,6 @@ use consent_checkpoint::{CheckpointStore, Section, DEFAULT_KEEP};
 use consent_faultsim::{CrashPlan, FaultyVfs, IoFaultPlan};
 use consent_httpsim::Vantage;
 use consent_obs::Sampler;
-use consent_trace::TraceMark;
 use consent_util::{Day, SeedTree};
 use consent_watch::{Watch, WATCH_STATE_SECTION};
 use consent_webgraph::World;
@@ -122,8 +142,6 @@ pub const SECTION_DB: &str = "capture-db";
 pub const SECTION_DEAD_LETTERS: &str = "dead-letters";
 /// Checkpoint section holding the provenance log.
 pub const SECTION_PROVENANCE: &str = "provenance";
-/// Checkpoint section holding the trace log's JSONL export.
-pub const SECTION_TRACE: &str = "trace-jsonl";
 
 /// Checkpoint section marking a generation as a delta and carrying its
 /// chain links (`parent=`/`base=`). Its *presence* is what
@@ -139,9 +157,6 @@ pub const SECTION_DB_DELTA: &str = "capture-db-delta";
 pub const SECTION_DEAD_LETTERS_DELTA: &str = "dead-letters-delta";
 /// Delta section: provenance record lines appended since the parent.
 pub const SECTION_PROVENANCE_DELTA: &str = "provenance-delta";
-/// Delta section: trace events recorded since the parent, as sorted
-/// JSONL (a deterministic *set*, not a byte-suffix of the full export).
-pub const SECTION_TRACE_DELTA: &str = "trace-jsonl-delta";
 
 /// First line of a [`SECTION_DELTA_META`] body.
 pub const DELTA_META_HEADER: &str = "#consent-delta-meta v1";
@@ -149,18 +164,15 @@ pub const DELTA_META_HEADER: &str = "#consent-delta-meta v1";
 /// What each checkpoint generation contains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointMode {
-    /// Every generation is a self-contained snapshot (the default, and
-    /// the only behavior before delta checkpoints existed).
-    Full,
     /// Generations form chains: a full *base* followed by deltas that
-    /// carry only the rows/records/events appended since the previous
-    /// cut, so each write costs O(new captures) instead of O(campaign).
+    /// carry only the rows/records appended since the previous cut, so
+    /// each write costs O(new captures) instead of O(campaign).
     Delta {
         /// Delta cuts between full bases. After this many deltas the
         /// next cut rebases (writes a fresh full snapshot), bounding
         /// both recovery reassembly work and how long rotation must
-        /// pin the chain base. `0` behaves exactly like
-        /// [`CheckpointMode::Full`].
+        /// pin the chain base. `0` (the default) writes every
+        /// generation as a self-contained snapshot and keeps no chain.
         rebase_every: u64,
     },
 }
@@ -214,11 +226,12 @@ pub struct DurableOpts {
     pub crash: CrashPlan,
     /// Optional flight-recorder sampler. The driver rebases it to the
     /// recovered cursor after recovery (so a resumed process's
-    /// re-import traffic is not attributed to any window) and, in
-    /// logical-tick mode, ticks it at `state.pairs_done` immediately
-    /// after every successful checkpoint write — so a sample exists iff
-    /// its window is durable, which is what makes the `OBS` export
-    /// byte-identical across thread counts and kill-halfway resumes.
+    /// re-import and trace-replay traffic is not attributed to any
+    /// window) and, in logical-tick mode, ticks it at `state.pairs_done`
+    /// immediately after every successful checkpoint write — so a
+    /// sample exists iff its window is durable, which is what makes the
+    /// `OBS` export byte-identical across thread counts and
+    /// kill-halfway resumes.
     pub sampler: Option<Arc<Sampler>>,
     /// Optional SLO/anomaly watchdog. Mirrors the sampler's lifecycle —
     /// rebased to the recovered cursor (after importing the
@@ -237,8 +250,7 @@ pub struct DurableOpts {
     pub supervisor: SupervisorPolicy,
     /// Full snapshots every cut, or delta chains (see
     /// [`CheckpointMode`]). A resumed run always opens its incarnation
-    /// with a full base regardless of mode, so chains never span
-    /// process restarts.
+    /// with a full base, so chains never span process restarts.
     pub mode: CheckpointMode,
     /// Pack the completed campaign into a content-addressed bundle
     /// (see [`BundleSpec`]). `None` skips archival entirely.
@@ -247,7 +259,7 @@ pub struct DurableOpts {
 
 impl Default for DurableOpts {
     /// One thread (pairs in order), default config, checkpoint every 25
-    /// pairs, no crash, full snapshots.
+    /// pairs, no crash, full snapshots (`rebase_every: 0`).
     fn default() -> DurableOpts {
         DurableOpts {
             threads: 1,
@@ -257,7 +269,7 @@ impl Default for DurableOpts {
             sampler: None,
             watch: None,
             supervisor: SupervisorPolicy::default(),
-            mode: CheckpointMode::Full,
+            mode: CheckpointMode::Delta { rebase_every: 0 },
             bundle: None,
         }
     }
@@ -316,17 +328,15 @@ pub struct DurableRun {
     pub bundle: Option<consent_bundle::PackReport>,
 }
 
-/// Build the five checkpoint sections for a state + trace snapshot.
-/// The concatenation of the first four bodies is exactly
-/// [`CampaignState::export`], so reassembly re-uses the importer.
-pub fn state_sections(state: &CampaignState, trace_jsonl: &str) -> Vec<Section> {
-    let mut sections: Vec<Section> = state
+/// Build the four sections of a full checkpoint. Their concatenation
+/// is exactly [`CampaignState::export`], so reassembly re-uses the
+/// importer.
+pub fn state_sections(state: &CampaignState) -> Vec<Section> {
+    state
         .sections()
         .into_iter()
         .map(|(name, body)| Section::new(name, body))
-        .collect();
-    sections.push(Section::new(SECTION_TRACE, trace_jsonl));
-    sections
+        .collect()
 }
 
 /// Where each appendable store component stood at one checkpoint cut —
@@ -339,17 +349,14 @@ pub struct DeltaMarks {
     /// Provenance records — also the dead-letter cursor, since the
     /// dead-letter section is rendered from the provenance log.
     pub prov: usize,
-    /// Trace log per-shard event counts (of the global log).
-    pub trace: TraceMark,
 }
 
 impl DeltaMarks {
-    /// Snapshot the cursors of `state` (and the global trace log) now.
+    /// Snapshot the cursors of `state` now.
     pub fn capture(state: &CampaignState) -> DeltaMarks {
         DeltaMarks {
             db: state.db.marks(),
             prov: state.provenance.len(),
-            trace: consent_trace::global().mark(),
         }
     }
 }
@@ -357,8 +364,7 @@ impl DeltaMarks {
 /// The driver's cursor into an open delta chain: where each store
 /// component stood at the last durable cut. Marks advance only on
 /// [`SaveVerdict::Saved`] — a skipped (memory-only) write leaves them
-/// alone so the next delta covers both chunks, and a shed-trace write
-/// leaves the trace mark alone so a later healthy delta heals the gap.
+/// alone so the next delta covers both chunks.
 #[derive(Debug)]
 struct ChainMarks {
     /// Generation of the chain's full base.
@@ -381,7 +387,6 @@ pub fn delta_state_sections(
     marks: &DeltaMarks,
     parent: u64,
     base: u64,
-    trace_delta: &str,
 ) -> Vec<Section> {
     vec![
         Section::new(SECTION_META, meta_section(state.pairs_done)),
@@ -398,7 +403,6 @@ pub fn delta_state_sections(
             SECTION_PROVENANCE_DELTA,
             state.provenance.export_from(marks.prov),
         ),
-        Section::new(SECTION_TRACE_DELTA, trace_delta),
     ]
 }
 
@@ -431,18 +435,17 @@ fn rebuilt_meta(db_text: &str) -> Option<String> {
     Some(meta_section(db.len()))
 }
 
-/// Try to salvage a state (and its trace + watch-state snapshots) from
-/// the individually intact sections of one quarantined generation. The
+/// Try to salvage a state (and its watch-state snapshot) from the
+/// individually intact sections of one quarantined generation. The
 /// `watch-state` section is optional — losing it only resets detector
 /// windows, never measurement state.
 fn salvage_from(
     q: &consent_checkpoint::QuarantinedGeneration,
-) -> Option<(CampaignState, String, String, String)> {
+) -> Option<(CampaignState, String, String)> {
     let sec = |name: &str| q.salvaged.iter().find(|s| s.name == name);
     let db = sec(SECTION_DB)?;
     let dl = sec(SECTION_DEAD_LETTERS)?;
     let prov = sec(SECTION_PROVENANCE)?;
-    let trace = sec(SECTION_TRACE)?;
     let watch = sec(WATCH_STATE_SECTION)
         .map(|s| s.body.clone())
         .unwrap_or_default();
@@ -451,15 +454,12 @@ fn salvage_from(
         None => (rebuilt_meta(&db.body)?, "meta rebuilt from capture count"),
     };
     let state = state_from_parts(&meta, &db.body, &dl.body, &prov.body).ok()?;
-    Some((state, trace.body.clone(), watch, how.to_string()))
+    Some((state, watch, how.to_string()))
 }
 
 /// A fully reassembled delta chain.
 struct AssembledChain {
     state: CampaignState,
-    /// Base trace JSONL + each delta's events, concatenated. Importable
-    /// as-is (the importer is order-insensitive and re-sorts on export).
-    trace: String,
     /// The head's `watch-state` blob (empty if absent).
     watch: String,
     /// Chain length excluding the base, for the report.
@@ -482,8 +482,8 @@ struct ChainFailure {
 /// full base, then replay every delta in ascending order: capture rows
 /// through [`apply_delta`] (the normal insert path, so seals and
 /// telemetry reconcile), dead-letter/provenance lines by text
-/// concatenation, trace JSONL by concatenation. The reassembled state
-/// passes the same semantic import as a full generation.
+/// concatenation. The reassembled state passes the same semantic import
+/// as a full generation.
 fn assemble_chain(
     store: &CheckpointStore,
     head: consent_checkpoint::Checkpoint,
@@ -577,7 +577,6 @@ fn assemble_chain(
     };
     let mut dead_letters = sec(&base, SECTION_DEAD_LETTERS);
     let mut provenance = sec(&base, SECTION_PROVENANCE);
-    let mut trace = sec(&base, SECTION_TRACE);
     members.reverse(); // ascending: oldest delta first, head last
     for member in &members {
         if let Err(e) = apply_delta(&mut db, &sec(member, SECTION_DB_DELTA)) {
@@ -591,7 +590,6 @@ fn assemble_chain(
         }
         dead_letters.push_str(&sec(member, SECTION_DEAD_LETTERS_DELTA));
         provenance.push_str(&sec(member, SECTION_PROVENANCE_DELTA));
-        trace.push_str(&sec(member, SECTION_TRACE_DELTA));
     }
     let Some(head) = members.last() else {
         return Err(ChainFailure {
@@ -611,7 +609,6 @@ fn assemble_chain(
     })?;
     Ok(AssembledChain {
         state,
-        trace,
         watch: sec(head, WATCH_STATE_SECTION),
         deltas: members.len() as u64,
         base: base.generation,
@@ -619,22 +616,13 @@ fn assemble_chain(
 }
 
 /// Open the newest usable state in `store` per the salvage rules in the
-/// [module docs](self). Returns the state, the persisted trace-JSONL
-/// snapshot that accompanies it, and the full salvage report. A clean
-/// empty store yields a fresh state and a clean report.
+/// [module docs](self). Returns the state, the persisted `watch-state`
+/// section body (empty when the generation predates the watchdog or
+/// lost it to corruption), and the full salvage report. A clean empty
+/// store yields a fresh state and a clean report.
 pub fn recover_state(
     store: &CheckpointStore,
 ) -> io::Result<(CampaignState, String, SalvageReport)> {
-    let (state, trace, _watch, report) = recover_sections(store)?;
-    Ok((state, trace, report))
-}
-
-/// [`recover_state`] plus the persisted `watch-state` section body
-/// (empty when the generation predates the watchdog or lost it to
-/// corruption).
-fn recover_sections(
-    store: &CheckpointStore,
-) -> io::Result<(CampaignState, String, String, SalvageReport)> {
     let mut report = SalvageReport::default();
     loop {
         let (ckpt, found) = store.open_latest()?;
@@ -642,20 +630,20 @@ fn recover_sections(
         // A quarantined-but-partially-intact newer generation beats the
         // older fully intact one: fewer pairs to re-crawl.
         for q in report.quarantined.clone() {
-            if let Some((state, trace, watch, how)) = salvage_from(&q) {
+            if let Some((state, watch, how)) = salvage_from(&q) {
                 report.used_generation = None;
                 report.note(format!(
                     "salvaged state ({} pairs) from quarantined generation {} ({how})",
                     state.pairs_done, q.generation
                 ));
-                return Ok((state, trace, watch, report));
+                return Ok((state, watch, report));
             }
         }
         let Some(ckpt) = ckpt else {
             if !report.is_clean() {
                 report.note("no generation usable: restarting campaign from scratch".to_string());
             }
-            return Ok((CampaignState::new(), String::new(), String::new(), report));
+            return Ok((CampaignState::new(), String::new(), report));
         };
         if ckpt.section(SECTION_DELTA_META).is_some() {
             let head_gen = ckpt.generation;
@@ -668,7 +656,7 @@ fn recover_sections(
                     ));
                     consent_telemetry::count("checkpoint.chain.recovered", 1);
                     consent_telemetry::observe("checkpoint.chain.deltas", chain.deltas);
-                    return Ok((chain.state, chain.trace, chain.watch, report));
+                    return Ok((chain.state, chain.watch, report));
                 }
                 Err(fail) => {
                     // A broken link takes down the head and everything
@@ -715,14 +703,7 @@ fn recover_sections(
             get(SECTION_DEAD_LETTERS),
             get(SECTION_PROVENANCE),
         ) {
-            Ok(state) => {
-                return Ok((
-                    state,
-                    get(SECTION_TRACE).to_string(),
-                    get(WATCH_STATE_SECTION).to_string(),
-                    report,
-                ))
-            }
+            Ok(state) => return Ok((state, get(WATCH_STATE_SECTION).to_string(), report)),
             Err(e) => {
                 // CRC-intact but semantically unimportable (e.g. a
                 // hand-edited file): quarantine and fall back like any
@@ -755,12 +736,12 @@ pub fn open_chaos_store(dir: impl AsRef<Path>) -> io::Result<CheckpointStore> {
 /// Run (or resume) a campaign with durable checkpoints.
 ///
 /// Recovers the newest usable state from `store` (salvaging or
-/// quarantining corrupt generations as needed), restores the persisted
-/// trace events into the global trace log (only when the log is empty —
-/// a freshly restarted process — and tracing is enabled), builds the
-/// campaign's set-up once, then processes the remaining pairs in chunks
-/// of `opts.checkpoint_every`, writing a checkpoint generation after
-/// each chunk.
+/// quarantining corrupt generations as needed), builds the campaign's
+/// set-up once, re-crawls the recovered pairs to rebuild their trace
+/// (only when tracing is enabled and the global trace log is empty — a
+/// freshly restarted process; see the [module docs](self)), then
+/// processes the remaining pairs in chunks of `opts.checkpoint_every`,
+/// writing a checkpoint generation after each chunk.
 ///
 /// Determinism: chunking, thread count, crashes, and salvage never
 /// change the bytes — a resumed run's final `state.export()` and trace
@@ -777,36 +758,23 @@ pub fn run_durable_campaign(
     opts: &DurableOpts,
 ) -> io::Result<DurableRun> {
     let mut sup = Supervisor::new(opts.supervisor);
-    let (mut state, trace_jsonl, watch_jsonl, mut salvage) =
-        match sup.recover_with(|| recover_sections(store)) {
-            Ok(v) => v,
-            Err(err) => {
-                // The on-disk history is unreadable even after retries.
-                // Restart from scratch rather than wedge: pair processing
-                // is deterministic, so a full re-crawl reproduces the same
-                // final state the history would have yielded.
-                let mut report = SalvageReport::default();
-                report.note(format!(
-                    "storage recovery abandoned ({err}): restarting campaign from scratch"
-                ));
-                (CampaignState::new(), String::new(), String::new(), report)
-            }
-        };
-    let mut durable_pairs = state.pairs_done;
-    if consent_trace::enabled() && !trace_jsonl.is_empty() && consent_trace::global().is_empty() {
-        // An unimportable trace section is a durability casualty, not a
-        // campaign killer: the measurement state is intact, only the
-        // resumed trace export loses byte-identity with an
-        // uninterrupted run. Record it loudly and continue — aborting
-        // here would wedge a recoverable campaign over observability.
-        if let Err(e) = consent_trace::global().import_jsonl(&trace_jsonl) {
-            consent_telemetry::count("checkpoint.trace.unimportable", 1);
-            salvage.note(format!(
-                "recovered trace section unimportable ({e}): continuing without it; \
-                 this incarnation's trace export will omit pre-crash events"
+    let (mut state, watch_jsonl, salvage) = match sup.recover_with(|| recover_state(store)) {
+        Ok(v) => v,
+        Err(err) => {
+            // The on-disk history is unreadable even after retries.
+            // Restart from scratch rather than wedge: pair processing
+            // is deterministic, so a full re-crawl reproduces the same
+            // final state the history would have yielded.
+            let mut report = SalvageReport::default();
+            report.note(format!(
+                "storage recovery abandoned ({err}): restarting campaign from scratch"
             ));
+            (CampaignState::new(), String::new(), report)
         }
-    }
+    };
+    let mut durable_pairs = state.pairs_done;
+    let mut every = opts.checkpoint_every.max(1);
+    let CheckpointMode::Delta { rebase_every } = opts.mode;
 
     // The campaign's set-up, once for this incarnation; every chunk
     // below runs through it. The recovered cursor is this incarnation's
@@ -814,12 +782,18 @@ pub fn run_durable_campaign(
     // sample window attributes it.
     let plan = CampaignPlan::new(world, domains, day, vantages, seed, &opts.config);
     consent_telemetry::count("campaign.pairs_skipped", plan.skipped(&state));
+    // A traced process that starts with an empty log has no events for
+    // the recovered pairs: re-crawl them, since checkpoints hold no
+    // copy of the trace.
+    if consent_trace::enabled() && consent_trace::global().is_empty() {
+        plan.replay(state.pairs_done, opts.threads, every);
+    }
 
-    // Rebase the flight recorder only after recovery and trace import:
+    // Rebase the flight recorder only after recovery and the replay:
     // both re-count work this process never performed (checkpoint
     // import inserts into the CaptureDb, the store counts
-    // `checkpoint.opens`), and that traffic must not be attributed to
-    // any sample window.
+    // `checkpoint.opens`, the replay re-crawls), and that traffic must
+    // not be attributed to any sample window.
     if let Some(sampler) = &opts.sampler {
         sampler.rebase(state.pairs_done);
     }
@@ -835,7 +809,6 @@ pub fn run_durable_campaign(
         watch.rebase(state.pairs_done);
     }
 
-    let mut every = opts.checkpoint_every.max(1);
     let mut cadence_widened = false;
     let mut applied_this_run = 0u64;
     let mut writes_this_run = 0u64;
@@ -843,7 +816,8 @@ pub fn run_durable_campaign(
     // The open delta chain, if any. Always `None` at process start —
     // even a resumed run writes a fresh full base at its first cut, so
     // chains never span incarnations and the driver never has to
-    // reconstruct disk-relative marks from a recovered state.
+    // reconstruct disk-relative marks from a recovered state — and
+    // always `None` with `rebase_every: 0`, where every cut is full.
     let mut chain: Option<ChainMarks> = None;
     // The health report carries the watchdog's fired alerts on every
     // exit path — a crashed run's report still names what was firing.
@@ -910,53 +884,26 @@ pub fn run_durable_campaign(
             consent_telemetry::observe("campaign.checkpoint.cadence_pairs", did);
             // This cut is a delta iff a chain is open and its rebase
             // cadence hasn't elapsed; otherwise it's a full snapshot
-            // (which, in delta mode, opens or rebases the chain). The
-            // chain cursor is bound here, at the decision — the write
-            // closures below never have to re-derive (or trust) it.
-            let delta_chain = match (opts.mode, &chain) {
-                (CheckpointMode::Delta { rebase_every }, Some(c)) if c.deltas < rebase_every => {
-                    Some((c.head, c.base, c.marks.clone()))
-                }
-                _ => None,
-            };
-            let delta_write = delta_chain.is_some();
-            // The full-export snapshot is only needed for full cuts —
-            // skipping it on delta cuts is half the point: a delta cut
-            // must not touch O(campaign) bytes anywhere.
-            let trace_snapshot = if delta_write {
-                String::new()
-            } else {
-                consent_trace::global().export_jsonl()
-            };
+            // (which opens or rebases the chain when `rebase_every > 0`).
+            let delta = chain.as_ref().filter(|c| c.deltas < rebase_every);
+            let delta_write = delta.is_some();
             // Stage the watch window covering this cut *before* the
             // write: the post-window detector state rides inside the
             // checkpoint, and the window only becomes observable
             // (commit) once that checkpoint is durable.
             let watch_blob = opts.watch.as_ref().and_then(|w| w.stage(state.pairs_done));
-            let with_watch = |mut sections: Vec<Section>| {
+            let build = || {
+                let mut sections = match delta {
+                    Some(c) => delta_state_sections(&state, &c.marks, c.head, c.base),
+                    None => state_sections(&state),
+                };
                 if let Some(blob) = &watch_blob {
                     sections.push(Section::new(WATCH_STATE_SECTION, blob.clone()));
                 }
                 sections
             };
-            // Rebuild this cut's sections at a degradation level; a
-            // shed-trace level empties the trace (delta or snapshot).
-            let sections_at = |shed: bool| -> Vec<Section> {
-                if let Some((head, base, marks)) = &delta_chain {
-                    let trace_delta = if shed {
-                        String::new()
-                    } else {
-                        consent_trace::global().export_jsonl_since(&marks.trace)
-                    };
-                    delta_state_sections(&state, marks, *head, *base, &trace_delta)
-                } else {
-                    let trace = if shed { "" } else { trace_snapshot.as_str() };
-                    state_sections(&state, trace)
-                }
-            };
             if let Some(keep_bytes) = opts.crash.write_truncation(writes_this_run) {
-                let sections = with_watch(sections_at(false));
-                if store.save_torn(&sections, keep_bytes).is_err() {
+                if store.save_torn(&build(), keep_bytes).is_err() {
                     // The dying process's torn write failed outright
                     // (e.g. injected storage chaos): even fewer bytes
                     // reached the disk, which changes nothing about the
@@ -975,34 +922,24 @@ pub fn run_durable_campaign(
                 return Ok(out);
             }
             // Supervised write: retries, backoff, and ladder descent
-            // all happen inside. The attempt closure rebuilds sections
-            // at the supervisor's current level so a mid-save descent
-            // to shed-trace takes effect on the very next attempt. A
-            // delta write pins the chain base against rotation; a full
-            // write imposes no floor (rotation may drop the old chain).
-            let verdict = sup.save_with(state.pairs_done, |level| {
-                let sections = with_watch(sections_at(level >= DegradeLevel::ShedTrace));
-                if let Some((_, base, _)) = &delta_chain {
-                    store.save_with_min_retained(&sections, *base)
-                } else {
-                    store.save(&sections)
+            // all happen inside. The sections are built at the first
+            // attempt and reused by retries; a memory-only supervisor
+            // makes no attempt, so it never builds them. A delta write
+            // pins the chain base against rotation; a full write
+            // imposes no floor (rotation may drop the old chain).
+            let mut sections = None;
+            let verdict = sup.save_with(state.pairs_done, || {
+                let sections = sections.get_or_insert_with(build);
+                match delta {
+                    Some(c) => store.save_with_min_retained(sections, c.base),
+                    None => store.save(sections),
                 }
             });
             if let SaveVerdict::Saved(generation) = verdict {
                 durable_pairs = state.pairs_done;
-                if matches!(opts.mode, CheckpointMode::Delta { .. }) {
-                    // Advance the chain cursor to this durable cut. The
-                    // trace mark stays put on a shed write so the next
-                    // healthy delta re-covers the shed window (mirroring
-                    // full mode, where the next snapshot re-exports all).
-                    let shed = sup.level() >= DegradeLevel::ShedTrace;
-                    let mut marks = DeltaMarks::capture(&state);
-                    if shed {
-                        marks.trace = chain
-                            .as_ref()
-                            .map(|c| c.marks.trace.clone())
-                            .unwrap_or_default();
-                    }
+                if rebase_every > 0 {
+                    // Advance the chain cursor to this durable cut.
+                    let marks = DeltaMarks::capture(&state);
                     let rebased = !delta_write && chain.is_some();
                     chain = Some(match chain.take() {
                         Some(mut c) if delta_write => {
@@ -1180,18 +1117,17 @@ mod tests {
     #[test]
     fn sections_concatenate_to_the_state_export() {
         let state = small_state();
-        let sections = state_sections(&state, "{\"kind\":\"trace_event\"}\n");
+        let sections = state_sections(&state);
         assert_eq!(
             sections.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
             vec![
                 SECTION_META,
                 SECTION_DB,
                 SECTION_DEAD_LETTERS,
-                SECTION_PROVENANCE,
-                SECTION_TRACE
+                SECTION_PROVENANCE
             ],
         );
-        let concat: String = sections[..4].iter().map(|s| s.body.as_str()).collect();
+        let concat: String = sections.iter().map(|s| s.body.as_str()).collect();
         assert_eq!(concat, state.export());
     }
 
@@ -1200,13 +1136,36 @@ mod tests {
         let dir = tmp_dir();
         let store = CheckpointStore::open(&dir).unwrap();
         let state = small_state();
-        store.save(&state_sections(&state, "trace\n")).unwrap();
-        // "trace\n" is not valid JSONL, but recover_state only carries
-        // the snapshot; importing it is the driver's job.
-        let (back, trace, report) = recover_state(&store).unwrap();
+        let mut sections = state_sections(&state);
+        sections.push(Section::new(WATCH_STATE_SECTION, "watch\n"));
+        store.save(&sections).unwrap();
+        // "watch\n" is not a valid watch state, but recover_state only
+        // carries the blob; importing it is the driver's job.
+        let (back, watch, report) = recover_state(&store).unwrap();
         assert_eq!(back.export(), state.export());
-        assert_eq!(trace, "trace\n");
+        assert_eq!(watch, "watch\n");
         assert!(report.is_clean());
+        assert_eq!(report.used_generation, Some(1));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn generation_with_a_trace_section_still_recovers() {
+        // The layout checkpoints had while they carried a copy of the
+        // trace log: the state sections, then its JSONL export.
+        let dir = tmp_dir();
+        let store = CheckpointStore::open(&dir).unwrap();
+        let state = small_state();
+        let mut sections = state_sections(&state);
+        sections.push(Section::new(
+            "trace-jsonl",
+            "{\"kind\":\"trace_event\",\"name\":\"pair\"}\n",
+        ));
+        store.save(&sections).unwrap();
+        let (back, watch, report) = recover_state(&store).unwrap();
+        assert_eq!(back.export(), state.export());
+        assert!(watch.is_empty());
+        assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.used_generation, Some(1));
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -1215,9 +1174,9 @@ mod tests {
     fn empty_store_recovers_fresh() {
         let dir = tmp_dir();
         let store = CheckpointStore::open(&dir).unwrap();
-        let (state, trace, report) = recover_state(&store).unwrap();
+        let (state, watch, report) = recover_state(&store).unwrap();
         assert_eq!(state.pairs_done, 0);
-        assert!(trace.is_empty());
+        assert!(watch.is_empty());
         assert!(report.is_clean());
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -1227,7 +1186,7 @@ mod tests {
         let dir = tmp_dir();
         let store = CheckpointStore::open(&dir).unwrap();
         let state = small_state();
-        let g = store.save(&state_sections(&state, "")).unwrap();
+        let g = store.save(&state_sections(&state)).unwrap();
         // Flip one byte inside the meta body: it is the first section,
         // so its bytes start right after the `#end-header` line.
         let path = store.path_for(g);
@@ -1290,7 +1249,7 @@ mod tests {
             assert!(out.outcome.finished());
             (dir, store, out)
         };
-        let (dir_full, _, full) = run(CheckpointMode::Full);
+        let (dir_full, _, full) = run(CheckpointMode::Delta { rebase_every: 0 });
         let (dir_delta, store, delta) = run(CheckpointMode::Delta { rebase_every: 3 });
         // Byte-identity across modes: deltas change durability cost,
         // never the measurement.
@@ -1463,10 +1422,10 @@ mod tests {
         let dir = tmp_dir();
         let store = CheckpointStore::open(&dir).unwrap();
         let state = small_state();
-        store.save(&state_sections(&state, "")).unwrap();
+        store.save(&state_sections(&state)).unwrap();
         // A second generation whose sections checksum fine but whose
         // cursor lies about the stored rows.
-        let mut lying = state_sections(&state, "");
+        let mut lying = state_sections(&state);
         lying[0].body = meta_section(999);
         store.save(&lying).unwrap();
 

@@ -21,7 +21,7 @@
 //! corrupt checkpoints on recovery. When the *disk itself* fails, the
 //! [`supervisor`] self-heals: transient storage faults are retried out
 //! of a budget and persistent ones descend a degradation ladder
-//! (shed trace → widen cadence → memory-only), so campaigns always end
+//! (widen cadence → memory-only), so campaigns always end
 //! `Complete`, `Degraded`, or `Crashed` — never wedged.
 
 #![forbid(unsafe_code)]
@@ -55,7 +55,7 @@ pub use durable::{
     delta_state_sections, open_chaos_store, recover_state, run_durable_campaign, state_sections,
     BundleSpec, CheckpointMode, DeltaMarks, DurableOpts, DurableOutcome, DurableRun, SECTION_DB,
     SECTION_DB_DELTA, SECTION_DEAD_LETTERS, SECTION_DEAD_LETTERS_DELTA, SECTION_DELTA_META,
-    SECTION_META, SECTION_PROVENANCE, SECTION_PROVENANCE_DELTA, SECTION_TRACE, SECTION_TRACE_DELTA,
+    SECTION_META, SECTION_PROVENANCE, SECTION_PROVENANCE_DELTA,
 };
 pub use export::{
     apply_delta, export as export_db, export_delta, import as import_db, FORMAT_VERSION,

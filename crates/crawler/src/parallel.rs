@@ -268,11 +268,9 @@ impl<'a> CampaignPlan<'a> {
             .min(total_pairs);
         let pooled = threads > 1;
         let outputs: Box<dyn Iterator<Item = PairOutput> + '_> = if pooled {
-            Box::new(
-                self.pool(start..end, threads)
-                    .into_iter()
-                    .map(|(_, out)| out),
-            )
+            let outputs = self.pool(start..end, threads);
+            consent_telemetry::gauge_set("campaign.parallel.merge_backlog", outputs.len() as i64);
+            Box::new(outputs.into_iter().map(|(_, out)| out))
         } else {
             Box::new((start..end).map(|idx| process_pair_contained(self, idx)))
         };
@@ -292,6 +290,26 @@ impl<'a> CampaignPlan<'a> {
             },
             state,
             complete,
+        }
+    }
+
+    /// Re-crawl the first `pairs` pairs of the order and drop their
+    /// outputs, leaving only what crawling records: the trace events
+    /// and the crawl-side telemetry. The durable driver uses it to
+    /// rebuild a resumed process's trace. With `threads > 1` the pool
+    /// crawls `chunk` pairs at a time, so the replay never holds more
+    /// outputs than a normal chunk of that size.
+    pub(crate) fn replay(&self, pairs: u64, threads: usize, chunk: u64) {
+        let end = pairs.min(self.total_pairs());
+        if threads <= 1 {
+            for idx in 0..end {
+                process_pair_contained(self, idx);
+            }
+            return;
+        }
+        let chunk = chunk.max(1);
+        for start in (0..end).step_by(chunk as usize) {
+            self.pool(start..end.min(start.saturating_add(chunk)), threads);
         }
     }
 
@@ -348,7 +366,6 @@ impl<'a> CampaignPlan<'a> {
         // exactly.
         let mut outputs: Vec<(u64, PairOutput)> = shards.into_iter().flatten().collect();
         outputs.sort_unstable_by_key(|&(idx, _)| idx);
-        consent_telemetry::gauge_set("campaign.parallel.merge_backlog", outputs.len() as i64);
         outputs
     }
 }

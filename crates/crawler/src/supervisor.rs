@@ -10,20 +10,13 @@
 //! fault is persistent — descends a **degradation ladder** instead of
 //! aborting:
 //!
-//! 1. [`DegradeLevel::Normal`] — complete checkpoints: five-section
-//!    snapshots, or delta sections under
-//!    [`CheckpointMode::Delta`](crate::CheckpointMode).
-//! 2. [`DegradeLevel::ShedTrace`] — the optional trace section body
-//!    (`trace-jsonl`, or `trace-jsonl-delta` in delta mode) is written
-//!    empty, shrinking every subsequent write (the trace log is the
-//!    largest and only non-essential section; shedding it sacrifices
-//!    trace byte-identity on resume, loudly, but never campaign-state
-//!    identity — and in delta mode the driver leaves its trace mark in
-//!    place, so the next healthy delta re-covers the shed window).
-//! 3. [`DegradeLevel::WideCadence`] — the checkpoint interval is
+//! 1. [`DegradeLevel::Normal`] — complete checkpoints: full snapshots,
+//!    or delta sections once a chain is open (see
+//!    [`CheckpointMode::Delta`](crate::CheckpointMode)).
+//! 2. [`DegradeLevel::WideCadence`] — the checkpoint interval is
 //!    multiplied by [`SupervisorPolicy::cadence_factor`], trading crash
 //!    re-crawl window for fewer chances to hit the failing disk.
-//! 4. [`DegradeLevel::MemoryOnly`] — durable writes stop entirely; the
+//! 3. [`DegradeLevel::MemoryOnly`] — durable writes stop entirely; the
 //!    campaign finishes in memory and the run ends
 //!    [`Degraded`](crate::DurableOutcome::Degraded) with a loud
 //!    [`HealthReport`].
@@ -47,11 +40,9 @@ use consent_faultsim::{classify_io_error, IoErrorClass};
 /// A rung of the degradation ladder, in descent order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DegradeLevel {
-    /// Full checkpoints at the configured cadence.
+    /// Complete checkpoints at the configured cadence.
     #[default]
     Normal,
-    /// Trace-jsonl section shed (written empty).
-    ShedTrace,
     /// Checkpoint cadence widened by the policy's factor.
     WideCadence,
     /// No durable writes at all; the campaign finishes in memory.
@@ -59,14 +50,13 @@ pub enum DegradeLevel {
 }
 
 impl DegradeLevel {
-    /// Ladder position, 0 (healthy) to 3 (memory-only) — also the value
+    /// Ladder position, 0 (healthy) to 2 (memory-only) — also the value
     /// of the `campaign.degrade.level` gauge.
     pub fn gauge(&self) -> i64 {
         match self {
             DegradeLevel::Normal => 0,
-            DegradeLevel::ShedTrace => 1,
-            DegradeLevel::WideCadence => 2,
-            DegradeLevel::MemoryOnly => 3,
+            DegradeLevel::WideCadence => 1,
+            DegradeLevel::MemoryOnly => 2,
         }
     }
 
@@ -74,7 +64,6 @@ impl DegradeLevel {
     pub fn label(&self) -> &'static str {
         match self {
             DegradeLevel::Normal => "normal",
-            DegradeLevel::ShedTrace => "shed-trace",
             DegradeLevel::WideCadence => "wide-cadence",
             DegradeLevel::MemoryOnly => "memory-only",
         }
@@ -82,8 +71,7 @@ impl DegradeLevel {
 
     fn next(&self) -> Option<DegradeLevel> {
         match self {
-            DegradeLevel::Normal => Some(DegradeLevel::ShedTrace),
-            DegradeLevel::ShedTrace => Some(DegradeLevel::WideCadence),
+            DegradeLevel::Normal => Some(DegradeLevel::WideCadence),
             DegradeLevel::WideCadence => Some(DegradeLevel::MemoryOnly),
             DegradeLevel::MemoryOnly => None,
         }
@@ -316,16 +304,15 @@ impl Supervisor {
 
     /// Run one checkpoint write under supervision.
     ///
-    /// `attempt` is called with the *current* ladder level (so the
-    /// driver can shed the trace section mid-save) and may be called
-    /// repeatedly: transient failures retry out of the campaign budget,
-    /// persistent failures and budget exhaustion descend the ladder.
+    /// `attempt` writes the cut and may be called repeatedly: transient
+    /// failures retry out of the campaign budget, persistent failures
+    /// and budget exhaustion descend the ladder.
     /// Never returns an error — on reaching
     /// [`DegradeLevel::MemoryOnly`] the write is skipped and the
     /// campaign carries on in memory.
     pub fn save_with<F>(&mut self, pairs_done: u64, mut attempt: F) -> SaveVerdict
     where
-        F: FnMut(DegradeLevel) -> io::Result<u64>,
+        F: FnMut() -> io::Result<u64>,
     {
         let mut first_fault: Option<Instant> = None;
         loop {
@@ -334,7 +321,7 @@ impl Supervisor {
                 consent_telemetry::count("checkpoint.skipped", 1);
                 return SaveVerdict::Skipped;
             }
-            match attempt(self.level) {
+            match attempt() {
                 Ok(generation) => {
                     if let Some(t0) = first_fault {
                         // Healed: recovery time from first failure of
@@ -426,7 +413,7 @@ mod tests {
     #[test]
     fn clean_save_stays_normal() {
         let mut sup = Supervisor::new(SupervisorPolicy::default());
-        let v = sup.save_with(10, |_| Ok(7));
+        let v = sup.save_with(10, || Ok(7));
         assert_eq!(v, SaveVerdict::Saved(7));
         assert_eq!(sup.level(), DegradeLevel::Normal);
         assert!(sup.report().is_healthy());
@@ -436,7 +423,7 @@ mod tests {
     fn transient_fault_retries_and_heals() {
         let mut sup = Supervisor::new(SupervisorPolicy::default());
         let mut calls = 0;
-        let v = sup.save_with(10, |_| {
+        let v = sup.save_with(10, || {
             calls += 1;
             if calls < 3 {
                 Err(eio())
@@ -454,22 +441,19 @@ mod tests {
     #[test]
     fn persistent_fault_descends_without_burning_budget() {
         let mut sup = Supervisor::new(SupervisorPolicy::default());
-        let mut levels_seen = Vec::new();
-        let v = sup.save_with(10, |level| {
-            levels_seen.push(level);
-            match level {
-                DegradeLevel::Normal => Err(enospc()),
-                _ => Ok(9),
+        let mut calls = 0;
+        let v = sup.save_with(10, || {
+            calls += 1;
+            if calls == 1 {
+                Err(enospc())
+            } else {
+                Ok(9)
             }
         });
         assert_eq!(v, SaveVerdict::Saved(9));
-        assert_eq!(sup.level(), DegradeLevel::ShedTrace);
+        assert_eq!(sup.level(), DegradeLevel::WideCadence);
         assert_eq!(sup.report().retries, 0, "no retries spent on ENOSPC");
-        assert_eq!(
-            levels_seen,
-            vec![DegradeLevel::Normal, DegradeLevel::ShedTrace],
-            "attempt sees the post-descent level"
-        );
+        assert_eq!(calls, 2, "one descent, then the write lands");
     }
 
     #[test]
@@ -480,18 +464,18 @@ mod tests {
         };
         let mut sup = Supervisor::new(policy);
         let mut calls = 0u64;
-        let v = sup.save_with(5, |_| {
+        let v = sup.save_with(5, || {
             calls += 1;
             Err(eio())
         });
         // 3 attempts at Normal (initial + 2 retries), then one failing
-        // attempt per remaining rung before MemoryOnly skips.
+        // attempt at WideCadence before MemoryOnly skips.
         assert_eq!(v, SaveVerdict::Skipped);
         assert_eq!(sup.level(), DegradeLevel::MemoryOnly);
-        assert_eq!(calls, 3 + 2, "terminates instead of wedging");
+        assert_eq!(calls, 3 + 1, "terminates instead of wedging");
         let r = sup.report();
         assert_eq!(r.retries, 2);
-        assert_eq!(r.events.len(), 3, "one event per descent:\n{}", r.render());
+        assert_eq!(r.events.len(), 2, "one event per descent:\n{}", r.render());
         assert!(r.render().contains("retry budget exhausted"));
     }
 
@@ -501,9 +485,9 @@ mod tests {
             retry_budget: 0,
             ..SupervisorPolicy::default()
         });
-        assert_eq!(sup.save_with(1, |_| Err(eio())), SaveVerdict::Skipped);
+        assert_eq!(sup.save_with(1, || Err(eio())), SaveVerdict::Skipped);
         let mut called = false;
-        let v = sup.save_with(2, |_| {
+        let v = sup.save_with(2, || {
             called = true;
             Ok(1)
         });
@@ -552,7 +536,7 @@ mod tests {
         let run = || {
             let mut sup = Supervisor::new(policy);
             let mut calls = 0;
-            sup.save_with(0, |_| {
+            sup.save_with(0, || {
                 calls += 1;
                 if calls <= 10 {
                     Err(eio())
@@ -574,13 +558,22 @@ mod tests {
             retry_budget: 0,
             ..SupervisorPolicy::default()
         });
-        sup.save_with(3, |level| match level {
-            DegradeLevel::Normal => Err(enospc()),
-            _ => Ok(1),
+        let mut calls = 0;
+        sup.save_with(3, || {
+            calls += 1;
+            if calls == 1 {
+                Err(enospc())
+            } else {
+                Ok(1)
+            }
         });
         let r = sup.report();
         assert!(!r.is_healthy());
-        assert!(r.summary().contains("level=shed-trace"), "{}", r.summary());
+        assert!(
+            r.summary().contains("level=wide-cadence"),
+            "{}",
+            r.summary()
+        );
         assert!(r.render().contains("persistent storage fault"));
         assert_eq!(r.events[0].pairs_done, 3);
     }

@@ -87,7 +87,7 @@ pub struct FaultRow {
 /// One degradation-ladder descent surfaced by the campaign supervisor.
 #[derive(Clone, Debug)]
 pub struct DegradeRow {
-    /// Ladder rung entered (`shed-trace`, `wide-cadence`, `memory-only`).
+    /// Ladder rung entered (`wide-cadence`, `memory-only`).
     pub level: String,
     /// Times the rung was entered across the run.
     pub count: u64,
@@ -117,7 +117,7 @@ pub struct StorageHealth {
     /// (`checkpoint.quarantine.pruned`).
     pub quarantine_pruned: u64,
     /// Final degradation-ladder gauge (`campaign.degrade.level`,
-    /// 0 = normal … 3 = memory-only).
+    /// 0 = normal … 2 = memory-only).
     pub final_level: i64,
     /// Ladder descents, in rung order.
     pub degrades: Vec<DegradeRow>,
@@ -360,10 +360,9 @@ impl FlightReport {
             .collect();
         // Rung order, not alphabetical: the ladder reads top-down.
         let rung = |l: &str| match l {
-            "shed-trace" => 1,
-            "wide-cadence" => 2,
-            "memory-only" => 3,
-            _ => 4,
+            "wide-cadence" => 1,
+            "memory-only" => 2,
+            _ => 3,
         };
         degrades.sort_by_key(|r| rung(&r.level));
         let storage = StorageHealth {
@@ -989,7 +988,7 @@ mod tests {
         ts.push(sample(10, 10, &[]));
         let mut s2 = sample(20, 10, &[("io-enospc", 3)]);
         s2.counters
-            .insert("campaign.degrade{level=shed-trace}".to_string(), 1);
+            .insert("campaign.degrade{level=wide-cadence}".to_string(), 1);
         ts.push(s2);
 
         let mut total = total_snapshot();
@@ -998,17 +997,17 @@ mod tests {
         total.counters.insert("checkpoint.skipped".to_string(), 1);
         total
             .counters
-            .insert("campaign.degrade{level=shed-trace}".to_string(), 1);
+            .insert("campaign.degrade{level=wide-cadence}".to_string(), 1);
         total
             .counters
             .insert("campaign.degrade{level=memory-only}".to_string(), 1);
-        total.gauges.insert("campaign.degrade.level".to_string(), 3);
+        total.gauges.insert("campaign.degrade.level".to_string(), 2);
 
         let report = FlightReport::build(&ts, &total);
         let sh = report.storage.as_ref().expect("storage section present");
         assert!(!sh.is_quiet());
         assert_eq!((sh.io_faults, sh.retries, sh.writes_skipped), (4, 2, 1));
-        assert_eq!(sh.final_level, 3);
+        assert_eq!(sh.final_level, 2);
         // Ladder order, not alphabetical; first_tick only where sampled.
         let levels: Vec<(&str, Option<u64>)> = sh
             .degrades
@@ -1017,7 +1016,7 @@ mod tests {
             .collect();
         assert_eq!(
             levels,
-            vec![("shed-trace", Some(20)), ("memory-only", None)]
+            vec![("wide-cadence", Some(20)), ("memory-only", None)]
         );
         // IO faults also land in the ordinary fault heatmap via their
         // faultsim.injected labels.
@@ -1025,14 +1024,14 @@ mod tests {
 
         let text = report.render();
         assert!(text.contains("Storage health"));
-        assert!(text.contains("degraded -> shed-trace"));
+        assert!(text.contains("degraded -> wide-cadence"));
         assert!(text.contains("first seen @20"));
 
         let json = report.to_json();
         let sh_json = json.get("storage_health").expect("json section");
         assert_eq!(
             sh_json.get("final_level").and_then(Json::as_f64),
-            Some(3.0),
+            Some(2.0),
             "{}",
             json.to_pretty()
         );

@@ -25,10 +25,10 @@
 //! Exporters: [`TraceLog::export_jsonl`] (byte-stable line format),
 //! [`export_chrome`] (Chrome `trace_event` JSON loadable in Perfetto,
 //! one thread track per vantage), and [`TraceTree::render`] (a
-//! pretty-printed causal tree for single-capture debugging). The JSONL
-//! export round-trips: [`TraceLog::import_jsonl`] restores a persisted
-//! log (durable checkpoints carry one) such that re-exporting is
-//! byte-identical.
+//! pretty-printed causal tree for single-capture debugging). Nothing
+//! persists the log: a pair's events are a pure function of the pair,
+//! so a resumed durable campaign re-crawls its applied pairs to rebuild
+//! them instead of reading a copy back from its checkpoints.
 //!
 //! Disabled cost: each instrumentation site performs one relaxed atomic
 //! load and returns; attribute closures never run, so nothing is
@@ -40,7 +40,6 @@
 mod chrome;
 mod ctx;
 mod event;
-mod import;
 mod log;
 mod provenance;
 mod tree;
@@ -48,8 +47,7 @@ mod tree;
 pub use chrome::{export_chrome, export_chrome_string};
 pub use ctx::{active, event, span, start_trace, AttrList, SpanGuard, TraceGuard};
 pub use event::{Phase, TraceEvent};
-pub use import::TraceImportError;
-pub use log::{TraceLog, TraceMark};
+pub use log::TraceLog;
 pub use provenance::{AttemptProvenance, Provenance, ProvenanceImportError, ProvenanceLog};
 pub use tree::{TraceNode, TraceTree};
 

@@ -115,53 +115,13 @@ impl TraceLog {
     /// order. Byte-identical for identical seeds (and for interrupted +
     /// resumed replays of the same campaign).
     pub fn export_jsonl(&self) -> String {
-        jsonl(self.snapshot())
-    }
-
-    /// The current high-water mark: per-shard event counts. Taken at a
-    /// quiescent point (no concurrent recorders), everything recorded
-    /// past the mark is exactly the set of events that arrived since —
-    /// the delta-checkpoint cursor for the trace log.
-    pub fn mark(&self) -> TraceMark {
-        TraceMark {
-            counts: std::array::from_fn(|i| self.shards[i].lock().len()),
+        let mut out = String::new();
+        for e in self.snapshot() {
+            out.push_str(&e.to_json().to_compact());
+            out.push('\n');
         }
+        out
     }
-
-    /// JSONL export of only the events recorded after `mark`, in the
-    /// same `(trace_id, seq)` sorted line format as
-    /// [`export_jsonl`](Self::export_jsonl). At a checkpoint cut the
-    /// post-mark *set* of events is deterministic (all of a chunk's
-    /// workers have joined), and the sort erases arrival order — so
-    /// delta trace sections are byte-stable even though each one is not
-    /// a byte-suffix of the full export. Concatenating a base export
-    /// with its deltas therefore carries the full event set, and a
-    /// re-import + re-export reproduces the uninterrupted bytes.
-    pub fn export_jsonl_since(&self, mark: &TraceMark) -> String {
-        let mut events = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock();
-            events.extend(shard[mark.counts[i].min(shard.len())..].iter().cloned());
-        }
-        events.sort_by_key(|e| (e.trace_id, e.seq));
-        jsonl(events)
-    }
-}
-
-/// An opaque cursor into a [`TraceLog`], produced by
-/// [`TraceLog::mark`] and consumed by [`TraceLog::export_jsonl_since`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceMark {
-    counts: [usize; SHARDS],
-}
-
-fn jsonl(events: Vec<TraceEvent>) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&e.to_json().to_compact());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -203,36 +163,6 @@ mod tests {
         log.clear();
         assert!(log.is_empty());
         assert!(log.export_jsonl().is_empty());
-    }
-
-    #[test]
-    fn mark_splits_export_into_base_plus_delta_set() {
-        let log = TraceLog::new();
-        log.record(ev(7, 0));
-        log.record(ev(3, 0));
-        let mark = log.mark();
-        // Fresh marks export nothing.
-        assert!(log.export_jsonl_since(&mark).is_empty());
-        // Post-mark events land across shards and out of order.
-        log.record(ev(23, 1)); // shard 7, same as trace 7
-        log.record(ev(3, 1));
-        log.record(ev(23, 0));
-        let delta = log.export_jsonl_since(&mark);
-        assert_eq!(delta.lines().count(), 3);
-        // The delta is itself (trace_id, seq)-sorted and byte-stable.
-        assert_eq!(delta, log.export_jsonl_since(&mark));
-        // Base + delta carries the full event set: re-importing the
-        // concatenation into a fresh log reproduces the full export.
-        let full = log.export_jsonl();
-        let base = {
-            let l = TraceLog::new();
-            l.record(ev(7, 0));
-            l.record(ev(3, 0));
-            l.export_jsonl()
-        };
-        let merged = TraceLog::new();
-        merged.import_jsonl(&format!("{base}{delta}")).unwrap();
-        assert_eq!(merged.export_jsonl(), full);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * `SWEEP_CHAIN_DIR` (default `crash_sweep.chain`) — a checkpoint
 //!   store holding a real base-plus-deltas generation chain from a
 //!   [`CheckpointMode::Delta`] run whose bytes were verified identical
-//!   to the Full-mode campaign.
+//!   to the full-snapshot campaign.
 //!
 //! If `CONSENT_CRASHPOINT` is set (`apply:N` or `write:K:B`), that plan
 //! is swept as an extra case, so the production knob stays exercised.
@@ -41,6 +41,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const DOMAINS: usize = 10;
 const CHECKPOINT_EVERY: u64 = 5;
+/// Every generation a self-contained snapshot: the sweep's mode.
+const SNAPSHOTS: CheckpointMode = CheckpointMode::Delta { rebase_every: 0 };
 
 fn tmp_dir() -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -116,7 +118,7 @@ fn main() {
     let base_dir = tmp_dir();
     let base_store = CheckpointStore::open(&base_dir).expect("open store");
     consent_trace::clear();
-    let base = sweep.run(&base_store, 1, CrashPlan::none(), CheckpointMode::Full);
+    let base = sweep.run(&base_store, 1, CrashPlan::none(), SNAPSHOTS);
     assert_eq!(base.outcome, DurableOutcome::Complete);
     let state_bytes = base.state.export();
     let trace_bytes = consent_trace::global().export_jsonl();
@@ -165,14 +167,14 @@ fn main() {
             let dir = tmp_dir();
             let store = CheckpointStore::open(&dir).expect("open store");
             consent_trace::clear();
-            let crashed = sweep.run(&store, threads, *plan, CheckpointMode::Full);
+            let crashed = sweep.run(&store, threads, *plan, SNAPSHOTS);
             let durable_pairs = match crashed.outcome {
                 DurableOutcome::Crashed { durable_pairs, .. } => durable_pairs,
                 _ => panic!("{label}: crashpoint never fired"),
             };
             // The process dies: the in-memory trace log goes with it.
             consent_trace::clear();
-            let resumed = sweep.run(&store, threads, CrashPlan::none(), CheckpointMode::Full);
+            let resumed = sweep.run(&store, threads, CrashPlan::none(), SNAPSHOTS);
             assert_eq!(resumed.outcome, DurableOutcome::Complete, "{label}");
             assert!(
                 resumed.state.export() == state_bytes,
@@ -204,7 +206,7 @@ fn main() {
     // against a store directory that is *kept* on disk, so CI can
     // upload a real base-plus-deltas generation chain as an
     // inspectable artifact. The run doubles as a cross-mode check:
-    // delta checkpoints must reproduce the Full-mode bytes exactly.
+    // delta checkpoints must reproduce the full-snapshot bytes exactly.
     let chain_dir =
         std::env::var("SWEEP_CHAIN_DIR").unwrap_or_else(|_| "crash_sweep.chain".to_string());
     std::fs::remove_dir_all(&chain_dir).ok();

@@ -4,8 +4,8 @@
 //! driver; this binary pins the guarantees that delta generations add
 //! on top (see `docs/STORAGE.md`):
 //!
-//! * delta mode never changes the measurement: exports are
-//!   byte-identical to full mode at 1/2/4 threads;
+//! * delta chains never change the measurement: exports are
+//!   byte-identical to full snapshots at 1/2/4 threads;
 //! * a kill halfway between delta cuts — including right at a columnar
 //!   segment seal, the store's only internal boundary — resumes
 //!   byte-identical at 1/2/4 threads;
@@ -106,9 +106,9 @@ fn tmp_dir() -> PathBuf {
 }
 
 /// True when `CONSENT_IO_CHAOS` schedules storage faults for this whole
-/// process (the CI `io-chaos` job). Under chaos, structural
-/// expectations — generation layout, trace byte-identity — are relaxed;
-/// state byte-identity and the finished verdict never are.
+/// process (the CI `io-chaos` job). Under chaos, the expected
+/// generation layout is relaxed; state and trace byte-identity and the
+/// finished verdict never are.
 fn io_chaos() -> bool {
     !IoFaultPlan::from_env().is_none()
 }
@@ -151,10 +151,10 @@ fn durable(
     .expect("durable campaign io")
 }
 
-/// The uninterrupted *full-mode* run's exports: the bytes every
-/// delta-mode variant must reproduce. Also pins the workload shape the
-/// boundary sweep relies on: one row per pair, all in one shard, at
-/// least one sealed segment.
+/// The uninterrupted full-snapshot (`rebase_every: 0`) run's exports:
+/// the bytes every delta-chain variant must reproduce. Also pins the
+/// workload shape the boundary sweep relies on: one row per pair, all
+/// in one shard, at least one sealed segment.
 fn baseline(list: &[String], checkpoint_every: u64) -> (String, String) {
     let dir = tmp_dir();
     let store = open_store(&dir);
@@ -163,7 +163,7 @@ fn baseline(list: &[String], checkpoint_every: u64) -> (String, String) {
         &store,
         list,
         1,
-        CheckpointMode::Full,
+        CheckpointMode::Delta { rebase_every: 0 },
         checkpoint_every,
         CrashPlan::none(),
     );
@@ -218,11 +218,11 @@ fn delta_mode_is_byte_identical_across_thread_counts() {
             run.state.export() == state_bytes,
             "delta-mode state diverged at {threads} threads"
         );
+        assert!(
+            consent_trace::global().export_jsonl() == trace_bytes,
+            "delta-mode trace diverged at {threads} threads"
+        );
         if !io_chaos() {
-            assert!(
-                consent_trace::global().export_jsonl() == trace_bytes,
-                "delta-mode trace diverged at {threads} threads"
-            );
             // The store really holds a chain, not disguised full writes:
             // 48 pairs at cadence 16 → full base + two delta members.
             let gens = store.generations().unwrap();
@@ -280,12 +280,10 @@ fn kill_halfway_between_delta_cuts_at_segment_boundaries_resumes_byte_identical(
                 resumed.state.export() == state_bytes,
                 "state diverged after apply:{k} at {threads} threads"
             );
-            if !io_chaos() {
-                assert!(
-                    consent_trace::global().export_jsonl() == trace_bytes,
-                    "trace diverged after apply:{k} at {threads} threads"
-                );
-            }
+            assert!(
+                consent_trace::global().export_jsonl() == trace_bytes,
+                "trace diverged after apply:{k} at {threads} threads"
+            );
             std::fs::remove_dir_all(dir).unwrap();
         }
     }
