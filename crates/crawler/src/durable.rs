@@ -151,12 +151,12 @@ pub const SECTION_DELTA_META: &str = "delta-meta";
 /// Delta section: capture rows appended since the parent generation, in
 /// the `#consent-capture-db-delta v1` format
 /// (see [`export_delta`]).
-pub const SECTION_DB_DELTA: &str = "capture-db-delta";
+pub(crate) const SECTION_DB_DELTA: &str = "capture-db-delta";
 /// Delta section: the dead-letter lines of the provenance records
 /// appended since the parent.
-pub const SECTION_DEAD_LETTERS_DELTA: &str = "dead-letters-delta";
+pub(crate) const SECTION_DEAD_LETTERS_DELTA: &str = "dead-letters-delta";
 /// Delta section: provenance record lines appended since the parent.
-pub const SECTION_PROVENANCE_DELTA: &str = "provenance-delta";
+pub(crate) const SECTION_PROVENANCE_DELTA: &str = "provenance-delta";
 
 /// First line of a [`SECTION_DELTA_META`] body.
 pub const DELTA_META_HEADER: &str = "#consent-delta-meta v1";
@@ -331,7 +331,7 @@ pub struct DurableRun {
 /// Build the four sections of a full checkpoint. Their concatenation
 /// is exactly [`CampaignState::export`], so reassembly re-uses the
 /// importer.
-pub fn state_sections(state: &CampaignState) -> Vec<Section> {
+pub(crate) fn state_sections(state: &CampaignState) -> Vec<Section> {
     state
         .sections()
         .into_iter()
@@ -343,17 +343,17 @@ pub fn state_sections(state: &CampaignState) -> Vec<Section> {
 /// the cursor a delta generation is written *from*. Captured on the
 /// merge thread at a quiescent point, so every field is deterministic.
 #[derive(Clone, Debug)]
-pub struct DeltaMarks {
+pub(crate) struct DeltaMarks {
     /// Capture-db per-shard row counts + host count.
-    pub db: DbMarks,
+    db: DbMarks,
     /// Provenance records — also the dead-letter cursor, since the
     /// dead-letter section is rendered from the provenance log.
-    pub prov: usize,
+    prov: usize,
 }
 
 impl DeltaMarks {
     /// Snapshot the cursors of `state` now.
-    pub fn capture(state: &CampaignState) -> DeltaMarks {
+    pub(crate) fn capture(state: &CampaignState) -> DeltaMarks {
         DeltaMarks {
             db: state.db.marks(),
             prov: state.provenance.len(),
@@ -380,9 +380,8 @@ struct ChainMarks {
 /// Build the sections of one delta generation: the full (tiny) cursor
 /// meta, the chain links (`parent`/`base` generation numbers), and one
 /// appended-only section per store component. Total size is O(captures
-/// since `marks`) — this is the exact payload the durable driver writes
-/// at a delta cut, public so the bench harness measures the real thing.
-pub fn delta_state_sections(
+/// since `marks`).
+pub(crate) fn delta_state_sections(
     state: &CampaignState,
     marks: &DeltaMarks,
     parent: u64,
@@ -1068,7 +1067,7 @@ pub fn run_durable_campaign(
 mod tests {
     use super::*;
     use crate::campaign::build_toplist;
-    use crate::parallel::{run_campaign_parallel, ParallelOpts};
+    use crate::parallel::{resume_campaign_parallel, run_campaign_parallel, ParallelOpts};
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_faultsim::FaultProfile;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
@@ -1280,6 +1279,64 @@ mod tests {
         );
         std::fs::remove_dir_all(dir_full).unwrap();
         std::fs::remove_dir_all(dir_delta).unwrap();
+    }
+
+    #[test]
+    fn delta_cut_bytes_do_not_grow_with_campaign_progress() {
+        // A delta cut serializes only what the last interval appended,
+        // so its size must stay flat as the campaign grows; a full cut
+        // re-serializes everything and grows with it.
+        let world = World::new(WorldConfig {
+            n_sites: 2_000,
+            seed: 42,
+            adoption: AdoptionConfig::default(),
+        });
+        let list = build_toplist(&world, 400, SeedTree::new(7));
+        let day = consent_util::Day::from_ymd(2020, 5, 15);
+        let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
+        let total = (list.len() * vantages.len()) as u64;
+        let advance = |state: CampaignState, pairs: u64| {
+            resume_campaign_parallel(
+                &world,
+                &list,
+                day,
+                &vantages,
+                SeedTree::new(9),
+                &ParallelOpts {
+                    threads: 1,
+                    config: quiet(),
+                    max_pairs: Some(pairs),
+                },
+                state,
+            )
+            .state
+        };
+        let bytes =
+            |sections: Vec<Section>| -> usize { sections.iter().map(|s| s.body.len()).sum() };
+
+        let mut state = CampaignState::new();
+        let mut cuts = Vec::new();
+        for pct in [10, 50, 90] {
+            let to_mark = total * pct / 100 - state.pairs_done;
+            state = advance(state, to_mark);
+            let marks = DeltaMarks::capture(&state);
+            state = advance(state, 40);
+            let delta = bytes(delta_state_sections(&state, &marks, 1, 1));
+            cuts.push((pct, delta, bytes(state_sections(&state))));
+        }
+
+        let (_, delta_10, full_10) = cuts[0];
+        for &(pct, delta, _) in &cuts {
+            assert!(
+                delta <= 2 * delta_10 && delta_10 <= 2 * delta,
+                "delta cut at {pct}% is {delta} B vs {delta_10} B at 10%: {cuts:?}"
+            );
+        }
+        let (_, _, full_90) = cuts[2];
+        assert!(
+            full_90 >= 4 * full_10,
+            "full snapshot grew only {full_10} B -> {full_90} B: {cuts:?}"
+        );
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //!
 //! # Deltas
 //!
-//! [`export_delta`] serializes only the rows appended since a
+//! `export_delta` serializes only the rows appended since a
 //! [`DbMarks`] cursor (per-shard row counts + host count), and
-//! [`apply_delta`] replays them through the normal insert path — so a
+//! `apply_delta` replays them through the normal insert path — so a
 //! base checkpoint plus its delta chain reassembles the exact in-memory
 //! store (segment seals included), which is what the delta-generation
 //! checkpoints in [`crate::durable`] are built on.
@@ -45,7 +45,7 @@ use std::fmt;
 /// Current format version: the columnar sharded layout.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// Header of a delta section (see [`export_delta`]).
+/// Header of a delta section (see `export_delta`).
 pub const DELTA_HEADER: &str = "#consent-capture-db-delta v1";
 
 /// Import error with a line number.
@@ -124,7 +124,7 @@ pub fn export(db: &CaptureDb) -> String {
 /// (header [`DELTA_HEADER`]): the newly interned hosts in id order,
 /// then one six-column block per shard that grew. Cost is proportional
 /// to the rows since the marks, not the database size.
-pub fn export_delta(db: &CaptureDb, marks: &DbMarks) -> String {
+pub(crate) fn export_delta(db: &CaptureDb, marks: &DbMarks) -> String {
     let mut out = String::new();
     out.push_str(DELTA_HEADER);
     out.push('\n');
@@ -313,7 +313,7 @@ pub fn import(text: &str) -> Result<CaptureDb, ImportError> {
 /// count and per-shard row counts are validated). Rows go through the
 /// normal insert path, so seals, counters, and telemetry reconcile
 /// identically to the original inserts.
-pub fn apply_delta(db: &mut CaptureDb, text: &str) -> Result<(), ImportError> {
+pub(crate) fn apply_delta(db: &mut CaptureDb, text: &str) -> Result<(), ImportError> {
     let mut p = Parser::new(text);
     let header = p.next().ok_or(ImportError {
         line: 0,

@@ -52,14 +52,11 @@ pub use capture_db::{
 };
 pub use dead_letter::{vantage_code, vantage_from};
 pub use durable::{
-    delta_state_sections, open_chaos_store, recover_state, run_durable_campaign, state_sections,
-    BundleSpec, CheckpointMode, DeltaMarks, DurableOpts, DurableOutcome, DurableRun, SECTION_DB,
-    SECTION_DB_DELTA, SECTION_DEAD_LETTERS, SECTION_DEAD_LETTERS_DELTA, SECTION_DELTA_META,
-    SECTION_META, SECTION_PROVENANCE, SECTION_PROVENANCE_DELTA,
+    open_chaos_store, recover_state, run_durable_campaign, BundleSpec, CheckpointMode, DurableOpts,
+    DurableOutcome, DurableRun, SECTION_DB, SECTION_DEAD_LETTERS, SECTION_DELTA_META, SECTION_META,
+    SECTION_PROVENANCE,
 };
-pub use export::{
-    apply_delta, export as export_db, export_delta, import as import_db, FORMAT_VERSION,
-};
+pub use export::{export as export_db, import as import_db, FORMAT_VERSION};
 pub use feed::{Feed, FeedConfig, FeedItem, FeedSource};
 pub use parallel::{resume_campaign_parallel, run_campaign_parallel, ParallelOpts};
 pub use platform::{Platform, RunStats};

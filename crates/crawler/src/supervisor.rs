@@ -28,8 +28,7 @@
 //! [`HealthReport::backoff_ms_total`] and the `supervisor.backoff_ms`
 //! histogram, keeping fault sweeps fast and byte-identical. Recovery
 //! wall time per healed write (first failure → eventual success) is
-//! observed into `supervisor.mttr_us`, which the soak bench aggregates
-//! into MTTR rows.
+//! observed into the `supervisor.mttr_us` histogram.
 
 use std::fmt;
 use std::io;

@@ -143,8 +143,8 @@ impl Registry {
 
     /// Drop every registered metric, leaving the enable flag untouched.
     ///
-    /// The bench harness calls this between sweep configurations so each
-    /// run's histograms (and their p50/p95) describe that run alone.
+    /// Tests and the benchmark call this between runs so each run's
+    /// counters and histograms (and their p50/p95) describe that run alone.
     /// `Arc` handles obtained *before* the reset keep recording into
     /// their now-detached metrics — take them again afterwards. Do not
     /// reset inside an open [`RunReport::collect`](crate::RunReport::collect)

@@ -27,9 +27,15 @@
 //! * `FLIGHT_PROM_OUT` (default `target/metrics.prom`) — Prometheus
 //!   text exposition of the end-of-run registry, what a live scrape
 //!   endpoint would have served.
+//!
+//! The finished campaign is also packed into a content-addressed bundle
+//! at `target/flight_bundle` (replaced on every run), which the CI
+//! `bundle` job re-verifies against the format spec in
+//! `docs/BUNDLES.md`; the pack's counters fill the flight report's
+//! archive-health section.
 
 use consent_crawler::{
-    build_toplist, open_chaos_store, run_durable_campaign, CampaignConfig, DurableOpts,
+    build_toplist, open_chaos_store, run_durable_campaign, BundleSpec, CampaignConfig, DurableOpts,
 };
 use consent_faultsim::{CrashPlan, FaultProfile};
 use consent_httpsim::Vantage;
@@ -40,6 +46,7 @@ use std::time::Duration;
 
 const DOMAINS: usize = 60;
 const CHECKPOINT_EVERY: u64 = 25;
+const BUNDLE_DIR: &str = "target/flight_bundle";
 
 fn out_path(key: &str, default: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| {
@@ -80,6 +87,9 @@ fn main() {
     // filesystem; the supervisor's degradations then show up in the
     // flight report's storage-health section.
     let store = open_chaos_store(&dir).expect("open checkpoint store");
+    // Pack into an empty directory: blobs left by an earlier run would
+    // turn this run's writes into dedup hits.
+    let _ = std::fs::remove_dir_all(BUNDLE_DIR);
     let run = run_durable_campaign(
         &world,
         &list,
@@ -96,6 +106,11 @@ fn main() {
             checkpoint_every: CHECKPOINT_EVERY,
             crash: CrashPlan::none(),
             sampler: Some(logical.clone()),
+            bundle: Some(BundleSpec {
+                dir: BUNDLE_DIR.into(),
+                provider: None,
+                gvl_json: None,
+            }),
             ..DurableOpts::default()
         },
     )
@@ -133,6 +148,9 @@ fn main() {
     let prom_out = out_path("FLIGHT_PROM_OUT", "metrics.prom");
     std::fs::write(&prom_out, wall.prometheus()).expect("write prometheus exposition");
     eprintln!("wrote {obs_out}, {report_out}, {prom_out}");
+    if let Some(pack) = &run.bundle {
+        eprintln!("packed {BUNDLE_DIR}: {}", pack.summary());
+    }
 
     std::fs::remove_dir_all(&dir).expect("clean up store");
 }

@@ -863,6 +863,62 @@ fn transient_faults_retry_heal_and_complete() {
     unlock(guard);
 }
 
+/// A background fault rate instead of one scheduled fault: with 10‰
+/// and 50‰ of filesystem operations failing at seeded positions, every
+/// campaign heals or degrades cleanly and still exports the fault-free
+/// control's bytes.
+#[test]
+fn rate_faults_heal_or_degrade_byte_identical() {
+    let guard = lock();
+    let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
+    let run = |plan: IoFaultPlan| {
+        let dir = tmp_dir();
+        let (store, vfs) = store_with_plan(&dir, plan);
+        consent_trace::clear();
+        let run = run_durable_campaign(
+            world(),
+            toplist(),
+            DAY(),
+            &vantages,
+            SeedTree::new(9),
+            &store,
+            &DurableOpts {
+                checkpoint_every: 2,
+                ..opts(2, FaultProfile::none(), CrashPlan::none())
+            },
+        )
+        .expect("durable campaign io");
+        std::fs::remove_dir_all(dir).unwrap();
+        (run, vfs.injected())
+    };
+
+    let (control, _) = run(IoFaultPlan::none());
+    assert_eq!(control.outcome, DurableOutcome::Complete);
+    let state_bytes = control.state.export();
+
+    for per_mille in [10, 50] {
+        let mut injected = 0;
+        for seed in 0..4 {
+            let (run, faults) = run(IoFaultPlan::rate(seed, per_mille));
+            assert!(
+                run.outcome.finished(),
+                "{per_mille}\u{2030} seed {seed}: wedged: {:?}",
+                run.outcome
+            );
+            assert!(
+                run.state.export() == state_bytes,
+                "{per_mille}\u{2030} seed {seed}: state diverged ({})",
+                run.health.summary()
+            );
+            injected += faults;
+        }
+        if per_mille == 50 {
+            assert!(injected > 0, "a 50\u{2030} fault rate injected nothing");
+        }
+    }
+    unlock(guard);
+}
+
 /// `CONSENT_IO_CHAOS` wiring: garbage specs are counted and ignored;
 /// real specs route the store through a FaultyVfs via
 /// [`open_chaos_store`].

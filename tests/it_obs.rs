@@ -99,8 +99,20 @@ fn obs_incarnation(
     consent_telemetry::reset();
     consent_telemetry::enable();
     let sampler = Sampler::attach(consent_telemetry::global(), ObsConfig::deterministic());
+    let run = obs_campaign(store, threads, crash, Some(sampler.clone()));
+    (run, sampler.export_jsonl())
+}
+
+/// The campaign every incarnation runs: 8 domains × 2 vantages under
+/// mild chaos, checkpointed every 5 pairs, with `sampler` attached.
+fn obs_campaign(
+    store: &CheckpointStore,
+    threads: usize,
+    crash: CrashPlan,
+    sampler: Option<Arc<Sampler>>,
+) -> DurableRun {
     let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
-    let run = run_durable_campaign(
+    run_durable_campaign(
         world(),
         &toplist()[..8],
         DAY(),
@@ -112,12 +124,11 @@ fn obs_incarnation(
             config: config(FaultProfile::mild()),
             checkpoint_every: 5,
             crash,
-            sampler: Some(sampler.clone()),
+            sampler,
             ..DurableOpts::default()
         },
     )
-    .expect("durable campaign io");
-    (run, sampler.export_jsonl())
+    .expect("durable campaign io")
 }
 
 fn ticks_of(jsonl: &str) -> Vec<u64> {
@@ -143,6 +154,20 @@ fn obs_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
     let store = CheckpointStore::open(&dir).unwrap();
     let (run, baseline) = obs_incarnation(&store, 1, CrashPlan::none());
     assert_eq!(run.outcome, DurableOutcome::Complete);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Recording never changes the measurement: the same campaign with
+    // the registry off and no sampler attached exports the same state.
+    let dir = tmp_dir();
+    let store = CheckpointStore::open(&dir).unwrap();
+    consent_trace::clear();
+    consent_telemetry::disable();
+    let plain = obs_campaign(&store, 1, CrashPlan::none(), None);
+    assert_eq!(plain.outcome, DurableOutcome::Complete);
+    assert!(
+        plain.state.export() == run.state.export(),
+        "sampling changed the campaign state"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 
     // 8 domains × 2 vantages in chunks of 5: a sample per durable

@@ -107,8 +107,20 @@ fn watch_incarnation(
     consent_telemetry::reset();
     consent_telemetry::enable();
     let watch = Watch::attach(consent_telemetry::global(), tight_rules());
+    let run = watch_campaign(store, threads, crash, Some(watch.clone()));
+    (run, watch.export_jsonl())
+}
+
+/// The campaign every incarnation runs: 8 domains × 2 vantages under
+/// mild chaos, checkpointed every 5 pairs, with `watch` attached.
+fn watch_campaign(
+    store: &CheckpointStore,
+    threads: usize,
+    crash: CrashPlan,
+    watch: Option<Arc<Watch>>,
+) -> DurableRun {
     let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
-    let run = run_durable_campaign(
+    run_durable_campaign(
         world(),
         &toplist()[..8],
         DAY(),
@@ -120,12 +132,11 @@ fn watch_incarnation(
             config: config(FaultProfile::mild()),
             checkpoint_every: 5,
             crash,
-            watch: Some(watch.clone()),
+            watch,
             ..DurableOpts::default()
         },
     )
-    .expect("durable campaign io");
-    (run, watch.export_jsonl())
+    .expect("durable campaign io")
 }
 
 fn ticks_of(jsonl: &str) -> Vec<u64> {
@@ -151,6 +162,20 @@ fn alerts_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
     let store = CheckpointStore::open(&dir).unwrap();
     let (run, baseline) = watch_incarnation(&store, 1, CrashPlan::none());
     assert_eq!(run.outcome, DurableOutcome::Complete);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Watching never changes the measurement: the same campaign with
+    // the registry off and no watch attached exports the same state.
+    let dir = tmp_dir();
+    let store = CheckpointStore::open(&dir).unwrap();
+    consent_trace::clear();
+    consent_telemetry::disable();
+    let plain = watch_campaign(&store, 1, CrashPlan::none(), None);
+    assert_eq!(plain.outcome, DurableOutcome::Complete);
+    assert!(
+        plain.state.export() == run.state.export(),
+        "watching changed the campaign state"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 
     // The tight rules must actually exercise the lifecycle — an empty
