@@ -200,7 +200,8 @@ pub fn customization_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consent_crawler::{build_toplist, run_campaign_parallel, ParallelOpts};
+    use consent_crawler::{build_toplist, run_campaign_parallel, CampaignConfig, ParallelOpts};
+    use consent_faultsim::FaultProfile;
     use consent_httpsim::Vantage;
     use consent_util::{Day, SeedTree};
     use consent_webgraph::{AdoptionConfig, World, WorldConfig};
@@ -268,30 +269,44 @@ mod tests {
         // A deeper list gives enough CMP sites for stable shares.
         let list = build_toplist(&world, 4_000, SeedTree::new(7));
         let vantage = Vantage::table1_columns()[3];
-        let result = run_campaign_parallel(
-            &world,
-            &list,
-            Day::from_ymd(2020, 5, 15),
-            &[vantage],
-            SeedTree::new(9),
-            &ParallelOpts::default(),
-        )
-        .result;
-        let report =
-            customization_report(result.column(vantage).unwrap(), &Detector::hostname_only());
-        // Quantcast: ~55 % direct reject among classified sites; ~13 %
-        // free-form wording.
-        let q_direct = report.style_share(Cmp::Quantcast, ObservedStyle::DirectReject);
-        assert!((0.35..0.70).contains(&q_direct), "direct share {q_direct}");
-        let q_free = report.freeform_share(Cmp::Quantcast);
-        assert!((0.05..0.25).contains(&q_free), "freeform {q_free}");
-        // OneTrust: conventional banner dominates.
-        let o_conv = report.style_share(Cmp::OneTrust, ObservedStyle::ConventionalBanner);
-        assert!(o_conv > 0.4, "conventional {o_conv}");
-        // API-only sits near 8 %.
-        let api = report.api_only_share();
-        assert!((0.03..0.14).contains(&api), "api-only {api}");
-        // Sites were actually classified.
-        assert!(report.sites.values().sum::<usize>() > 100);
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let result = run_campaign_parallel(
+                &world,
+                &list,
+                Day::from_ymd(2020, 5, 15),
+                &[vantage],
+                SeedTree::new(9),
+                &ParallelOpts {
+                    config: CampaignConfig {
+                        fault_profile: profile,
+                        ..CampaignConfig::default()
+                    },
+                    ..ParallelOpts::default()
+                },
+            )
+            .result;
+            let report =
+                customization_report(result.column(vantage).unwrap(), &Detector::hostname_only());
+            // Quantcast: ~55 % direct reject among classified sites; ~13 %
+            // free-form wording.
+            let q_direct = report.style_share(Cmp::Quantcast, ObservedStyle::DirectReject);
+            assert!(
+                (0.35..0.70).contains(&q_direct),
+                "direct share {q_direct} ({profile})"
+            );
+            let q_free = report.freeform_share(Cmp::Quantcast);
+            assert!(
+                (0.05..0.25).contains(&q_free),
+                "freeform {q_free} ({profile})"
+            );
+            // OneTrust: conventional banner dominates.
+            let o_conv = report.style_share(Cmp::OneTrust, ObservedStyle::ConventionalBanner);
+            assert!(o_conv > 0.4, "conventional {o_conv} ({profile})");
+            // API-only sits near 8 %.
+            let api = report.api_only_share();
+            assert!((0.03..0.14).contains(&api), "api-only {api} ({profile})");
+            // Sites were actually classified.
+            assert!(report.sites.values().sum::<usize>() > 100);
+        }
     }
 }

@@ -78,7 +78,8 @@ pub fn jurisdiction_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consent_crawler::{build_toplist, run_campaign_parallel, ParallelOpts};
+    use consent_crawler::{build_toplist, run_campaign_parallel, CampaignConfig, ParallelOpts};
+    use consent_faultsim::FaultProfile;
     use consent_httpsim::Vantage;
     use consent_util::{Day, SeedTree};
     use consent_webgraph::{AdoptionConfig, World, WorldConfig};
@@ -92,29 +93,46 @@ mod tests {
         });
         let list = build_toplist(&world, 4_000, SeedTree::new(7));
         let vantage = Vantage::table1_columns()[3];
-        let result = run_campaign_parallel(
-            &world,
-            &list,
-            Day::from_ymd(2020, 5, 15),
-            &[vantage],
-            SeedTree::new(9),
-            &ParallelOpts::default(),
-        )
-        .result;
-        let report = jurisdiction_report(
-            result.column(vantage).unwrap(),
-            &Detector::hostname_only(),
-            &PublicSuffixList::embedded(),
-        );
-        let q = report.eu_share(Cmp::Quantcast);
-        let o = report.eu_share(Cmp::OneTrust);
-        // Paper: Quantcast 38.3 %, OneTrust 16.3 %.
-        assert!((q - 0.383).abs() < 0.12, "Quantcast EU share {q}");
-        assert!((o - 0.163).abs() < 0.08, "OneTrust EU share {o}");
-        assert!(q > 1.5 * o, "Quantcast ({q}) should dwarf OneTrust ({o})");
-        let rendered = report.render();
-        assert!(rendered.contains("EU+UK"));
-        assert!(rendered.contains("Quantcast"));
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let result = run_campaign_parallel(
+                &world,
+                &list,
+                Day::from_ymd(2020, 5, 15),
+                &[vantage],
+                SeedTree::new(9),
+                &ParallelOpts {
+                    config: CampaignConfig {
+                        fault_profile: profile,
+                        ..CampaignConfig::default()
+                    },
+                    ..ParallelOpts::default()
+                },
+            )
+            .result;
+            let report = jurisdiction_report(
+                result.column(vantage).unwrap(),
+                &Detector::hostname_only(),
+                &PublicSuffixList::embedded(),
+            );
+            let q = report.eu_share(Cmp::Quantcast);
+            let o = report.eu_share(Cmp::OneTrust);
+            // Paper: Quantcast 38.3 %, OneTrust 16.3 %.
+            assert!(
+                (q - 0.383).abs() < 0.12,
+                "Quantcast EU share {q} ({profile})"
+            );
+            assert!(
+                (o - 0.163).abs() < 0.08,
+                "OneTrust EU share {o} ({profile})"
+            );
+            assert!(
+                q > 1.5 * o,
+                "Quantcast ({q}) should dwarf OneTrust ({o}) ({profile})"
+            );
+            let rendered = report.render();
+            assert!(rendered.contains("EU+UK"));
+            assert!(rendered.contains("Quantcast"));
+        }
     }
 
     #[test]

@@ -178,6 +178,7 @@ mod tests {
     use super::*;
     use crate::timeseries::build_timelines;
     use consent_crawler::{build_toplist, FeedConfig, Platform};
+    use consent_faultsim::FaultProfile;
     use consent_util::{Day, SeedTree};
     use consent_webgraph::{AdoptionConfig, WorldConfig};
 
@@ -192,43 +193,47 @@ mod tests {
     #[test]
     fn missing_data_breakdown_shape() {
         let w = world();
-        let platform = Platform::new(
-            &w,
-            FeedConfig {
-                urls_per_day: 2_000,
-                ..FeedConfig::default()
-            },
-            SeedTree::new(3),
-        );
-        let start = Day::from_ymd(2020, 5, 1);
-        let (db, _) = platform.run(start, start + 7);
         let toplist = build_toplist(&w, 2_000, SeedTree::new(7));
-        let report = missing_data_report(&w, &toplist, &db);
-        assert_eq!(report.toplist_size, 2_000);
-        assert!(report.never_shared > 0);
-        // The explained categories must not exceed the never-shared total.
-        assert!(
-            report.unreachable
-                + report.no_valid_http
-                + report.http_error
-                + report.redirects_elsewhere
-                + report.infrastructure
-                <= report.never_shared
-        );
-        // Unreachable and infrastructure domains can never be shared, so
-        // they must all be in the never-shared set: expect ~3.15 % and
-        // ~4.5 % of the toplist respectively (minus CMP adopters).
-        assert!(
-            report.unreachable >= 40,
-            "unreachable {}",
-            report.unreachable
-        );
-        assert!(
-            report.infrastructure >= 40,
-            "infrastructure {}",
-            report.infrastructure
-        );
-        let _ = report.unexplained();
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let platform = Platform::with_faults(
+                &w,
+                FeedConfig {
+                    urls_per_day: 2_000,
+                    ..FeedConfig::default()
+                },
+                profile,
+                SeedTree::new(3),
+            );
+            let start = Day::from_ymd(2020, 5, 1);
+            let (db, _) = platform.run(start, start + 7);
+            let report = missing_data_report(&w, &toplist, &db);
+            assert_eq!(report.toplist_size, 2_000);
+            assert!(report.never_shared > 0, "{profile}");
+            // The explained categories must not exceed the never-shared total.
+            assert!(
+                report.unreachable
+                    + report.no_valid_http
+                    + report.http_error
+                    + report.redirects_elsewhere
+                    + report.infrastructure
+                    <= report.never_shared,
+                "{profile}"
+            );
+            // Unreachable and infrastructure domains can never be shared, so
+            // they must all be in the never-shared set: expect ~3.15 % and
+            // ~4.5 % of the toplist respectively (minus CMP adopters).
+            assert!(
+                report.unreachable >= 40,
+                "unreachable {} ({profile})",
+                report.unreachable
+            );
+            assert!(
+                report.infrastructure >= 40,
+                "infrastructure {} ({profile})",
+                report.infrastructure
+            );
+            let _ = report.unexplained();
+        }
     }
 
     #[test]
@@ -240,12 +245,8 @@ mod tests {
             ..FeedConfig::default()
         };
         // Clean run: no injected faults, so no resets/truncations.
-        let clean = Platform::with_faults(
-            &w,
-            config.clone(),
-            consent_faultsim::FaultProfile::none(),
-            SeedTree::new(3),
-        );
+        let clean =
+            Platform::with_faults(&w, config.clone(), FaultProfile::none(), SeedTree::new(3));
         let (db, stats) = clean.run(start, start + 3);
         let q = capture_quality(&db);
         assert_eq!(q.total, stats.captured);
@@ -266,12 +267,7 @@ mod tests {
 
         // Chaos run: injected faults must show up as degraded/reset
         // columns, and degraded captures must still be analyzable.
-        let chaotic = Platform::with_faults(
-            &w,
-            config,
-            consent_faultsim::FaultProfile::heavy(),
-            SeedTree::new(3),
-        );
+        let chaotic = Platform::with_faults(&w, config, FaultProfile::heavy(), SeedTree::new(3));
         let (chaos_db, chaos_stats) = chaotic.run(start, start + 3);
         let cq = capture_quality(&chaos_db);
         assert_eq!(cq.total, chaos_stats.captured);
@@ -289,20 +285,26 @@ mod tests {
     #[test]
     fn bimodality_near_total() {
         let w = world();
-        let platform = Platform::new(
-            &w,
-            FeedConfig {
-                urls_per_day: 1_500,
-                ..FeedConfig::default()
-            },
-            SeedTree::new(5),
-        );
-        let start = Day::from_ymd(2020, 5, 1);
-        let (db, _) = platform.run(start, start + 10);
-        let timelines = build_timelines(&db, None);
-        let refs: Vec<&Timeline> = timelines.values().collect();
-        let share = bimodal_share(&refs);
-        assert!(share > 0.95, "bimodal share {share} (paper: 0.998)");
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let platform = Platform::with_faults(
+                &w,
+                FeedConfig {
+                    urls_per_day: 1_500,
+                    ..FeedConfig::default()
+                },
+                profile,
+                SeedTree::new(5),
+            );
+            let start = Day::from_ymd(2020, 5, 1);
+            let (db, _) = platform.run(start, start + 10);
+            let timelines = build_timelines(&db, None);
+            let refs: Vec<&Timeline> = timelines.values().collect();
+            let share = bimodal_share(&refs);
+            assert!(
+                share > 0.95,
+                "bimodal share {share} (paper: 0.998) ({profile})"
+            );
+        }
         assert_eq!(bimodal_share(&[]), 1.0);
     }
 }

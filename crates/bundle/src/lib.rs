@@ -20,8 +20,8 @@
 //!   [`Vfs`](consent_checkpoint::Vfs) seam the checkpoint store uses
 //!   (create temp → write → fsync → rename → dir fsync), so
 //!   `consent-faultsim`'s `FaultyVfs` can fail every individual
-//!   filesystem operation of a pack (`CONSENT_IO_CHAOS`, honored by
-//!   [`open_chaos_bundle`]).
+//!   filesystem operation of a pack (pass one to
+//!   [`BlobStore::with_vfs`]).
 //! * [`verify`] is a full fsck: it re-hashes every blob, re-validates
 //!   the manifest's self-CRC and reference counts, and localizes any
 //!   corruption to the exact blob *and the section that owns it*
@@ -51,5 +51,5 @@ pub use manifest::{
 };
 pub use pack::{pack, pack_verified, BundleDoc, BundleInput, PackReport, SectionInput};
 pub use replay::{first_divergence, read_section, DivergenceReport};
-pub use store::{open_chaos_bundle, BlobStore, PutOutcome};
+pub use store::{BlobStore, PutOutcome};
 pub use verify::{verify, BlobStatus, BlobVerdict, VerifyReport};

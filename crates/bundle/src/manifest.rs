@@ -106,6 +106,15 @@ fn err(line: usize, message: impl Into<String>) -> ManifestError {
     }
 }
 
+/// The summed length of `blobs`, or `None` when it overflows `u64`. A
+/// parsed manifest's lengths are untrusted even when its CRC checks out:
+/// anyone can recompute a CRC.
+fn total_len<'a>(blobs: impl IntoIterator<Item = &'a BlobRef>) -> Option<u64> {
+    blobs
+        .into_iter()
+        .try_fold(0u64, |total, b| total.checked_add(b.len))
+}
+
 /// The parsed (or to-be-serialized) bundle index.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Manifest {
@@ -226,14 +235,15 @@ impl Manifest {
                         ),
                     ));
                 }
-                if s.bytes() != want_bytes {
+                let bytes = total_len(&s.blobs).ok_or_else(|| {
+                    err(at, format!("section {} byte total overflows u64", s.name))
+                })?;
+                if bytes != want_bytes {
                     return Err(err(
                         at,
                         format!(
                             "section {} declares {} bytes but lists {}",
-                            s.name,
-                            want_bytes,
-                            s.bytes()
+                            s.name, want_bytes, bytes
                         ),
                     ));
                 }
@@ -315,6 +325,9 @@ impl Manifest {
         }
         close(&mut m, open.take(), 0)?;
         let declared_stats = declared_stats.ok_or_else(|| err(0, "missing stats line"))?;
+        if total_len(m.sections.iter().flat_map(|s| &s.blobs)).is_none() {
+            return Err(err(0, "logical byte total overflows u64"));
+        }
         m.compute_stats();
         if m.stats != declared_stats {
             return Err(err(
@@ -434,6 +447,20 @@ mod tests {
             .unwrap_err()
             .message
             .contains("stats mismatch"));
+    }
+
+    #[test]
+    fn parse_rejects_lengths_that_overflow() {
+        // CRC-valid, and without overflow checks the byte total wraps
+        // to exactly the declared `bytes=1`.
+        let (a, b) = (BlobAddr::of(b"a"), BlobAddr::of(b"b"));
+        let mut body = format!("{BUNDLE_HEADER}\nsection=state blobs=2 bytes=1\n");
+        body.push_str(&format!("blob={a} {} big\nblob={b} 2 small\n", u64::MAX));
+        body.push_str("stats total=2 unique=2 logical=1 stored=1\n");
+        let crc = crc32(body.as_bytes());
+        let text = format!("{body}manifest_crc={crc:08x}\n{END_MANIFEST}\n");
+        let e = Manifest::parse(&text).unwrap_err();
+        assert!(e.message.contains("overflows u64"), "{e}");
     }
 
     #[test]

@@ -20,7 +20,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use consent_checkpoint::{RealVfs, Vfs};
-use consent_faultsim::{FaultyVfs, IoFaultPlan};
 
 use crate::address::BlobAddr;
 
@@ -170,9 +169,10 @@ impl BlobStore {
 /// Retry one filesystem operation through transient injected faults,
 /// counting each absorbed fault under `counter`.
 ///
-/// Background-rate chaos (`CONSENT_IO_CHAOS=mild`) faults each
-/// operation index independently, so every rate fault is transient by
-/// construction — a bounded retry lands on a fresh index and succeeds.
+/// A background fault rate (`IoFaultPlan::mild()` behind a
+/// `FaultyVfs`) faults each operation index independently, so every
+/// rate fault is transient by construction — a bounded retry lands on
+/// a fresh index and succeeds.
 /// Three attempts push the per-operation failure probability from 1%
 /// to 1e-6 under the mild profile without masking genuinely dead
 /// storage (a persistent `ENOSPC` still surfaces after the budget).
@@ -203,19 +203,6 @@ pub(crate) fn retry_read<T>(attempt: impl FnMut() -> io::Result<T>) -> io::Resul
 /// loop's pack-level retry.
 fn retry_write<T>(attempt: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     retry_io("bundle.write.fault", attempt)
-}
-
-/// Open a bundle store honoring the `CONSENT_IO_CHAOS` environment
-/// variable, mirroring the checkpoint store's `open_chaos_store`: with
-/// a plan set, the filesystem seam injects the scheduled storage
-/// faults; without one this is exactly [`BlobStore::open`].
-pub fn open_chaos_bundle(dir: impl AsRef<Path>) -> io::Result<BlobStore> {
-    let plan = IoFaultPlan::from_env();
-    if plan.is_none() {
-        BlobStore::open(dir)
-    } else {
-        BlobStore::with_vfs(dir, Arc::new(FaultyVfs::new(plan)))
-    }
 }
 
 #[cfg(test)]

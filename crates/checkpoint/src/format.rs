@@ -342,7 +342,14 @@ pub fn scan_bytes(generation: u64, bytes: &[u8]) -> Scan {
         manifest.push(entry);
     }
 
-    let declared_total: u64 = manifest.iter().map(|(_, l, _)| *l).sum();
+    // The CRC proves the header is what the writer wrote, not that a
+    // writer was honest: a recomputed CRC can cover any lengths.
+    let Some(declared_total) = manifest
+        .iter()
+        .try_fold(0u64, |total, (_, l, _)| total.checked_add(*l))
+    else {
+        return header_scan_error(generation, "declared section lengths overflow u64");
+    };
     if (payload.len() as u64) > declared_total {
         return header_scan_error(
             generation,
@@ -357,7 +364,7 @@ pub fn scan_bytes(generation: u64, bytes: &[u8]) -> Scan {
     let mut sections = Vec::with_capacity(manifest.len());
     let mut offset: u64 = 0;
     for (name, len, declared_crc) in manifest {
-        let end = offset + len;
+        let end = offset + len; // at most `declared_total`
         if end > payload.len() as u64 {
             let have = (payload.len() as u64).saturating_sub(offset);
             verdicts.push(SectionVerdict {
@@ -517,6 +524,24 @@ mod tests {
         bytes.extend_from_slice(b"junk");
         let scan = scan_bytes(4, &bytes);
         assert!(scan.header_error.as_deref().unwrap().contains("trailing"));
+    }
+
+    #[test]
+    fn overflowing_declared_lengths_are_a_header_error() {
+        // A CRC-valid header whose lengths sum past u64::MAX.
+        let mut header = format!("{CONTAINER_HEADER}\ngeneration=2\nsections=2\n");
+        header.push_str(&format!("section=meta {} 00000000\n", u64::MAX));
+        header.push_str("section=capture-db 11 00000000\n");
+        let hcrc = crc32(header.as_bytes());
+        header.push_str(&format!("header_crc={hcrc:08x}\n{END_HEADER}\n"));
+        let mut bytes = header.into_bytes();
+        bytes.extend_from_slice(b"0123456789");
+        let scan = scan_bytes(2, &bytes);
+        assert!(
+            scan.header_error.as_deref().unwrap().contains("overflow"),
+            "{scan:?}"
+        );
+        assert!(scan.sections.is_empty());
     }
 
     #[test]

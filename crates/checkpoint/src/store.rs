@@ -81,6 +81,12 @@ impl CheckpointStore {
         &self.dir
     }
 
+    /// The filesystem seam this store writes through, for opening a
+    /// sibling store (such as a campaign's bundle) on the same disk.
+    pub fn vfs(&self) -> Arc<dyn Vfs> {
+        Arc::clone(&self.vfs)
+    }
+
     /// Path of a generation's checkpoint file.
     pub fn path_for(&self, generation: u64) -> PathBuf {
         self.dir.join(format!("gen-{generation:08}.ckpt"))

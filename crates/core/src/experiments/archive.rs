@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use crate::Study;
 use consent_analysis::standard_exports;
+use consent_checkpoint::CheckpointStore;
 use consent_crawler::archive::{replay_campaign_bundle, ExportFn, ReplayReport};
 use consent_crawler::{
-    build_toplist, open_chaos_store, run_durable_campaign, BundleSpec, DurableOpts, DurableOutcome,
+    build_toplist, run_durable_campaign, BundleSpec, DurableOpts, DurableOutcome,
 };
 use consent_httpsim::Vantage;
 use consent_util::table::Table;
@@ -60,8 +61,9 @@ impl ArchiveResult {
     }
 }
 
-/// Run a reduced campaign, pack it into `bundle_dir` (checkpointing
-/// into `store_dir`), and replay the analyses from the bundle.
+/// Run a reduced campaign under the study's fault profile, pack it into
+/// `bundle_dir` (checkpointing into `store_dir`), and replay the
+/// analyses from the bundle.
 ///
 /// Scale is bounded independently of the study's toplist size: the
 /// point is the round-trip property, not campaign throughput.
@@ -79,7 +81,7 @@ pub fn archive_roundtrip(
     let day = Day::from_ymd(2020, 5, 15);
     let vantages = [Vantage::us_cloud(), Vantage::eu_cloud()];
     let provider: Arc<ExportFn> = Arc::new(standard_exports);
-    let store = open_chaos_store(store_dir)?;
+    let store = CheckpointStore::open(store_dir)?;
     let run = run_durable_campaign(
         study.world(),
         &list,
@@ -88,6 +90,7 @@ pub fn archive_roundtrip(
         study.seed().child("archive-campaign"),
         &store,
         &DurableOpts {
+            config: study.campaign_config(),
             bundle: Some(BundleSpec {
                 dir: bundle_dir.to_path_buf(),
                 provider: Some(Arc::clone(&provider)),
@@ -126,14 +129,16 @@ mod tests {
 
     #[test]
     fn quick_study_round_trips_through_the_archive() {
-        let study = Study::quick();
-        let store_dir = tmp_dir();
-        let bundle_dir = tmp_dir();
-        let result = archive_roundtrip(&study, &store_dir, &bundle_dir).unwrap();
-        assert!(result.reproducible(), "{}", result.render());
-        assert!(result.dedup_ratio >= 1.0, "{}", result.render());
-        assert!(result.render().contains("replay ok"));
-        std::fs::remove_dir_all(store_dir).unwrap();
-        std::fs::remove_dir_all(bundle_dir).unwrap();
+        for study in Study::quick_twins() {
+            let store_dir = tmp_dir();
+            let bundle_dir = tmp_dir();
+            let result = archive_roundtrip(&study, &store_dir, &bundle_dir).unwrap();
+            let profile = study.config().fault_profile;
+            assert!(result.reproducible(), "{} ({profile})", result.render());
+            assert!(result.dedup_ratio >= 1.0, "{}", result.render());
+            assert!(result.render().contains("replay ok"));
+            std::fs::remove_dir_all(store_dir).unwrap();
+            std::fs::remove_dir_all(bundle_dir).unwrap();
+        }
     }
 }

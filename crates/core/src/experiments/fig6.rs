@@ -76,12 +76,13 @@ pub fn fig6(study: &Study) -> Fig6Result {
 /// Run with a custom sampling step in days.
 pub fn fig6_with_step(study: &Study, step_days: i32) -> Fig6Result {
     let config = study.config();
-    let platform = Platform::new(
+    let platform = Platform::with_faults(
         study.world(),
         FeedConfig {
             urls_per_day: config.feed_urls_per_day,
             ..FeedConfig::default()
         },
+        config.fault_profile,
         study.seed().child("fig6-platform"),
     );
     let (db, stats) = platform.run(config.window_start, config.window_end);
@@ -129,50 +130,59 @@ mod tests {
 
     #[test]
     fn quick_series_grows() {
-        let study = Study::quick();
-        let r = fig6(&study);
-        assert!(!r.series.is_empty());
-        let first = r.series.first().unwrap().total();
-        let last = r.series.last().unwrap().total();
-        assert!(
-            last > first,
-            "adoption should grow across the window: {first} -> {last}"
-        );
-        assert!(r.stats.captured > 10_000);
-        assert!((r.stats.twitter_share() - 0.8).abs() < 0.05);
-        let rendered = r.render();
-        assert!(rendered.contains("Total"));
+        for study in Study::quick_twins() {
+            let profile = study.config().fault_profile;
+            let r = fig6(&study);
+            assert!(!r.series.is_empty());
+            let first = r.series.first().unwrap().total();
+            let last = r.series.last().unwrap().total();
+            assert!(
+                last > first,
+                "adoption should grow across the window: {first} -> {last} ({profile})"
+            );
+            assert!(r.stats.captured > 10_000, "{profile}");
+            assert!((r.stats.twitter_share() - 0.8).abs() < 0.05, "{profile}");
+            let rendered = r.render();
+            assert!(rendered.contains("Total"));
+        }
     }
 
     #[test]
     fn switching_flows_present_and_cookiebot_loses() {
-        let study = Study::quick();
-        let r = fig6(&study);
-        assert!(r.switching.total() > 0, "no switches observed");
-        let lost = r.switching.lost_by(Cmp::Cookiebot);
-        let gained = r.switching.gained_by(Cmp::Cookiebot);
-        assert!(
-            lost > gained,
-            "Cookiebot should lose more than it gains: {lost} vs {gained}"
-        );
-        let rendered = r.render_switching();
-        assert!(rendered.contains("Cookiebot"));
-        assert!(rendered.contains("Net"));
+        for study in Study::quick_twins() {
+            let profile = study.config().fault_profile;
+            let r = fig6(&study);
+            assert!(r.switching.total() > 0, "no switches observed ({profile})");
+            let lost = r.switching.lost_by(Cmp::Cookiebot);
+            let gained = r.switching.gained_by(Cmp::Cookiebot);
+            assert!(
+                lost > gained,
+                "Cookiebot should lose more than it gains: {lost} vs {gained} ({profile})"
+            );
+            let rendered = r.render_switching();
+            assert!(rendered.contains("Cookiebot"));
+            assert!(rendered.contains("Net"));
+        }
     }
 
     #[test]
     fn count_at_lookup() {
-        let study = Study::quick();
-        let r = fig6(&study);
-        let w = study.config().window_start;
-        assert_eq!(count_at(&r.series, w - 10), 0);
-        let early = count_at(&r.series, w + 40);
-        let mid = count_at(&r.series, w + 150);
-        assert!(mid >= early, "mid {mid} < early {early}");
-        // The final sample sits at the right-censor boundary, where the
-        // 30-day fade-out legitimately thins coverage; it should still be
-        // in the same ballpark as mid-window.
-        let end = count_at(&r.series, study.config().window_end);
-        assert!(end * 2 >= mid, "end {end} collapsed vs mid {mid}");
+        for study in Study::quick_twins() {
+            let profile = study.config().fault_profile;
+            let r = fig6(&study);
+            let w = study.config().window_start;
+            assert_eq!(count_at(&r.series, w - 10), 0);
+            let early = count_at(&r.series, w + 40);
+            let mid = count_at(&r.series, w + 150);
+            assert!(mid >= early, "mid {mid} < early {early} ({profile})");
+            // The final sample sits at the right-censor boundary, where the
+            // 30-day fade-out legitimately thins coverage; it should still be
+            // in the same ballpark as mid-window.
+            let end = count_at(&r.series, study.config().window_end);
+            assert!(
+                end * 2 >= mid,
+                "end {end} collapsed vs mid {mid} ({profile})"
+            );
+        }
     }
 }

@@ -113,37 +113,47 @@ mod tests {
 
     #[test]
     fn report_covers_major_cmps() {
-        let study = Study::quick();
-        let t1 = table1(&study);
-        let r = i3_customization(&t1);
-        assert!(r.report.sites.get(&Cmp::OneTrust).copied().unwrap_or(0) > 10);
-        assert!(r.report.sites.get(&Cmp::Quantcast).copied().unwrap_or(0) > 5);
-        // Quantcast splits between the two modal styles.
-        let d = r
-            .report
-            .style_share(Cmp::Quantcast, ObservedStyle::DirectReject);
-        let m = r
-            .report
-            .style_share(Cmp::Quantcast, ObservedStyle::MoreOptions);
-        assert!(d > 0.2 && m > 0.2, "direct {d} more {m}");
-        let rendered = r.render();
-        assert!(rendered.contains("direct reject"));
-        assert!(rendered.contains("API-only"));
+        for study in Study::quick_twins() {
+            let profile = study.config().fault_profile;
+            let t1 = table1(&study);
+            let r = i3_customization(&t1);
+            assert!(
+                r.report.sites.get(&Cmp::OneTrust).copied().unwrap_or(0) > 10,
+                "{profile}"
+            );
+            assert!(
+                r.report.sites.get(&Cmp::Quantcast).copied().unwrap_or(0) > 5,
+                "{profile}"
+            );
+            // Quantcast splits between the two modal styles.
+            let d = r
+                .report
+                .style_share(Cmp::Quantcast, ObservedStyle::DirectReject);
+            let m = r
+                .report
+                .style_share(Cmp::Quantcast, ObservedStyle::MoreOptions);
+            assert!(d > 0.2 && m > 0.2, "direct {d} more {m} ({profile})");
+            let rendered = r.render();
+            assert!(rendered.contains("direct reject"));
+            assert!(rendered.contains("API-only"));
+        }
     }
 
     #[test]
     fn jurisdiction_shares_ordered() {
         use consent_webgraph::Cmp;
-        let study = Study::quick();
-        let t1 = table1(&study);
-        let j = jurisdiction(&t1);
-        // Quantcast's customer base is more EU-skewed than OneTrust's.
-        assert!(
-            j.eu_share(Cmp::Quantcast) > j.eu_share(Cmp::OneTrust),
-            "Quantcast {} !> OneTrust {}",
-            j.eu_share(Cmp::Quantcast),
-            j.eu_share(Cmp::OneTrust)
-        );
-        assert!(j.render().contains("EU+UK"));
+        for study in Study::quick_twins() {
+            let t1 = table1(&study);
+            let j = jurisdiction(&t1);
+            // Quantcast's customer base is more EU-skewed than OneTrust's.
+            assert!(
+                j.eu_share(Cmp::Quantcast) > j.eu_share(Cmp::OneTrust),
+                "Quantcast {} !> OneTrust {} ({})",
+                j.eu_share(Cmp::Quantcast),
+                j.eu_share(Cmp::OneTrust),
+                study.config().fault_profile
+            );
+            assert!(j.render().contains("EU+UK"));
+        }
     }
 }

@@ -106,25 +106,39 @@ mod tests {
 
     #[test]
     fn statistics_in_paper_bands() {
-        let study = Study::quick();
-        let f6 = fig6(&study);
-        let m = methodology(&study, &f6);
-        assert!(
-            (m.twitter_share - 0.8).abs() < 0.05,
-            "twitter {}",
-            m.twitter_share
-        );
-        assert!((0.2..0.6).contains(&m.skip_rate), "skip {}", m.skip_rate);
-        assert!(
-            (0.05..0.2).contains(&m.redirect_rate),
-            "redirect {}",
-            m.redirect_rate
-        );
-        assert!(m.multi_cmp_rate < 0.005, "multi {}", m.multi_cmp_rate);
-        assert!(m.bimodal_share > 0.95, "bimodal {}", m.bimodal_share);
-        assert!(m.missing.never_shared > 0);
-        let rendered = m.render();
-        assert!(rendered.contains("Dedup skip rate"));
-        assert!(rendered.contains("99.8%"));
+        for study in Study::quick_twins() {
+            let profile = study.config().fault_profile;
+            let f6 = fig6(&study);
+            let m = methodology(&study, &f6);
+            assert!(
+                (m.twitter_share - 0.8).abs() < 0.05,
+                "twitter {} ({profile})",
+                m.twitter_share
+            );
+            assert!(
+                (0.2..0.6).contains(&m.skip_rate),
+                "skip {} ({profile})",
+                m.skip_rate
+            );
+            assert!(
+                (0.05..0.2).contains(&m.redirect_rate),
+                "redirect {} ({profile})",
+                m.redirect_rate
+            );
+            assert!(
+                m.multi_cmp_rate < 0.005,
+                "multi {} ({profile})",
+                m.multi_cmp_rate
+            );
+            assert!(
+                m.bimodal_share > 0.95,
+                "bimodal {} ({profile})",
+                m.bimodal_share
+            );
+            assert!(m.missing.never_shared > 0, "{profile}");
+            let rendered = m.render();
+            assert!(rendered.contains("Dedup skip rate"));
+            assert!(rendered.contains("99.8%"), "{profile}");
+        }
     }
 }

@@ -6,6 +6,8 @@
 //! tests and examples while `StudyConfig::default()` is the full
 //! paper-scale configuration used by the benches.
 
+use consent_crawler::CampaignConfig;
+use consent_faultsim::FaultProfile;
 use consent_telemetry::RunReport;
 use consent_util::{date::known, Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
@@ -30,6 +32,10 @@ pub struct StudyConfig {
     pub window_end: Day,
     /// Sites sampled per rank stratum for the Figure 5 census sweep.
     pub fig5_stratum_sample: u32,
+    /// The chaos layer behind every capture of the Table 1, Figure 6
+    /// and archive experiments. [`FaultProfile::none`] (the default) is
+    /// byte-identical to the unwrapped engine.
+    pub fault_profile: FaultProfile,
 }
 
 impl Default for StudyConfig {
@@ -42,6 +48,7 @@ impl Default for StudyConfig {
             window_start: known::observation_start(),
             window_end: known::observation_end(),
             fig5_stratum_sample: 2_000,
+            fault_profile: FaultProfile::none(),
         }
     }
 }
@@ -57,6 +64,7 @@ impl StudyConfig {
             window_start: Day::from_ymd(2019, 10, 1),
             window_end: Day::from_ymd(2020, 6, 1),
             fig5_stratum_sample: 400,
+            fault_profile: FaultProfile::none(),
         }
     }
 }
@@ -89,6 +97,29 @@ impl Study {
     /// A reduced-scale study for tests and examples.
     pub fn quick() -> Study {
         Study::new(StudyConfig::quick())
+    }
+
+    /// [`Study::quick`] fault-free, then under the mild profile: the
+    /// two runs of every test whose statistics a fault could move.
+    #[cfg(test)]
+    pub(crate) fn quick_twins() -> impl Iterator<Item = Study> {
+        [FaultProfile::none(), FaultProfile::mild()]
+            .into_iter()
+            .map(|fault_profile| {
+                Study::new(StudyConfig {
+                    fault_profile,
+                    ..StudyConfig::quick()
+                })
+            })
+    }
+
+    /// The campaign behavior the study's experiments crawl with: the
+    /// study's fault profile and the paper's retry and breaker policy.
+    pub(crate) fn campaign_config(&self) -> CampaignConfig {
+        CampaignConfig {
+            fault_profile: self.config.fault_profile,
+            ..CampaignConfig::default()
+        }
     }
 
     /// The configuration.

@@ -41,8 +41,8 @@ use std::io;
 use std::path::Path;
 
 use consent_bundle::{
-    first_divergence, pack_verified, read_section, BundleDoc, BundleInput, DivergenceReport,
-    Manifest, PackReport, SectionInput, VerifyReport,
+    first_divergence, pack_verified, read_section, BlobStore, BundleDoc, BundleInput,
+    DivergenceReport, Manifest, PackReport, SectionInput, VerifyReport,
 };
 use consent_httpsim::Capture;
 use consent_util::{Day, SeedTree};
@@ -305,20 +305,19 @@ pub fn build_bundle_input(
     }
 }
 
-/// Pack a campaign into the bundle directory at `dir`, honoring
-/// `CONSENT_IO_CHAOS`, with fsck-and-repair scrubbing
+/// Pack a campaign into `store` with fsck-and-repair scrubbing
 /// ([`pack_verified`]): the returned report's fsck is clean or the pack
-/// failed.
+/// failed. Storage faults reach the pack through the store's
+/// [`Vfs`](consent_checkpoint::Vfs).
 pub fn pack_campaign_bundle(
-    dir: &Path,
+    store: &BlobStore,
     state: &CampaignState,
     ctx: &ArchiveContext,
     artifacts: &CampaignArtifacts<'_>,
     provider: Option<&ExportFn>,
 ) -> io::Result<(PackReport, VerifyReport)> {
-    let store = consent_bundle::open_chaos_bundle(dir)?;
     let input = build_bundle_input(state, ctx, artifacts, provider);
-    pack_verified(&store, &input, SCRUB_ROUNDS)
+    pack_verified(store, &input, SCRUB_ROUNDS)
 }
 
 /// What a replay proved (or disproved).
@@ -355,8 +354,14 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Re-run the campaign analyses from the bundle alone and byte-compare
-/// against the archived exports.
+/// [`replay_bundle`] of the bundle directory at `dir`, opened on the
+/// real filesystem.
+pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Result<ReplayReport> {
+    replay_bundle(&BlobStore::open(dir)?, provider)
+}
+
+/// Re-run the campaign analyses from the bundle in `store` alone and
+/// byte-compare against the archived exports.
 ///
 /// Steps: parse the manifest, re-import the `state` section through
 /// [`CampaignState::import`] (the same importer checkpoint recovery
@@ -365,13 +370,12 @@ fn invalid(msg: String) -> io::Error {
 /// re-imported state and compare each produced document against the
 /// archived `analysis` section. The first mismatch is returned as a
 /// [`DivergenceReport`] naming section, document, and line.
-pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Result<ReplayReport> {
+pub fn replay_bundle(store: &BlobStore, provider: Option<&ExportFn>) -> io::Result<ReplayReport> {
     let _span = consent_telemetry::span("bundle.replay");
-    let store = consent_bundle::open_chaos_bundle(dir)?;
     let text = store.read_manifest()?;
     let manifest = Manifest::parse(&text).map_err(|e| invalid(format!("bundle manifest: {e}")))?;
 
-    let config_docs = read_section(&store, &manifest, "config")?;
+    let config_docs = read_section(store, &manifest, "config")?;
     let config = config_docs
         .iter()
         .find(|d| d.label == "config")
@@ -379,7 +383,7 @@ pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Re
     let ctx =
         ArchiveContext::parse(&config.body).map_err(|e| invalid(format!("bundle config: {e}")))?;
 
-    let state_docs = read_section(&store, &manifest, "state")?;
+    let state_docs = read_section(store, &manifest, "state")?;
     let doc = |label: &str| -> io::Result<&str> {
         state_docs
             .iter()
@@ -418,7 +422,7 @@ pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Re
         // Analysis proof: the provider over the re-imported state
         // reproduces the archived exports.
         if let Some(provider) = provider {
-            let archived_docs = read_section(&store, &manifest, "analysis")?;
+            let archived_docs = read_section(store, &manifest, "analysis")?;
             let recomputed = provider(&state, &ctx);
             for doc in &archived_docs {
                 report.docs_compared += 1;
@@ -464,7 +468,6 @@ mod tests {
     use crate::campaign::{build_toplist, meta_section, CampaignConfig, CampaignRun};
     use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use crate::resilience::{BreakerConfig, RetryPolicy};
-    use consent_bundle::BlobStore;
     use consent_faultsim::FaultProfile;
     use consent_httpsim::Vantage;
     use consent_webgraph::{AdoptionConfig, World, WorldConfig};
@@ -570,7 +573,8 @@ mod tests {
             gvl_json: Some("{}".into()),
         };
         let dir = tmp_dir();
-        let (pack, fsck) = pack_campaign_bundle(&dir, &state, &ctx, &artifacts, None).unwrap();
+        let store = BlobStore::open(&dir).unwrap();
+        let (pack, fsck) = pack_campaign_bundle(&store, &state, &ctx, &artifacts, None).unwrap();
         assert!(fsck.clean(), "{}", fsck.render());
         assert!(pack.manifest.section("gvl").is_some());
         let replay = replay_campaign_bundle(&dir, None).unwrap();
@@ -597,7 +601,7 @@ mod tests {
         });
         let dir = tmp_dir();
         pack_campaign_bundle(
-            &dir,
+            &BlobStore::open(&dir).unwrap(),
             &state,
             &ctx,
             &CampaignArtifacts::default(),
@@ -631,9 +635,9 @@ mod tests {
     fn replay_rejects_a_tampered_state_section() {
         let (state, _, ctx) = small_campaign();
         let dir = tmp_dir();
-        pack_campaign_bundle(&dir, &state, &ctx, &CampaignArtifacts::default(), None).unwrap();
-        // A state whose cursor lies fails the semantic import loudly.
         let store = BlobStore::open(&dir).unwrap();
+        pack_campaign_bundle(&store, &state, &ctx, &CampaignArtifacts::default(), None).unwrap();
+        // A state whose cursor lies fails the semantic import loudly.
         let manifest = Manifest::parse(&store.read_manifest().unwrap()).unwrap();
         let meta = &manifest.section("state").unwrap().blobs[0];
         assert_eq!(meta.label, "meta");

@@ -96,9 +96,8 @@ impl CampaignResult {
 /// How a campaign schedules, retries, and abandons captures.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CampaignConfig {
-    /// The chaos layer. [`FaultProfile::none`] (the default without
-    /// `CONSENT_CHAOS` in the environment) is byte-identical to running
-    /// the unwrapped engine.
+    /// The chaos layer. [`FaultProfile::none`] (the default) is
+    /// byte-identical to running the unwrapped engine.
     pub fault_profile: FaultProfile,
     /// Attempt schedule and retry classification (§3.2).
     pub retry: RetryPolicy,
@@ -109,7 +108,7 @@ pub struct CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> CampaignConfig {
         CampaignConfig {
-            fault_profile: FaultProfile::from_env(),
+            fault_profile: FaultProfile::none(),
             retry: RetryPolicy::paper(),
             breaker: BreakerConfig::default(),
         }
@@ -681,30 +680,35 @@ mod tests {
         let list = build_toplist(&w, 400, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = Vantage::table1_columns();
-        let result = run_campaign_parallel(
-            &w,
-            &list,
-            day,
-            &vantages,
-            SeedTree::new(9),
-            &ParallelOpts::default(),
-        )
-        .result;
-        let det = consent_fingerprint::Detector::hostname_only();
-        let count = |vantage: Vantage| {
-            result
-                .column(vantage)
-                .unwrap()
-                .iter()
-                .filter(|c| !det.detect(&c.capture).is_empty())
-                .count()
-        };
-        let us = count(vantages[0]);
-        let eu_cloud = count(vantages[1]);
-        let uni_ext = count(vantages[3]);
-        assert!(us <= eu_cloud, "us {us} > eu cloud {eu_cloud}");
-        assert!(eu_cloud <= uni_ext, "eu cloud {eu_cloud} > uni {uni_ext}");
-        assert!(uni_ext > 0);
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let opts = ParallelOpts {
+                config: CampaignConfig {
+                    fault_profile: profile,
+                    ..CampaignConfig::default()
+                },
+                ..ParallelOpts::default()
+            };
+            let result =
+                run_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &opts).result;
+            let det = consent_fingerprint::Detector::hostname_only();
+            let count = |vantage: Vantage| {
+                result
+                    .column(vantage)
+                    .unwrap()
+                    .iter()
+                    .filter(|c| !det.detect(&c.capture).is_empty())
+                    .count()
+            };
+            let us = count(vantages[0]);
+            let eu_cloud = count(vantages[1]);
+            let uni_ext = count(vantages[3]);
+            assert!(us <= eu_cloud, "us {us} > eu cloud {eu_cloud} ({profile})");
+            assert!(
+                eu_cloud <= uni_ext,
+                "eu cloud {eu_cloud} > uni {uni_ext} ({profile})"
+            );
+            assert!(uni_ext > 0);
+        }
     }
 
     #[test]

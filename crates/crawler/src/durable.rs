@@ -84,13 +84,13 @@
 //!
 //! # Deterministic crashes
 //!
-//! [`DurableOpts::crash`] accepts a [`CrashPlan`]
-//! (`CONSENT_CRASHPOINT`): the driver dies — cooperatively, returning
-//! [`DurableOutcome::Crashed`] — immediately after the Nth applied pair
-//! (before the covering checkpoint is written) or by tearing the Nth
-//! checkpoint write after a byte budget. `tests/it_durability.rs` sweeps
-//! every such crashpoint of a small campaign and asserts resumed runs
-//! are byte-identical to uninterrupted ones.
+//! [`DurableOpts::crash`] accepts a [`CrashPlan`]: the driver dies —
+//! cooperatively, returning [`DurableOutcome::Crashed`] — immediately
+//! after the Nth applied pair (before the covering checkpoint is
+//! written) or by tearing the Nth checkpoint write after a byte budget.
+//! `tests/it_durability.rs` sweeps every such crashpoint of a small
+//! campaign and asserts resumed runs are byte-identical to
+//! uninterrupted ones.
 //!
 //! # Storage faults and self-healing
 //!
@@ -104,17 +104,19 @@
 //! [`HealthReport`]), or
 //! [`DurableOutcome::Crashed`], never wedged. Faults are injected
 //! deterministically at the store's [`Vfs`](consent_checkpoint::Vfs)
-//! seam via `consent-faultsim`'s [`IoFaultPlan`] / [`FaultyVfs`]
-//! (`CONSENT_IO_CHAOS`, honored by [`open_chaos_store`]). Whatever the
-//! disk does, the final `CampaignState` and trace exports stay
-//! byte-identical — only *durability* degrades, never the measurement.
+//! seam: the caller opens the store with
+//! [`CheckpointStore::with_vfs`] over `consent-faultsim`'s
+//! `FaultyVfs`, and the campaign's bundle is packed through the same
+//! seam. Whatever the disk does, the final `CampaignState` and trace
+//! exports stay byte-identical — only *durability* degrades, never the
+//! measurement.
 
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
-use consent_checkpoint::{CheckpointStore, Section, DEFAULT_KEEP};
-use consent_faultsim::{CrashPlan, FaultyVfs, IoFaultPlan};
+use consent_bundle::BlobStore;
+use consent_checkpoint::{CheckpointStore, Section};
+use consent_faultsim::CrashPlan;
 use consent_httpsim::Vantage;
 use consent_obs::Sampler;
 use consent_util::{Day, SeedTree};
@@ -181,8 +183,9 @@ pub enum CheckpointMode {
 /// content-addressed bundle (see [`crate::archive`]).
 ///
 /// The pack runs after the final checkpoint is durable, through
-/// [`pack_campaign_bundle`] — i.e. under `CONSENT_IO_CHAOS` with
-/// scrub-until-clean verification
+/// [`pack_campaign_bundle`] on the checkpoint store's own
+/// [`Vfs`](consent_checkpoint::Vfs) (so a faulty store faults its
+/// archive too), with scrub-until-clean verification
 /// ([`SCRUB_ROUNDS`](crate::archive::SCRUB_ROUNDS)). It is
 /// supervisor-aware: a campaign that degraded to memory-only skips the
 /// pack (the disk has proven unusable) and records why in the
@@ -719,19 +722,6 @@ pub fn recover_state(
     }
 }
 
-/// Open a [`CheckpointStore`] honoring the `CONSENT_IO_CHAOS`
-/// environment variable: with a plan set, the store's filesystem seam
-/// is wrapped in a [`FaultyVfs`] injecting the scheduled storage
-/// faults; without one, this is exactly [`CheckpointStore::open`].
-pub fn open_chaos_store(dir: impl AsRef<Path>) -> io::Result<CheckpointStore> {
-    let plan = IoFaultPlan::from_env();
-    if plan.is_none() {
-        CheckpointStore::open(dir)
-    } else {
-        CheckpointStore::with_vfs(dir, DEFAULT_KEEP, Arc::new(FaultyVfs::new(plan)))
-    }
-}
-
 /// Run (or resume) a campaign with durable checkpoints.
 ///
 /// Recovers the newest usable state from `store` (salvaging or
@@ -1016,13 +1006,16 @@ pub fn run_durable_campaign(
                         alerts_jsonl: opts.watch.as_ref().map(|w| w.export_jsonl()),
                         gvl_json: spec.gvl_json.clone(),
                     };
-                    match pack_campaign_bundle(
-                        &spec.dir,
-                        &state,
-                        &ctx,
-                        &artifacts,
-                        spec.provider.as_deref(),
-                    ) {
+                    let packed = BlobStore::with_vfs(&spec.dir, store.vfs()).and_then(|bundle| {
+                        pack_campaign_bundle(
+                            &bundle,
+                            &state,
+                            &ctx,
+                            &artifacts,
+                            spec.provider.as_deref(),
+                        )
+                    });
+                    match packed {
                         Ok((report, _fsck)) => bundle = Some(report),
                         Err(e) => {
                             // The campaign itself finished; only the

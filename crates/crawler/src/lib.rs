@@ -41,8 +41,8 @@ pub mod resilience;
 pub mod supervisor;
 
 pub use archive::{
-    build_bundle_input, pack_campaign_bundle, replay_campaign_bundle, ArchiveContext,
-    CampaignArtifacts, ExportFn, ReplayReport, CONFIG_HEADER,
+    build_bundle_input, pack_campaign_bundle, replay_bundle, replay_campaign_bundle,
+    ArchiveContext, CampaignArtifacts, ExportFn, ReplayReport, CONFIG_HEADER,
 };
 pub use campaign::{
     build_toplist, CampaignCapture, CampaignConfig, CampaignResult, CampaignRun, CampaignState,
@@ -52,8 +52,8 @@ pub use capture_db::{
 };
 pub use dead_letter::{vantage_code, vantage_from};
 pub use durable::{
-    open_chaos_store, recover_state, run_durable_campaign, BundleSpec, CheckpointMode, DurableOpts,
-    DurableOutcome, DurableRun, SECTION_DB, SECTION_DEAD_LETTERS, SECTION_DELTA_META, SECTION_META,
+    recover_state, run_durable_campaign, BundleSpec, CheckpointMode, DurableOpts, DurableOutcome,
+    DurableRun, SECTION_DB, SECTION_DEAD_LETTERS, SECTION_DELTA_META, SECTION_META,
     SECTION_PROVENANCE,
 };
 pub use export::{export as export_db, import as import_db, FORMAT_VERSION};

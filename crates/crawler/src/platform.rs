@@ -64,12 +64,10 @@ pub struct Platform<'w> {
 }
 
 impl<'w> Platform<'w> {
-    /// Assemble the platform over a world. The capture engine is wrapped
-    /// by the chaos layer configured via `CONSENT_CHAOS` (a no-op — and
-    /// byte-identical to the unwrapped engine — when the variable is
-    /// unset).
+    /// Assemble the platform over a world with no injected faults:
+    /// [`Platform::with_faults`] at [`FaultProfile::none`].
     pub fn new(world: &'w World, feed_config: FeedConfig, seed: SeedTree) -> Platform<'w> {
-        Platform::with_faults(world, feed_config, FaultProfile::from_env(), seed)
+        Platform::with_faults(world, feed_config, FaultProfile::none(), seed)
     }
 
     /// Assemble the platform with an explicit fault profile.
@@ -138,6 +136,8 @@ impl<'w> Platform<'w> {
     }
 }
 
+/// Every pipeline test runs fault-free and under the mild profile: the
+/// paper's statistics must hold in both.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,80 +151,112 @@ mod tests {
         })
     }
 
-    fn run_days(w: &World, urls_per_day: usize, start: Day, days: i32) -> (CaptureDb, RunStats) {
+    fn run_days(
+        w: &World,
+        profile: FaultProfile,
+        urls_per_day: usize,
+        start: Day,
+        days: i32,
+    ) -> (CaptureDb, RunStats) {
         let config = FeedConfig {
             urls_per_day,
             ..FeedConfig::default()
         };
-        let platform = Platform::new(w, config, SeedTree::new(3));
+        let platform = Platform::with_faults(w, config, profile, SeedTree::new(3));
         platform.run(start, start + days)
     }
 
     #[test]
     fn pipeline_produces_captures() {
         let w = world();
-        let (db, stats) = run_days(&w, 300, Day::from_ymd(2020, 5, 10), 3);
-        assert!(stats.captured > 300, "captured {}", stats.captured);
-        assert_eq!(stats.captured, db.len());
-        assert!(db.domain_count() > 100);
-        // Twitter share ~80 %.
-        assert!((stats.twitter_share() - 0.8).abs() < 0.05);
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let (db, stats) = run_days(&w, profile, 300, Day::from_ymd(2020, 5, 10), 3);
+            assert!(
+                stats.captured > 300,
+                "captured {} ({profile})",
+                stats.captured
+            );
+            assert_eq!(stats.captured, db.len());
+            assert!(db.domain_count() > 100);
+            // Twitter share ~80 %.
+            assert!((stats.twitter_share() - 0.8).abs() < 0.05, "{profile}");
+        }
     }
 
     #[test]
     fn dedup_skips_substantial_share() {
         let w = world();
-        // High volume on a skewed feed → many duplicate head URLs/domains.
-        let (_, stats) = run_days(&w, 1_500, Day::from_ymd(2020, 5, 10), 3);
-        let rate = stats.skip_rate();
-        assert!(
-            (0.25..0.60).contains(&rate),
-            "skip rate {rate} (paper: ~0.40)"
-        );
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            // High volume on a skewed feed → many duplicate head URLs/domains.
+            let (_, stats) = run_days(&w, profile, 1_500, Day::from_ymd(2020, 5, 10), 3);
+            let rate = stats.skip_rate();
+            assert!(
+                (0.25..0.60).contains(&rate),
+                "skip rate {rate} (paper: ~0.40) ({profile})"
+            );
+        }
     }
 
     #[test]
     fn vantage_split_roughly_even() {
         let w = world();
-        let (_, stats) = run_days(&w, 500, Day::from_ymd(2020, 5, 10), 3);
-        let eu_share = stats.eu_captures as f64 / stats.captured as f64;
-        assert!((eu_share - 0.5).abs() < 0.06, "eu share {eu_share}");
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let (_, stats) = run_days(&w, profile, 500, Day::from_ymd(2020, 5, 10), 3);
+            let eu_share = stats.eu_captures as f64 / stats.captured as f64;
+            assert!(
+                (eu_share - 0.5).abs() < 0.06,
+                "eu share {eu_share} ({profile})"
+            );
+        }
     }
 
     #[test]
     fn redirect_rate_near_eleven_percent() {
         let w = world();
-        let (db, _) = run_days(&w, 800, Day::from_ymd(2020, 5, 10), 4);
-        let rate = db.redirect_rate();
-        assert!(
-            (0.05..0.18).contains(&rate),
-            "redirect rate {rate} (paper: ~0.11)"
-        );
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let (db, _) = run_days(&w, profile, 800, Day::from_ymd(2020, 5, 10), 4);
+            let rate = db.redirect_rate();
+            assert!(
+                (0.05..0.18).contains(&rate),
+                "redirect rate {rate} (paper: ~0.11) ({profile})"
+            );
+        }
     }
 
     #[test]
     fn detects_cmps_in_the_stream() {
         let w = world();
-        let (db, _) = run_days(&w, 1_000, Day::from_ymd(2020, 5, 10), 4);
-        let domains_with_cmp = db
-            .iter()
-            .filter(|(_, hist)| hist.iter().any(|c| !c.cmps.is_empty()))
-            .count();
-        assert!(domains_with_cmp > 20, "only {domains_with_cmp} CMP domains");
-        // Multi-CMP pages are rare.
-        assert!(db.multi_cmp_rate() < 0.005, "{}", db.multi_cmp_rate());
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let (db, _) = run_days(&w, profile, 1_000, Day::from_ymd(2020, 5, 10), 4);
+            let domains_with_cmp = db
+                .iter()
+                .filter(|(_, hist)| hist.iter().any(|c| !c.cmps.is_empty()))
+                .count();
+            assert!(
+                domains_with_cmp > 20,
+                "only {domains_with_cmp} CMP domains ({profile})"
+            );
+            // Multi-CMP pages are rare.
+            assert!(
+                db.multi_cmp_rate() < 0.005,
+                "{} ({profile})",
+                db.multi_cmp_rate()
+            );
+        }
     }
 
     #[test]
     fn deterministic_given_seed() {
         let w = world();
-        let (db1, s1) = run_days(&w, 200, Day::from_ymd(2019, 7, 1), 2);
-        let (db2, s2) = run_days(&w, 200, Day::from_ymd(2019, 7, 1), 2);
-        assert_eq!(s1, s2);
-        assert_eq!(db1.len(), db2.len());
-        assert_eq!(db1.domain_count(), db2.domain_count());
-        let d1: Vec<&str> = db1.iter().map(|(d, _)| d).collect();
-        let d2: Vec<&str> = db2.iter().map(|(d, _)| d).collect();
-        assert_eq!(d1, d2);
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let (db1, s1) = run_days(&w, profile, 200, Day::from_ymd(2019, 7, 1), 2);
+            let (db2, s2) = run_days(&w, profile, 200, Day::from_ymd(2019, 7, 1), 2);
+            assert_eq!(s1, s2, "{profile}");
+            assert_eq!(db1.len(), db2.len());
+            assert_eq!(db1.domain_count(), db2.domain_count());
+            let d1: Vec<&str> = db1.iter().map(|(d, _)| d).collect();
+            let d2: Vec<&str> = db2.iter().map(|(d, _)| d).collect();
+            assert_eq!(d1, d2, "{profile}");
+        }
     }
 }

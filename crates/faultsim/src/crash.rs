@@ -91,22 +91,6 @@ impl CrashPlan {
         }
     }
 
-    /// Read a plan from the `CONSENT_CRASHPOINT` environment variable:
-    /// `apply:N` crashes after the Nth applied pair, `write:K:B` tears
-    /// the Kth checkpoint write after B bytes. Unset, empty, or `none`
-    /// mean no crash. Malformed values also fall back to no-crash (a
-    /// typo must not change the measurement) but are reported via the
-    /// `faultsim.crashpoint.unrecognized` counter when telemetry is on.
-    pub fn from_env() -> CrashPlan {
-        match std::env::var("CONSENT_CRASHPOINT").as_deref() {
-            Ok("") | Ok("none") | Err(_) => CrashPlan::none(),
-            Ok(spec) => CrashPlan::parse(spec).unwrap_or_else(|| {
-                consent_telemetry::count("faultsim.crashpoint.unrecognized", 1);
-                CrashPlan::none()
-            }),
-        }
-    }
-
     /// Parse an `apply:N` / `write:K:B` spec.
     pub fn parse(spec: &str) -> Option<CrashPlan> {
         let mut parts = spec.split(':');

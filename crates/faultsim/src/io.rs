@@ -17,13 +17,14 @@
 //! disk. A seeded `rate:` component hashes each operation index for
 //! soak-style background fault rates.
 //!
-//! The `CONSENT_IO_CHAOS` environment variable (see
-//! [`IoFaultPlan::from_env`]) enables a plan suite-wide, alongside the
-//! existing `CONSENT_CHAOS` and `CONSENT_CRASHPOINT` knobs. Injected
-//! errors carry a stable `ENOSPC:` / `EIO:` message prefix, which is
-//! what [`classify_io_error`] keys on — the campaign supervisor treats
-//! `ENOSPC` as persistent (descend the degradation ladder immediately)
-//! and everything else as transient (worth retrying).
+//! A plan reaches a store only through the [`FaultyVfs`] its caller
+//! passes to the store's constructor; [`IoFaultPlan::parse`] reads the
+//! spec grammar the example binaries accept in `CONSENT_IO_CHAOS`.
+//! Injected errors carry a stable `ENOSPC:` / `EIO:` message prefix,
+//! which is what [`classify_io_error`] keys on — the campaign
+//! supervisor treats `ENOSPC` as persistent (descend the degradation
+//! ladder immediately) and everything else as transient (worth
+//! retrying).
 
 use std::fmt;
 use std::io;
@@ -275,20 +276,6 @@ impl IoFaultPlan {
             }
         }
         self.rate.and_then(|r| r.decide(index))
-    }
-
-    /// Read a plan from `CONSENT_IO_CHAOS`. Unset, empty, or `none`
-    /// mean no faults. Malformed values fall back to no faults (a typo
-    /// must not change the measurement) but are reported via the
-    /// `faultsim.io_chaos.unrecognized` counter when telemetry is on.
-    pub fn from_env() -> IoFaultPlan {
-        match std::env::var("CONSENT_IO_CHAOS").as_deref() {
-            Ok("") | Err(_) => IoFaultPlan::none(),
-            Ok(spec) => IoFaultPlan::parse(spec).unwrap_or_else(|| {
-                consent_telemetry::count("faultsim.io_chaos.unrecognized", 1);
-                IoFaultPlan::none()
-            }),
-        }
     }
 
     /// Parse a spec (see the type docs for the grammar).
@@ -697,15 +684,5 @@ mod tests {
         ));
         let err = vfs.sync(Path::new("/nonexistent")).unwrap_err();
         assert!(err.to_string().starts_with("EIO"), "{err}");
-    }
-
-    #[test]
-    fn from_env_falls_back_to_none_on_garbage() {
-        // from_env reads the real environment; only exercise the unset
-        // path here (the env-sensitive paths are covered in the
-        // integration suite, which serializes env access).
-        if std::env::var("CONSENT_IO_CHAOS").is_err() {
-            assert!(IoFaultPlan::from_env().is_none());
-        }
     }
 }

@@ -15,22 +15,22 @@
 //!
 //! [`FaultProfile::none()`] is the identity: the wrapped engine returns
 //! byte-identical captures, so the fault layer can stay permanently wired
-//! into the pipeline. The `CONSENT_CHAOS` environment variable (see
-//! [`FaultProfile::from_env`]) turns on a named profile for whole-suite
-//! chaos runs in CI.
+//! into the pipeline. Callers name the profile they want
+//! ([`FaultProfile::mild`], or [`FaultProfile::parse`] of `none`, `mild`
+//! or `heavy`); the library never reads it from the environment.
 //!
 //! Beyond network faults, the crate models the *process itself* failing:
 //! an injected [`Fault::Panic`] exercises the executors' panic
-//! containment, and a [`CrashPlan`] (see [`crash`], `CONSENT_CRASHPOINT`)
-//! schedules deterministic process deaths — after the Nth applied pair,
-//! or tearing a checkpoint write after N bytes — for the
-//! crash-consistency sweep in `tests/it_durability.rs`.
+//! containment, and a [`CrashPlan`] (see [`crash`]) schedules
+//! deterministic process deaths — after the Nth applied pair, or
+//! tearing a checkpoint write after N bytes — for the crash-consistency
+//! sweep in `tests/it_durability.rs`.
 //!
 //! The third failure domain is the *disk*: an [`IoFaultPlan`] (see
-//! [`io`], `CONSENT_IO_CHAOS`) schedules deterministic storage faults —
-//! `ENOSPC`, `EIO`, silent short writes — keyed on the checkpoint
-//! store's global operation index, applied through [`FaultyVfs`] at the
-//! store's [`Vfs`](consent_checkpoint::Vfs) seam. The campaign
+//! [`io`]) schedules deterministic storage faults — `ENOSPC`, `EIO`,
+//! silent short writes — keyed on the checkpoint store's global
+//! operation index, applied through [`FaultyVfs`] at the store's
+//! [`Vfs`](consent_checkpoint::Vfs) seam. The campaign
 //! supervisor classifies the resulting errors via [`classify_io_error`]
 //! and retries or descends its degradation ladder.
 

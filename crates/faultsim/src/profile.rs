@@ -61,8 +61,8 @@ impl FaultProfile {
 
     /// Low-rate faults: enough to exercise the retry and degradation
     /// paths while leaving aggregate statistics within the tolerances
-    /// the analysis tests assert. This is the profile the CI chaos job
-    /// runs the whole suite under.
+    /// the analysis tests assert. Every test whose statistics a fault
+    /// could move runs under this profile beside its fault-free run.
     pub fn mild() -> FaultProfile {
         FaultProfile {
             timeout: 0.01,
@@ -100,21 +100,15 @@ impl FaultProfile {
             && (self.escalation_after == 0 || self.escalation == 0.0)
     }
 
-    /// Read the profile from the `CONSENT_CHAOS` environment variable:
-    /// `mild` or `heavy` select the named profiles; unset, empty,
-    /// `none`, or `0` select [`FaultProfile::none`]. Unknown values
-    /// also fall back to `none` so a typo cannot silently change the
-    /// measurement — but it is reported via the
-    /// `faultsim.profile.unrecognized` counter when telemetry is on.
-    pub fn from_env() -> FaultProfile {
-        match std::env::var("CONSENT_CHAOS").as_deref() {
-            Ok("mild") => FaultProfile::mild(),
-            Ok("heavy") => FaultProfile::heavy(),
-            Ok("") | Ok("none") | Ok("0") | Err(_) => FaultProfile::none(),
-            Ok(_) => {
-                consent_telemetry::count("faultsim.profile.unrecognized", 1);
-                FaultProfile::none()
-            }
+    /// Parse a named profile: `mild` or `heavy` select the named
+    /// profiles; `none`, `0` or the empty string select
+    /// [`FaultProfile::none`]. Anything else is `None`.
+    pub fn parse(spec: &str) -> Option<FaultProfile> {
+        match spec {
+            "" | "none" | "0" => Some(FaultProfile::none()),
+            "mild" => Some(FaultProfile::mild()),
+            "heavy" => Some(FaultProfile::heavy()),
+            _ => None,
         }
     }
 }
@@ -165,6 +159,22 @@ mod tests {
         // …but only when both threshold and rate are set.
         p.escalation = 0.0;
         assert!(p.is_none());
+    }
+
+    #[test]
+    fn parse_accepts_the_named_profiles_only() {
+        for (spec, want) in [
+            ("", FaultProfile::none()),
+            ("none", FaultProfile::none()),
+            ("0", FaultProfile::none()),
+            ("mild", FaultProfile::mild()),
+            ("heavy", FaultProfile::heavy()),
+        ] {
+            assert_eq!(FaultProfile::parse(spec), Some(want), "{spec:?}");
+        }
+        for spec in ["Mild", "mild ", "1", "timeout=0.1", "heavy;mild"] {
+            assert_eq!(FaultProfile::parse(spec), None, "{spec:?} parsed");
+        }
     }
 
     #[test]

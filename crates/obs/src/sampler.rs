@@ -28,8 +28,8 @@
 //! After recovery a resumed process re-counts work it never performed
 //! (checkpoint import calls `CaptureDb::insert`, the store counts
 //! `checkpoint.opens`, …). [`Sampler::rebase`] swallows that traffic:
-//! call it with the recovered cursor *after* recovery and trace import,
-//! *before* the chunk loop, and the next tick's window starts clean at
+//! call it with the recovered cursor *after* recovery and the re-crawl
+//! that rebuilds the recovered pairs' trace, *before* the chunk loop, and the next tick's window starts clean at
 //! the recovered position. Because a logical sample's identity is its
 //! cursor window — `seq == tick == pairs_done` — no sampler state needs
 //! to be persisted for the concatenated exports of a killed run and its

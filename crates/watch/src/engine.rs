@@ -535,12 +535,20 @@ fn export_state(config: &WatchConfig, state: &EngineState, last_tick: u64) -> St
     out
 }
 
+/// The value as `u64`, if it is an integral number in range (like
+/// [`Json::as_u32`]): a negative, fractional or oversized number in a
+/// persisted blob is malformed, not something to round.
 fn json_u64(j: &Json) -> Option<u64> {
-    j.as_f64().map(|f| f as u64)
+    j.as_f64()
+        .filter(|f| f.fract() == 0.0 && *f >= 0.0 && *f < u64::MAX as f64)
+        .map(|f| f as u64)
 }
 
+/// The value as `i64`, if it is an integral number in range.
 fn json_i64(j: &Json) -> Option<i64> {
-    j.as_f64().map(|f| f as i64)
+    j.as_f64()
+        .filter(|f| f.fract() == 0.0 && *f >= i64::MIN as f64 && *f < i64::MAX as f64)
+        .map(|f| f as i64)
 }
 
 /// Parse a state blob back, validating kind, schema, and that the
@@ -1110,6 +1118,34 @@ mod tests {
         assert!(w3.import_state(&blob).is_err());
         // A used watch refuses imports.
         assert!(w.import_state(&blob).is_err());
+    }
+
+    #[test]
+    fn state_blob_with_unrepresentable_numbers_is_rejected() {
+        let reg = leaked_registry();
+        let config = WatchConfig::parse("drift:throughput:300:2").unwrap();
+        let w = Watch::attach(reg, config.clone());
+        reg.counter("campaign.progress").add(5);
+        let blob = w.stage(5).unwrap();
+        w.commit();
+        let (head, tail) = blob
+            .split_once("\"seen\":")
+            .expect("blob has a drift entry");
+        let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
+        let with_seen = |value: &str| format!("{head}\"seen\":{value}{}", &tail[digits..]);
+
+        let intact = Watch::attach(leaked_registry(), config.clone());
+        intact
+            .import_state(&with_seen(&tail[..digits]))
+            .expect("blob imports");
+        for bad in ["-1", "2.5", "1e30"] {
+            let fresh = Watch::attach(leaked_registry(), config.clone());
+            assert!(
+                fresh.import_state(&with_seen(bad)).is_err(),
+                "seen={bad} imported"
+            );
+            assert!(fresh.is_fresh(), "a rejected blob leaves the watch fresh");
+        }
     }
 
     #[test]

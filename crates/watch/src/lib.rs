@@ -11,8 +11,8 @@
 //! the alert stream is byte-identical across thread counts and
 //! kill-halfway resumes.
 //!
-//! Three detector families (see [`rules`] for the `CONSENT_WATCH=`
-//! grammar):
+//! Three detector families (see [`rules`] for the spec grammar, which
+//! the `watchdog` example reads from `CONSENT_WATCH`):
 //!
 //! - **burn-rate SLO** (`slo:usable:700:3`, …) — short window breaches
 //!   open a pending alert, the long-window aggregate confirms it to

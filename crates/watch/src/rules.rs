@@ -239,20 +239,6 @@ impl WatchConfig {
         }
     }
 
-    /// Read a config from `CONSENT_WATCH`. Unset, empty, or `none` mean
-    /// no rules. Malformed values fall back to no rules (a typo must
-    /// not change the measurement) but are reported via the
-    /// `watch.rules.unrecognized` counter when telemetry is on.
-    pub fn from_env() -> WatchConfig {
-        match std::env::var("CONSENT_WATCH").as_deref() {
-            Ok("") | Err(_) => WatchConfig::none(),
-            Ok(spec) => WatchConfig::parse(spec).unwrap_or_else(|| {
-                consent_telemetry::count("watch.rules.unrecognized", 1);
-                WatchConfig::none()
-            }),
-        }
-    }
-
     /// Parse a spec (see the [module docs](self) for the grammar).
     pub fn parse(spec: &str) -> Option<WatchConfig> {
         let mut config = WatchConfig::none();

@@ -25,7 +25,10 @@
 //!   to the full-snapshot campaign.
 //!
 //! If `CONSENT_CRASHPOINT` is set (`apply:N` or `write:K:B`), that plan
-//! is swept as an extra case, so the production knob stays exercised.
+//! is swept as an extra case. An unknown `CONSENT_CHAOS` or
+//! `CONSENT_CRASHPOINT` value is an error.
+
+mod env_knobs;
 
 use consent_checkpoint::CheckpointStore;
 use consent_crawler::{
@@ -93,6 +96,8 @@ impl Sweep {
 }
 
 fn main() {
+    let profile = env_knobs::chaos("none");
+    let extra = env_knobs::crashpoint();
     consent_trace::enable();
     let chaos = std::env::var("CONSENT_CHAOS").unwrap_or_else(|_| "none".to_string());
     let sweep = {
@@ -106,7 +111,7 @@ fn main() {
             world,
             list,
             vantages: vec![Vantage::eu_cloud(), Vantage::us_cloud()],
-            profile: FaultProfile::from_env(),
+            profile,
         }
     };
     let pairs = (DOMAINS * sweep.vantages.len()) as u64;
@@ -141,8 +146,8 @@ fn main() {
             plans.push(CrashPlan::truncate_write(write, cut));
         }
     }
-    if !CrashPlan::from_env().is_none() {
-        plans.push(CrashPlan::from_env());
+    if !extra.is_none() {
+        plans.push(extra);
     }
 
     println!("crash-consistency sweep");

@@ -17,6 +17,9 @@
 //! CONSENT_IO_CHAOS=mild cargo run --release --bin flight_recorder  # + storage faults
 //! ```
 //!
+//! `CONSENT_CHAOS` defaults to `mild`; an unknown value of either
+//! variable is an error.
+//!
 //! Outputs land under `target/` so a casual run never litters the repo
 //! root (the CI chaos job uploads all three):
 //!
@@ -34,10 +37,12 @@
 //! `docs/BUNDLES.md`; the pack's counters fill the flight report's
 //! archive-health section.
 
+mod env_knobs;
+
 use consent_crawler::{
-    build_toplist, open_chaos_store, run_durable_campaign, BundleSpec, CampaignConfig, DurableOpts,
+    build_toplist, run_durable_campaign, BundleSpec, CampaignConfig, DurableOpts,
 };
-use consent_faultsim::{CrashPlan, FaultProfile};
+use consent_faultsim::CrashPlan;
 use consent_httpsim::Vantage;
 use consent_obs::{FlightReport, ObsConfig, Sampler};
 use consent_util::{Day, SeedTree};
@@ -60,11 +65,8 @@ fn out_path(key: &str, default: &str) -> String {
 fn main() {
     // Mild chaos unless CONSENT_CHAOS says otherwise: a flight report
     // with an empty fault heatmap demonstrates very little.
-    let profile = if std::env::var("CONSENT_CHAOS").is_ok() {
-        FaultProfile::from_env()
-    } else {
-        FaultProfile::mild()
-    };
+    let profile = env_knobs::chaos("mild");
+    let io_plan = env_knobs::io_chaos();
     consent_telemetry::enable();
     consent_trace::enable();
 
@@ -86,7 +88,7 @@ fn main() {
     // `CONSENT_IO_CHAOS` routes the store through a fault-injecting
     // filesystem; the supervisor's degradations then show up in the
     // flight report's storage-health section.
-    let store = open_chaos_store(&dir).expect("open checkpoint store");
+    let store = env_knobs::open_store(&dir, io_plan);
     // Pack into an empty directory: blobs left by an earlier run would
     // turn this run's writes into dedup hits.
     let _ = std::fs::remove_dir_all(BUNDLE_DIR);

@@ -5,19 +5,26 @@
 //!
 //! ```sh
 //! cargo run --release --bin telemetry_report
+//! CONSENT_CHAOS=mild cargo run --release --bin telemetry_report  # + injected faults
 //! ```
 
+mod env_knobs;
+
 use consent_core::experiments::{fig6, fig9, i3, methodology, run_reported, table1};
-use consent_core::Study;
+use consent_core::{Study, StudyConfig};
 use consent_crawler::{FeedConfig, Platform};
 use consent_telemetry::{global, RunReport};
 use consent_util::Day;
 
 fn main() {
+    let fault_profile = env_knobs::chaos("none");
     consent_telemetry::enable();
     println!("consent-observatory telemetry report");
     println!("====================================\n");
-    let study = Study::quick();
+    let study = Study::new(StudyConfig {
+        fault_profile,
+        ..StudyConfig::quick()
+    });
 
     // Run a slice of the paper's experiments under run_reported; each
     // records a RunReport on the study.
@@ -38,12 +45,13 @@ fn main() {
     // Reconciliation: run the social-feed platform under a report and
     // check that the capture_db.insert counter family sums exactly to
     // the database's row count, per vantage and in total.
-    let platform = Platform::new(
+    let platform = Platform::with_faults(
         study.world(),
         FeedConfig {
             urls_per_day: 200,
             ..FeedConfig::default()
         },
+        fault_profile,
         study.seed().child("telemetry-example"),
     );
     let ((db, stats), report) = RunReport::collect(global(), "platform", || {

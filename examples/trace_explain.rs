@@ -10,14 +10,16 @@
 //! ```
 //!
 //! The fault profile is read from `CONSENT_CHAOS` (`mild`, `heavy`, or
-//! unset for none); the Chrome document is written to
-//! `trace_explain.chrome.json` (override with `TRACE_EXPLAIN_OUT`).
+//! unset for none; any other value is an error); the Chrome document is
+//! written to `trace_explain.chrome.json` (override with
+//! `TRACE_EXPLAIN_OUT`).
+
+mod env_knobs;
 
 use consent_core::{experiments, Study};
 use consent_crawler::{
     build_toplist, run_campaign_parallel, CampaignConfig, CampaignRun, ParallelOpts, RetryPolicy,
 };
-use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
 use consent_trace::{Provenance, TraceTree};
 use consent_util::Day;
@@ -25,8 +27,8 @@ use consent_util::Day;
 fn main() {
     println!("consent-observatory trace explain");
     println!("=================================\n");
+    let profile = env_knobs::chaos("none");
     let study = Study::quick();
-    let profile = FaultProfile::from_env();
     println!(
         "fault profile: {}\n",
         if profile.is_none() {

@@ -15,6 +15,10 @@
 //! CONSENT_WATCH='slo:usable:900:2;gap:5' cargo run --release --bin watchdog
 //! ```
 //!
+//! `CONSENT_CHAOS` defaults to `mild` and `CONSENT_IO_CHAOS` to no
+//! storage faults; an unknown value of any of the three variables is an
+//! error.
+//!
 //! Outputs land under `target/` (the CI watch job uploads all three):
 //!
 //! * `WATCH_ALERTS_OUT` (default `target/ALERTS_campaign.jsonl`) — the
@@ -24,14 +28,13 @@
 //! * `WATCH_PROM_OUT` (default `target/watch_metrics.prom`) —
 //!   Prometheus exposition including the `watch_*` alert metrics.
 
-use consent_crawler::{
-    build_toplist, open_chaos_store, run_durable_campaign, CampaignConfig, DurableOpts,
-};
-use consent_faultsim::{CrashPlan, FaultProfile};
+mod env_knobs;
+
+use consent_crawler::{build_toplist, run_durable_campaign, CampaignConfig, DurableOpts};
+use consent_faultsim::CrashPlan;
 use consent_httpsim::Vantage;
 use consent_obs::{prometheus, FlightReport, ObsConfig, Sampler};
 use consent_util::{Day, SeedTree};
-use consent_watch::rules::WatchConfig;
 use consent_watch::Watch;
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
 
@@ -50,11 +53,14 @@ fn out_path(key: &str, default: &str) -> String {
 fn main() {
     // Mild chaos unless CONSENT_CHAOS says otherwise: a watchdog run
     // where nothing can possibly fire demonstrates very little.
-    let profile = if std::env::var("CONSENT_CHAOS").is_ok() {
-        FaultProfile::from_env()
-    } else {
-        FaultProfile::mild()
-    };
+    let profile = env_knobs::chaos("mild");
+    let io_plan = env_knobs::io_chaos();
+    // `CONSENT_WATCH` overrides the rule set; tight thresholds here so
+    // a mild-chaos demo run actually exercises the alert lifecycle.
+    let rules = env_knobs::watch(
+        "slo:usable:990:2;slo:deadletter:5:2;slo:iofault:250:3;\
+         drift:throughput:150:2;gap:3",
+    );
     consent_telemetry::enable();
     consent_trace::enable();
 
@@ -69,21 +75,11 @@ fn main() {
     let registry = consent_telemetry::global();
     let before = registry.snapshot();
     let sampler = Sampler::attach(registry, ObsConfig::deterministic());
-    // `CONSENT_WATCH` overrides the rule set; tight thresholds here so
-    // a mild-chaos demo run actually exercises the alert lifecycle.
-    let rules = match std::env::var("CONSENT_WATCH") {
-        Ok(_) => WatchConfig::from_env(),
-        Err(_) => WatchConfig::parse(
-            "slo:usable:990:2;slo:deadletter:5:2;slo:iofault:250:3;\
-             drift:throughput:150:2;gap:3",
-        )
-        .expect("built-in demo rules parse"),
-    };
     println!("watch rules: {rules}");
     let watch = Watch::attach(registry, rules);
 
     let dir = std::env::temp_dir().join(format!("consent-watchdog-{}", std::process::id()));
-    let store = open_chaos_store(&dir).expect("open checkpoint store");
+    let store = env_knobs::open_store(&dir, io_plan);
     let run = run_durable_campaign(
         &world,
         &list,

@@ -10,19 +10,22 @@
 //! * replay is byte-identical — including from a bundle packed by a
 //!   resumed incarnation after a kill halfway through the campaign.
 //!
-//! Like the durability binaries, the assertions degrade gracefully
-//! under the CI `io-chaos` job (`CONSENT_IO_CHAOS=mild`): structural
-//! expectations relax, byte-identity of whatever was packed never does.
+//! Every test runs on two disks: the real filesystem and one failing 1%
+//! of its operations ([`IoFaultPlan::mild`]). Packs and replays go
+//! through the faulty seam; like the durability binaries, structural
+//! expectations relax on that disk, byte-identity of whatever was
+//! packed never does.
 
 use consent_analysis::standard_exports;
 use consent_bundle::{verify, BlobStatus, BlobStore, Manifest};
 use consent_crawler::{
-    build_toplist, open_chaos_store, pack_campaign_bundle, replay_campaign_bundle,
-    run_campaign_parallel, run_durable_campaign, ArchiveContext, BundleSpec, CampaignArtifacts,
-    CampaignConfig, DurableOpts, ExportFn, ParallelOpts,
+    build_toplist, pack_campaign_bundle, replay_bundle, run_campaign_parallel,
+    run_durable_campaign, ArchiveContext, BundleSpec, CampaignArtifacts, CampaignConfig,
+    DurableOpts, ExportFn, ParallelOpts,
 };
 use consent_faultsim::{CrashPlan, FaultProfile, IoFaultPlan};
 use consent_httpsim::Vantage;
+use consent_integration_tests::{disks, open_store, seam};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
 use std::path::{Path, PathBuf};
@@ -60,10 +63,10 @@ fn tmp_dir() -> PathBuf {
     ))
 }
 
-/// True when `CONSENT_IO_CHAOS` schedules storage faults for this whole
-/// process (the CI `io-chaos` job).
-fn io_chaos() -> bool {
-    !IoFaultPlan::from_env().is_none()
+/// The bundle at `dir`, read through a disk that injects `disk`'s
+/// faults.
+fn bundle_on(dir: &Path, disk: &IoFaultPlan) -> BlobStore {
+    BlobStore::with_vfs(dir, seam(disk)).expect("bundle open")
 }
 
 fn quiet() -> CampaignConfig {
@@ -78,14 +81,16 @@ fn provider() -> Arc<ExportFn> {
 }
 
 /// One durable campaign over the shared toplist that packs a bundle
-/// into `bundle_dir` on completion.
+/// into `bundle_dir` on completion, both through a disk that injects
+/// `disk`'s faults.
 fn durable_with_bundle(
     store_dir: &Path,
     bundle_dir: &Path,
     threads: usize,
     crash: CrashPlan,
+    disk: &IoFaultPlan,
 ) -> consent_crawler::DurableRun {
-    let store = open_chaos_store(store_dir).expect("store open");
+    let store = open_store(store_dir, disk);
     let opts = DurableOpts {
         threads,
         config: quiet(),
@@ -112,41 +117,49 @@ fn durable_with_bundle(
 
 #[test]
 fn durable_pack_is_byte_identical_across_thread_counts() {
-    let mut baseline: Option<String> = None;
-    for threads in [1usize, 2, 4] {
-        let (store_dir, bundle_dir) = (tmp_dir(), tmp_dir());
-        let run = durable_with_bundle(&store_dir, &bundle_dir, threads, CrashPlan::none());
-        assert!(run.outcome.finished(), "{:?}", run.outcome);
-        let Some(report) = &run.bundle else {
-            // Only a storage collapse to memory-only skips the pack,
-            // and only the chaos job may produce one.
-            assert!(io_chaos(), "pack skipped without chaos: {:?}", run.outcome);
-            std::fs::remove_dir_all(&store_dir).ok();
-            std::fs::remove_dir_all(&bundle_dir).ok();
-            continue;
-        };
-        // The manifest in the report and the manifest on disk agree.
-        let store = BlobStore::open(&bundle_dir).unwrap();
-        let on_disk = store.read_manifest().expect("bundle manifest readable");
-        assert!(
-            report.manifest.serialize() == on_disk,
-            "reported and on-disk manifests disagree at {threads} threads"
-        );
-        match &baseline {
-            None => baseline = Some(on_disk),
-            Some(b) => assert!(
-                *b == on_disk,
-                "bundle manifest diverged at {threads} threads"
-            ),
+    for disk in disks() {
+        let mut baseline: Option<String> = None;
+        for threads in [1usize, 2, 4] {
+            let (store_dir, bundle_dir) = (tmp_dir(), tmp_dir());
+            let run =
+                durable_with_bundle(&store_dir, &bundle_dir, threads, CrashPlan::none(), &disk);
+            assert!(run.outcome.finished(), "{:?}", run.outcome);
+            let Some(report) = &run.bundle else {
+                // Only a storage collapse to memory-only skips the pack,
+                // and only the faulty disk may produce one.
+                assert!(
+                    !disk.is_none(),
+                    "pack skipped on the real disk: {:?}",
+                    run.outcome
+                );
+                std::fs::remove_dir_all(&store_dir).ok();
+                std::fs::remove_dir_all(&bundle_dir).ok();
+                continue;
+            };
+            // The manifest in the report and the manifest on disk agree.
+            let store = BlobStore::open(&bundle_dir).unwrap();
+            let on_disk = store.read_manifest().expect("bundle manifest readable");
+            assert!(
+                report.manifest.serialize() == on_disk,
+                "reported and on-disk manifests disagree at {threads} threads (disk {disk})"
+            );
+            match &baseline {
+                None => baseline = Some(on_disk),
+                Some(b) => assert!(
+                    *b == on_disk,
+                    "bundle manifest diverged at {threads} threads (disk {disk})"
+                ),
+            }
+            std::fs::remove_dir_all(&store_dir).unwrap();
+            std::fs::remove_dir_all(&bundle_dir).unwrap();
         }
-        std::fs::remove_dir_all(&store_dir).unwrap();
-        std::fs::remove_dir_all(&bundle_dir).unwrap();
     }
 }
 
 /// Pack a fully-populated bundle (every section present) directly from
-/// a two-day campaign, returning the bundle directory.
-fn packed_everything() -> PathBuf {
+/// a two-day campaign through a disk that injects `disk`'s faults,
+/// returning the bundle directory.
+fn packed_everything(disk: &IoFaultPlan) -> PathBuf {
     let days = [DAY(), Day::from_ymd(2020, 5, 16)];
     let seed = SeedTree::new(9);
     let runs: Vec<_> = days
@@ -175,14 +188,16 @@ fn packed_everything() -> PathBuf {
         gvl_json: Some("{\"vendors\":[]}".to_string()),
     };
     let p = provider();
-    // Under the chaos job a pack can die on a hard injected fault
-    // (e.g. a directory fsync) before the scrub loop can absorb it; a
-    // fresh directory draws a fresh fault schedule, so retry a few
-    // times like an operator would.
+    // On the faulty disk a pack can die on a hard injected fault (e.g. a
+    // directory fsync) before the scrub loop can absorb it; every
+    // attempt shares one seam, so a retry continues the fault schedule
+    // instead of replaying it. Retry a few times like an operator would.
+    let vfs = seam(disk);
     let mut last_err = None;
     for _ in 0..5 {
         let dir = tmp_dir();
-        match pack_campaign_bundle(&dir, &runs[1].state, &ctx, &artifacts, Some(&*p)) {
+        let store = BlobStore::with_vfs(&dir, Arc::clone(&vfs)).expect("bundle open");
+        match pack_campaign_bundle(&store, &runs[1].state, &ctx, &artifacts, Some(&*p)) {
             Ok((report, fsck)) => {
                 assert!(fsck.clean(), "{}", fsck.render());
                 assert!(
@@ -193,155 +208,162 @@ fn packed_everything() -> PathBuf {
                 return dir;
             }
             Err(e) => {
-                assert!(io_chaos(), "pack failed without chaos: {e}");
+                assert!(!disk.is_none(), "pack failed on the real disk: {e}");
                 std::fs::remove_dir_all(&dir).ok();
                 last_err = Some(e);
             }
         }
     }
-    panic!("pack failed 5 times under chaos: {last_err:?}");
+    panic!("pack failed 5 times on disk {disk}: {last_err:?}");
 }
 
 #[test]
 fn corruption_in_every_blob_class_is_detected_and_localized() {
-    let dir = packed_everything();
-    let store = BlobStore::open(&dir).unwrap();
-    let manifest = Manifest::parse(&store.read_manifest().unwrap()).unwrap();
+    for disk in disks() {
+        let dir = packed_everything(&disk);
+        let store = BlobStore::open(&dir).unwrap();
+        let manifest = Manifest::parse(&store.read_manifest().unwrap()).unwrap();
 
-    // One representative blob per class: a class is a section plus the
-    // document-label prefix (`req`, `req-dyn`, `cookies`, …), so every
-    // kind of archived document gets a flipped byte.
-    let mut classes: Vec<(String, String)> = Vec::new();
-    let mut targets = Vec::new();
-    for section in &manifest.sections {
-        for blob in &section.blobs {
-            let prefix = blob.label.split('/').next().unwrap_or(&blob.label);
-            let class = (section.name.clone(), prefix.to_string());
-            if !classes.contains(&class) {
-                classes.push(class);
-                targets.push((section.name.clone(), blob.label.clone(), blob.addr));
+        // One representative blob per class: a class is a section plus the
+        // document-label prefix (`req`, `req-dyn`, `cookies`, …), so every
+        // kind of archived document gets a flipped byte.
+        let mut classes: Vec<(String, String)> = Vec::new();
+        let mut targets = Vec::new();
+        for section in &manifest.sections {
+            for blob in &section.blobs {
+                let prefix = blob.label.split('/').next().unwrap_or(&blob.label);
+                let class = (section.name.clone(), prefix.to_string());
+                if !classes.contains(&class) {
+                    classes.push(class);
+                    targets.push((section.name.clone(), blob.label.clone(), blob.addr));
+                }
             }
         }
-    }
-    let expected = [
-        "config",
-        "state",
-        "trace",
-        "observability",
-        "gvl",
-        "analysis",
-        "artifacts",
-    ];
-    for want in expected {
-        assert!(
-            classes.iter().any(|(s, _)| s == want),
-            "packed bundle is missing the {want} section"
-        );
-    }
-    assert!(classes.len() >= 12, "classes covered: {classes:?}");
-
-    for (section, label, addr) in targets {
-        let path = store.blob_path(&addr);
-        let pristine = std::fs::read(&path).expect("blob readable");
-        let mut bytes = pristine.clone();
-        match bytes.first().copied() {
-            Some(b) => bytes[0] = b ^ 0x01,
-            None => bytes.push(0x01),
+        let expected = [
+            "config",
+            "state",
+            "trace",
+            "observability",
+            "gvl",
+            "analysis",
+            "artifacts",
+        ];
+        for want in expected {
+            assert!(
+                classes.iter().any(|(s, _)| s == want),
+                "packed bundle is missing the {want} section"
+            );
         }
-        std::fs::write(&path, &bytes).unwrap();
+        assert!(classes.len() >= 12, "classes covered: {classes:?}");
 
-        let report = verify(&store).expect("verify runs");
-        assert!(!report.clean(), "flipped byte in {section}/{label} missed");
-        let corrupt = report.corrupt();
-        assert!(
-            corrupt.iter().all(|v| v.addr == addr),
-            "corruption in {section}/{label} implicated other blobs: {:?}",
-            corrupt.iter().map(|v| v.describe()).collect::<Vec<_>>()
-        );
-        assert!(
-            corrupt
-                .iter()
-                .any(|v| v.section == section && v.label == label),
-            "verdicts for {addr} did not name {section}/{label}"
-        );
-        assert!(
-            corrupt
-                .iter()
-                .all(|v| matches!(v.status, BlobStatus::Corrupt(_))),
-            "flipped bytes must verify as corrupt, not unreadable"
-        );
+        for (section, label, addr) in targets {
+            let path = store.blob_path(&addr);
+            let pristine = std::fs::read(&path).expect("blob readable");
+            let mut bytes = pristine.clone();
+            match bytes.first().copied() {
+                Some(b) => bytes[0] = b ^ 0x01,
+                None => bytes.push(0x01),
+            }
+            std::fs::write(&path, &bytes).unwrap();
 
-        std::fs::write(&path, &pristine).unwrap();
-        assert!(
-            verify(&store).expect("verify runs").clean(),
-            "restoring {section}/{label} did not restore a clean fsck"
-        );
+            let report = verify(&store).expect("verify runs");
+            assert!(!report.clean(), "flipped byte in {section}/{label} missed");
+            let corrupt = report.corrupt();
+            assert!(
+                corrupt.iter().all(|v| v.addr == addr),
+                "corruption in {section}/{label} implicated other blobs: {:?}",
+                corrupt.iter().map(|v| v.describe()).collect::<Vec<_>>()
+            );
+            assert!(
+                corrupt
+                    .iter()
+                    .any(|v| v.section == section && v.label == label),
+                "verdicts for {addr} did not name {section}/{label}"
+            );
+            assert!(
+                corrupt
+                    .iter()
+                    .all(|v| matches!(v.status, BlobStatus::Corrupt(_))),
+                "flipped bytes must verify as corrupt, not unreadable"
+            );
+
+            std::fs::write(&path, &pristine).unwrap();
+            assert!(
+                verify(&store).expect("verify runs").clean(),
+                "restoring {section}/{label} did not restore a clean fsck"
+            );
+        }
+        std::fs::remove_dir_all(dir).unwrap();
     }
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
 fn replay_is_byte_identical_including_after_a_kill_halfway() {
-    // The uninterrupted reference run.
-    let (store_a, bundle_a) = (tmp_dir(), tmp_dir());
-    let full = durable_with_bundle(&store_a, &bundle_a, 1, CrashPlan::none());
-    assert!(full.outcome.finished(), "{:?}", full.outcome);
-    if full.bundle.is_some() {
-        let replay = replay_campaign_bundle(&bundle_a, Some(&*provider())).expect("replay io");
-        assert!(replay.ok(), "{}", replay.summary());
-        assert_eq!(replay.pairs, full.state.pairs_done);
-    } else {
-        assert!(io_chaos(), "pack skipped without chaos");
-    }
-
-    // Kill halfway; the crashed incarnation packs nothing.
-    let (store_b, bundle_b) = (tmp_dir(), tmp_dir());
-    let crashed = durable_with_bundle(&store_b, &bundle_b, 1, CrashPlan::after_apply(40));
-    assert!(!crashed.outcome.finished(), "{:?}", crashed.outcome);
-    assert!(crashed.bundle.is_none(), "a crashed run must not pack");
-
-    // The resumed incarnation completes, reconverges on the same state
-    // bytes, and packs a bundle whose replay is byte-identical.
-    let resumed = durable_with_bundle(&store_b, &bundle_b, 2, CrashPlan::none());
-    assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
-    assert!(
-        resumed.state.export() == full.state.export(),
-        "resume did not reconverge on the reference state"
-    );
-    let Some(_) = &resumed.bundle else {
-        assert!(io_chaos(), "pack skipped without chaos");
-        return;
-    };
-    let replay = replay_campaign_bundle(&bundle_b, Some(&*provider())).expect("replay io");
-    assert!(replay.ok(), "{}", replay.summary());
-    assert_eq!(replay.pairs, resumed.state.pairs_done);
-
-    // The state and analysis sections are content-addressed, so the
-    // reconverged campaign maps to the exact same blobs as the
-    // uninterrupted one — only per-incarnation sections (trace,
-    // artifacts) may differ.
-    if full.bundle.is_some() {
-        let addrs = |dir: &Path, name: &str| {
-            let store = BlobStore::open(dir).unwrap();
-            let m = Manifest::parse(&store.read_manifest().unwrap()).unwrap();
-            m.section(name)
-                .map(|s| {
-                    s.blobs
-                        .iter()
-                        .map(|b| (b.label.clone(), b.addr))
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
-        };
-        for section in ["config", "state", "analysis", "gvl"] {
-            assert_eq!(
-                addrs(&bundle_a, section),
-                addrs(&bundle_b, section),
-                "{section} section diverged between uninterrupted and resumed bundles"
-            );
+    for disk in disks() {
+        // The uninterrupted reference run.
+        let (store_a, bundle_a) = (tmp_dir(), tmp_dir());
+        let full = durable_with_bundle(&store_a, &bundle_a, 1, CrashPlan::none(), &disk);
+        assert!(full.outcome.finished(), "{:?}", full.outcome);
+        if full.bundle.is_some() {
+            let replay =
+                replay_bundle(&bundle_on(&bundle_a, &disk), Some(&*provider())).expect("replay io");
+            assert!(replay.ok(), "{}", replay.summary());
+            assert_eq!(replay.pairs, full.state.pairs_done);
+        } else {
+            assert!(!disk.is_none(), "pack skipped on the real disk");
         }
-    }
-    for d in [&store_a, &bundle_a, &store_b, &bundle_b] {
-        std::fs::remove_dir_all(d).unwrap();
+
+        // Kill halfway; the crashed incarnation packs nothing.
+        let (store_b, bundle_b) = (tmp_dir(), tmp_dir());
+        let crashed =
+            durable_with_bundle(&store_b, &bundle_b, 1, CrashPlan::after_apply(40), &disk);
+        assert!(!crashed.outcome.finished(), "{:?}", crashed.outcome);
+        assert!(crashed.bundle.is_none(), "a crashed run must not pack");
+
+        // The resumed incarnation completes, reconverges on the same state
+        // bytes, and packs a bundle whose replay is byte-identical.
+        let resumed = durable_with_bundle(&store_b, &bundle_b, 2, CrashPlan::none(), &disk);
+        assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+        assert!(
+            resumed.state.export() == full.state.export(),
+            "resume did not reconverge on the reference state (disk {disk})"
+        );
+        let Some(_) = &resumed.bundle else {
+            assert!(!disk.is_none(), "pack skipped on the real disk");
+            continue;
+        };
+        let replay =
+            replay_bundle(&bundle_on(&bundle_b, &disk), Some(&*provider())).expect("replay io");
+        assert!(replay.ok(), "{}", replay.summary());
+        assert_eq!(replay.pairs, resumed.state.pairs_done);
+
+        // The state and analysis sections are content-addressed, so the
+        // reconverged campaign maps to the exact same blobs as the
+        // uninterrupted one — only per-incarnation sections (trace,
+        // artifacts) may differ.
+        if full.bundle.is_some() {
+            let addrs = |dir: &Path, name: &str| {
+                let store = BlobStore::open(dir).unwrap();
+                let m = Manifest::parse(&store.read_manifest().unwrap()).unwrap();
+                m.section(name)
+                    .map(|s| {
+                        s.blobs
+                            .iter()
+                            .map(|b| (b.label.clone(), b.addr))
+                            .collect::<Vec<_>>()
+                    })
+                    .unwrap_or_default()
+            };
+            for section in ["config", "state", "analysis", "gvl"] {
+                assert_eq!(
+                    addrs(&bundle_a, section),
+                    addrs(&bundle_b, section),
+                    "{section} section diverged between uninterrupted and resumed bundles (disk {disk})"
+                );
+            }
+        }
+        for d in [&store_a, &bundle_a, &store_b, &bundle_b] {
+            std::fs::remove_dir_all(d).unwrap();
+        }
     }
 }

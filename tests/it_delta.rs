@@ -15,6 +15,12 @@
 //! * the committed v3 capture-db fixture pins the columnar grammar:
 //!   it imports and re-exports byte for byte.
 //!
+//! The thread-count and kill-halfway sweeps run on two disks: the real
+//! filesystem and one failing 1% of its operations
+//! ([`IoFaultPlan::mild`]). On the faulty disk the expected generation
+//! layout is relaxed; state and trace byte-identity and the finished
+//! verdict never are.
+//!
 //! The segment-boundary legs use a toplist drawn from a single shard,
 //! so shard row counts equal pairs done and the seal at row
 //! [`SEGMENT_ROWS`] lands at a known pair index between two cuts.
@@ -25,15 +31,16 @@
 
 use consent_checkpoint::CheckpointStore;
 use consent_crawler::{
-    build_toplist, export_db, import_db, open_chaos_store, recover_state, run_durable_campaign,
-    shard_of, CampaignConfig, CheckpointMode, DurableOpts, DurableOutcome, SECTION_DELTA_META,
-    SEGMENT_ROWS, SHARD_COUNT,
+    build_toplist, export_db, import_db, recover_state, run_durable_campaign, shard_of,
+    CampaignConfig, CheckpointMode, DurableOpts, DurableOutcome, SECTION_DELTA_META, SEGMENT_ROWS,
+    SHARD_COUNT,
 };
 use consent_faultsim::{CrashPlan, FaultProfile, IoFaultPlan};
 use consent_httpsim::Vantage;
+use consent_integration_tests::{disks, open_store};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -105,18 +112,6 @@ fn tmp_dir() -> PathBuf {
     ))
 }
 
-/// True when `CONSENT_IO_CHAOS` schedules storage faults for this whole
-/// process (the CI `io-chaos` job). Under chaos, the expected
-/// generation layout is relaxed; state and trace byte-identity and the
-/// finished verdict never are.
-fn io_chaos() -> bool {
-    !IoFaultPlan::from_env().is_none()
-}
-
-fn open_store(dir: &Path) -> CheckpointStore {
-    open_chaos_store(dir).expect("store open")
-}
-
 /// One single-vantage durable campaign over `list` at `mode`.
 fn durable(
     store: &CheckpointStore,
@@ -154,10 +149,11 @@ fn durable(
 /// The uninterrupted full-snapshot (`rebase_every: 0`) run's exports:
 /// the bytes every delta-chain variant must reproduce. Also pins the
 /// workload shape the boundary sweep relies on: one row per pair, all
-/// in one shard, at least one sealed segment.
-fn baseline(list: &[String], checkpoint_every: u64) -> (String, String) {
+/// in one shard, at least one sealed segment. The run checkpoints to a
+/// disk that injects `disk`'s faults.
+fn baseline(list: &[String], checkpoint_every: u64, disk: &IoFaultPlan) -> (String, String) {
     let dir = tmp_dir();
-    let store = open_store(&dir);
+    let store = open_store(&dir, disk);
     consent_trace::clear();
     let run = durable(
         &store,
@@ -199,43 +195,45 @@ fn die() {
 fn delta_mode_is_byte_identical_across_thread_counts() {
     let guard = lock();
     let list = &same_shard_list()[..48];
-    let (state_bytes, trace_bytes) = baseline(list, 16);
+    for disk in disks() {
+        let (state_bytes, trace_bytes) = baseline(list, 16, &disk);
 
-    for threads in [1usize, 2, 4] {
-        let dir = tmp_dir();
-        let store = open_store(&dir);
-        consent_trace::clear();
-        let run = durable(
-            &store,
-            list,
-            threads,
-            CheckpointMode::Delta { rebase_every: 8 },
-            16,
-            CrashPlan::none(),
-        );
-        assert!(run.outcome.finished(), "{:?}", run.outcome);
-        assert!(
-            run.state.export() == state_bytes,
-            "delta-mode state diverged at {threads} threads"
-        );
-        assert!(
-            consent_trace::global().export_jsonl() == trace_bytes,
-            "delta-mode trace diverged at {threads} threads"
-        );
-        if !io_chaos() {
-            // The store really holds a chain, not disguised full writes:
-            // 48 pairs at cadence 16 → full base + two delta members.
-            let gens = store.generations().unwrap();
-            assert_eq!(gens, vec![1, 2, 3]);
-            for g in [2u64, 3] {
-                let scan = store.scan_generation(g).unwrap();
-                assert!(
-                    scan.section(SECTION_DELTA_META).is_some(),
-                    "generation {g} is not a delta"
-                );
+        for threads in [1usize, 2, 4] {
+            let dir = tmp_dir();
+            let store = open_store(&dir, &disk);
+            consent_trace::clear();
+            let run = durable(
+                &store,
+                list,
+                threads,
+                CheckpointMode::Delta { rebase_every: 8 },
+                16,
+                CrashPlan::none(),
+            );
+            assert!(run.outcome.finished(), "{:?}", run.outcome);
+            assert!(
+                run.state.export() == state_bytes,
+                "delta-mode state diverged at {threads} threads (disk {disk})"
+            );
+            assert!(
+                consent_trace::global().export_jsonl() == trace_bytes,
+                "delta-mode trace diverged at {threads} threads (disk {disk})"
+            );
+            if disk.is_none() {
+                // The store really holds a chain, not disguised full writes:
+                // 48 pairs at cadence 16 → full base + two delta members.
+                let gens = store.generations().unwrap();
+                assert_eq!(gens, vec![1, 2, 3]);
+                for g in [2u64, 3] {
+                    let scan = store.scan_generation(g).unwrap();
+                    assert!(
+                        scan.section(SECTION_DELTA_META).is_some(),
+                        "generation {g} is not a delta"
+                    );
+                }
             }
+            std::fs::remove_dir_all(dir).unwrap();
         }
-        std::fs::remove_dir_all(dir).unwrap();
     }
     unlock(guard);
 }
@@ -246,45 +244,47 @@ fn kill_halfway_between_delta_cuts_at_segment_boundaries_resumes_byte_identical(
     let list = same_shard_list();
     let pairs = list.len() as u64; // SEGMENT_ROWS + 4 = 260
     let cadence = 64u64; // cuts at 64, 128, 192, 256 — the last IS the seal
-    let (state_bytes, trace_bytes) = baseline(list, cadence);
+    for disk in disks() {
+        let (state_bytes, trace_bytes) = baseline(list, cadence, &disk);
 
-    let seal = SEGMENT_ROWS as u64;
-    // Halfway between cuts, the insert that fills the segment, and the
-    // straddling inserts either side of the seal.
-    let crashpoints = [cadence / 2, 3 * cadence / 2, seal - 1, seal, seal + 1];
-    for threads in [1usize, 2, 4] {
-        for &k in &crashpoints {
-            assert!(k < pairs);
-            let dir = tmp_dir();
-            let store = open_store(&dir);
-            consent_trace::clear();
-            let mode = CheckpointMode::Delta { rebase_every: 8 };
-            let crashed = durable(
-                &store,
-                list,
-                threads,
-                mode,
-                cadence,
-                CrashPlan::after_apply(k),
-            );
-            match crashed.outcome {
-                DurableOutcome::Crashed { durable_pairs, .. } => {
-                    assert!(durable_pairs < k, "crash fires before the covering write");
+        let seal = SEGMENT_ROWS as u64;
+        // Halfway between cuts, the insert that fills the segment, and the
+        // straddling inserts either side of the seal.
+        let crashpoints = [cadence / 2, 3 * cadence / 2, seal - 1, seal, seal + 1];
+        for threads in [1usize, 2, 4] {
+            for &k in &crashpoints {
+                assert!(k < pairs);
+                let dir = tmp_dir();
+                let store = open_store(&dir, &disk);
+                consent_trace::clear();
+                let mode = CheckpointMode::Delta { rebase_every: 8 };
+                let crashed = durable(
+                    &store,
+                    list,
+                    threads,
+                    mode,
+                    cadence,
+                    CrashPlan::after_apply(k),
+                );
+                match crashed.outcome {
+                    DurableOutcome::Crashed { durable_pairs, .. } => {
+                        assert!(durable_pairs < k, "crash fires before the covering write");
+                    }
+                    other => panic!("crashpoint apply:{k} never fired: {other:?}"),
                 }
-                other => panic!("crashpoint apply:{k} never fired: {other:?}"),
+                die();
+                let resumed = durable(&store, list, threads, mode, cadence, CrashPlan::none());
+                assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+                assert!(
+                    resumed.state.export() == state_bytes,
+                    "state diverged after apply:{k} at {threads} threads (disk {disk})"
+                );
+                assert!(
+                    consent_trace::global().export_jsonl() == trace_bytes,
+                    "trace diverged after apply:{k} at {threads} threads (disk {disk})"
+                );
+                std::fs::remove_dir_all(dir).unwrap();
             }
-            die();
-            let resumed = durable(&store, list, threads, mode, cadence, CrashPlan::none());
-            assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
-            assert!(
-                resumed.state.export() == state_bytes,
-                "state diverged after apply:{k} at {threads} threads"
-            );
-            assert!(
-                consent_trace::global().export_jsonl() == trace_bytes,
-                "trace diverged after apply:{k} at {threads} threads"
-            );
-            std::fs::remove_dir_all(dir).unwrap();
         }
     }
     unlock(guard);
@@ -294,7 +294,13 @@ fn kill_halfway_between_delta_cuts_at_segment_boundaries_resumes_byte_identical(
 fn corrupt_one_delta_falls_back_to_last_intact_chain_and_reconverges() {
     let guard = lock();
     let list = &same_shard_list()[..40];
-    let (state_bytes, trace_bytes) = baseline(list, 8);
+    let [real, faulty] = disks();
+    let bytes = baseline(list, 8, &real);
+    assert!(
+        baseline(list, 8, &faulty) == bytes,
+        "the baseline on disk {faulty} diverged"
+    );
+    let (state_bytes, trace_bytes) = bytes;
 
     let dir = tmp_dir();
     let store = CheckpointStore::open(&dir).unwrap();

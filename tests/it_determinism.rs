@@ -2,6 +2,7 @@
 //! results byte-for-byte across every experiment surface.
 
 use consent_core::{experiments, Study, StudyConfig};
+use consent_faultsim::FaultProfile;
 
 fn study() -> Study {
     Study::new(StudyConfig::quick())
@@ -9,9 +10,17 @@ fn study() -> Study {
 
 #[test]
 fn table1_renders_identically() {
-    let a = experiments::table1::table1(&study()).render();
-    let b = experiments::table1::table1(&study()).render();
-    assert_eq!(a, b);
+    for fault_profile in [FaultProfile::none(), FaultProfile::mild()] {
+        let study = || {
+            Study::new(StudyConfig {
+                fault_profile,
+                ..StudyConfig::quick()
+            })
+        };
+        let a = experiments::table1::table1(&study()).render();
+        let b = experiments::table1::table1(&study()).render();
+        assert_eq!(a, b, "{fault_profile}");
+    }
 }
 
 #[test]

@@ -6,6 +6,13 @@
 //! bytes**. A resumed campaign's `CampaignState` export and trace JSONL
 //! are byte-identical to an uninterrupted run's, at any thread count,
 //! under chaos, whatever the store looked like when the process died.
+//! Every test that opens a store for a crashed or uninterrupted run
+//! opens it on two disks: the real filesystem and one failing 1% of its
+//! operations ([`IoFaultPlan::mild`]). On the faulty disk, *structural*
+//! durability expectations — exact generation counts, chunk-loss
+//! bounds, quarantines — are relaxed: faults may legitimately degrade
+//! them. State and trace byte-identity and the finished (complete or
+//! cleanly degraded) verdict are never relaxed.
 //!
 //! Five pinned guarantees:
 //!
@@ -31,11 +38,12 @@
 
 use consent_checkpoint::CheckpointStore;
 use consent_crawler::{
-    build_toplist, open_chaos_store, recover_state, run_campaign_parallel, run_durable_campaign,
-    CampaignConfig, CampaignState, DegradeLevel, DurableOpts, DurableOutcome, ParallelOpts,
+    build_toplist, recover_state, run_campaign_parallel, run_durable_campaign, CampaignConfig,
+    CampaignState, DegradeLevel, DurableOpts, DurableOutcome, ParallelOpts,
 };
 use consent_faultsim::{CrashPlan, FaultProfile, FaultyVfs, IoFaultKind, IoFaultPlan};
 use consent_httpsim::Vantage;
+use consent_integration_tests::{disks, open_store};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
 use std::path::{Path, PathBuf};
@@ -86,21 +94,6 @@ fn tmp_dir() -> PathBuf {
     ))
 }
 
-/// True when `CONSENT_IO_CHAOS` schedules storage faults for this whole
-/// process (the CI `io-chaos` job). Under chaos, *structural*
-/// durability expectations — exact generation counts, chunk-loss
-/// bounds, quarantines — are relaxed: faults may legitimately degrade
-/// them. State and trace byte-identity and the finished (complete or
-/// cleanly degraded) verdict are never relaxed.
-fn io_chaos() -> bool {
-    !IoFaultPlan::from_env().is_none()
-}
-
-/// Open a store honoring `CONSENT_IO_CHAOS`, like production would.
-fn open_store(dir: &Path) -> CheckpointStore {
-    open_chaos_store(dir).expect("store open")
-}
-
 fn config(profile: FaultProfile) -> CampaignConfig {
     CampaignConfig {
         fault_profile: profile,
@@ -140,11 +133,11 @@ fn durable(
     .expect("durable campaign io")
 }
 
-/// The uninterrupted run's exports: the bytes every crashed-and-resumed
-/// variant must reproduce.
-fn baseline(profile: FaultProfile) -> (String, String) {
+/// The uninterrupted run's exports on a disk that injects `disk`'s
+/// faults: the bytes every crashed-and-resumed variant must reproduce.
+fn baseline(profile: FaultProfile, disk: &IoFaultPlan) -> (String, String) {
     let dir = tmp_dir();
-    let store = open_store(&dir);
+    let store = open_store(&dir, disk);
     consent_trace::clear();
     let run = durable(&store, 1, profile, CrashPlan::none());
     assert!(run.outcome.finished(), "{:?}", run.outcome);
@@ -152,6 +145,18 @@ fn baseline(profile: FaultProfile) -> (String, String) {
     let out = (run.state.export(), consent_trace::global().export_jsonl());
     std::fs::remove_dir_all(dir).unwrap();
     out
+}
+
+/// The baseline on every disk of [`disks`], which must agree: storage
+/// faults never change the bytes.
+fn baseline_on_every_disk(profile: FaultProfile) -> (String, String) {
+    let [real, faulty] = disks();
+    let bytes = baseline(profile, &real);
+    assert!(
+        baseline(profile, &faulty) == bytes,
+        "the baseline on disk {faulty} diverged ({profile})"
+    );
+    bytes
 }
 
 /// Simulate the process dying and restarting: the in-memory trace log
@@ -164,35 +169,37 @@ fn die() {
 fn every_crash_after_apply_resumes_byte_identical() {
     let guard = lock();
     let pairs = 16u64; // 8 domains × 2 vantages
-    for profile in [FaultProfile::none(), FaultProfile::mild()] {
-        let (state_bytes, trace_bytes) = baseline(profile);
-        for threads in [1usize, 4] {
-            for k in 1..=pairs {
-                let dir = tmp_dir();
-                let store = open_store(&dir);
-                consent_trace::clear();
-                let crashed = durable(&store, threads, profile, CrashPlan::after_apply(k));
-                match crashed.outcome {
-                    DurableOutcome::Crashed { durable_pairs, .. } => {
-                        assert!(durable_pairs < k, "crash fires before the covering write");
-                        if !io_chaos() {
-                            assert!(k - durable_pairs <= 5, "at most one chunk is lost");
+    for disk in disks() {
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let (state_bytes, trace_bytes) = baseline(profile, &disk);
+            for threads in [1usize, 4] {
+                for k in 1..=pairs {
+                    let dir = tmp_dir();
+                    let store = open_store(&dir, &disk);
+                    consent_trace::clear();
+                    let crashed = durable(&store, threads, profile, CrashPlan::after_apply(k));
+                    match crashed.outcome {
+                        DurableOutcome::Crashed { durable_pairs, .. } => {
+                            assert!(durable_pairs < k, "crash fires before the covering write");
+                            if disk.is_none() {
+                                assert!(k - durable_pairs <= 5, "at most one chunk is lost");
+                            }
                         }
+                        other => panic!("crashpoint apply:{k} never fired: {other:?}"),
                     }
-                    other => panic!("crashpoint apply:{k} never fired: {other:?}"),
+                    die();
+                    let resumed = durable(&store, threads, profile, CrashPlan::none());
+                    assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+                    assert!(
+                        resumed.state.export() == state_bytes,
+                        "state diverged after apply:{k} at {threads} threads ({profile}, disk {disk})"
+                    );
+                    assert!(
+                        consent_trace::global().export_jsonl() == trace_bytes,
+                        "trace diverged after apply:{k} at {threads} threads ({profile}, disk {disk})"
+                    );
+                    std::fs::remove_dir_all(dir).unwrap();
                 }
-                die();
-                let resumed = durable(&store, threads, profile, CrashPlan::none());
-                assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
-                assert!(
-                    resumed.state.export() == state_bytes,
-                    "state diverged after apply:{k} at {threads} threads ({profile})"
-                );
-                assert!(
-                    consent_trace::global().export_jsonl() == trace_bytes,
-                    "trace diverged after apply:{k} at {threads} threads ({profile})"
-                );
-                std::fs::remove_dir_all(dir).unwrap();
             }
         }
     }
@@ -202,67 +209,69 @@ fn every_crash_after_apply_resumes_byte_identical() {
 #[test]
 fn every_torn_write_falls_back_and_resumes_byte_identical() {
     let guard = lock();
-    let (state_bytes, trace_bytes) = baseline(FaultProfile::none());
+    for disk in disks() {
+        let (state_bytes, trace_bytes) = baseline(FaultProfile::none(), &disk);
 
-    // Probe the write sizes: the sweep's crashed runs write the same
-    // generations (same campaign, same chunking), so the baseline
-    // store's files give each write's exact byte length.
-    let probe = tmp_dir();
-    let probe_store = open_store(&probe);
-    consent_trace::clear();
-    durable(&probe_store, 1, FaultProfile::none(), CrashPlan::none());
-    let gens = probe_store.generations().unwrap();
-    if !io_chaos() {
-        assert_eq!(gens, vec![1, 2, 3, 4], "16 pairs in chunks of 5 → 4 writes");
-    }
-    let sizes: Vec<u64> = gens
-        .iter()
-        .map(|&g| std::fs::metadata(probe_store.path_for(g)).unwrap().len())
-        .collect();
-    std::fs::remove_dir_all(&probe).unwrap();
+        // Probe the write sizes: the sweep's crashed runs write the same
+        // generations (same campaign, same chunking), so the baseline
+        // store's files give each write's exact byte length.
+        let probe = tmp_dir();
+        let probe_store = open_store(&probe, &disk);
+        consent_trace::clear();
+        durable(&probe_store, 1, FaultProfile::none(), CrashPlan::none());
+        let gens = probe_store.generations().unwrap();
+        if disk.is_none() {
+            assert_eq!(gens, vec![1, 2, 3, 4], "16 pairs in chunks of 5 → 4 writes");
+        }
+        let sizes: Vec<u64> = gens
+            .iter()
+            .map(|&g| std::fs::metadata(probe_store.path_for(g)).unwrap().len())
+            .collect();
+        std::fs::remove_dir_all(&probe).unwrap();
 
-    for threads in [1usize, 4] {
-        for (i, &size) in sizes.iter().enumerate() {
-            let write = (i + 1) as u64;
-            for cut in [0, 1, size / 2, size - 1] {
-                let dir = tmp_dir();
-                let store = open_store(&dir);
-                consent_trace::clear();
-                let crashed = durable(
-                    &store,
-                    threads,
-                    FaultProfile::none(),
-                    CrashPlan::truncate_write(write, cut),
-                );
-                match crashed.outcome {
-                    DurableOutcome::Crashed { durable_pairs, .. } => {
-                        // Only the writes before the torn one are durable.
-                        if !io_chaos() {
-                            assert_eq!(durable_pairs, (write - 1) * 5);
-                        }
-                    }
-                    other => panic!("crashpoint write:{write} never fired: {other:?}"),
-                }
-                die();
-                let resumed = durable(&store, threads, FaultProfile::none(), CrashPlan::none());
-                assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
-                assert!(
-                    resumed.state.export() == state_bytes,
-                    "state diverged after write:{write}:{cut} at {threads} threads"
-                );
-                assert!(
-                    consent_trace::global().export_jsonl() == trace_bytes,
-                    "trace diverged after write:{write}:{cut} at {threads} threads"
-                );
-                if !io_chaos() {
-                    assert!(
-                        !resumed.salvage.is_clean(),
-                        "the torn generation must be quarantined, not used"
+        for threads in [1usize, 4] {
+            for (i, &size) in sizes.iter().enumerate() {
+                let write = (i + 1) as u64;
+                for cut in [0, 1, size / 2, size - 1] {
+                    let dir = tmp_dir();
+                    let store = open_store(&dir, &disk);
+                    consent_trace::clear();
+                    let crashed = durable(
+                        &store,
+                        threads,
+                        FaultProfile::none(),
+                        CrashPlan::truncate_write(write, cut),
                     );
-                    // The torn file was preserved for post-mortem.
-                    assert!(store.quarantine_dir().is_dir());
+                    match crashed.outcome {
+                        DurableOutcome::Crashed { durable_pairs, .. } => {
+                            // Only the writes before the torn one are durable.
+                            if disk.is_none() {
+                                assert_eq!(durable_pairs, (write - 1) * 5);
+                            }
+                        }
+                        other => panic!("crashpoint write:{write} never fired: {other:?}"),
+                    }
+                    die();
+                    let resumed = durable(&store, threads, FaultProfile::none(), CrashPlan::none());
+                    assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+                    assert!(
+                        resumed.state.export() == state_bytes,
+                        "state diverged after write:{write}:{cut} at {threads} threads (disk {disk})"
+                    );
+                    assert!(
+                        consent_trace::global().export_jsonl() == trace_bytes,
+                        "trace diverged after write:{write}:{cut} at {threads} threads (disk {disk})"
+                    );
+                    if disk.is_none() {
+                        assert!(
+                            !resumed.salvage.is_clean(),
+                            "the torn generation must be quarantined, not used"
+                        );
+                        // The torn file was preserved for post-mortem.
+                        assert!(store.quarantine_dir().is_dir());
+                    }
+                    std::fs::remove_dir_all(dir).unwrap();
                 }
-                std::fs::remove_dir_all(dir).unwrap();
             }
         }
     }
@@ -272,7 +281,7 @@ fn every_torn_write_falls_back_and_resumes_byte_identical() {
 #[test]
 fn fuzzed_checkpoints_are_salvaged_or_rejected_never_wrong() {
     let guard = lock();
-    let (state_bytes, _) = baseline(FaultProfile::none());
+    let (state_bytes, _) = baseline_on_every_disk(FaultProfile::none());
 
     // A real checkpoint file to mutate.
     let seed_dir = tmp_dir();
@@ -551,7 +560,7 @@ fn state_export_matches_the_committed_golden_fixture() {
 #[test]
 fn corrupt_meta_on_newest_generation_salvages_not_refalls() {
     let guard = lock();
-    let (state_bytes, trace_bytes) = baseline(FaultProfile::none());
+    let (state_bytes, trace_bytes) = baseline_on_every_disk(FaultProfile::none());
 
     let dir = tmp_dir();
     let store = CheckpointStore::open(&dir).unwrap();
@@ -598,34 +607,39 @@ fn corrupt_meta_on_newest_generation_salvages_not_refalls() {
 #[test]
 fn resumed_trace_does_not_depend_on_the_dead_process() {
     let guard = lock();
-    let profile = FaultProfile::mild();
-    let (state_bytes, trace_bytes) = baseline(profile);
+    for disk in disks() {
+        let profile = FaultProfile::mild();
+        let (state_bytes, trace_bytes) = baseline(profile, &disk);
 
-    let dir = tmp_dir();
-    let store = open_store(&dir);
-    consent_trace::disable();
-    consent_trace::clear();
-    let crashed = durable(&store, 1, profile, CrashPlan::after_apply(11));
-    assert!(
-        matches!(crashed.outcome, DurableOutcome::Crashed { .. }),
-        "{:?}",
-        crashed.outcome
-    );
-    assert!(
-        consent_trace::global().is_empty(),
-        "first incarnation traced"
-    );
-    die();
-    consent_trace::enable();
-    let resumed = durable(&store, 2, profile, CrashPlan::none());
-    assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
-    assert!(resumed.state.export() == state_bytes, "state diverged");
-    assert!(
-        consent_trace::global().export_jsonl() == trace_bytes,
-        "resumed trace diverged from the uninterrupted run ({})",
-        resumed.salvage.render()
-    );
-    std::fs::remove_dir_all(dir).unwrap();
+        let dir = tmp_dir();
+        let store = open_store(&dir, &disk);
+        consent_trace::disable();
+        consent_trace::clear();
+        let crashed = durable(&store, 1, profile, CrashPlan::after_apply(11));
+        assert!(
+            matches!(crashed.outcome, DurableOutcome::Crashed { .. }),
+            "{:?}",
+            crashed.outcome
+        );
+        assert!(
+            consent_trace::global().is_empty(),
+            "first incarnation traced"
+        );
+        die();
+        consent_trace::enable();
+        let resumed = durable(&store, 2, profile, CrashPlan::none());
+        assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+        assert!(
+            resumed.state.export() == state_bytes,
+            "state diverged (disk {disk})"
+        );
+        assert!(
+            consent_trace::global().export_jsonl() == trace_bytes,
+            "resumed trace diverged from the uninterrupted run on disk {disk} ({})",
+            resumed.salvage.render()
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
     unlock(guard);
 }
 
@@ -652,7 +666,7 @@ fn store_with_plan(dir: &Path, plan: IoFaultPlan) -> (CheckpointStore, Arc<Fault
 fn every_io_fault_at_every_op_heals_or_degrades_byte_identical() {
     let guard = lock();
     let profile = FaultProfile::mild();
-    let (state_bytes, trace_bytes) = baseline(profile);
+    let (state_bytes, trace_bytes) = baseline_on_every_disk(profile);
 
     for threads in [1usize, 2, 4] {
         // Probe: a fault-free instrumented run counts the campaign's
@@ -729,7 +743,7 @@ fn every_io_fault_at_every_op_heals_or_degrades_byte_identical() {
 #[test]
 fn io_faults_during_recovery_still_converge() {
     let guard = lock();
-    let (state_bytes, _) = baseline(FaultProfile::none());
+    let (state_bytes, _) = baseline_on_every_disk(FaultProfile::none());
 
     // Probe the op index ranges of the crashed run and the resume leg.
     let probe = tmp_dir();
@@ -781,7 +795,7 @@ fn io_faults_during_recovery_still_converge() {
 #[test]
 fn persistent_enospc_descends_ladder_and_finishes_loud() {
     let guard = lock();
-    let (state_bytes, _) = baseline(FaultProfile::none());
+    let (state_bytes, _) = baseline_on_every_disk(FaultProfile::none());
 
     let dir = tmp_dir();
     let (store, vfs) = store_with_plan(
@@ -835,7 +849,7 @@ fn persistent_enospc_descends_ladder_and_finishes_loud() {
 #[test]
 fn transient_faults_retry_heal_and_complete() {
     let guard = lock();
-    let (state_bytes, trace_bytes) = baseline(FaultProfile::none());
+    let (state_bytes, trace_bytes) = baseline_on_every_disk(FaultProfile::none());
 
     let dir = tmp_dir();
     // Two consecutive failing ops starting inside the second write —
@@ -915,50 +929,6 @@ fn rate_faults_heal_or_degrade_byte_identical() {
         if per_mille == 50 {
             assert!(injected > 0, "a 50\u{2030} fault rate injected nothing");
         }
-    }
-    unlock(guard);
-}
-
-/// `CONSENT_IO_CHAOS` wiring: garbage specs are counted and ignored;
-/// real specs route the store through a FaultyVfs via
-/// [`open_chaos_store`].
-#[test]
-fn env_io_chaos_is_honored_and_garbage_falls_back() {
-    let guard = lock();
-    let prev = std::env::var("CONSENT_IO_CHAOS").ok();
-
-    std::env::set_var("CONSENT_IO_CHAOS", "totally/bogus");
-    consent_telemetry::reset();
-    consent_telemetry::enable();
-    assert!(IoFaultPlan::from_env().is_none(), "typos must not inject");
-    consent_telemetry::disable();
-    assert_eq!(
-        consent_telemetry::global()
-            .snapshot()
-            .counter("faultsim.io_chaos.unrecognized"),
-        1,
-        "malformed spec must be reported"
-    );
-    consent_telemetry::reset();
-
-    // A persistently full disk from op 0, configured via env exactly as
-    // the CI io-chaos job would: the campaign still finishes, loudly.
-    std::env::set_var("CONSENT_IO_CHAOS", "enospc@*:0:*");
-    let dir = tmp_dir();
-    let store = open_store(&dir);
-    consent_trace::clear();
-    let run = durable(&store, 1, FaultProfile::none(), CrashPlan::none());
-    assert!(
-        matches!(run.outcome, DurableOutcome::Degraded(_)),
-        "{:?}",
-        run.outcome
-    );
-    assert!(store.generations().unwrap().is_empty());
-    std::fs::remove_dir_all(dir).unwrap();
-
-    match prev {
-        Some(v) => std::env::set_var("CONSENT_IO_CHAOS", v),
-        None => std::env::remove_var("CONSENT_IO_CHAOS"),
     }
     unlock(guard);
 }

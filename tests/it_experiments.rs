@@ -1,66 +1,84 @@
 //! Paper-shape assertions over a mid-sized study: the qualitative claims
-//! of every results subsection must hold end-to-end.
+//! of every results subsection must hold end-to-end, and the crawl-driven
+//! ones also under the mild fault profile.
 
 use consent_core::experiments;
+use consent_faultsim::FaultProfile;
 use consent_integration_tests::midsize_study;
 use consent_util::Day;
 use consent_webgraph::Cmp;
 
 #[test]
 fn headline_adoption_story_holds() {
-    let study = midsize_study();
-    let f6 = experiments::fig6::fig6(&study);
+    for profile in [FaultProfile::none(), FaultProfile::mild()] {
+        let study = midsize_study(profile);
+        let f6 = experiments::fig6::fig6(&study);
 
-    // Figure 6: adoption roughly doubles June 2018 → June 2019 → June
-    // 2020 (abstract's headline claim).
-    let jun18 = experiments::fig6::count_at(&f6.series, Day::from_ymd(2018, 6, 15));
-    let jun19 = experiments::fig6::count_at(&f6.series, Day::from_ymd(2019, 6, 15));
-    let jun20 = experiments::fig6::count_at(&f6.series, Day::from_ymd(2020, 6, 15));
-    assert!(jun18 > 0, "no adoption visible in June 2018");
-    let r1 = jun19 as f64 / jun18 as f64;
-    let r2 = jun20 as f64 / jun19 as f64;
-    // Early-window measurements ramp in as the feed first covers the
-    // toplist (the paper's crawl volume was ~3 orders of magnitude
-    // higher), so the first ratio can overshoot the paper's ~2x.
-    assert!(
-        (1.3..=9.0).contains(&r1),
-        "2018→2019 growth {r1} ({jun18} → {jun19})"
-    );
-    assert!(
-        (1.2..=3.2).contains(&r2),
-        "2019→2020 growth {r2} ({jun19} → {jun20})"
-    );
+        // Figure 6: adoption roughly doubles June 2018 → June 2019 → June
+        // 2020 (abstract's headline claim).
+        let jun18 = experiments::fig6::count_at(&f6.series, Day::from_ymd(2018, 6, 15));
+        let jun19 = experiments::fig6::count_at(&f6.series, Day::from_ymd(2019, 6, 15));
+        let jun20 = experiments::fig6::count_at(&f6.series, Day::from_ymd(2020, 6, 15));
+        assert!(jun18 > 0, "no adoption visible in June 2018 ({profile})");
+        let r1 = jun19 as f64 / jun18 as f64;
+        let r2 = jun20 as f64 / jun19 as f64;
+        // Early-window measurements ramp in as the feed first covers the
+        // toplist (the paper's crawl volume was ~3 orders of magnitude
+        // higher), so the first ratio can overshoot the paper's ~2x.
+        assert!(
+            (1.3..=9.0).contains(&r1),
+            "2018→2019 growth {r1} ({jun18} → {jun19}) ({profile})"
+        );
+        assert!(
+            (1.2..=3.2).contains(&r2),
+            "2019→2020 growth {r2} ({jun19} → {jun20}) ({profile})"
+        );
 
-    // Figure 4: Cookiebot is the clear net loser.
-    let cb_net = f6.switching.net(Cmp::Cookiebot);
-    assert!(cb_net < 0, "Cookiebot net {cb_net}");
-    let lost = f6.switching.lost_by(Cmp::Cookiebot);
-    let gained = f6.switching.gained_by(Cmp::Cookiebot);
-    assert!(lost >= 4 * gained.max(1), "lost {lost} vs gained {gained}");
+        // Figure 4: Cookiebot is the clear net loser.
+        let cb_net = f6.switching.net(Cmp::Cookiebot);
+        assert!(cb_net < 0, "Cookiebot net {cb_net} ({profile})");
+        let lost = f6.switching.lost_by(Cmp::Cookiebot);
+        let gained = f6.switching.gained_by(Cmp::Cookiebot);
+        assert!(
+            lost >= 4 * gained.max(1),
+            "lost {lost} vs gained {gained} ({profile})"
+        );
+    }
 }
 
 #[test]
 fn vantage_gradient_matches_table1() {
-    let study = midsize_study();
-    let t1 = experiments::table1::table1(&study);
-    // Coverage gradient: US cloud < EU cloud < EU university (paper:
-    // 79% < 87% < 97-100%).
-    let us = t1.table.coverage(0);
-    let eu = t1.table.coverage(1);
-    let uni = t1.table.coverage(3);
-    assert!(us < eu, "US {us} !< EU {eu}");
-    assert!(eu < uni, "EU {eu} !< university {uni}");
-    assert!((0.70..0.92).contains(&us), "US coverage {us} (paper: 0.79)");
-    assert!((0.80..0.97).contains(&eu), "EU coverage {eu} (paper: 0.87)");
-    // Languages don't matter (§3.5).
-    let de = t1.table.total(4) as f64;
-    let gb = t1.table.total(5) as f64;
-    assert!((de - gb).abs() / gb < 0.05, "language effect {de} vs {gb}");
+    for profile in [FaultProfile::none(), FaultProfile::mild()] {
+        let study = midsize_study(profile);
+        let t1 = experiments::table1::table1(&study);
+        // Coverage gradient: US cloud < EU cloud < EU university (paper:
+        // 79% < 87% < 97-100%).
+        let us = t1.table.coverage(0);
+        let eu = t1.table.coverage(1);
+        let uni = t1.table.coverage(3);
+        assert!(us < eu, "US {us} !< EU {eu} ({profile})");
+        assert!(eu < uni, "EU {eu} !< university {uni} ({profile})");
+        assert!(
+            (0.70..0.92).contains(&us),
+            "US coverage {us} (paper: 0.79) ({profile})"
+        );
+        assert!(
+            (0.80..0.97).contains(&eu),
+            "EU coverage {eu} (paper: 0.87) ({profile})"
+        );
+        // Languages don't matter (§3.5).
+        let de = t1.table.total(4) as f64;
+        let gb = t1.table.total(5) as f64;
+        assert!(
+            (de - gb).abs() / gb < 0.05,
+            "language effect {de} vs {gb} ({profile})"
+        );
+    }
 }
 
 #[test]
 fn fig5_mid_market_hump() {
-    let study = midsize_study();
+    let study = midsize_study(FaultProfile::none());
     let f5 = experiments::fig5::fig5(&study);
     let at = |s: u32| {
         let i = f5.curve.sizes.iter().position(|&x| x == s).unwrap();
@@ -85,7 +103,7 @@ fn fig5_mid_market_hump() {
 
 #[test]
 fn gvl_and_dialog_results_hold_at_midsize() {
-    let study = midsize_study();
+    let study = midsize_study(FaultProfile::none());
     let gvl = experiments::fig7_8::gvl_figures(&study);
     assert!(gvl.net_toward_consent() > 0);
     let final_vendors = gvl.fig7.last().unwrap().vendors;

@@ -3,6 +3,7 @@
 
 use consent_analysis::{build_timelines, Timeline};
 use consent_crawler::{CaptureDb, CmpSet, FeedConfig, Platform};
+use consent_faultsim::FaultProfile;
 use consent_fingerprint::Detector;
 use consent_httpsim::{CaptureOptions, Engine, Vantage};
 use consent_psl::PublicSuffixList;
@@ -68,40 +69,43 @@ fn ground_truth_recovered_through_full_pipeline() {
 
 #[test]
 fn social_pipeline_measures_within_tolerance_of_truth() {
-    // Over the full pipeline with all distortions, the measured count
-    // should be below but near ground truth.
+    // Over the full pipeline with all distortions, injected faults
+    // included, the measured count should be below but near ground truth.
     let w = world();
-    let platform = Platform::new(
-        &w,
-        FeedConfig {
-            urls_per_day: 2_500,
-            ..FeedConfig::default()
-        },
-        SeedTree::new(5),
-    );
-    let day = Day::from_ymd(2020, 5, 10);
-    let (db, stats) = platform.run(day - 20, day + 1);
-    assert!(stats.captured > 10_000);
+    for profile in [FaultProfile::none(), FaultProfile::mild()] {
+        let platform = Platform::with_faults(
+            &w,
+            FeedConfig {
+                urls_per_day: 2_500,
+                ..FeedConfig::default()
+            },
+            profile,
+            SeedTree::new(5),
+        );
+        let day = Day::from_ymd(2020, 5, 10);
+        let (db, stats) = platform.run(day - 20, day + 1);
+        assert!(stats.captured > 10_000, "{profile}");
 
-    let timelines = build_timelines(&db, None);
-    let measured = timelines
-        .values()
-        .filter(|t| t.cmp_on(day).is_some())
-        .count();
-    // Ground truth over the same domain set.
-    let truth = timelines
-        .keys()
-        .filter_map(|d| w.site_by_host(d))
-        .filter(|p| p.cmp_on(day).is_some())
-        .count();
-    assert!(truth > 100, "truth {truth}");
-    let ratio = measured as f64 / truth as f64;
-    // Cloud vantages, geo gating and timeouts lose some CMPs; random
-    // vantage mixing recovers most.
-    assert!(
-        (0.55..=1.02).contains(&ratio),
-        "measured {measured} / truth {truth} = {ratio}"
-    );
+        let timelines = build_timelines(&db, None);
+        let measured = timelines
+            .values()
+            .filter(|t| t.cmp_on(day).is_some())
+            .count();
+        // Ground truth over the same domain set.
+        let truth = timelines
+            .keys()
+            .filter_map(|d| w.site_by_host(d))
+            .filter(|p| p.cmp_on(day).is_some())
+            .count();
+        assert!(truth > 100, "truth {truth} ({profile})");
+        let ratio = measured as f64 / truth as f64;
+        // Cloud vantages, geo gating and timeouts lose some CMPs; random
+        // vantage mixing recovers most.
+        assert!(
+            (0.55..=1.02).contains(&ratio),
+            "measured {measured} / truth {truth} = {ratio} ({profile})"
+        );
+    }
 }
 
 #[test]

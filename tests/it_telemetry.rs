@@ -9,23 +9,33 @@
 
 use consent_core::{experiments, Study};
 use consent_crawler::{FeedConfig, Platform};
+use consent_faultsim::FaultProfile;
 use consent_telemetry::{global, Registry, RunReport};
 use consent_util::Day;
 
 #[test]
 fn run_reports_reconcile_with_capture_db() {
-    consent_telemetry::enable();
     let study = Study::quick();
+    for profile in [FaultProfile::none(), FaultProfile::mild()] {
+        reconcile(&study, profile);
+    }
+}
+
+/// The reconciliation itself, with the social-feed platform under
+/// `profile`.
+fn reconcile(study: &Study, profile: FaultProfile) {
+    consent_telemetry::enable();
 
     // Social-feed pipeline: every insert into the CaptureDb increments
     // the capture_db.insert{location,status} family, so the report's
     // totals must equal the database row count exactly.
-    let platform = Platform::new(
+    let platform = Platform::with_faults(
         study.world(),
         FeedConfig {
             urls_per_day: 150,
             ..FeedConfig::default()
         },
+        profile,
         study.seed().child("it-telemetry"),
     );
     let ((db, stats), report) = RunReport::collect(global(), "platform", || {
@@ -47,9 +57,8 @@ fn run_reports_reconcile_with_capture_db() {
     // Every platform capture either ran through the engine or was
     // preempted by a connection-level injected fault (brownout, reset,
     // anti-bot escalation never reach the origin; injected timeouts and
-    // truncations degrade a real engine capture). With chaos off (no
-    // CONSENT_CHAOS) the fault terms are zero and this reduces to
-    // engine outcomes == captures.
+    // truncations degrade a real engine capture). Fault-free, the fault
+    // terms are zero and this reduces to engine outcomes == captures.
     let outcomes: u64 = report
         .delta
         .counters_with_prefix("engine.capture.outcome")
@@ -63,7 +72,7 @@ fn run_reports_reconcile_with_capture_db() {
                 .counter(&format!("faultsim.injected{{fault={f}}}"))
         })
         .sum();
-    assert_eq!(outcomes + preempting, stats.captured);
+    assert_eq!(outcomes + preempting, stats.captured, "{profile}");
     let skips = report.delta.counter("queue.offer{decision=SkippedUrl}")
         + report.delta.counter("queue.offer{decision=SkippedDomain}");
     assert_eq!(skips, stats.skipped);
@@ -178,7 +187,7 @@ fn run_reports_reconcile_with_capture_db() {
     // A reported experiment records onto the study, and a second report
     // only contains its own delta (snapshots isolate runs).
     let before_reports = study.reports().len();
-    let _f9 = experiments::run_reported(&study, "fig9", || experiments::fig9::fig9(&study));
+    let _f9 = experiments::run_reported(study, "fig9", || experiments::fig9::fig9(study));
     let reports = study.reports();
     assert_eq!(reports.len(), before_reports + 1);
     let f9_report = reports.last().unwrap();
@@ -188,12 +197,13 @@ fn run_reports_reconcile_with_capture_db() {
 
     // Instrumentation is observational only: a re-run of the same
     // pipeline yields byte-identical capture sets.
-    let platform2 = Platform::new(
+    let platform2 = Platform::with_faults(
         study.world(),
         FeedConfig {
             urls_per_day: 150,
             ..FeedConfig::default()
         },
+        profile,
         study.seed().child("it-telemetry"),
     );
     consent_telemetry::disable();

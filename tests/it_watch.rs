@@ -336,40 +336,6 @@ fn seeded_chaos_fires_and_reconciles_with_telemetry_and_health() {
     unlock(guard);
 }
 
-#[test]
-fn consent_watch_env_wiring_rejects_garbage_and_counts_it() {
-    let guard = lock();
-    consent_telemetry::reset();
-    consent_telemetry::enable();
-    let prev = std::env::var("CONSENT_WATCH").ok();
-
-    std::env::set_var("CONSENT_WATCH", "slo:usable:700:3;gap:9");
-    let parsed = WatchConfig::from_env();
-    assert_eq!(parsed.to_string(), "slo:usable:700:3;gap:9");
-
-    std::env::set_var("CONSENT_WATCH", "totally/bogus");
-    let before = consent_telemetry::global()
-        .counter("watch.rules.unrecognized")
-        .get();
-    assert!(WatchConfig::from_env().is_none(), "garbage must disarm");
-    assert_eq!(
-        consent_telemetry::global()
-            .counter("watch.rules.unrecognized")
-            .get(),
-        before + 1,
-        "garbage spec must be counted"
-    );
-
-    std::env::remove_var("CONSENT_WATCH");
-    assert!(WatchConfig::from_env().is_none());
-
-    match prev {
-        Some(v) => std::env::set_var("CONSENT_WATCH", v),
-        None => std::env::remove_var("CONSENT_WATCH"),
-    }
-    unlock(guard);
-}
-
 mod watch_grammar_properties {
     use super::*;
     use consent_watch::rules::{DriftMetric, DriftRule, GapRule, SloMetric, SloRule};
