@@ -434,7 +434,7 @@ mod tests {
         let relabel = |text: &str, from: &str, to: &str| {
             let body = text.replace(from, to);
             let cut = body.find("\nmanifest_crc=").unwrap() + 1;
-            let crc = crc32(body[..cut].as_bytes());
+            let crc = crc32(&body.as_bytes()[..cut]);
             format!("{}manifest_crc={crc:08x}\n{END_MANIFEST}\n", &body[..cut])
         };
         let lie = relabel(&text, "blobs=2", "blobs=3");

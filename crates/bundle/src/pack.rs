@@ -201,8 +201,8 @@ pub fn pack_verified(
                 repaired += 1;
             }
         }
-        for stem in &fsck.orphans {
-            if store.remove_orphan(stem).is_ok() {
+        for entry in &fsck.orphans {
+            if store.remove_orphan(entry).is_ok() {
                 repaired += 1;
             }
         }
@@ -303,6 +303,38 @@ mod tests {
         assert!(fsck.clean(), "{}", fsck.render());
         assert_eq!(report.manifest.serialize(), first.manifest.serialize());
         assert_eq!(store.get(&victim).unwrap(), b"GET /\n");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn pack_verified_removes_blob_files_outside_their_shard() {
+        let dir = tmp_dir();
+        let store = BlobStore::open(&dir).unwrap();
+        let input = sample_input();
+        let first = pack(&store, &input).unwrap();
+        // Two stray files the shard layout cannot name: one whose name
+        // is no address, and a copy of a referenced blob under a shard
+        // its address does not map to.
+        let blobs = dir.join("blobs");
+        let addr = first.manifest.sections[0].blobs[0].addr;
+        let wrong = if addr.shard() == "ab" { "cd" } else { "ab" };
+        std::fs::create_dir_all(blobs.join("ab")).unwrap();
+        std::fs::write(blobs.join("ab").join("zz.blob"), b"stray").unwrap();
+        std::fs::create_dir_all(blobs.join(wrong)).unwrap();
+        let misplaced = blobs.join(wrong).join(format!("{addr}.blob"));
+        std::fs::copy(store.blob_path(&addr), &misplaced).unwrap();
+        let mut strays = vec!["ab/zz.blob".to_string(), format!("{wrong}/{addr}.blob")];
+        strays.sort();
+        assert_eq!(crate::verify::verify(&store).unwrap().orphans, strays);
+
+        let (report, fsck) = pack_verified(&store, &input, 4).unwrap();
+        assert!(fsck.clean(), "{}", fsck.render());
+        assert_eq!(report.manifest.serialize(), first.manifest.serialize());
+        assert!(!misplaced.exists(), "the misplaced copy survived");
+        assert!(
+            store.get(&addr).is_ok(),
+            "the blob in its place was removed"
+        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 

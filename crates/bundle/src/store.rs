@@ -64,10 +64,14 @@ impl BlobStore {
 
     /// Where a blob with `addr` lives (whether or not it exists yet).
     pub fn blob_path(&self, addr: &BlobAddr) -> PathBuf {
-        self.root
-            .join("blobs")
-            .join(addr.shard())
-            .join(format!("{addr}.blob"))
+        self.root.join("blobs").join(Self::blob_entry(addr))
+    }
+
+    /// Where a blob with `addr` belongs, in the form
+    /// [`list_blobs`](Self::list_blobs) reports files:
+    /// `<shard>/<addr>.blob`, relative to `blobs/`.
+    pub fn blob_entry(addr: &BlobAddr) -> String {
+        format!("{}/{addr}.blob", addr.shard())
     }
 
     /// The manifest path.
@@ -110,16 +114,11 @@ impl BlobStore {
         retry_write(|| self.vfs.remove_file(&self.blob_path(addr)))
     }
 
-    /// Remove an orphaned blob file by its filename stem (as reported
-    /// by [`BlobStore::list_blobs`]); the shard directory is the stem's
-    /// first two hex digits.
-    pub fn remove_orphan(&self, stem: &str) -> io::Result<()> {
-        let shard = stem.get(..2).unwrap_or("00");
-        let path = self
-            .root
-            .join("blobs")
-            .join(shard)
-            .join(format!("{stem}.blob"));
+    /// Remove an orphaned blob file by the entry
+    /// [`list_blobs`](Self::list_blobs) reported for it, wherever it
+    /// was found.
+    pub fn remove_orphan(&self, entry: &str) -> io::Result<()> {
+        let path = self.root.join("blobs").join(entry);
         retry_write(|| self.vfs.remove_file(&path))
     }
 
@@ -140,23 +139,25 @@ impl BlobStore {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "manifest is not UTF-8"))
     }
 
-    /// Every `*.blob` filename stem on disk, sorted — the physical side
-    /// of the fsck's orphan check. Directory enumeration is read-only
-    /// and goes straight to `std::fs` (the [`Vfs`] seam covers durable
-    /// writes, not listing).
+    /// Every `*.blob` file on disk as it was found, sorted: its shard
+    /// directory and file name, `<dir>/<name>` relative to `blobs/` —
+    /// the physical side of the fsck's orphan check. A blob in its
+    /// place reads as its [`blob_entry`](Self::blob_entry). Directory
+    /// enumeration is read-only and goes straight to `std::fs` (the
+    /// [`Vfs`] seam covers durable writes, not listing).
     pub fn list_blobs(&self) -> io::Result<Vec<String>> {
         let mut out = Vec::new();
-        let blobs = self.root.join("blobs");
-        for shard in std::fs::read_dir(&blobs)? {
-            let shard = shard?.path();
-            if !shard.is_dir() {
+        for shard in std::fs::read_dir(self.root.join("blobs"))? {
+            let shard = shard?;
+            let (path, dir) = (shard.path(), shard.file_name());
+            let Some(dir) = dir.to_str().filter(|_| path.is_dir()) else {
                 continue;
-            }
-            for entry in std::fs::read_dir(&shard)? {
-                let path = entry?.path();
-                if path.extension().is_some_and(|e| e == "blob") {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        out.push(stem.to_string());
+            };
+            for entry in std::fs::read_dir(&path)? {
+                let file = entry?.path();
+                if file.extension().is_some_and(|e| e == "blob") {
+                    if let Some(name) = file.file_name().and_then(|s| s.to_str()) {
+                        out.push(format!("{dir}/{name}"));
                     }
                 }
             }
@@ -282,7 +283,7 @@ mod tests {
         let store = BlobStore::open(&dir).unwrap();
         let mut want: Vec<String> = ["a", "b", "c", "d"]
             .iter()
-            .map(|s| store.put(s.as_bytes()).unwrap().addr.to_string())
+            .map(|s| BlobStore::blob_entry(&store.put(s.as_bytes()).unwrap().addr))
             .collect();
         want.sort();
         assert_eq!(store.list_blobs().unwrap(), want);

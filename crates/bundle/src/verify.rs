@@ -64,7 +64,9 @@ pub struct VerifyReport {
     pub manifest_error: Option<String>,
     /// One verdict per manifest blob reference, in manifest order.
     pub blobs: Vec<BlobVerdict>,
-    /// Blob files on disk that no manifest reference points at.
+    /// Blob files on disk that no manifest reference points at, as
+    /// [`BlobStore::list_blobs`] found them (`<dir>/<name>`) — including
+    /// a blob file under a shard directory its address does not map to.
     pub orphans: Vec<String>,
     /// Distinct blob files actually read and hashed.
     pub unique_checked: u64,
@@ -183,10 +185,10 @@ pub fn verify(store: &BlobStore) -> io::Result<VerifyReport> {
     }
     report.unique_checked = cache.len() as u64;
     let referenced: std::collections::BTreeSet<String> =
-        cache.keys().map(|a| a.to_string()).collect();
-    for stem in store.list_blobs()? {
-        if !referenced.contains(&stem) {
-            report.orphans.push(stem);
+        cache.keys().map(BlobStore::blob_entry).collect();
+    for entry in store.list_blobs()? {
+        if !referenced.contains(&entry) {
+            report.orphans.push(entry);
         }
     }
     let bad = report.corrupt().len() as u64 + report.orphans.len() as u64;

@@ -51,6 +51,16 @@ impl SalvageReport {
         self.actions.push(action.into());
     }
 
+    /// Record a generation moved to quarantine, with its action line.
+    pub fn record_quarantine(&mut self, q: QuarantinedGeneration) {
+        let path = q.quarantine_path.as_deref().unwrap_or_default();
+        self.note(format!(
+            "quarantined generation {} ({path}): {}",
+            q.generation, q.reason
+        ));
+        self.quarantined.push(q);
+    }
+
     /// Fold another report's findings into this one (used when the
     /// store-level report is extended by domain-level recovery).
     pub fn absorb(&mut self, other: SalvageReport) {

@@ -292,6 +292,36 @@ impl CheckpointStore {
         Ok(to)
     }
 
+    /// [`quarantine`](Self::quarantine) a generation and return its
+    /// salvage record: `reason`, plus what `scan` found in the file
+    /// (verdicts, valid prefix, intact sections; nothing when the file
+    /// could not be read). Counts `checkpoint.salvage.{sections,bytes}`.
+    pub fn quarantine_generation(
+        &self,
+        generation: u64,
+        scan: Option<Scan>,
+        reason: String,
+    ) -> io::Result<QuarantinedGeneration> {
+        let path = self.quarantine(generation)?;
+        let (valid_prefix, salvaged, verdicts) = match scan {
+            Some(scan) => (scan.valid_prefix(), scan.salvageable(), scan.verdicts),
+            None => (0, Vec::new(), Vec::new()),
+        };
+        consent_telemetry::observe("checkpoint.salvage.sections", salvaged.len() as u64);
+        consent_telemetry::count(
+            "checkpoint.salvage.bytes",
+            salvaged.iter().map(|s| s.body.len() as u64).sum(),
+        );
+        Ok(QuarantinedGeneration {
+            generation,
+            reason,
+            verdicts,
+            valid_prefix,
+            salvaged,
+            quarantine_path: Some(path.display().to_string()),
+        })
+    }
+
     /// Load the newest generation that validates end-to-end.
     ///
     /// Generations are scanned newest-first. Every newer generation that
@@ -312,26 +342,8 @@ impl CheckpointStore {
                 consent_telemetry::count("checkpoint.opens", 1);
                 return Ok((scan.into_checkpoint(), report));
             }
-            let qpath = self.quarantine(g)?;
-            let salvaged = scan.salvageable();
-            consent_telemetry::observe("checkpoint.salvage.sections", salvaged.len() as u64);
-            consent_telemetry::count(
-                "checkpoint.salvage.bytes",
-                salvaged.iter().map(|s| s.body.len() as u64).sum(),
-            );
-            report.actions.push(format!(
-                "quarantined generation {g} ({}): {}",
-                qpath.display(),
-                scan.describe()
-            ));
-            report.quarantined.push(QuarantinedGeneration {
-                generation: g,
-                reason: scan.describe(),
-                valid_prefix: scan.valid_prefix(),
-                salvaged,
-                verdicts: scan.verdicts,
-                quarantine_path: Some(qpath.display().to_string()),
-            });
+            let reason = scan.describe();
+            report.record_quarantine(self.quarantine_generation(g, Some(scan), reason)?);
         }
         Ok((None, report))
     }

@@ -47,15 +47,30 @@
 //! never holds more outputs than a normal chunk, and the resumed trace
 //! export equals an uninterrupted run's byte for byte.
 //!
-//! The replay runs before the sampler and watchdog rebase to the
-//! recovered cursor, so they swallow its telemetry together with
-//! recovery's. The registry's totals do not: a resumed incarnation's
-//! counters, gauges and histograms also count the replayed crawl —
-//! engine captures, injected faults, detections, breaker opens,
-//! contained panics, `campaign.pair` spans and the pool's
-//! `campaign.parallel.*` metrics — though not its application
+//! The replay runs before the observation window opens (see
+//! [below](#one-observation-window)), so no sample or alert window
+//! counts its telemetry or recovery's. The registry's totals do: a
+//! resumed incarnation's counters, gauges and histograms also count
+//! the replayed crawl — engine captures, injected faults, detections,
+//! breaker opens, contained panics, `campaign.pair` spans and the
+//! pool's `campaign.parallel.*` metrics — though not its application
 //! (`campaign.outcome`, `campaign.dead_letter` and the other counts
 //! taken when a pair is applied).
+//!
+//! # One observation window
+//!
+//! The [sampler](DurableOpts::sampler) and the
+//! [watch](DurableOpts::watch) read one window the driver owns: a
+//! global-registry baseline and the cursor it was taken at, opened
+//! after recovery, the `watch-state` import and the trace replay. The
+//! watch judges it at every attempt of the next checkpoint write,
+//! counting the write that will close it, so a write's faults and
+//! retries are judged in the window this write closes. Once the write
+//! is durable the sampler records the window, the watch commits, and
+//! the window moves to that point; a skipped or torn write leaves it
+//! open. A window thus reaches the OBS and ALERTS exports iff it is
+//! durable, so both are byte-identical across thread counts and
+//! kill-halfway resumes.
 //!
 //! # Delta chains
 //!
@@ -227,25 +242,17 @@ pub struct DurableOpts {
     /// Deterministic crash schedule for this run ([`CrashPlan::none`]
     /// for production use).
     pub crash: CrashPlan,
-    /// Optional flight-recorder sampler. The driver rebases it to the
-    /// recovered cursor after recovery (so a resumed process's
-    /// re-import and trace-replay traffic is not attributed to any
-    /// window) and, in logical-tick mode, ticks it at `state.pairs_done`
-    /// immediately after every successful checkpoint write — so a
-    /// sample exists iff its window is durable, which is what makes the
-    /// `OBS` export byte-identical across thread counts and
-    /// kill-halfway resumes.
+    /// Optional flight-recorder sampler. In logical-tick mode it
+    /// [records](Sampler::record) each observation window right after
+    /// the checkpoint write that makes it durable (see the
+    /// [module docs](self#one-observation-window)).
     pub sampler: Option<Arc<Sampler>>,
-    /// Optional SLO/anomaly watchdog. Mirrors the sampler's lifecycle —
-    /// rebased to the recovered cursor (after importing the
-    /// `watch-state` checkpoint section persisted by the previous
-    /// incarnation) and advanced only at durable checkpoint cuts, via a
-    /// two-phase protocol: the driver *stages* the window before each
-    /// save (the watch state blob rides inside the checkpoint), then
-    /// *commits* on a durable write or *aborts* on a skipped one. An
-    /// alert event therefore exists iff the window it describes is
-    /// durable, which is what makes the `ALERTS` export byte-identical
-    /// across thread counts and kill-halfway resumes.
+    /// Optional SLO/anomaly watchdog over the same window. The driver
+    /// imports the `watch-state` section the previous incarnation
+    /// persisted, [stages](Watch::stage) the open window at every write
+    /// attempt (the state blob rides inside the checkpoint), then
+    /// *commits* on a durable write or *aborts* on a skipped or torn
+    /// one.
     pub watch: Option<Arc<Watch>>,
     /// Self-healing policy for storage faults: retry budget, backoff
     /// caps, cadence widening, recovery attempts (see
@@ -668,31 +675,12 @@ pub fn recover_state(
                     report.used_generation = None;
                     for g in fail.implicated {
                         let scan = store.scan_generation(g).ok();
-                        let Ok(qpath) = store.quarantine(g) else {
-                            report.note(format!(
+                        match store.quarantine_generation(g, scan, fail.reason.clone()) {
+                            Ok(q) => report.record_quarantine(q),
+                            Err(_) => report.note(format!(
                                 "chain member generation {g} vanished before quarantine"
-                            ));
-                            continue;
-                        };
-                        let (valid_prefix, salvaged, verdicts) = match scan {
-                            Some(s) => (s.valid_prefix(), s.salvageable(), s.verdicts),
-                            None => (0, Vec::new(), Vec::new()),
-                        };
-                        report.actions.push(format!(
-                            "quarantined chain member generation {g} ({}): {}",
-                            qpath.display(),
-                            fail.reason
-                        ));
-                        report
-                            .quarantined
-                            .push(consent_checkpoint::QuarantinedGeneration {
-                                generation: g,
-                                reason: fail.reason.clone(),
-                                valid_prefix,
-                                salvaged,
-                                verdicts,
-                                quarantine_path: Some(qpath.display().to_string()),
-                            });
+                            )),
+                        }
                     }
                     continue;
                 }
@@ -711,12 +699,10 @@ pub fn recover_state(
                 // hand-edited file): quarantine and fall back like any
                 // other corruption.
                 let g = ckpt.generation;
-                let qpath = store.quarantine(g)?;
+                let scan = store.scan_generation(g).ok();
+                let reason = format!("sections intact but state import failed: {e}");
+                report.record_quarantine(store.quarantine_generation(g, scan, reason)?);
                 report.used_generation = None;
-                report.note(format!(
-                    "quarantined generation {g} ({}): sections intact but state import failed: {e}",
-                    qpath.display()
-                ));
             }
         }
     }
@@ -767,8 +753,8 @@ pub fn run_durable_campaign(
 
     // The campaign's set-up, once for this incarnation; every chunk
     // below runs through it. The recovered cursor is this incarnation's
-    // resume skip, counted once and before the rebases below, so no
-    // sample window attributes it.
+    // resume skip, counted once and before the observation window
+    // opens, so no window attributes it.
     let plan = CampaignPlan::new(world, domains, day, vantages, seed, &opts.config);
     consent_telemetry::count("campaign.pairs_skipped", plan.skipped(&state));
     // A traced process that starts with an empty log has no events for
@@ -778,25 +764,21 @@ pub fn run_durable_campaign(
         plan.replay(state.pairs_done, opts.threads, every);
     }
 
-    // Rebase the flight recorder only after recovery and the replay:
-    // both re-count work this process never performed (checkpoint
-    // import inserts into the CaptureDb, the store counts
-    // `checkpoint.opens`, the replay re-crawls), and that traffic must
-    // not be attributed to any sample window.
-    if let Some(sampler) = &opts.sampler {
-        sampler.rebase(state.pairs_done);
-    }
-    // Same discipline for the watchdog: restore the detector state the
-    // previous incarnation persisted (only into a fresh watch — a
-    // rejected blob, e.g. after a rule-config change, just restarts the
-    // detectors), then swallow the recovery traffic with a rebase.
+    // Restore the detector state the previous incarnation persisted
+    // (only into a fresh watch — a rejected blob, e.g. after a
+    // rule-config change, just restarts the detectors).
     if let Some(watch) = &opts.watch {
         if !watch_jsonl.is_empty() && watch.is_fresh() && watch.import_state(&watch_jsonl).is_err()
         {
             consent_telemetry::count("watch.state.rejected", 1);
         }
-        watch.rebase(state.pairs_done);
     }
+    // Open the observation window only now: recovery and the replay
+    // re-count work this process never performed (checkpoint import,
+    // `checkpoint.opens`, the re-crawl), which no window may attribute.
+    let registry = consent_telemetry::global();
+    let mut window = (opts.sampler.is_some() || opts.watch.is_some())
+        .then(|| (registry.snapshot(), state.pairs_done));
 
     let mut cadence_widened = false;
     let mut applied_this_run = 0u64;
@@ -817,18 +799,21 @@ pub fn run_durable_campaign(
         }
         health
     };
-    let crashed =
-        |state: CampaignState, result: Option<CampaignResult>, durable_pairs| DurableRun {
-            state,
-            result: result.unwrap_or_default(),
-            outcome: DurableOutcome::Crashed {
-                crashpoint: opts.crash.describe(),
-                durable_pairs,
-            },
-            salvage: SalvageReport::default(),
-            health: HealthReport::default(),
-            bundle: None,
-        };
+    let crashed = |state: CampaignState,
+                   result: Option<CampaignResult>,
+                   durable_pairs,
+                   salvage,
+                   sup: &Supervisor| DurableRun {
+        state,
+        result: result.unwrap_or_default(),
+        outcome: DurableOutcome::Crashed {
+            crashpoint: opts.crash.describe(),
+            durable_pairs,
+        },
+        salvage,
+        health: health_of(sup),
+        bundle: None,
+    };
     loop {
         let mut chunk = every;
         if let Some(n) = opts.crash.apply_point() {
@@ -836,10 +821,7 @@ pub fn run_durable_campaign(
             if remaining == 0 {
                 // Died immediately after the Nth applied pair — before
                 // any checkpoint covering it could be written.
-                let mut run = crashed(state, result, durable_pairs);
-                run.salvage = salvage;
-                run.health = health_of(&sup);
-                return Ok(run);
+                return Ok(crashed(state, result, durable_pairs, salvage, &sup));
             }
             chunk = chunk.min(remaining);
         }
@@ -861,10 +843,7 @@ pub fn run_durable_campaign(
             .apply_point()
             .is_some_and(|n| applied_this_run >= n)
         {
-            let mut out = crashed(state, result, durable_pairs);
-            out.salvage = salvage;
-            out.health = health_of(&sup);
-            return Ok(out);
+            return Ok(crashed(state, result, durable_pairs, salvage, &sup));
         }
         if did > 0 || durable_pairs != state.pairs_done {
             writes_this_run += 1;
@@ -876,23 +855,26 @@ pub fn run_durable_campaign(
             // (which opens or rebases the chain when `rebase_every > 0`).
             let delta = chain.as_ref().filter(|c| c.deltas < rebase_every);
             let delta_write = delta.is_some();
-            // Stage the watch window covering this cut *before* the
-            // write: the post-window detector state rides inside the
-            // checkpoint, and the window only becomes observable
-            // (commit) once that checkpoint is durable.
-            let watch_blob = opts.watch.as_ref().and_then(|w| w.stage(state.pairs_done));
-            let build = || {
-                let mut sections = match delta {
-                    Some(c) => delta_state_sections(&state, &c.marks, c.head, c.base),
-                    None => state_sections(&state),
+            let build = || match delta {
+                Some(c) => delta_state_sections(&state, &c.marks, c.head, c.base),
+                None => state_sections(&state),
+            };
+            // Judge the open window at a write attempt, faults of this
+            // cut's earlier attempts included; the detector state rides
+            // inside the checkpoint and commits once it is durable.
+            let stage = |sections: &mut Vec<Section>| {
+                let (Some(watch), Some((base, from))) = (&opts.watch, &window) else {
+                    return;
                 };
-                if let Some(blob) = &watch_blob {
-                    sections.push(Section::new(WATCH_STATE_SECTION, blob.clone()));
+                sections.retain(|s| s.name != WATCH_STATE_SECTION);
+                if let Some(blob) = watch.stage((*from, state.pairs_done), &registry.delta(base)) {
+                    sections.push(Section::new(WATCH_STATE_SECTION, blob));
                 }
-                sections
             };
             if let Some(keep_bytes) = opts.crash.write_truncation(writes_this_run) {
-                if store.save_torn(&build(), keep_bytes).is_err() {
+                let mut sections = build();
+                stage(&mut sections);
+                if store.save_torn(&sections, keep_bytes).is_err() {
                     // The dying process's torn write failed outright
                     // (e.g. injected storage chaos): even fewer bytes
                     // reached the disk, which changes nothing about the
@@ -901,24 +883,22 @@ pub fn run_durable_campaign(
                 }
                 // The torn generation is not durable; the previous cut
                 // is — and the staged watch window dies with the
-                // process, exactly like the sampler's unticked window.
+                // process, like the window the sampler never recorded.
                 if let Some(watch) = &opts.watch {
                     watch.abort();
                 }
-                let mut out = crashed(state, result, durable_pairs);
-                out.salvage = salvage;
-                out.health = health_of(&sup);
-                return Ok(out);
+                return Ok(crashed(state, result, durable_pairs, salvage, &sup));
             }
             // Supervised write: retries, backoff, and ladder descent
-            // all happen inside. The sections are built at the first
-            // attempt and reused by retries; a memory-only supervisor
-            // makes no attempt, so it never builds them. A delta write
-            // pins the chain base against rotation; a full write
-            // imposes no floor (rotation may drop the old chain).
+            // all happen inside. The state sections are built at the
+            // first attempt and reused by retries (only the watch is
+            // re-staged); a memory-only supervisor makes no attempt, so
+            // it never builds them. A delta write pins the chain base
+            // against rotation; a full write imposes no floor.
             let mut sections = None;
             let verdict = sup.save_with(state.pairs_done, || {
                 let sections = sections.get_or_insert_with(build);
+                stage(sections);
                 match delta {
                     Some(c) => store.save_with_min_retained(sections, c.base),
                     None => store.save(sections),
@@ -953,16 +933,19 @@ pub fn run_durable_campaign(
                         chain.as_ref().map_or(0, |c| c.deltas as i64 + 1),
                     );
                 }
-                // Sample only once the covering checkpoint is durable:
-                // a window that could still be lost to a crash must
-                // never appear in the OBS export, or a resumed run
-                // would re-emit (and double) it.
-                if let Some(sampler) = &opts.sampler {
-                    sampler.tick_at(state.pairs_done);
-                }
-                // Same rule for the watchdog, via its staged window.
-                if let Some(watch) = &opts.watch {
-                    watch.commit();
+                // Close the window only once its checkpoint is durable:
+                // a window a crash could still lose must never reach an
+                // export, or a resumed run would re-emit (double) it.
+                if let Some((base, from)) = &mut window {
+                    let now = registry.snapshot();
+                    if let Some(sampler) = &opts.sampler {
+                        sampler.record((*from, state.pairs_done), &now.delta_since(base));
+                    }
+                    if let Some(watch) = &opts.watch {
+                        watch.commit();
+                    }
+                    *base = now;
+                    *from = state.pairs_done;
                 }
             } else if let Some(watch) = &opts.watch {
                 // Skipped write (memory-only): the window stays open and
@@ -1490,6 +1473,14 @@ mod tests {
             "{}",
             report.render()
         );
+        // The quarantined generation is in the report, not only in a
+        // note, with its reason and its still-intact sections.
+        assert_eq!(report.quarantined.len(), 1, "{}", report.render());
+        let q = &report.quarantined[0];
+        assert_eq!(q.generation, 2);
+        assert!(q.reason.contains("state import failed"), "{}", q.reason);
+        assert_eq!(q.valid_prefix, lying.len());
+        assert!(store.quarantine_dir().join("gen-00000002.ckpt").is_file());
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -1,39 +1,40 @@
-//! The live sampler: periodically (or at logical ticks) turns registry
-//! deltas into [`ObsSample`]s.
+//! The live sampler: turns registry deltas into [`ObsSample`]s, either
+//! periodically or for the durable driver's closed windows.
 //!
 //! # Two modes, one determinism boundary
 //!
 //! [`SampleMode::WallClock`] is the production mode: [`Sampler::start`]
-//! spawns a monotonic background thread that samples every `interval`.
-//! Its output carries wall-clock timestamps, gauge readings, and
-//! per-window latency summaries — and is explicitly **outside** the
-//! workspace's byte-identity guarantee (when a sample lands depends on
-//! scheduling).
+//! spawns a monotonic background thread that samples every `interval`
+//! against the sampler's own baseline. Its output carries wall-clock
+//! timestamps, gauge readings, and per-window latency summaries — and
+//! is explicitly **outside** the workspace's byte-identity guarantee
+//! (when a sample lands depends on scheduling).
 //!
-//! [`SampleMode::LogicalTick`] keeps the determinism story testable:
-//! the durable campaign driver calls [`Sampler::tick_at`] once per
-//! *durable* chunk boundary — immediately after a successful checkpoint
-//! `save` — so a sample exists iff the window it describes survived a
-//! crash. In this mode the sample drops everything nondeterministic:
-//! no wall time, no gauges (point-in-time racy reads), histograms
-//! reduced to event-count deltas (how *many* pairs ran is deterministic;
-//! how long they took is not), and keys matching the
-//! [deny list](ObsConfig::deny) removed (e.g. `campaign.parallel.*`,
-//! whose per-shard sample counts vary with the thread count). The
-//! resulting `OBS_*.jsonl` is byte-identical across 1/2/4 threads and
-//! kill-halfway resumes — asserted by `tests/it_obs.rs`.
+//! [`SampleMode::LogicalTick`] keeps the determinism story testable.
+//! Here the sampler holds no baseline: the durable campaign driver owns
+//! the one observation window (a registry baseline and the cursor it
+//! was taken at) and hands [`Sampler::record`] each window it closes,
+//! immediately after a successful checkpoint save — so a sample exists
+//! iff the window it describes survived a crash. In this mode the
+//! sample drops everything nondeterministic: no wall time, no gauges
+//! (point-in-time racy reads), histograms reduced to event-count deltas
+//! (how *many* pairs ran is deterministic; how long they took is not),
+//! and keys matching the [deny list](ObsConfig::deny) removed (e.g.
+//! `campaign.parallel.*`, whose per-shard sample counts vary with the
+//! thread count). The resulting `OBS_*.jsonl` is byte-identical across
+//! 1/2/4 threads and kill-halfway resumes — asserted by
+//! `tests/it_obs.rs`.
 //!
 //! # Resume
 //!
 //! After recovery a resumed process re-counts work it never performed
 //! (checkpoint import calls `CaptureDb::insert`, the store counts
-//! `checkpoint.opens`, …). [`Sampler::rebase`] swallows that traffic:
-//! call it with the recovered cursor *after* recovery and the re-crawl
-//! that rebuilds the recovered pairs' trace, *before* the chunk loop, and the next tick's window starts clean at
-//! the recovered position. Because a logical sample's identity is its
-//! cursor window — `seq == tick == pairs_done` — no sampler state needs
-//! to be persisted for the concatenated exports of a killed run and its
-//! resume to equal an uninterrupted run's.
+//! `checkpoint.opens`, the trace replay re-crawls recovered pairs). The
+//! driver opens its window only after recovery and that replay, so
+//! none of this traffic reaches a sample. Because a logical sample's
+//! identity is its cursor window — `seq == tick == pairs_done` — no
+//! sampler state needs to be persisted for the concatenated exports of
+//! a killed run and its resume to equal an uninterrupted run's.
 
 use crate::series::{ObsSample, TimeSeries};
 use consent_telemetry::{Registry, Snapshot};
@@ -76,8 +77,8 @@ pub enum SampleMode {
         /// Time between samples.
         interval: Duration,
     },
-    /// Samples only at explicit [`Sampler::tick_at`] calls (chunk
-    /// boundaries of the durable driver); output is deterministic.
+    /// Samples only the windows passed to [`Sampler::record`] (the
+    /// durable driver's checkpoint cuts); output is deterministic.
     LogicalTick,
 }
 
@@ -126,13 +127,10 @@ impl ObsConfig {
 }
 
 struct Inner {
-    /// Baseline snapshot: the next sample is the registry delta since
-    /// this.
+    /// Wall-clock baseline: the next wall sample is the registry delta
+    /// since this (logical samples get their delta from the caller).
     base: Snapshot,
     series: TimeSeries,
-    /// Cursor position of the last emitted logical sample (or the last
-    /// rebase).
-    last_tick: u64,
     /// Wall-clock sample count (logical mode derives seq from the tick).
     wall_seq: u64,
     started: Instant,
@@ -154,7 +152,6 @@ impl fmt::Debug for Sampler {
             .field("mode", &self.mode)
             .field("deny", &self.deny)
             .field("samples", &inner.series.len())
-            .field("last_tick", &inner.last_tick)
             .finish()
     }
 }
@@ -170,7 +167,6 @@ impl Sampler {
             inner: Mutex::new(Inner {
                 base: registry.snapshot(),
                 series: TimeSeries::new(config.capacity),
-                last_tick: 0,
                 wall_seq: 0,
                 started: Instant::now(),
             }),
@@ -182,48 +178,26 @@ impl Sampler {
         &self.mode
     }
 
-    /// Re-take the baseline at cursor position `tick` without emitting
-    /// a sample. Call after recovery (see [module docs](self)): traffic
-    /// since the previous baseline — including recovery's re-counting of
-    /// imported work — is discarded, and the next [`tick_at`]
-    /// (/wall sample) window starts here.
-    ///
-    /// [`tick_at`]: Self::tick_at
-    pub fn rebase(&self, tick: u64) {
-        let snap = self.registry.snapshot();
-        let mut inner = self.inner.lock();
-        inner.base = snap;
-        inner.last_tick = tick;
-    }
-
-    /// Emit one deterministic sample covering `(last_tick, tick]`.
-    ///
-    /// No-op unless the mode is [`SampleMode::LogicalTick`], and no-op
-    /// when `tick` has not advanced past the last emitted/rebased
-    /// position (so a checkpoint that made no progress emits nothing).
-    pub fn tick_at(&self, tick: u64) {
-        if self.mode != SampleMode::LogicalTick {
+    /// Record one deterministic sample for the closed window
+    /// `(from, to]` from `delta`, its registry traffic (see the
+    /// [module docs](self)): counters and histogram event counts minus
+    /// the [deny list](ObsConfig::deny). No-op unless the mode is
+    /// [`SampleMode::LogicalTick`], and for an empty window.
+    pub fn record(&self, window: (u64, u64), delta: &Snapshot) {
+        if self.mode != SampleMode::LogicalTick || window.1 <= window.0 {
             return;
         }
-        let snap = self.registry.snapshot();
-        let mut inner = self.inner.lock();
-        if tick <= inner.last_tick {
-            return;
-        }
-        let delta = snap.delta_since(&inner.base);
         let sample = ObsSample {
-            seq: tick,
-            tick,
-            window: (inner.last_tick, tick),
+            seq: window.1,
+            tick: window.1,
+            window,
             elapsed_us: None,
-            counters: self.filter_counters(&delta),
-            events: self.filter_events(&delta),
+            counters: self.filter_counters(delta),
+            events: self.filter_events(delta),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
         };
-        inner.base = snap;
-        inner.last_tick = tick;
-        inner.series.push(sample);
+        self.inner.lock().series.push(sample);
     }
 
     /// Take one wall-clock sample now. No-op in logical-tick mode
@@ -402,18 +376,21 @@ mod tests {
     #[test]
     fn logical_ticks_window_counter_deltas() {
         let reg = leaked_registry();
-        reg.counter("campaign.progress").add(3); // pre-attach traffic
         let sampler = Sampler::attach(reg, ObsConfig::deterministic());
+        reg.counter("campaign.progress").add(3); // before the window opens
+        let base = reg.snapshot();
 
         reg.counter("campaign.progress").add(5);
         reg.counter("campaign.parallel.denied").add(9);
         reg.histogram("campaign.pair").record(40);
         reg.gauge("campaign.cursor").set(5);
-        sampler.tick_at(5);
+        sampler.record((0, 5), &reg.delta(&base));
+        let base = reg.snapshot();
 
         reg.counter("campaign.progress").add(4);
-        sampler.tick_at(9);
-        sampler.tick_at(9); // duplicate tick: no sample
+        let delta = reg.delta(&base);
+        sampler.record((5, 9), &delta);
+        sampler.record((9, 9), &delta); // empty window: no sample
 
         let series = sampler.series();
         assert_eq!(series.len(), 2);
@@ -438,21 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn rebase_swallows_recovery_traffic() {
-        let reg = leaked_registry();
-        let sampler = Sampler::attach(reg, ObsConfig::deterministic());
-        reg.counter("capture_db.insert").add(100); // simulated recovery import
-        sampler.rebase(100);
-        reg.counter("capture_db.insert").add(7);
-        sampler.tick_at(107);
-        let series = sampler.series();
-        assert_eq!(series.len(), 1);
-        let s = series.latest().unwrap();
-        assert_eq!(s.window, (100, 107));
-        assert_eq!(s.counters.get("capture_db.insert"), Some(&7));
-    }
-
-    #[test]
     fn wall_mode_keeps_gauges_and_histograms() {
         let reg = leaked_registry();
         let sampler = Sampler::attach(reg, ObsConfig::default());
@@ -466,8 +428,8 @@ mod tests {
         assert!(s.elapsed_us.is_some());
         assert_eq!(s.gauges.get("g"), Some(&11));
         assert_eq!(s.histograms.get("h").unwrap().count, 1);
-        // tick_at is inert outside logical mode.
-        sampler.tick_at(50);
+        // record is inert outside logical mode.
+        sampler.record((0, 50), &reg.snapshot());
         assert_eq!(sampler.len(), 1);
     }
 

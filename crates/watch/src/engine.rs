@@ -1,10 +1,10 @@
-//! The streaming watch engine: folds [`ObsSample`]s into detector
-//! state and a deterministic alert-event log.
+//! The streaming watch engine: folds the durable driver's observation
+//! windows into detector state and a deterministic alert-event log.
 //!
 //! # Detectors
 //!
-//! Every detector is a pure function of logical-tick sample content —
-//! counter deltas and tick positions, never wall time:
+//! Every detector is a pure function of one window's counter deltas
+//! and its cursor bounds — never wall time:
 //!
 //! - **Burn-rate SLO rules** ([`SloRule`]): the current window's ratio
 //!   crossing the threshold opens a *pending* alert; the aggregate
@@ -34,17 +34,17 @@
 //!
 //! # Two-phase observation
 //!
-//! The durable driver calls [`Watch::stage`] *before* the checkpoint
-//! write — the returned state blob rides inside the checkpoint — and
-//! [`Watch::commit`] only after the write proved durable (or
-//! [`Watch::abort`] when it was skipped). An alert event therefore
-//! exists iff the window it describes is durable, mirroring the
-//! sampler's tick-after-save rule. On resume,
-//! [`Watch::import_state`] + [`Watch::rebase`] restore the exact
-//! detector state the dead process had persisted.
+//! The watch keeps no registry baseline: the durable driver owns the
+//! window and calls [`Watch::stage`] with it and its registry delta at
+//! every checkpoint write attempt — the state blob rides inside the
+//! checkpoint — and [`Watch::commit`] only after the write proved
+//! durable, where the sampler records the same window (or
+//! [`Watch::abort`] when it was skipped or torn). An alert event
+//! therefore exists iff its window is durable. On resume,
+//! [`Watch::import_state`] restores the persisted detector state.
 
 use crate::rules::{DriftMetric, SloMetric, WatchConfig};
-use consent_obs::{FlightAlert, ObsSample};
+use consent_obs::FlightAlert;
 use consent_telemetry::registry::parse_key;
 use consent_telemetry::{Registry, Snapshot};
 use consent_util::Json;
@@ -169,12 +169,22 @@ struct EngineState {
     gap: BTreeMap<String, u64>,
 }
 
+impl EngineState {
+    /// Open alerts in the firing phase.
+    fn firing(&self) -> usize {
+        self.instances
+            .values()
+            .filter(|i| i.phase == Phase::Firing)
+            .count()
+    }
+}
+
 /// Ratio in parts per thousand (caller guarantees `den > 0`).
 fn rate_pm(num: u64, den: u64) -> u64 {
     num.saturating_mul(1000) / den
 }
 
-/// The window metrics every detector reads, extracted from one sample's
+/// The window metrics every detector reads, extracted from one window's
 /// counter deltas.
 #[derive(Debug, Default)]
 struct WindowMetrics {
@@ -182,9 +192,9 @@ struct WindowMetrics {
     capture: BTreeMap<String, (u64, u64)>,
     /// (dead-lettered outcomes, total outcomes).
     dead: (u64, u64),
-    /// (io faults, io faults + durable writes).
+    /// (io faults, io faults + 1).
     iofault: (u64, u64),
-    /// (retries, retries + durable writes).
+    /// (retries, retries + 1).
     retry: (u64, u64),
     /// (CMP detection hits, hits + misses).
     cmp: (u64, u64),
@@ -193,11 +203,12 @@ struct WindowMetrics {
 }
 
 impl WindowMetrics {
-    fn from_sample(sample: &ObsSample) -> WindowMetrics {
+    /// Extract the metrics from one window's counter deltas.
+    fn from_counters(counters: &BTreeMap<String, u64>) -> WindowMetrics {
         let mut m = WindowMetrics::default();
         let mut hits = 0u64;
         let mut misses = 0u64;
-        for (key, v) in &sample.counters {
+        for (key, v) in counters {
             let (base, labels) = parse_key(key);
             match base {
                 "capture_db.insert" => {
@@ -232,17 +243,16 @@ impl WindowMetrics {
                 "fingerprint.detect.miss" | "fingerprint.detect.miss_degraded" => misses += v,
                 "checkpoint.io_fault" => m.iofault.0 += v,
                 "checkpoint.retry" => m.retry.0 += v,
-                "checkpoint.writes" => {
-                    m.iofault.1 += v;
-                    m.retry.1 += v;
-                }
                 _ => {}
             }
         }
-        m.iofault.1 += m.iofault.0;
-        m.retry.1 += m.retry.0;
+        // Every attempt of the write that closes this window is either
+        // a fault (or retry) or that one durable write, which carries
+        // the state this evaluation produces.
+        m.iofault.1 = m.iofault.0 + 1;
+        m.retry.1 = m.retry.0 + 1;
         m.cmp = (hits, hits + misses);
-        m.pairs = sample.pairs();
+        m.pairs = counters.get("campaign.progress").copied().unwrap_or(0);
         m
     }
 }
@@ -308,12 +318,16 @@ fn transition(
     }
 }
 
-/// Evaluate every configured rule against one sample, mutating `state`
-/// and returning the lifecycle transitions, in deterministic rule/label
-/// order.
-fn eval(config: &WatchConfig, state: &mut EngineState, sample: &ObsSample) -> Vec<AlertEvent> {
-    let m = WindowMetrics::from_sample(sample);
-    let tick = sample.tick;
+/// Evaluate every configured rule against the window `(from, tick]`
+/// with counter deltas `counters`, mutating `state` and returning the
+/// lifecycle transitions, in deterministic rule/label order.
+fn eval(
+    config: &WatchConfig,
+    state: &mut EngineState,
+    (from, tick): (u64, u64),
+    counters: &BTreeMap<String, u64>,
+) -> Vec<AlertEvent> {
+    let m = WindowMetrics::from_counters(counters);
     let mut events = Vec::new();
 
     for (i, rule) in config.slo.iter().enumerate() {
@@ -445,7 +459,7 @@ fn eval(config: &WatchConfig, state: &mut EngineState, sample: &ObsSample) -> Ve
                     // First sight of this location: a usable capture
                     // anchors the gap at this tick; an unusable-only
                     // window anchors it at the window start.
-                    let anchor = if *usable > 0 { tick } else { sample.window.0 };
+                    let anchor = if *usable > 0 { tick } else { from };
                     state.gap.insert(loc.clone(), anchor);
                 }
                 Some(last) => {
@@ -630,29 +644,30 @@ fn import_state(config: &WatchConfig, blob: &str) -> Result<(EngineState, u64), 
     Ok((state, last_tick))
 }
 
-/// A staged (not yet durable) observation: the evaluated window and the
-/// state blob that went into the checkpoint attempt.
+/// A staged (not yet durable) observation: the end of the evaluated
+/// window and the state and events whose blob went into the checkpoint
+/// attempt.
 struct Staged {
     tick: u64,
-    snap: Snapshot,
     state: EngineState,
     events: Vec<AlertEvent>,
 }
 
 struct WatchInner {
-    base: Snapshot,
+    /// End of the last committed window (or of the imported one); 0
+    /// until then, since every window ends past 0.
     last_tick: u64,
     state: EngineState,
     events: VecDeque<AlertEvent>,
     capacity: usize,
     dropped: u64,
-    observed: u64,
     staged: Option<Staged>,
 }
 
 /// The watchdog attached to one campaign run (see the
 /// [crate docs](crate)).
 pub struct Watch {
+    /// Where the watch publishes its own alert counters and gauges.
     registry: &'static Registry,
     config: WatchConfig,
     inner: Mutex<WatchInner>,
@@ -670,22 +685,21 @@ impl std::fmt::Debug for Watch {
 }
 
 impl Watch {
-    /// Attach a watch to `registry` with `config`, taking the baseline
-    /// snapshot now: traffic before this call is not attributed to any
-    /// window. Retains up to 4096 alert events (oldest evicted beyond
-    /// that, counted in [`dropped`](Self::dropped)).
+    /// Attach a watch with `config` that publishes its alert counters
+    /// and gauges into `registry` (see [`commit`](Self::commit)). The
+    /// windows it judges come from the caller, through
+    /// [`stage`](Self::stage). Retains up to 4096 alert events (oldest
+    /// evicted beyond that, counted in [`dropped`](Self::dropped)).
     pub fn attach(registry: &'static Registry, config: WatchConfig) -> Arc<Watch> {
         Arc::new(Watch {
             registry,
             config,
             inner: Mutex::new(WatchInner {
-                base: registry.snapshot(),
                 last_tick: 0,
                 state: EngineState::default(),
                 events: VecDeque::new(),
                 capacity: 4096,
                 dropped: 0,
-                observed: 0,
                 staged: None,
             }),
         })
@@ -701,10 +715,7 @@ impl Watch {
     /// is allowed.
     pub fn is_fresh(&self) -> bool {
         let inner = self.inner.lock();
-        inner.observed == 0
-            && inner.events.is_empty()
-            && inner.last_tick == 0
-            && inner.state == EngineState::default()
+        inner.last_tick == 0 && inner.state == EngineState::default()
     }
 
     /// Restore detector state persisted by a previous incarnation
@@ -722,65 +733,64 @@ impl Watch {
         Ok(())
     }
 
-    /// Re-take the baseline at cursor position `tick` without
-    /// evaluating anything. Call after recovery, like
-    /// [`Sampler::rebase`](consent_obs::Sampler::rebase): recovery's
-    /// re-counting of imported work must not be attributed to any
-    /// window. Drops any staged observation.
-    pub fn rebase(&self, tick: u64) {
-        let snap = self.registry.snapshot();
-        let mut inner = self.inner.lock();
-        inner.base = snap;
-        inner.last_tick = tick;
-        inner.staged = None;
-    }
-
-    /// Stage the window `(last_tick, tick]`: evaluate every rule on the
-    /// registry delta and return the post-window state blob for the
-    /// covering checkpoint. Nothing becomes observable until
+    /// Stage the window `(from, to]`: evaluate every rule on `delta`,
+    /// the registry traffic of that window, and return the post-window
+    /// state blob for the checkpoint write that will close it. Staging
+    /// again replaces the staged observation, so the driver re-stages
+    /// at every write attempt. Nothing becomes observable until
     /// [`commit`](Self::commit); [`abort`](Self::abort) (or a process
-    /// death) discards it. Returns `None` when `tick` has not advanced.
-    pub fn stage(&self, tick: u64) -> Option<String> {
-        let snap = self.registry.snapshot();
+    /// death) discards it. Returns `None` when the window is empty or
+    /// ends at or before the last committed tick.
+    pub fn stage(&self, (from, to): (u64, u64), delta: &Snapshot) -> Option<String> {
         let mut inner = self.inner.lock();
-        if tick <= inner.last_tick {
+        if to <= from.max(inner.last_tick) {
             return None;
         }
-        let delta = snap.delta_since(&inner.base);
-        let sample = ObsSample {
-            seq: tick,
-            tick,
-            window: (inner.last_tick, tick),
-            counters: delta.counters.clone(),
-            ..ObsSample::default()
-        };
         let mut state = inner.state.clone();
-        let events = eval(&self.config, &mut state, &sample);
-        let blob = export_state(&self.config, &state, tick);
+        let events = eval(&self.config, &mut state, (from, to), &delta.counters);
+        let blob = export_state(&self.config, &state, to);
         inner.staged = Some(Staged {
-            tick,
-            snap,
+            tick: to,
             state,
             events,
         });
         Some(blob)
     }
 
-    /// Make the staged observation durable-visible: advance the
-    /// baseline, record the alert events, and publish lifecycle
-    /// counters (`watch.alert{rule,state}`) and firing/pending gauges.
-    /// No-op without a staged observation.
+    /// Make the staged observation durable-visible: record the alert
+    /// events and publish lifecycle counters (`watch.alert{rule,state}`)
+    /// and firing/pending gauges into the attached registry, while it
+    /// is enabled. No-op without a staged observation.
     pub fn commit(&self) {
         let mut inner = self.inner.lock();
         let Some(staged) = inner.staged.take() else {
             return;
         };
-        inner.base = staged.snap;
         inner.last_tick = staged.tick;
         inner.state = staged.state;
-        inner.observed += 1;
-        let events = staged.events;
-        Self::record(&mut inner, events);
+        let enabled = self.registry.enabled();
+        for ev in staged.events {
+            if enabled {
+                self.registry
+                    .counter_labeled("watch.alert", &[("rule", &ev.rule), ("state", ev.state)])
+                    .add(1);
+            }
+            if inner.events.len() == inner.capacity {
+                inner.events.pop_front();
+                inner.dropped += 1;
+            }
+            inner.events.push_back(ev);
+        }
+        if enabled {
+            let firing = inner.state.firing() as i64;
+            let pending = inner.state.instances.len() as i64 - firing;
+            for (name, v) in [
+                ("watch.alerts.firing", firing),
+                ("watch.alerts.pending", pending),
+            ] {
+                self.registry.gauge(name).set(v);
+            }
+        }
     }
 
     /// Discard the staged observation (the checkpoint write was skipped
@@ -788,46 +798,6 @@ impl Watch {
     /// [`stage`](Self::stage) covers it too.
     pub fn abort(&self) {
         self.inner.lock().staged = None;
-    }
-
-    /// Evaluate one externally produced sample immediately (no staging)
-    /// — the direct streaming path for tests and wall-clock pipelines.
-    /// Ignores samples whose tick has not advanced.
-    pub fn ingest(&self, sample: &ObsSample) {
-        let mut inner = self.inner.lock();
-        if sample.tick <= inner.last_tick {
-            return;
-        }
-        let mut state = inner.state.clone();
-        let events = eval(&self.config, &mut state, sample);
-        inner.state = state;
-        inner.last_tick = sample.tick;
-        inner.observed += 1;
-        Self::record(&mut inner, events);
-    }
-
-    fn record(inner: &mut WatchInner, events: Vec<AlertEvent>) {
-        for ev in events {
-            consent_telemetry::count_labeled(
-                "watch.alert",
-                &[("rule", &ev.rule), ("state", ev.state)],
-                1,
-            );
-            if inner.events.len() == inner.capacity {
-                inner.events.pop_front();
-                inner.dropped += 1;
-            }
-            inner.events.push_back(ev);
-        }
-        let firing = inner
-            .state
-            .instances
-            .values()
-            .filter(|i| i.phase == Phase::Firing)
-            .count() as i64;
-        let pending = inner.state.instances.len() as i64 - firing;
-        consent_telemetry::gauge_set("watch.alerts.firing", firing);
-        consent_telemetry::gauge_set("watch.alerts.pending", pending);
     }
 
     /// Alert events recorded by this incarnation, oldest first.
@@ -852,13 +822,7 @@ impl Watch {
 
     /// Alerts currently in the firing phase.
     pub fn firing(&self) -> usize {
-        self.inner
-            .lock()
-            .state
-            .instances
-            .values()
-            .filter(|i| i.phase == Phase::Firing)
-            .count()
+        self.inner.lock().state.firing()
     }
 
     /// Export this incarnation's alert events as `ALERTS_*.jsonl`: one
@@ -940,14 +904,16 @@ mod tests {
     use super::*;
     use crate::rules::{DriftRule, GapRule, SloRule};
 
-    fn sample(tick: u64, from: u64, counters: &[(&str, u64)]) -> ObsSample {
-        ObsSample {
-            seq: tick,
-            tick,
-            window: (from, tick),
+    /// Stage the window `(from, to]` with these counter deltas and
+    /// commit it, as the durable driver does at a cut whose write
+    /// succeeds.
+    fn observe(w: &Watch, window: (u64, u64), counters: &[(&str, u64)]) {
+        let delta = Snapshot {
             counters: counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            ..ObsSample::default()
-        }
+            ..Snapshot::default()
+        };
+        w.stage(window, &delta);
+        w.commit();
     }
 
     fn leaked_registry() -> &'static Registry {
@@ -980,11 +946,11 @@ mod tests {
         ][..];
         let good = &[("capture_db.insert{location=EU cloud,status=Ok}", 5u64)][..];
         // Window 1: short breach only (long window not full) → pending.
-        w.ingest(&sample(5, 0, bad));
+        observe(&w, (0, 5), bad);
         // Window 2: short + long breach → firing.
-        w.ingest(&sample(10, 5, bad));
+        observe(&w, (5, 10), bad);
         // Window 3: healthy → resolved.
-        w.ingest(&sample(15, 10, good));
+        observe(&w, (10, 15), good);
         let states: Vec<&str> = w.events().iter().map(|e| e.state).collect();
         assert_eq!(states, vec!["pending", "firing", "resolved"]);
         let evs = w.events();
@@ -1005,7 +971,7 @@ mod tests {
     #[test]
     fn slo_threshold_is_not_a_breach_without_data() {
         let w = usable_watch(700, 1);
-        w.ingest(&sample(5, 0, &[("campaign.progress", 5)]));
+        observe(&w, (0, 5), &[("campaign.progress", 5)]);
         assert!(w.events().is_empty(), "no captures → no usable verdict");
     }
 
@@ -1023,16 +989,16 @@ mod tests {
             },
         );
         for i in 1..=4u64 {
-            w.ingest(&sample(i * 5, (i - 1) * 5, &[("campaign.progress", 5)]));
+            observe(&w, ((i - 1) * 5, i * 5), &[("campaign.progress", 5)]);
         }
         assert!(w.events().is_empty(), "flat series never drifts");
         // Throughput collapses 5 → 1: |1000 - 5000| / max(mad,1000) ≫ 3σ.
-        w.ingest(&sample(21, 20, &[("campaign.progress", 1)]));
+        observe(&w, (20, 21), &[("campaign.progress", 1)]);
         let states: Vec<&str> = w.events().iter().map(|e| e.state).collect();
         assert_eq!(states, vec!["pending", "firing"], "drift fires immediately");
         assert_eq!(w.firing(), 1);
         // Back to normal: resolved (EWMA only absorbed 1/8 of the dip).
-        w.ingest(&sample(26, 21, &[("campaign.progress", 5)]));
+        observe(&w, (21, 26), &[("campaign.progress", 5)]);
         assert_eq!(w.events().last().unwrap().state, "resolved");
     }
 
@@ -1050,11 +1016,11 @@ mod tests {
             "capture_db.insert{location=EU cloud,status=LegallyBlocked}",
             2u64,
         )][..];
-        w.ingest(&sample(5, 0, usable));
+        observe(&w, (0, 5), usable);
         assert!(w.events().is_empty());
-        w.ingest(&sample(10, 5, blocked)); // gap 5 → pending
-        w.ingest(&sample(15, 10, blocked)); // gap 10 → firing (2×)
-        w.ingest(&sample(20, 15, usable)); // usable again → resolved
+        observe(&w, (5, 10), blocked); // gap 5 → pending
+        observe(&w, (10, 15), blocked); // gap 10 → firing (2×)
+        observe(&w, (15, 20), usable); // usable again → resolved
         let states: Vec<&str> = w.events().iter().map(|e| e.state).collect();
         assert_eq!(states, vec!["pending", "firing", "resolved"]);
         assert_eq!(w.events()[1].value, 10, "gap in ticks");
@@ -1076,17 +1042,33 @@ mod tests {
         );
         reg.counter("campaign.outcome{outcome=permanent}").add(4);
         reg.counter("campaign.outcome{outcome=success}").add(1);
-        let blob = w.stage(5).expect("tick advanced");
+        let delta = reg.snapshot();
+        assert!(w.stage((5, 5), &delta).is_none(), "empty window");
+        let blob = w.stage((0, 5), &delta).expect("window is open");
         assert!(blob.contains("watch_state"));
         assert!(w.events().is_empty(), "staged events are not visible");
         w.abort();
+        w.commit();
+        assert!(w.events().is_empty(), "an aborted stage never commits");
         // Same window, staged again and committed this time.
-        let blob2 = w.stage(5).expect("abort keeps the window open");
+        let blob2 = w
+            .stage((0, 5), &delta)
+            .expect("abort keeps the window open");
         assert_eq!(blob, blob2, "staging is repeatable");
         w.commit();
         let states: Vec<&str> = w.events().iter().map(|e| e.state).collect();
         assert_eq!(states, vec!["pending", "firing"]);
-        assert!(w.stage(5).is_none(), "committed ticks never re-stage");
+        assert!(
+            w.stage((0, 5), &delta).is_none(),
+            "committed ticks never re-stage"
+        );
+        // The alert counters and gauges land in the attached registry.
+        let after = reg.snapshot();
+        assert_eq!(
+            after.counter("watch.alert{rule=slo:deadletter:300:1,state=firing}"),
+            1
+        );
+        assert_eq!(after.gauges.get("watch.alerts.firing"), Some(&1));
     }
 
     #[test]
@@ -1099,7 +1081,7 @@ mod tests {
         reg.counter("campaign.progress").add(5);
         reg.counter("capture_db.insert{location=EU cloud,status=Ok}")
             .add(2);
-        let blob = w.stage(5).unwrap();
+        let blob = w.stage((0, 5), &reg.snapshot()).unwrap();
         w.commit();
 
         let w2 = Watch::attach(leaked_registry(), config.clone());
@@ -1107,9 +1089,10 @@ mod tests {
         w2.import_state(&blob).expect("blob imports");
         assert!(!w2.is_fresh());
         // Continuing from the blob reproduces the uninterrupted state.
-        let blob_direct = w.stage(9).map(|_| ()).map(|_| w.commit());
-        let _ = blob_direct;
-        w2.rebase(5);
+        let base = reg.snapshot();
+        reg.counter("campaign.progress").add(4);
+        let next = reg.delta(&base);
+        assert_eq!(w2.stage((5, 9), &next), w.stage((5, 9), &next));
         // Mismatched config is rejected.
         let w3 = Watch::attach(
             leaked_registry(),
@@ -1126,7 +1109,7 @@ mod tests {
         let config = WatchConfig::parse("drift:throughput:300:2").unwrap();
         let w = Watch::attach(reg, config.clone());
         reg.counter("campaign.progress").add(5);
-        let blob = w.stage(5).unwrap();
+        let blob = w.stage((0, 5), &reg.snapshot()).unwrap();
         w.commit();
         let (head, tail) = blob
             .split_once("\"seen\":")
@@ -1152,11 +1135,11 @@ mod tests {
     fn export_jsonl_is_parseable_and_empty_when_no_events() {
         let w = usable_watch(700, 1);
         assert_eq!(w.export_jsonl(), "", "empty log exports empty string");
-        w.ingest(&sample(
-            5,
-            0,
+        observe(
+            &w,
+            (0, 5),
             &[("capture_db.insert{location=EU cloud,status=HttpError}", 3)],
-        ));
+        );
         let out = w.export_jsonl();
         assert_eq!(out.lines().count(), 2);
         for line in out.lines() {
@@ -1175,8 +1158,8 @@ mod tests {
             3u64,
         )][..];
         let good = &[("capture_db.insert{location=EU cloud,status=Ok}", 3u64)][..];
-        w.ingest(&sample(5, 0, bad));
-        w.ingest(&sample(10, 5, good));
+        observe(&w, (0, 5), bad);
+        observe(&w, (5, 10), good);
         let rows = w.flight_alerts();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].state, "resolved");

@@ -23,10 +23,11 @@
 //!   per vantage, the live warning mirror of the offline
 //!   interpolation-confidence analysis.
 //!
-//! The [`Watch`] engine rides the durable campaign loop through a
-//! two-phase stage/commit protocol so that alerts, like obs samples,
-//! only describe durable windows; its state is persisted in the
-//! checkpoint (section [`WATCH_STATE_SECTION`]) and restored on
+//! The [`Watch`] engine judges the durable campaign driver's
+//! observation window — the same window the flight recorder samples —
+//! through a two-phase stage/commit protocol, so that alerts, like obs
+//! samples, only describe durable windows; its state is persisted in
+//! the checkpoint (section [`WATCH_STATE_SECTION`]) and restored on
 //! recovery.
 
 #![forbid(unsafe_code)]

@@ -33,10 +33,13 @@ pub enum SloMetric {
     /// Dead-letter rate (`campaign.outcome` deltas; dead = any outcome
     /// other than success/degraded). Breaches *above* the threshold.
     DeadLetter,
-    /// Checkpoint I/O-fault rate (`checkpoint.io_fault` vs attempted
-    /// writes). Breaches *above* the threshold.
+    /// Checkpoint I/O-fault rate: the window's `checkpoint.io_fault`
+    /// count over that count + 1, the durable write that closes the
+    /// window. A window's write faults are judged in that window.
+    /// Breaches *above* the threshold.
     IoFault,
-    /// Checkpoint retry rate (`checkpoint.retry` vs attempted writes).
+    /// Checkpoint retry rate: the window's `checkpoint.retry` count
+    /// over that count + 1, the durable write that closes the window.
     /// Breaches *above* the threshold.
     Retry,
 }

@@ -5,9 +5,10 @@
 //! Two samplers watch the same global telemetry registry:
 //!
 //! * a **logical-tick** sampler wired into [`DurableOpts::sampler`] —
-//!   the durable driver ticks it after every checkpoint write, so its
-//!   `OBS` JSONL export is deterministic (byte-identical across thread
-//!   counts and kill-halfway resumes; see `tests/it_obs.rs`);
+//!   it records each observation window the durable driver closes at a
+//!   durable checkpoint write, so its `OBS` JSONL export is
+//!   deterministic (byte-identical across thread counts and
+//!   kill-halfway resumes; see `tests/it_obs.rs`);
 //! * a **wall-clock** sampler on a background thread — gauges, latency
 //!   quantiles, and real pairs/sec, outside the byte-identity
 //!   guarantee, feeding the human-facing flight report.
@@ -21,7 +22,7 @@
 //! variable is an error.
 //!
 //! Outputs land under `target/` so a casual run never litters the repo
-//! root (the CI chaos job uploads all three):
+//! root (the CI `flight-recorder` job uploads all three, once per run):
 //!
 //! * `FLIGHT_OBS_OUT` (default `target/OBS_campaign.jsonl`) —
 //!   deterministic per-checkpoint samples, one JSON object per line;
@@ -33,7 +34,7 @@
 //!
 //! The finished campaign is also packed into a content-addressed bundle
 //! at `target/flight_bundle` (replaced on every run), which the CI
-//! `bundle` job re-verifies against the format spec in
+//! `flight-recorder` job re-verifies against the format spec in
 //! `docs/BUNDLES.md`; the pack's counters fill the flight report's
 //! archive-health section.
 

@@ -3,12 +3,14 @@
 //! print the alert log and the annotated health/flight reports.
 //!
 //! The watch engine evaluates deterministic detectors — burn-rate SLOs,
-//! EWMA drift, and per-vantage coverage gaps — over the same
-//! logical-tick windows the flight recorder samples. Detector state
-//! rides inside every checkpoint (section `watch-state`), so alerts are
-//! crash-consistent: an alert event exists iff the window that produced
-//! it is durable, and the `ALERTS` export is byte-identical across
-//! thread counts and kill-halfway resumes (see `tests/it_watch.rs`).
+//! EWMA drift, and per-vantage coverage gaps — over the durable
+//! driver's observation windows, the same windows the flight recorder
+//! samples; a checkpoint write's storage faults and retries count in
+//! the window that write closes. Detector state rides inside every
+//! checkpoint (section `watch-state`), so alerts are crash-consistent:
+//! an alert event exists iff the window that produced it is durable,
+//! and the `ALERTS` export is byte-identical across thread counts and
+//! kill-halfway resumes (see `tests/it_watch.rs`).
 //!
 //! ```sh
 //! CONSENT_CHAOS=mild cargo run --release --bin watchdog

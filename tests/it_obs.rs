@@ -4,10 +4,10 @@
 //! logical-tick [`Sampler`] produces an `OBS` JSONL export that is
 //! **byte-identical across thread counts and kill-halfway resumes**.
 //! Samples are emitted only when a covering checkpoint is durable, the
-//! sampler is rebased over recovery's re-import traffic, and the
-//! thread-count-dependent metric families are deny-listed — so the
-//! export is a pure function of the workload, like the state and trace
-//! exports the durability suite pins.
+//! driver opens its observation window after recovery's re-import
+//! traffic, and the thread-count-dependent metric families are
+//! deny-listed — so the export is a pure function of the workload,
+//! like the state and trace exports the durability suite pins.
 //!
 //! The wall-clock mode is the opposite trade: a background thread, real
 //! gauges and latency quantiles, no byte guarantees — here we only
@@ -207,8 +207,8 @@ fn obs_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
 
     // Kill halfway (after applied pair 11, mid third chunk): the dead
     // process exported windows 5 and 10; the resumed process — fresh
-    // registry, fresh sampler, rebased over recovery — exports 15 and
-    // 16. Concatenated, the two incarnations equal the uninterrupted
+    // registry, fresh sampler, window opened after recovery — exports 15
+    // and 16. Concatenated, the two incarnations equal the uninterrupted
     // run byte for byte: no window is lost, re-emitted, or doubled.
     for threads in [1usize, 2, 4] {
         let dir = tmp_dir();
@@ -250,7 +250,7 @@ fn resume_skips_are_counted_once_per_incarnation() {
     std::fs::remove_dir_all(&dir).unwrap();
 
     // A resumed incarnation skips its recovered cursor, counted once and
-    // before the sampler's rebase, so no window attributes it.
+    // before the observation window opens, so no window attributes it.
     let dir = tmp_dir();
     let store = CheckpointStore::open(&dir).unwrap();
     let (crashed, _) = obs_incarnation(&store, 2, CrashPlan::after_apply(11));
@@ -521,8 +521,9 @@ fn ring_buffer_evicts_oldest_samples_and_reports_drops() {
         },
     );
     for tick in 1..=10u64 {
+        let base = consent_telemetry::global().snapshot();
         consent_telemetry::count("ring.pairs", 1);
-        sampler.tick_at(tick);
+        sampler.record((tick - 1, tick), &consent_telemetry::global().delta(&base));
     }
     assert_eq!(sampler.len(), 4);
     assert_eq!(sampler.dropped(), 6);

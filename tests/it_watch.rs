@@ -20,17 +20,17 @@
 //! registry are process-global; each test leaves both cleared and
 //! disabled, mirroring `it_obs`.
 
-use consent_checkpoint::CheckpointStore;
+use consent_checkpoint::{CheckpointStore, DEFAULT_KEEP};
 use consent_crawler::{
     build_toplist, run_durable_campaign, CampaignConfig, DurableOpts, DurableOutcome, DurableRun,
 };
-use consent_faultsim::{CrashPlan, FaultProfile};
+use consent_faultsim::{CrashPlan, FaultProfile, FaultyVfs, IoFaultPlan};
 use consent_httpsim::Vantage;
 use consent_util::{Day, Json, SeedTree};
 use consent_watch::rules::WatchConfig;
 use consent_watch::Watch;
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -93,20 +93,31 @@ fn tight_rules() -> WatchConfig {
         .expect("tight rule spec parses")
 }
 
-/// One durable-campaign incarnation with a fresh watch: trace and
-/// telemetry are wiped first (a new process starts empty), and the
-/// watch's `ALERTS` export is returned alongside the run. The driver
-/// re-imports detector state from the checkpoint's `watch-state`
-/// section, exactly like a restarted process would.
+/// One durable-campaign incarnation with a fresh watch on the tight
+/// rules (see [`incarnation`]).
 fn watch_incarnation(
     store: &CheckpointStore,
     threads: usize,
     crash: CrashPlan,
 ) -> (DurableRun, String) {
+    incarnation(store, threads, crash, tight_rules())
+}
+
+/// One durable-campaign incarnation with a fresh watch on `rules`:
+/// trace and telemetry are wiped first (a new process starts empty),
+/// and the watch's `ALERTS` export is returned alongside the run. The
+/// driver re-imports detector state from the checkpoint's `watch-state`
+/// section, exactly like a restarted process would.
+fn incarnation(
+    store: &CheckpointStore,
+    threads: usize,
+    crash: CrashPlan,
+    rules: WatchConfig,
+) -> (DurableRun, String) {
     consent_trace::clear();
     consent_telemetry::reset();
     consent_telemetry::enable();
-    let watch = Watch::attach(consent_telemetry::global(), tight_rules());
+    let watch = Watch::attach(consent_telemetry::global(), rules);
     let run = watch_campaign(store, threads, crash, Some(watch.clone()));
     (run, watch.export_jsonl())
 }
@@ -236,6 +247,83 @@ fn alerts_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
         assert!(
             format!("{first}{second}") == baseline,
             "concatenated ALERTS export diverged after kill at {threads} threads"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    unlock(guard);
+}
+
+/// A fresh store whose disk fails the cut-10 checkpoint write once: the
+/// cut-5 save is operations 0–4 (create, write, sync, rename, directory
+/// sync), so operation 6 is the cut-10 save's write.
+fn store_failing_cut_10(dir: &Path) -> CheckpointStore {
+    let plan = IoFaultPlan::parse("eio@write:6").expect("io plan parses");
+    CheckpointStore::with_vfs(dir, DEFAULT_KEEP, Arc::new(FaultyVfs::new(plan)))
+        .expect("store opens")
+}
+
+#[test]
+fn storage_slo_alerts_are_crash_consistent() {
+    let guard = lock();
+    // Any fault or retry in a window breaches, and one window confirms.
+    let rules = || WatchConfig::parse("slo:iofault:1:1;slo:retry:1:1").expect("rules parse");
+    for threads in [1usize, 2, 4] {
+        // Uninterrupted: the cut-10 write fails once and its retry
+        // lands, so the window that write closes, (5, 10], holds one
+        // fault and one retry over two attempts. Both rules open and
+        // fire at tick 10 and resolve at the next durable cut.
+        let dir = tmp_dir();
+        let (run, baseline) = incarnation(
+            &store_failing_cut_10(&dir),
+            threads,
+            CrashPlan::none(),
+            rules(),
+        );
+        assert_eq!(run.outcome, DurableOutcome::Complete);
+        assert_eq!(run.health.retries, 1, "{}", run.health.render());
+        std::fs::remove_dir_all(&dir).unwrap();
+        for rule in ["slo:iofault:1:1", "slo:retry:1:1"] {
+            let lifecycle: Vec<(String, u64)> = baseline
+                .lines()
+                .map(|l| Json::parse(l).expect("ALERTS line parses"))
+                .filter(|j| j.get("rule").and_then(Json::as_str) == Some(rule))
+                .map(|j| {
+                    (
+                        j.get("state").and_then(Json::as_str).unwrap().to_string(),
+                        j.get("tick").and_then(Json::as_f64).unwrap() as u64,
+                    )
+                })
+                .collect();
+            let want = [("pending", 10), ("firing", 10), ("resolved", 15)];
+            assert_eq!(
+                lifecycle,
+                want.map(|(s, t)| (s.to_string(), t)),
+                "{rule} at {threads} threads:\n{baseline}"
+            );
+        }
+
+        // Kill after applied pair 11: the cut-10 write, its fault and
+        // its retry are durable, so the dead process already logged
+        // their alerts; the resumed process, on a fault-free disk,
+        // logs only the resolutions.
+        let dir = tmp_dir();
+        let (crashed, first) = incarnation(
+            &store_failing_cut_10(&dir),
+            threads,
+            CrashPlan::after_apply(11),
+            rules(),
+        );
+        match crashed.outcome {
+            DurableOutcome::Crashed { durable_pairs, .. } => assert_eq!(durable_pairs, 10),
+            other => panic!("crashpoint apply:11 never fired: {other:?}"),
+        }
+        let store = CheckpointStore::open(&dir).unwrap();
+        let (resumed, second) = incarnation(&store, threads, CrashPlan::none(), rules());
+        assert_eq!(resumed.outcome, DurableOutcome::Complete);
+        assert!(
+            format!("{first}{second}") == baseline,
+            "storage-SLO ALERTS diverged after kill at {threads} threads:\n\
+             {first}{second}\nvs\n{baseline}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
