@@ -52,10 +52,9 @@
 //! counts its telemetry or recovery's. The registry's totals do: a
 //! resumed incarnation's counters, gauges and histograms also count
 //! the replayed crawl — engine captures, injected faults, detections,
-//! breaker opens, contained panics, `campaign.pair` spans and the
-//! pool's `campaign.parallel.*` metrics — though not its application
-//! (`campaign.outcome`, `campaign.dead_letter` and the other counts
-//! taken when a pair is applied).
+//! breaker opens, contained panics and `campaign.pair` spans — though
+//! not its application (`campaign.outcome`, `campaign.dead_letter` and
+//! the other counts taken when a pair is applied).
 //!
 //! # One observation window
 //!
@@ -242,7 +241,7 @@ pub struct DurableOpts {
     /// Deterministic crash schedule for this run ([`CrashPlan::none`]
     /// for production use).
     pub crash: CrashPlan,
-    /// Optional flight-recorder sampler. In logical-tick mode it
+    /// Optional flight-recorder sampler, which
     /// [records](Sampler::record) each observation window right after
     /// the checkpoint write that makes it durable (see the
     /// [module docs](self#one-observation-window)).

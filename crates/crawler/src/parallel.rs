@@ -266,10 +266,8 @@ impl<'a> CampaignPlan<'a> {
         let end = start
             .saturating_add(max_pairs.unwrap_or(u64::MAX))
             .min(total_pairs);
-        let pooled = threads > 1;
-        let outputs: Box<dyn Iterator<Item = PairOutput> + '_> = if pooled {
+        let outputs: Box<dyn Iterator<Item = PairOutput> + '_> = if threads > 1 {
             let outputs = self.pool(start..end, threads);
-            consent_telemetry::gauge_set("campaign.parallel.merge_backlog", outputs.len() as i64);
             Box::new(outputs.into_iter().map(|(_, out)| out))
         } else {
             Box::new((start..end).map(|idx| process_pair_contained(self, idx)))
@@ -278,9 +276,6 @@ impl<'a> CampaignPlan<'a> {
             self.vantages.iter().map(|&v| (v, Vec::new())).collect();
         for out in outputs {
             apply_pair(&mut state, &mut columns, out, &self.psl);
-            if pooled {
-                consent_telemetry::gauge_add("campaign.parallel.merge_backlog", -1);
-            }
         }
         let complete = state.pairs_done == total_pairs;
         CampaignRun {
@@ -316,7 +311,6 @@ impl<'a> CampaignPlan<'a> {
     /// Crawl `range` on `threads` workers and return the outputs sorted
     /// into pair order.
     fn pool(&self, range: Range<u64>, threads: usize) -> Vec<(u64, PairOutput)> {
-        consent_telemetry::gauge_set("campaign.parallel.workers", threads as i64);
         // Work distribution: a shared cursor over the pair order.
         // Claiming one index per fetch keeps the pool balanced when
         // per-pair cost varies (retries, breaker opens). A pair is only
@@ -333,23 +327,8 @@ impl<'a> CampaignPlan<'a> {
                             if idx >= range.end {
                                 break;
                             }
-                            // Live-plane gauges (scraped by consent-obs):
-                            // the claimed cursor position and how many
-                            // pairs are being crawled right now. Both race
-                            // across workers by design — they are health
-                            // signals, not accounting — and the whole
-                            // `campaign.parallel.*` family is denied from
-                            // deterministic samples.
-                            consent_telemetry::gauge_set("campaign.parallel.cursor", idx as i64);
-                            consent_telemetry::gauge_add("campaign.parallel.in_flight", 1);
-                            let out = process_pair_contained(self, idx);
-                            consent_telemetry::gauge_add("campaign.parallel.in_flight", -1);
-                            shard.push((idx, out));
+                            shard.push((idx, process_pair_contained(self, idx)));
                         }
-                        consent_telemetry::observe(
-                            "campaign.parallel.shard_pairs",
-                            shard.len() as u64,
-                        );
                         shard
                     })
                 })

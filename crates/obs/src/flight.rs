@@ -2,13 +2,16 @@
 //! and exported as JSON for CI artifacts.
 //!
 //! Built from the two things the recorder leaves behind — the sampled
-//! [`TimeSeries`] and a cumulative end-of-run [`Snapshot`] delta — the
-//! report has six sections:
+//! [`TimeSeries`] of `run_durable_campaign`'s observation windows and a
+//! cumulative end-of-run [`Snapshot`] delta — the report has six
+//! sections. Every per-window section uses the series' windows, so its
+//! ticks are the cursor ticks of the `OBS_*.jsonl` export and the
+//! watchdog's alerts:
 //!
 //! 1. **Phase breakdown**: time spent per instrumented span (pair
-//!    processing, engine capture, checkpoint writes/opens, …).
-//! 2. **Throughput curve**: pairs per sample window as an ASCII bar
-//!    chart (per second in wall mode, per window in logical mode).
+//!    processing, engine capture, checkpoint writes/opens, …), from the
+//!    cumulative totals.
+//! 2. **Throughput curve**: pairs per window as an ASCII bar chart.
 //! 3. **Fault heatmap**: `faultsim.injected{fault=…}` intensity per
 //!    fault kind per window.
 //! 4. **Storage health** (only when something went wrong): checkpoint
@@ -18,10 +21,8 @@
 //! 5. **Archive health** (only when a bundle was packed or replayed):
 //!    pack/dedup totals, scrub repairs, and replay divergences from the
 //!    `bundle.*` counters.
-//! 6. **Slowest windows**: the sample windows whose `campaign.pair`
-//!    latency was worst (wall mode; logical mode falls back to the
-//!    cumulative `campaign.pair` quantiles, since per-window durations
-//!    are outside the determinism boundary).
+//! 6. **Pair latency**: the cumulative `campaign.pair` quantiles
+//!    (per-window durations are outside the determinism boundary).
 
 use crate::series::{ObsSample, TimeSeries};
 use consent_telemetry::registry::parse_key;
@@ -41,9 +42,6 @@ const PHASES: &[(&str, &str)] = &[
 
 /// Width of the ASCII bars/heatmap in characters.
 const BAR_WIDTH: usize = 40;
-
-/// Windows listed in the slowest-windows table.
-const SLOWEST_N: usize = 5;
 
 /// One row of the phase breakdown.
 #[derive(Clone, Debug)]
@@ -65,12 +63,10 @@ pub struct PhaseRow {
 /// One point of the throughput curve.
 #[derive(Clone, Debug)]
 pub struct ThroughputPoint {
-    /// Window end (cursor position or wall sample number).
+    /// Window end (the campaign cursor).
     pub tick: u64,
     /// Pairs completed in the window.
     pub pairs: u64,
-    /// Pairs per second (wall mode only).
-    pub pairs_per_sec: Option<f64>,
 }
 
 /// One row of the fault heatmap: a fault kind and its per-window counts.
@@ -231,15 +227,6 @@ pub struct FlightAlert {
     pub threshold: i64,
 }
 
-/// One row of the slowest-windows table.
-#[derive(Clone, Debug)]
-pub struct SlowWindow {
-    /// The window `[from, to)`.
-    pub window: (u64, u64),
-    /// `campaign.pair` summary for that window.
-    pub pair: HistSummary,
-}
-
 /// The assembled post-run report. Build with [`FlightReport::build`],
 /// render with [`render`](FlightReport::render) or
 /// [`to_json`](FlightReport::to_json).
@@ -247,7 +234,7 @@ pub struct SlowWindow {
 pub struct FlightReport {
     /// Phase breakdown rows (spans actually observed).
     pub phases: Vec<PhaseRow>,
-    /// Throughput per sample window, oldest first.
+    /// Throughput per window, oldest first.
     pub throughput: Vec<ThroughputPoint>,
     /// Fault heatmap rows (empty when chaos was off).
     pub faults: Vec<FaultRow>,
@@ -259,10 +246,7 @@ pub struct FlightReport {
     /// Watchdog alerts (empty without a watch; see
     /// [`with_alerts`](FlightReport::with_alerts)).
     pub alerts: Vec<FlightAlert>,
-    /// Worst windows by per-window `campaign.pair` p95 (wall mode).
-    pub slowest: Vec<SlowWindow>,
-    /// Cumulative `campaign.pair` summary (always available; the only
-    /// latency view in logical mode).
+    /// Cumulative `campaign.pair` summary: the report's latency view.
     pub pair_total: Option<HistSummary>,
     /// Total pairs covered by the series.
     pub pairs_total: u64,
@@ -295,21 +279,11 @@ impl FlightReport {
             })
             .collect();
 
-        let mut prev_elapsed = 0u64;
         let throughput = samples
             .iter()
-            .map(|s| {
-                let pairs = s.pairs();
-                let pairs_per_sec = s.elapsed_us.map(|us| {
-                    let window_us = us.saturating_sub(prev_elapsed).max(1);
-                    prev_elapsed = us;
-                    pairs as f64 * 1_000_000.0 / window_us as f64
-                });
-                ThroughputPoint {
-                    tick: s.tick,
-                    pairs,
-                    pairs_per_sec,
-                }
+            .map(|s| ThroughputPoint {
+                tick: s.tick(),
+                pairs: s.pairs(),
             })
             .collect();
 
@@ -350,7 +324,7 @@ impl FlightReport {
                 let first_tick = samples
                     .iter()
                     .find(|s| s.counters.get(key).is_some_and(|&c| c > 0))
-                    .map(|s| s.tick);
+                    .map(|s| s.tick());
                 Some(DegradeRow {
                     level: level.to_string(),
                     count: *n,
@@ -399,23 +373,6 @@ impl FlightReport {
         };
         let archive = (!archive.is_quiet()).then_some(archive);
 
-        let mut slowest: Vec<SlowWindow> = samples
-            .iter()
-            .filter_map(|s| {
-                let pair = *s.histograms.get("campaign.pair")?;
-                (pair.count > 0).then_some(SlowWindow {
-                    window: s.window,
-                    pair,
-                })
-            })
-            .collect();
-        slowest.sort_by(|a, b| {
-            (b.pair.p95, b.pair.max, b.window)
-                .partial_cmp(&(a.pair.p95, a.pair.max, a.window))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        slowest.truncate(SLOWEST_N);
-
         FlightReport {
             phases,
             throughput,
@@ -423,7 +380,6 @@ impl FlightReport {
             storage,
             archive,
             alerts: Vec::new(),
-            slowest,
             pair_total: total.histograms.get("campaign.pair").copied(),
             pairs_total: samples.iter().map(|s| s.pairs()).sum(),
             samples_dropped: series.dropped(),
@@ -477,16 +433,11 @@ impl FlightReport {
                 } else {
                     ((p.pairs as f64 / max_pairs as f64) * BAR_WIDTH as f64).round() as usize
                 };
-                let rate = match p.pairs_per_sec {
-                    Some(r) => format!(" ({r:.0}/s)"),
-                    None => String::new(),
-                };
                 out.push_str(&format!(
-                    "  @{:>8} |{:<width$}| {}{}\n",
+                    "  @{:>8} |{:<width$}| {}\n",
                     thousands(p.tick),
                     "#".repeat(bar_len),
                     thousands(p.pairs),
-                    rate,
                     width = BAR_WIDTH
                 ));
             }
@@ -614,25 +565,9 @@ impl FlightReport {
             out.push_str(&t.to_string());
         }
 
-        if !self.slowest.is_empty() {
-            let mut t = Table::with_columns(&["Window", "Pairs", "p50 µs", "p95 µs", "Max µs"]);
-            t.numeric().title("Slowest windows (campaign.pair)");
-            for w in &self.slowest {
-                t.row(vec![
-                    format!("{}..{}", w.window.0, w.window.1),
-                    thousands(w.pair.count),
-                    thousands(w.pair.p50),
-                    thousands(w.pair.p95),
-                    thousands(w.pair.max),
-                ]);
-            }
-            out.push('\n');
-            out.push_str(&t.to_string());
-        } else if let Some(h) = &self.pair_total {
+        if let Some(h) = &self.pair_total {
             let mut t = Table::with_columns(&["Spans", "p50 µs", "p95 µs", "p99 µs", "Max µs"]);
-            t.numeric().title(
-                "Pair latency (cumulative; per-window durations unavailable in logical-tick mode)",
-            );
+            t.numeric().title("Pair latency (cumulative)");
             t.row(vec![
                 thousands(h.count),
                 thousands(h.p50),
@@ -685,14 +620,10 @@ impl FlightReport {
             (
                 "throughput".to_string(),
                 Json::array(self.throughput.iter().map(|p| {
-                    let mut f = vec![
+                    Json::object([
                         ("tick".to_string(), Json::int(p.tick as i64)),
                         ("pairs".to_string(), Json::int(p.pairs as i64)),
-                    ];
-                    if let Some(r) = p.pairs_per_sec {
-                        f.push(("pairs_per_sec".to_string(), Json::Number(r)));
-                    }
-                    Json::object(f)
+                    ])
                 })),
             ),
             (
@@ -705,21 +636,6 @@ impl FlightReport {
                             "per_window".to_string(),
                             Json::array(r.per_window.iter().map(|n| Json::int(*n as i64))),
                         ),
-                    ])
-                })),
-            ),
-            (
-                "slowest_windows".to_string(),
-                Json::array(self.slowest.iter().map(|w| {
-                    Json::object([
-                        (
-                            "window".to_string(),
-                            Json::array([
-                                Json::int(w.window.0 as i64),
-                                Json::int(w.window.1 as i64),
-                            ]),
-                        ),
-                        ("pair".to_string(), hist(&w.pair)),
                     ])
                 })),
             ),
@@ -872,8 +788,6 @@ mod tests {
             counters.insert(format!("faultsim.injected{{fault={f}}}"), *n);
         }
         ObsSample {
-            seq: tick,
-            tick,
             window: (tick.saturating_sub(pairs), tick),
             counters,
             ..ObsSample::default()
@@ -920,17 +834,14 @@ mod tests {
         let report = FlightReport::build(&ts, &total_snapshot());
 
         assert_eq!(report.pairs_total, 30);
-        assert_eq!(report.throughput.len(), 3);
-        assert!(report.throughput.iter().all(|p| p.pairs_per_sec.is_none()));
+        let ticks: Vec<u64> = report.throughput.iter().map(|p| p.tick).collect();
+        assert_eq!(ticks, vec![10, 20, 30]);
         assert_eq!(report.faults.len(), 2);
         let timeout = report.faults.iter().find(|r| r.fault == "timeout").unwrap();
         assert_eq!(timeout.per_window, vec![2, 6, 0]);
         assert_eq!(timeout.total, 8);
         let phases: Vec<&str> = report.phases.iter().map(|p| p.key.as_str()).collect();
         assert_eq!(phases, vec!["campaign.pair", "checkpoint.write"]);
-        // Logical samples carry no per-window histograms: slowest table
-        // empty, cumulative fallback present.
-        assert!(report.slowest.is_empty());
         assert_eq!(report.pair_total.unwrap().count, 30);
         // No storage trouble in this run: the section is omitted.
         assert!(report.storage.is_none());
@@ -951,35 +862,6 @@ mod tests {
             json.get("faults").and_then(Json::as_array).map(|a| a.len()),
             Some(2)
         );
-    }
-
-    #[test]
-    fn wall_samples_rank_slowest_windows() {
-        let mut ts = TimeSeries::new(16);
-        for (i, p95) in [(1u64, 100u64), (2, 900), (3, 400)] {
-            let mut s = sample(i, 5, &[]);
-            s.elapsed_us = Some(i * 1000);
-            s.histograms.insert(
-                "campaign.pair".to_string(),
-                HistSummary {
-                    count: 5,
-                    sum: 5 * p95,
-                    mean: p95 as f64,
-                    min: 10,
-                    max: p95 + 50,
-                    p50: p95 / 2,
-                    p95,
-                    p99: p95,
-                },
-            );
-            ts.push(s);
-        }
-        let report = FlightReport::build(&ts, &total_snapshot());
-        assert_eq!(report.slowest.len(), 3);
-        assert_eq!(report.slowest[0].pair.p95, 900);
-        assert_eq!(report.slowest[1].pair.p95, 400);
-        assert!(report.throughput.iter().all(|p| p.pairs_per_sec.is_some()));
-        assert!(report.render().contains("Slowest windows"));
     }
 
     #[test]

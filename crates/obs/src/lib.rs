@@ -1,26 +1,26 @@
 //! # consent-obs
 //!
-//! The campaign flight recorder: live observability for long-running
+//! The campaign flight recorder: observability for long-running
 //! measurement campaigns. Where `consent-telemetry` answers "what
-//! happened?" at the end of a run, this crate answers "what is
-//! happening?" while it runs — the paper's 547-day × multi-vantage
+//! happened?" at the end of a run, this crate answers "what happened
+//! when?" window by window — the paper's 547-day × multi-vantage
 //! campaigns (and the roadmap's million-domain observatory) are
 //! hour-scale jobs whose health must be visible before the final
 //! report.
 //!
 //! Three pieces:
 //!
-//! - [`Sampler`] turns [`Registry::delta`](consent_telemetry::Registry::delta)
-//!   windows into a ring-buffered [`TimeSeries`] of [`ObsSample`]s —
-//!   either on a wall-clock background thread (production) or at
-//!   deterministic logical ticks driven by the durable campaign loop
-//!   (`DurableOpts::sampler`), whose `OBS_*.jsonl` export is
-//!   byte-identical across thread counts and kill-halfway resumes.
+//! - [`Sampler`] records each observation window
+//!   `run_durable_campaign` closes (`DurableOpts::sampler`) — a
+//!   [`Registry::delta`](consent_telemetry::Registry::delta) — into a
+//!   ring-buffered [`TimeSeries`] of [`ObsSample`]s, whose
+//!   `OBS_*.jsonl` export is byte-identical across thread counts and
+//!   kill-halfway resumes.
 //! - [`prometheus::exposition`] renders any snapshot in Prometheus
 //!   text-exposition format for scraping.
 //! - [`FlightReport`] digests the series + a cumulative snapshot into a
-//!   post-run report: phase breakdown, throughput curve, fault heatmap,
-//!   and slowest-window table.
+//!   post-run report: phase breakdown, throughput curve and fault
+//!   heatmap over the series' windows, and cumulative pair latency.
 //!
 //! See the [`sampler`] module docs for the determinism boundary, and
 //! `examples/flight_recorder.rs` for the end-to-end wiring.
@@ -34,8 +34,8 @@ pub mod sampler;
 pub mod series;
 
 pub use flight::{
-    ArchiveHealth, DegradeRow, FaultRow, FlightAlert, FlightReport, PhaseRow, SlowWindow,
-    StorageHealth, ThroughputPoint,
+    ArchiveHealth, DegradeRow, FaultRow, FlightAlert, FlightReport, PhaseRow, StorageHealth,
+    ThroughputPoint,
 };
-pub use sampler::{ObsConfig, SampleMode, Sampler, SamplerHandle, DEFAULT_DENY};
+pub use sampler::{ObsConfig, Sampler, DEFAULT_DENY};
 pub use series::{ObsSample, TimeSeries, OBS_SCHEMA_VERSION};

@@ -69,14 +69,10 @@ pub const HELP: &[(&str, &str)] = &[
         "faultsim.",
         "Deterministically injected network and storage chaos.",
     ),
-    ("trace.", "Structured trace log volume and shedding."),
+    ("trace.", "Structured trace log volume."),
     (
         "watch.",
         "Campaign watchdog: alert lifecycle transitions and currently pending/firing alerts.",
-    ),
-    (
-        "obs.",
-        "Flight-recorder internals (sampler windows and ring occupancy).",
     ),
 ];
 

@@ -1,15 +1,12 @@
 //! The sampled time series: a bounded ring buffer of [`ObsSample`]s
 //! with an append-only JSONL export.
 //!
-//! One sample is one window of registry traffic: counter deltas, and —
-//! depending on the [sampling mode](crate::SampleMode) — either bare
-//! histogram event counts (logical-tick mode, deterministic) or full
-//! per-window histogram summaries plus gauge values (wall-clock mode).
-//! The JSONL export writes one `{"kind":"obs", ...}` object per sample
-//! with deterministically ordered keys, so two series with the same
-//! samples serialize to the same bytes.
+//! One sample is one observation window of `run_durable_campaign`:
+//! counter deltas and histogram event-count deltas. The JSONL export
+//! writes one `{"kind":"obs", ...}` object per sample with
+//! deterministically ordered keys, so two series with the same samples
+//! serialize to the same bytes.
 
-use consent_telemetry::HistSummary;
 use consent_util::Json;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -20,33 +17,23 @@ pub const OBS_SCHEMA_VERSION: i64 = 1;
 /// One sampled window of metric traffic.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsSample {
-    /// Sample sequence number (1-based, monotonic per sampler).
-    pub seq: u64,
-    /// Logical position of the window end. In logical-tick mode this is
-    /// the campaign cursor (`pairs_done`) at the tick; in wall-clock
-    /// mode it equals [`seq`](Self::seq).
-    pub tick: u64,
-    /// Logical window `[from, to)` this sample covers (tick mode) or
-    /// `[seq-1, seq)` (wall mode).
+    /// The cursor window `(from, to]` this sample covers.
     pub window: (u64, u64),
-    /// Microseconds since the sampler started. `None` in logical-tick
-    /// mode — wall time is outside the determinism boundary.
-    pub elapsed_us: Option<u64>,
     /// Counter deltas over the window (zero deltas dropped).
     pub counters: BTreeMap<String, u64>,
-    /// Histogram sample-count deltas over the window (zero dropped).
-    /// This is the only histogram signal in logical-tick mode: *how
-    /// many* events happened is deterministic, how long they took is
-    /// not.
+    /// Histogram sample-count deltas over the window (zero dropped):
+    /// *how many* events happened is deterministic, how long they took
+    /// is not.
     pub events: BTreeMap<String, u64>,
-    /// Gauge values at the sample point (wall-clock mode only).
-    pub gauges: BTreeMap<String, i64>,
-    /// Per-window histogram summaries (wall-clock mode only): count and
-    /// sum are deltas, quantiles are cumulative at the sample point.
-    pub histograms: BTreeMap<String, HistSummary>,
 }
 
 impl ObsSample {
+    /// The window's end: the campaign cursor (`pairs_done`) when the
+    /// window closed. Exported as both `seq` and `tick`.
+    pub fn tick(&self) -> u64 {
+        self.window.1
+    }
+
     /// Serialize as one line of the `OBS_*.jsonl` format (no trailing
     /// newline). Keys and map entries are ordered, so equal samples
     /// yield equal bytes.
@@ -54,8 +41,8 @@ impl ObsSample {
         let mut fields: Vec<(String, Json)> = vec![
             ("kind".to_string(), Json::str("obs")),
             ("schema".to_string(), Json::int(OBS_SCHEMA_VERSION)),
-            ("seq".to_string(), Json::int(self.seq as i64)),
-            ("tick".to_string(), Json::int(self.tick as i64)),
+            ("seq".to_string(), Json::int(self.tick() as i64)),
+            ("tick".to_string(), Json::int(self.tick() as i64)),
             (
                 "window".to_string(),
                 Json::array([
@@ -64,9 +51,6 @@ impl ObsSample {
                 ]),
             ),
         ];
-        if let Some(us) = self.elapsed_us {
-            fields.push(("elapsed_us".to_string(), Json::int(us as i64)));
-        }
         if !self.counters.is_empty() {
             fields.push((
                 "counters".to_string(),
@@ -87,30 +71,6 @@ impl ObsSample {
                 ),
             ));
         }
-        if !self.gauges.is_empty() {
-            fields.push((
-                "gauges".to_string(),
-                Json::object(self.gauges.iter().map(|(k, v)| (k.clone(), Json::int(*v)))),
-            ));
-        }
-        if !self.histograms.is_empty() {
-            fields.push((
-                "histograms".to_string(),
-                Json::object(self.histograms.iter().map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::object([
-                            ("count".to_string(), Json::int(h.count as i64)),
-                            ("sum".to_string(), Json::int(h.sum as i64)),
-                            ("max".to_string(), Json::int(h.max as i64)),
-                            ("p50".to_string(), Json::int(h.p50 as i64)),
-                            ("p95".to_string(), Json::int(h.p95 as i64)),
-                            ("p99".to_string(), Json::int(h.p99 as i64)),
-                        ]),
-                    )
-                })),
-            ));
-        }
         Json::object(fields)
     }
 
@@ -122,7 +82,6 @@ impl ObsSample {
             .get("campaign.progress")
             .copied()
             .or_else(|| self.events.get("campaign.pair").copied())
-            .or_else(|| self.histograms.get("campaign.pair").map(|h| h.count))
             .unwrap_or(0)
     }
 }
@@ -203,12 +162,10 @@ impl TimeSeries {
 mod tests {
     use super::*;
 
-    fn sample(seq: u64, tick: u64) -> ObsSample {
+    fn sample(tick: u64) -> ObsSample {
         let mut counters = BTreeMap::new();
         counters.insert("campaign.progress".to_string(), 5);
         ObsSample {
-            seq,
-            tick,
             window: (tick.saturating_sub(5), tick),
             counters,
             ..ObsSample::default()
@@ -219,37 +176,22 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut ts = TimeSeries::new(3);
         for i in 1..=7u64 {
-            ts.push(sample(i, i * 5));
+            ts.push(sample(i * 5));
         }
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.dropped(), 4);
-        let seqs: Vec<u64> = ts.samples().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![5, 6, 7]);
-        assert_eq!(ts.latest().unwrap().tick, 35);
+        let ticks: Vec<u64> = ts.samples().map(ObsSample::tick).collect();
+        assert_eq!(ticks, vec![25, 30, 35]);
+        assert_eq!(ts.latest().unwrap().tick(), 35);
     }
 
     #[test]
     fn export_is_one_valid_json_object_per_line() {
         let mut ts = TimeSeries::new(8);
-        ts.push(sample(1, 5));
-        let mut with_extras = sample(2, 10);
-        with_extras.elapsed_us = Some(1234);
-        with_extras.gauges.insert("g".to_string(), -3);
-        with_extras.events.insert("campaign.pair".to_string(), 5);
-        with_extras.histograms.insert(
-            "campaign.pair".to_string(),
-            HistSummary {
-                count: 5,
-                sum: 100,
-                mean: 20.0,
-                min: 10,
-                max: 40,
-                p50: 20,
-                p95: 40,
-                p99: 40,
-            },
-        );
-        ts.push(with_extras);
+        ts.push(sample(5));
+        let mut with_events = sample(10);
+        with_events.events.insert("campaign.pair".to_string(), 5);
+        ts.push(with_events);
         let jsonl = ts.export_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         for line in jsonl.lines() {
@@ -258,9 +200,17 @@ mod tests {
             assert_eq!(parsed.get("schema").and_then(Json::as_u32), Some(1));
             assert!(parsed.get("window").and_then(Json::as_array).is_some());
         }
+        // `seq` and `tick` are both the window's end.
+        assert_eq!(
+            jsonl.lines().nth(1),
+            Some(
+                "{\"counters\":{\"campaign.progress\":5},\"events\":{\"campaign.pair\":5},\
+                 \"kind\":\"obs\",\"schema\":1,\"seq\":10,\"tick\":10,\"window\":[5,10]}"
+            )
+        );
         // Identical samples serialize to identical bytes.
         let mut ts2 = TimeSeries::new(8);
-        ts2.push(sample(1, 5));
+        ts2.push(sample(5));
         assert_eq!(
             ts.export_jsonl().lines().next(),
             ts2.export_jsonl().lines().next()
@@ -269,7 +219,7 @@ mod tests {
 
     #[test]
     fn pairs_prefers_progress_counter() {
-        let s = sample(1, 5);
+        let s = sample(5);
         assert_eq!(s.pairs(), 5);
         let mut by_event = ObsSample::default();
         by_event.events.insert("campaign.pair".to_string(), 7);

@@ -439,6 +439,32 @@ mod tests {
     }
 
     #[test]
+    fn delta_across_reset_saturates_instead_of_wrapping() {
+        let reg = Registry::new();
+        reg.counter("c").add(10);
+        for v in [100, 200, 300] {
+            reg.histogram("h").record(v);
+        }
+        let before = reg.snapshot();
+        reg.reset();
+        reg.counter("c").add(3);
+        reg.histogram("h").record(5);
+        // Counter, histogram count and sum all fell below the baseline:
+        // each saturates to 0, and zero deltas are dropped.
+        let delta = reg.delta(&before);
+        assert_eq!(delta.counter("c"), 0);
+        assert!(!delta.counters.contains_key("c"));
+        assert!(!delta.histograms.contains_key("h"));
+        // The count climbs past the baseline while the sum stays below
+        // it: only the sum saturates.
+        for _ in 0..3 {
+            reg.histogram("h").record(1);
+        }
+        let h = reg.delta(&before).histograms["h"];
+        assert_eq!((h.count, h.sum), (1, 0));
+    }
+
+    #[test]
     fn exporters_cover_every_metric() {
         let reg = Registry::new();
         reg.counter("requests").add(1234);

@@ -1,17 +1,13 @@
 //! Campaign flight recorder: run a durable campaign under mild chaos
-//! with both sampling planes armed, then print the post-run flight
-//! report.
+//! with a sampler attached, then print the post-run flight report.
 //!
-//! Two samplers watch the same global telemetry registry:
-//!
-//! * a **logical-tick** sampler wired into [`DurableOpts::sampler`] —
-//!   it records each observation window the durable driver closes at a
-//!   durable checkpoint write, so its `OBS` JSONL export is
-//!   deterministic (byte-identical across thread counts and
-//!   kill-halfway resumes; see `tests/it_obs.rs`);
-//! * a **wall-clock** sampler on a background thread — gauges, latency
-//!   quantiles, and real pairs/sec, outside the byte-identity
-//!   guarantee, feeding the human-facing flight report.
+//! The sampler is wired into [`DurableOpts::sampler`]: it records each
+//! observation window `run_durable_campaign` closes at a durable
+//! checkpoint write, so its `OBS` JSONL export is deterministic
+//! (byte-identical across thread counts and kill-halfway resumes; see
+//! `tests/it_obs.rs`). The flight report's throughput curve and fault
+//! heatmap are drawn over those same windows, and its phase breakdown
+//! and pair latency come from the registry's run totals.
 //!
 //! ```sh
 //! CONSENT_CHAOS=mild cargo run --release --bin flight_recorder
@@ -22,7 +18,8 @@
 //! variable is an error.
 //!
 //! Outputs land under `target/` so a casual run never litters the repo
-//! root (the CI `flight-recorder` job uploads all three, once per run):
+//! root (the CI `flight-recorder` job validates and uploads all three,
+//! once per run):
 //!
 //! * `FLIGHT_OBS_OUT` (default `target/OBS_campaign.jsonl`) —
 //!   deterministic per-checkpoint samples, one JSON object per line;
@@ -48,7 +45,6 @@ use consent_httpsim::Vantage;
 use consent_obs::{FlightReport, ObsConfig, Sampler};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::time::Duration;
 
 const DOMAINS: usize = 60;
 const CHECKPOINT_EVERY: u64 = 25;
@@ -81,9 +77,7 @@ fn main() {
 
     let registry = consent_telemetry::global();
     let before = registry.snapshot();
-    let logical = Sampler::attach(registry, ObsConfig::deterministic());
-    let wall = Sampler::attach(registry, ObsConfig::wall(Duration::from_millis(10)));
-    let live = wall.start();
+    let sampler = Sampler::attach(registry, ObsConfig::deterministic());
 
     let dir = std::env::temp_dir().join(format!("consent-flight-recorder-{}", std::process::id()));
     // `CONSENT_IO_CHAOS` routes the store through a fault-injecting
@@ -108,7 +102,7 @@ fn main() {
             },
             checkpoint_every: CHECKPOINT_EVERY,
             crash: CrashPlan::none(),
-            sampler: Some(logical.clone()),
+            sampler: Some(sampler.clone()),
             bundle: Some(BundleSpec {
                 dir: BUNDLE_DIR.into(),
                 provider: None,
@@ -122,34 +116,24 @@ fn main() {
     if !run.health.is_healthy() {
         eprintln!("storage degraded: {}", run.health.summary());
     }
-    live.stop();
     let total = registry.delta(&before);
 
-    // The wall series has real rates and per-window latency; fall back
-    // to the deterministic series if the campaign outran the interval.
-    let wall_series = wall.series();
-    let series = if wall_series.is_empty() {
-        logical.series()
-    } else {
-        wall_series
-    };
-    let report = FlightReport::build(&series, &total);
+    let report = FlightReport::build(&sampler.series(), &total);
     print!("{}", report.render());
     println!(
-        "\n{} pairs durable across {} checkpoint generations ({} logical windows, {} wall samples)",
+        "\n{} pairs durable across {} checkpoint generations ({} windows)",
         run.state.pairs_done,
         store.generations().expect("list generations").len(),
-        logical.len(),
-        wall.len(),
+        sampler.len(),
     );
 
     let obs_out = out_path("FLIGHT_OBS_OUT", "OBS_campaign.jsonl");
-    std::fs::write(&obs_out, logical.export_jsonl()).expect("write OBS jsonl");
+    std::fs::write(&obs_out, sampler.export_jsonl()).expect("write OBS jsonl");
     let report_out = out_path("FLIGHT_REPORT_OUT", "flight_report.json");
     std::fs::write(&report_out, format!("{}\n", report.to_json().to_pretty()))
         .expect("write flight report");
     let prom_out = out_path("FLIGHT_PROM_OUT", "metrics.prom");
-    std::fs::write(&prom_out, wall.prometheus()).expect("write prometheus exposition");
+    std::fs::write(&prom_out, sampler.prometheus()).expect("write prometheus exposition");
     eprintln!("wrote {obs_out}, {report_out}, {prom_out}");
     if let Some(pack) = &run.bundle {
         eprintln!("packed {BUNDLE_DIR}: {}", pack.summary());

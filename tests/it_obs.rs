@@ -1,7 +1,7 @@
 //! Flight-recorder observability, end to end.
 //!
 //! The deterministic claim under test: a durable campaign run with a
-//! logical-tick [`Sampler`] produces an `OBS` JSONL export that is
+//! [`Sampler`] attached produces an `OBS` JSONL export that is
 //! **byte-identical across thread counts and kill-halfway resumes**.
 //! Samples are emitted only when a covering checkpoint is durable, the
 //! driver opens its observation window after recovery's re-import
@@ -9,12 +9,10 @@
 //! deny-listed — so the export is a pure function of the workload,
 //! like the state and trace exports the durability suite pins.
 //!
-//! The wall-clock mode is the opposite trade: a background thread, real
-//! gauges and latency quantiles, no byte guarantees — here we only
-//! assert liveness and well-formedness (every line parses, the
-//! Prometheus exposition follows the text format line grammar), plus
-//! that a `Registry::reset` racing the live sampler is lossy but never
-//! corrupting.
+//! The flight report built from that series must describe the same
+//! windows, and the Prometheus exposition must follow the text format's
+//! line grammar and escaping rules. A `Registry::reset` racing a live
+//! sampler is lossy but never corrupting.
 //!
 //! Tests serialize on a lock because the trace log and telemetry
 //! registry are process-global; each test leaves both cleared and
@@ -22,18 +20,17 @@
 
 use consent_checkpoint::CheckpointStore;
 use consent_crawler::{
-    build_toplist, run_campaign_parallel, run_durable_campaign, CampaignConfig, DurableOpts,
-    DurableOutcome, DurableRun, ParallelOpts,
+    build_toplist, run_durable_campaign, CampaignConfig, DurableOpts, DurableOutcome, DurableRun,
 };
 use consent_faultsim::{CrashPlan, FaultProfile};
 use consent_httpsim::Vantage;
+use consent_integration_tests::assert_prometheus_well_formed;
 use consent_obs::{FlightReport, ObsConfig, Sampler};
 use consent_util::{Day, Json, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -266,117 +263,6 @@ fn resume_skips_are_counted_once_per_incarnation() {
     unlock(guard);
 }
 
-/// Structural check against the Prometheus text format 0.0.4 line
-/// grammar: every line is a `# HELP`/`# TYPE` comment or
-/// `name[{labels}] value` with a sane metric name and a parseable
-/// value, and every TYPE is directly preceded by its family's HELP.
-fn assert_prometheus_well_formed(text: &str) {
-    assert!(!text.is_empty());
-    assert!(text.ends_with('\n'), "exposition must end with a newline");
-    let name_ok = |name: &str| {
-        !name.is_empty()
-            && !name.starts_with(|c: char| c.is_ascii_digit())
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let (name, help) = rest.split_once(' ').expect("HELP has name + text");
-            assert!(name_ok(name), "bad HELP name: {line}");
-            assert!(!help.is_empty(), "empty HELP text: {line}");
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split(' ');
-            let name = parts.next().unwrap_or("");
-            let kind = parts.next().unwrap_or("");
-            assert!(name_ok(name), "bad TYPE name: {line}");
-            assert!(
-                ["counter", "gauge", "summary"].contains(&kind),
-                "bad TYPE kind: {line}"
-            );
-            let help_line = format!("# HELP {name} ");
-            assert!(
-                i > 0 && lines[i - 1].starts_with(&help_line),
-                "TYPE without its family's HELP directly above: {line}"
-            );
-            continue;
-        }
-        assert!(!line.starts_with('#'), "unexpected comment: {line}");
-        let (series, value) = line.rsplit_once(' ').expect("metric line has a value");
-        let name = series.split('{').next().unwrap();
-        assert!(name_ok(name), "bad metric name: {line}");
-        if let Some(labels) = series.strip_prefix(name) {
-            assert!(
-                labels.is_empty() || (labels.starts_with('{') && labels.ends_with('}')),
-                "bad label block: {line}"
-            );
-        }
-        assert!(value.parse::<f64>().is_ok(), "bad value: {line}");
-    }
-}
-
-#[test]
-fn wall_sampler_records_live_state_and_serves_prometheus() {
-    let guard = lock();
-    consent_telemetry::reset();
-    consent_telemetry::enable();
-    let sampler = Sampler::attach(
-        consent_telemetry::global(),
-        ObsConfig::wall(Duration::from_millis(2)),
-    );
-    let handle = sampler.start();
-
-    let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
-    let run = run_campaign_parallel(
-        world(),
-        toplist(),
-        DAY(),
-        &vantages,
-        SeedTree::new(9),
-        &ParallelOpts {
-            threads: 4,
-            config: config(FaultProfile::mild()),
-            max_pairs: None,
-        },
-    );
-    assert!(run.complete);
-    // A marker gauge set before shutdown must appear in the final
-    // sample the background thread takes on its way out.
-    consent_telemetry::gauge_set("it.obs.marker", 7);
-    handle.stop();
-
-    assert!(!sampler.is_empty(), "wall sampler recorded nothing");
-    let series = sampler.series();
-    let last = series.latest().unwrap();
-    assert!(last.elapsed_us.is_some(), "wall samples carry a clock");
-    assert_eq!(last.gauges.get("it.obs.marker"), Some(&7));
-    // The per-window pair latency summaries partition the campaign:
-    // window counts sum to exactly one observation per pair.
-    assert_eq!(
-        series
-            .samples()
-            .flat_map(|s| s.histograms.get("campaign.pair"))
-            .map(|h| h.count)
-            .sum::<u64>(),
-        24,
-        "every pair sampled exactly once across wall windows"
-    );
-    for line in sampler.export_jsonl().lines() {
-        Json::parse(line).expect("wall OBS line parses");
-    }
-
-    let prom = sampler.prometheus();
-    assert_prometheus_well_formed(&prom);
-    assert!(prom.contains("# TYPE campaign_pair summary"), "{prom}");
-    assert!(prom.contains("campaign_pair{quantile=\"0.95\"}"), "{prom}");
-    assert!(prom.contains("campaign_pair_count"), "{prom}");
-    assert!(prom.contains("# TYPE it_obs_marker gauge"), "{prom}");
-    unlock(guard);
-}
-
 /// Re-parse the exposition like a scraper would: HELP/TYPE metadata per
 /// family, then label blocks unescaped back to their raw values. Hostile
 /// label values (quotes, newlines, backslashes) must round-trip exactly,
@@ -463,47 +349,100 @@ fn prometheus_exposition_reparses_with_escaped_labels_and_help() {
     unlock(guard);
 }
 
+/// `consent_telemetry::reset` racing a live sampler on the global
+/// registry: the test thread writes through the free functions and
+/// resets, while a sampler thread closes windows with
+/// `Registry::delta` and records them. Between resets the two run
+/// freely; around each reset they hand off, so the reset lands inside
+/// a window whose baseline holds the 250 writes before it and which
+/// closes one write after it — the straddle an unsaturated delta would
+/// wrap.
 #[test]
 fn registry_reset_racing_a_live_sampler_is_lossy_never_corrupt() {
     let guard = lock();
     consent_telemetry::reset();
     consent_telemetry::enable();
-    let sampler = Sampler::attach(
-        consent_telemetry::global(),
-        ObsConfig::wall(Duration::from_micros(200)),
-    );
-    let handle = sampler.start();
-
-    // Hammer the registry while the sampler is live: writes interleave
-    // with resets at arbitrary points inside sample windows.
+    let registry = consent_telemetry::global();
     const WRITES: u64 = 5_000;
-    for i in 0..WRITES {
-        consent_telemetry::count("race.counter", 1);
-        consent_telemetry::observe("race.lat", i % 97);
-        if i % 250 == 0 {
-            consent_telemetry::reset();
-        }
-        if i % 50 == 0 {
-            std::thread::yield_now();
-        }
-    }
-    handle.stop();
+    const RESET_EVERY: u64 = 250;
+    let sampler = Sampler::attach(
+        registry,
+        ObsConfig {
+            capacity: 2 * WRITES as usize,
+        },
+    );
 
-    assert!(!sampler.is_empty());
-    let mut seen = 0u64;
-    for line in sampler.export_jsonl().lines() {
-        let j = Json::parse(line).expect("raced OBS line parses");
-        // Deltas saturate at reset boundaries: a window straddling a
-        // reset under-counts, it never wraps around to 2^64-ish.
-        let n = j
-            .get("counters")
-            .and_then(|c| c.get("race.counter"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64;
+    let done = AtomicBool::new(false);
+    let written = AtomicU64::new(0);
+    let baselined = AtomicU64::new(0);
+    let windows = std::thread::scope(|sc| {
+        let sampling = sc.spawn(|| {
+            let mut windows = Vec::new();
+            let mut base = registry.snapshot();
+            let mut covered = 0;
+            for tick in 1.. {
+                // A window closes only once it holds a new write.
+                while written.load(Ordering::Acquire) == covered && !done.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                let last = done.load(Ordering::Acquire);
+                // Read before the snapshot: the new baseline holds at
+                // least this many writes.
+                covered = written.load(Ordering::Acquire);
+                let delta = registry.delta(&base);
+                base = registry.snapshot();
+                sampler.record((tick - 1, tick), &delta);
+                let lat = delta.histograms.get("race.lat").map_or(0, |h| h.count);
+                windows.push((delta.counter("race.counter"), lat));
+                baselined.store(covered, Ordering::Release);
+                if last {
+                    break;
+                }
+            }
+            windows
+        });
+        for i in 0..WRITES {
+            consent_telemetry::count("race.counter", 1);
+            consent_telemetry::observe("race.lat", i % 97);
+            written.store(i + 1, Ordering::Release);
+            // Hand off on the write before a reset and the one after.
+            if i % RESET_EVERY <= 1 {
+                while baselined.load(Ordering::Acquire) <= i && !sampling.is_finished() {
+                    std::thread::yield_now();
+                }
+            }
+            if i % RESET_EVERY == 0 {
+                consent_telemetry::reset();
+            }
+        }
+        done.store(true, Ordering::Release);
+        sampling.join().expect("sampler thread")
+    });
+
+    // Deltas saturate at reset boundaries: a window straddling a reset
+    // under-counts, it never wraps around to 2^64-ish.
+    assert!(windows.len() as u64 > 2 * (WRITES / RESET_EVERY));
+    for &(n, lat) in &windows {
         assert!(n <= WRITES, "counter delta wrapped: {n}");
-        seen += n;
+        assert!(lat <= WRITES, "histogram count wrapped: {lat}");
     }
+    let seen: u64 = windows.iter().map(|&(n, _)| n).sum();
     assert!(seen <= WRITES, "windows double-counted: {seen} > {WRITES}");
+    // One OBS line per window, each carrying the delta its window read.
+    let export = sampler.export_jsonl();
+    let lines: Vec<&str> = export.lines().collect();
+    assert_eq!(lines.len(), windows.len());
+    for (line, &(n, lat)) in lines.iter().zip(&windows) {
+        let j = Json::parse(line).expect("raced OBS line parses");
+        let field = |section: &str, key: &str| {
+            j.get(section)
+                .and_then(|c| c.get(key))
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0) as u64
+        };
+        assert_eq!(field("counters", "race.counter"), n, "{line}");
+        assert_eq!(field("events", "race.lat"), lat, "{line}");
+    }
     assert_prometheus_well_formed(&sampler.prometheus());
     unlock(guard);
 }
@@ -513,13 +452,7 @@ fn ring_buffer_evicts_oldest_samples_and_reports_drops() {
     let guard = lock();
     consent_telemetry::reset();
     consent_telemetry::enable();
-    let sampler = Sampler::attach(
-        consent_telemetry::global(),
-        ObsConfig {
-            capacity: 4,
-            ..ObsConfig::deterministic()
-        },
-    );
+    let sampler = Sampler::attach(consent_telemetry::global(), ObsConfig { capacity: 4 });
     for tick in 1..=10u64 {
         let base = consent_telemetry::global().snapshot();
         consent_telemetry::count("ring.pairs", 1);
@@ -576,11 +509,14 @@ fn flight_report_covers_a_chaotic_durable_campaign() {
         report.phases.iter().any(|p| p.key == "campaign.pair"),
         "pair processing missing from the phase breakdown"
     );
-    assert_eq!(report.throughput.len(), 5, "24 pairs in chunks of 5");
-    assert!(
-        report.throughput.iter().all(|p| p.pairs_per_sec.is_none()),
-        "logical windows must not claim wall rates"
-    );
+    // The report's windows are the OBS export's windows.
+    let ticks: Vec<u64> = report.throughput.iter().map(|p| p.tick).collect();
+    assert_eq!(ticks, vec![5, 10, 15, 20, 24], "24 pairs in chunks of 5");
+    assert_eq!(ticks, ticks_of(&sampler.export_jsonl()));
+    assert!(report
+        .faults
+        .iter()
+        .all(|r| r.per_window.len() == ticks.len()));
     // The heatmap reconciles with the registry: per-window injection
     // counts sum to the cumulative faultsim.injected totals.
     let injected: u64 = total
@@ -589,8 +525,6 @@ fn flight_report_covers_a_chaotic_durable_campaign() {
         .sum();
     assert!(injected > 0, "hot chaos profile injected nothing");
     assert_eq!(report.faults.iter().map(|r| r.total).sum::<u64>(), injected);
-    // Logical mode: no per-window latency, cumulative fallback instead.
-    assert!(report.slowest.is_empty());
     assert_eq!(report.pair_total.unwrap().count, 24);
 
     let text = report.render();
@@ -609,5 +543,11 @@ fn flight_report_covers_a_chaotic_durable_campaign() {
         Some("flight_report")
     );
     assert_eq!(json.get("schema").and_then(Json::as_f64), Some(1.0));
+
+    // What a scrape endpoint would serve at the end of the run.
+    let prom = sampler.prometheus();
+    assert_prometheus_well_formed(&prom);
+    assert!(prom.contains("# TYPE campaign_pair summary"), "{prom}");
+    assert!(prom.contains("campaign_pair_count"), "{prom}");
     unlock(guard);
 }

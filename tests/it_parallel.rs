@@ -9,11 +9,12 @@
 //! promises.
 //!
 //! The trace test enables the process-global `consent_trace` log, and
-//! the pool test the process-global telemetry registry. Cargo runs one
+//! the pool test replaces the process-global panic hook. Cargo runs one
 //! binary's test fns concurrently, so every test serializes on one lock
 //! — a campaign crawling while the trace test records would leak its
-//! pair traces into that test's export — and leaves both recorders
-//! cleared and disabled, mirroring `it_trace`.
+//! pair traces into that test's export, and another test's panic would
+//! reach the pool test's hook — and leaves the trace log cleared and
+//! disabled, mirroring `it_trace`.
 
 use consent_crawler::{
     build_toplist, resume_campaign_parallel, run_campaign_parallel, BreakerConfig, CampaignConfig,
@@ -23,11 +24,14 @@ use consent_faultsim::FaultProfile;
 use consent_httpsim::Vantage;
 use consent_util::{Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Hold the global recorders for one test without turning either on.
+/// Hold the process-global state for one test without turning the
+/// trace log on.
 fn hold() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -221,25 +225,60 @@ fn trace_jsonl_is_byte_identical_across_thread_counts() {
     unlock(guard);
 }
 
+/// The distinct threads that crawl the pairs of `parallel(_, threads)`.
+///
+/// Every capture attempt panics, and a panic hook runs on the
+/// panicking thread, so the hook sees each thread that crawls a pair.
+/// It also holds each worker at its first pair until `threads` workers
+/// have one (or ten seconds pass), so no worker can crawl every pair
+/// before the others start.
+fn crawling_threads(threads: usize) -> Vec<ThreadId> {
+    static SEEN: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+    static ARRIVED: Condvar = Condvar::new();
+    let caller = thread::current().id();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    std::panic::set_hook(Box::new(move |_| {
+        let me = thread::current().id();
+        let mut seen = SEEN.lock().unwrap_or_else(|e| e.into_inner());
+        if !seen.contains(&me) {
+            seen.push(me);
+            ARRIVED.notify_all();
+        }
+        while me != caller && seen.len() < threads {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            seen = ARRIVED
+                .wait_timeout(seen, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }));
+    let every_attempt_panics = FaultProfile {
+        panic: 1.0,
+        ..FaultProfile::none()
+    };
+    let run = parallel(every_attempt_panics, threads);
+    // Back to the default hook before any assertion can fail.
+    drop(std::panic::take_hook());
+    assert!(run.complete);
+    std::mem::take(&mut *SEEN.lock().unwrap_or_else(|e| e.into_inner()))
+}
+
 #[test]
 fn in_order_runs_never_start_the_pool() {
     let guard = hold();
-    consent_telemetry::reset();
-    consent_telemetry::enable();
-    let workers = || {
-        consent_telemetry::global()
-            .snapshot()
-            .histograms
-            .get("campaign.parallel.shard_pairs")
-            .map_or(0, |h| h.count)
-    };
+    let caller = thread::current().id();
     for threads in [0usize, 1] {
-        assert!(parallel(FaultProfile::none(), threads).complete);
-        assert_eq!(workers(), 0, "{threads} threads spawned a worker");
+        assert_eq!(
+            crawling_threads(threads),
+            vec![caller],
+            "{threads} threads crawled off the calling thread"
+        );
     }
-    assert!(parallel(FaultProfile::none(), 3).complete);
-    assert_eq!(workers(), 3);
-    consent_telemetry::disable();
-    consent_telemetry::reset();
+    let pool = crawling_threads(3);
+    assert_eq!(pool.len(), 3, "3 threads started {} workers", pool.len());
+    assert!(!pool.contains(&caller), "the pool crawled on the caller");
     drop(guard);
 }

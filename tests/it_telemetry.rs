@@ -3,7 +3,7 @@
 //! The reconciliation test uses the process-global telemetry registry,
 //! so it lives in its own integration-test binary and must stay the
 //! only test fn that touches the global: nothing else may enable
-//! recording or the deltas would mix. The sampler-race test below is
+//! recording or the deltas would mix. The reset-race test below is
 //! safe to share the binary because it runs against its own leaked
 //! local registry.
 
@@ -215,78 +215,121 @@ fn reconcile(study: &Study, profile: FaultProfile) {
     assert_eq!(d1, d2);
 }
 
-/// `Registry::reset` racing a live flight-recorder sampler: writers,
-/// a resetter, and the sampler's background thread all hit the same
-/// registry concurrently. Resets may drop in-window traffic (they wipe
-/// it by design) but must never corrupt a sample — deltas saturate
-/// instead of wrapping, exports stay parseable, and nothing panics.
+/// `Registry::reset` racing a live flight-recorder sampler: two
+/// writers, a resetter, and a sampler thread — which closes windows
+/// with [`Registry::delta`], records them, and renders the Prometheus
+/// exposition — all hit the same registry at once. Resets may drop
+/// in-window traffic (they wipe it by design) but must never corrupt a
+/// sample — deltas saturate instead of wrapping, the export and the
+/// exposition stay well-formed, and nothing panics.
 ///
 /// Runs against a leaked *local* registry, not the process-global one,
 /// so it can share this binary with the reconciliation test above.
 #[test]
 fn reset_racing_a_live_sampler_is_lossy_never_corrupt() {
+    use consent_integration_tests::assert_prometheus_well_formed;
     use consent_obs::{ObsConfig, Sampler};
     use consent_util::Json;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+    use std::sync::Barrier;
 
+    /// Stops the writers and the resetter when the sampler thread
+    /// finishes or panics, so a failed check never leaves them spinning.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Relaxed);
+        }
+    }
+
+    const READS: usize = 2_000;
+    const MAX_LAT: u64 = 89;
     let registry: &'static Registry = Box::leak(Box::new(Registry::new()));
-    let sampler = Sampler::attach(registry, ObsConfig::wall(Duration::from_micros(200)));
-    let handle = sampler.start();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let written = Arc::new(AtomicU64::new(0));
-    let writers: Vec<_> = (0..2)
-        .map(|w| {
-            let stop = Arc::clone(&stop);
-            let written = Arc::clone(&written);
-            std::thread::spawn(move || {
+    let sampler = Sampler::attach(registry, ObsConfig::deterministic());
+    let stop = AtomicBool::new(false);
+    let written = AtomicU64::new(0);
+    let start = Barrier::new(4);
+    let windows = std::thread::scope(|sc| {
+        for w in 0..2u64 {
+            let (stop, written, start) = (&stop, &written, &start);
+            sc.spawn(move || {
+                start.wait();
                 let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.load(Relaxed) {
                     registry.counter("race.counter").inc();
-                    written.fetch_add(1, Ordering::Relaxed);
-                    registry.histogram("race.lat").record(i % 89 + w);
+                    written.fetch_add(1, Relaxed);
+                    registry.histogram("race.lat").record(i % MAX_LAT + w);
                     registry.gauge("race.gauge").set(i as i64);
                     i += 1;
                 }
-            })
-        })
-        .collect();
-    let resetter = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
+            });
+        }
+        sc.spawn(|| {
+            start.wait();
+            while !stop.load(Relaxed) {
                 registry.reset();
-                std::thread::sleep(Duration::from_micros(500));
+                std::thread::yield_now();
             }
-        })
-    };
-    std::thread::sleep(Duration::from_millis(50));
-    stop.store(true, Ordering::Relaxed);
-    for w in writers {
-        w.join().unwrap();
-    }
-    resetter.join().unwrap();
-    handle.stop();
+        });
+        let sampling = sc.spawn(|| {
+            let _stop = StopOnDrop(&stop);
+            start.wait();
+            // Consecutive, non-overlapping windows: traffic between a
+            // delta and the next baseline is lost, never counted twice.
+            // Each window waits for at least one write, so reads
+            // interleave with writes however the threads are scheduled.
+            let mut windows = Vec::with_capacity(READS);
+            let mut base = registry.snapshot();
+            for tick in 1..=READS as u64 {
+                let mark = written.load(Relaxed);
+                while written.load(Relaxed) == mark {
+                    std::thread::yield_now();
+                }
+                let delta = registry.delta(&base);
+                base = registry.snapshot();
+                sampler.record((tick - 1, tick), &delta);
+                let lat = delta.histograms.get("race.lat").copied();
+                windows.push((
+                    delta.counter("race.counter"),
+                    lat.map_or(0, |h| h.count),
+                    lat.map_or(0, |h| h.sum),
+                ));
+                // Empty is fine right after a reset; malformed is not.
+                let prom = sampler.prometheus();
+                if !prom.is_empty() {
+                    assert_prometheus_well_formed(&prom);
+                }
+            }
+            windows
+        });
+        sampling.join().expect("sampler thread")
+    });
 
-    assert!(!sampler.is_empty(), "sampler recorded nothing");
-    let total_written = written.load(Ordering::Relaxed);
-    let mut seen = 0u64;
-    for line in sampler.export_jsonl().lines() {
+    let total = written.load(Relaxed);
+    for &(n, count, sum) in &windows {
+        // A window straddling a reset under-counts; it never wraps
+        // around to 2^64-ish.
+        assert!(n <= total, "counter delta wrapped: {n} > {total}");
+        assert!(count <= total, "histogram count wrapped: {count}");
+        assert!(sum <= total * MAX_LAT, "histogram sum wrapped: {sum}");
+    }
+    // Resets lose traffic; they never invent it.
+    let seen: u64 = windows.iter().map(|&(n, _, _)| n).sum();
+    assert!(seen <= total, "windows double-counted: {seen} > {total}");
+
+    // The sampler kept one sample per window, and each exports the
+    // counter delta its window read.
+    assert_eq!(sampler.len(), READS);
+    let export = sampler.export_jsonl();
+    let lines: Vec<&str> = export.lines().collect();
+    assert_eq!(lines.len(), READS);
+    for (line, &(n, _, _)) in lines.iter().zip(&windows) {
         let j = Json::parse(line).expect("raced OBS line must stay parseable");
-        let n = j
+        let exported = j
             .get("counters")
             .and_then(|c| c.get("race.counter"))
             .and_then(Json::as_f64)
             .unwrap_or(0.0) as u64;
-        assert!(n <= total_written, "window delta wrapped: {n}");
-        seen += n;
+        assert_eq!(exported, n, "sample disagrees with its window: {line}");
     }
-    // Resets lose traffic; they never invent it.
-    assert!(seen <= total_written, "{seen} > {total_written}");
-    // The scrape endpoint stays serviceable mid-race (empty is fine if
-    // the last reset won the race; malformed or panicking is not).
-    let prom = sampler.prometheus();
-    assert!(prom.is_empty() || prom.ends_with('\n'));
 }

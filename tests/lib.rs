@@ -41,3 +41,55 @@ pub fn seam(plan: &IoFaultPlan) -> Arc<dyn Vfs> {
 pub fn open_store(dir: &Path, plan: &IoFaultPlan) -> CheckpointStore {
     CheckpointStore::with_vfs(dir, DEFAULT_KEEP, seam(plan)).expect("store open")
 }
+
+/// Structural check against the Prometheus text format 0.0.4 line
+/// grammar: every line is a `# HELP`/`# TYPE` comment or
+/// `name[{labels}] value` with a sane metric name and a parseable
+/// value, and every TYPE is directly preceded by its family's HELP.
+pub fn assert_prometheus_well_formed(text: &str) {
+    assert!(!text.is_empty());
+    assert!(text.ends_with('\n'), "exposition must end with a newline");
+    let name_ok = |name: &str| {
+        !name.is_empty()
+            && !name.starts_with(|c: char| c.is_ascii_digit())
+            && name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    };
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').expect("HELP has name + text");
+            assert!(name_ok(name), "bad HELP name: {line}");
+            assert!(!help.is_empty(), "empty HELP text: {line}");
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let mut parts = rest.split(' ');
+            let name = parts.next().unwrap_or("");
+            let kind = parts.next().unwrap_or("");
+            assert!(name_ok(name), "bad TYPE name: {line}");
+            assert!(
+                ["counter", "gauge", "summary"].contains(&kind),
+                "bad TYPE kind: {line}"
+            );
+            let help_line = format!("# HELP {name} ");
+            assert!(
+                i > 0 && lines[i - 1].starts_with(&help_line),
+                "TYPE without its family's HELP directly above: {line}"
+            );
+            continue;
+        }
+        assert!(!line.starts_with('#'), "unexpected comment: {line}");
+        let (series, value) = line.rsplit_once(' ').expect("metric line has a value");
+        let name = series.split('{').next().unwrap();
+        assert!(name_ok(name), "bad metric name: {line}");
+        if let Some(labels) = series.strip_prefix(name) {
+            assert!(
+                labels.is_empty() || (labels.starts_with('{') && labels.ends_with('}')),
+                "bad label block: {line}"
+            );
+        }
+        assert!(value.parse::<f64>().is_ok(), "bad value: {line}");
+    }
+}
