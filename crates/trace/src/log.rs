@@ -2,11 +2,13 @@
 //!
 //! Events land in one of a fixed number of shards keyed by trace id, so
 //! concurrent traced pipelines contend only when they interleave traces
-//! onto the same shard. A [`snapshot`](TraceLog::snapshot) normalizes
-//! the whole log into `(trace_id, seq)` order, which is what makes the
-//! JSONL export byte-stable across replays *and* across checkpoint
-//! resumes: the set of recorded events is identical, and the sort
-//! erases any difference in arrival order.
+//! onto the same shard. The [JSONL export](TraceLog::export_jsonl) and
+//! a [`snapshot`](TraceLog::snapshot) read the whole log in
+//! `(trace_id, seq)` order, which is what makes the export byte-stable
+//! across replays *and* across checkpoint resumes: the set of recorded
+//! events is identical, and the sort erases any difference in arrival
+//! order. The export writes each line straight from the shards, with no
+//! copy of the events and no `Json` tree.
 
 use crate::event::TraceEvent;
 use parking_lot::Mutex;
@@ -80,12 +82,7 @@ impl TraceLog {
 
     /// Every recorded event, sorted by `(trace_id, seq)`.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.lock().iter().cloned());
-        }
-        all.sort_by_key(|e| (e.trace_id, e.seq));
-        all
+        self.in_order(|events| events.into_iter().cloned().collect())
     }
 
     /// The events of one trace, sorted by `seq`.
@@ -113,14 +110,30 @@ impl TraceLog {
 
     /// JSONL export: one event object per line, in `(trace_id, seq)`
     /// order. Byte-identical for identical seeds (and for interrupted +
-    /// resumed replays of the same campaign).
+    /// resumed replays of the same campaign). Each line is
+    /// [`TraceEvent::to_json`] in compact form, written straight from the
+    /// shards into one string.
     pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.snapshot() {
-            out.push_str(&e.to_json().to_compact());
-            out.push('\n');
-        }
-        out
+        self.in_order(|events| {
+            let mut out = String::with_capacity(events.iter().map(|e| e.jsonl_len_hint()).sum());
+            for e in events {
+                e.write_jsonl(&mut out);
+            }
+            out
+        })
+    }
+
+    /// Run `f` on every event sorted by `(trace_id, seq)`, read in place
+    /// with all shards locked (in index order; recording takes one shard
+    /// at a time, so this cannot deadlock). The sort is stable and a
+    /// trace lives in one shard, so events with equal keys (a pair
+    /// recorded twice without [`clear`](Self::clear)) keep their arrival
+    /// order.
+    fn in_order<R>(&self, f: impl FnOnce(Vec<&TraceEvent>) -> R) -> R {
+        let shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let mut events: Vec<&TraceEvent> = shards.iter().flat_map(|s| s.iter()).collect();
+        events.sort_by_key(|e| (e.trace_id, e.seq));
+        f(events)
     }
 }
 
@@ -128,6 +141,7 @@ impl TraceLog {
 mod tests {
     use super::*;
     use crate::event::Phase;
+    use proptest::prelude::*;
 
     fn ev(trace_id: u64, seq: u64) -> TraceEvent {
         TraceEvent {
@@ -175,5 +189,106 @@ mod tests {
         assert_eq!(log.len(), 1);
         log.set_enabled(true);
         assert!(log.enabled());
+    }
+
+    /// Attribute-value pieces past the 32 control characters: the two
+    /// characters escaped with a backslash, DEL and non-ASCII text.
+    const PIECES: [&str; 6] = ["\"", "\\", "\u{7f}", "köln", "😀", "plain /"];
+    /// Trace ids 1, 17 and 33 share a shard.
+    const IDS: [u64; 4] = [1, 17, 33, u64::MAX];
+    const NAMES: [&str; 3] = ["pair", "fault.injected", "odd \"name\"\t"];
+    const KEYS: [&str; 4] = ["vantage", "attempt", "a", "k\\ey"];
+    const PHASES: [Phase; 3] = [Phase::Begin, Phase::End, Phase::Instant];
+
+    /// Piece `i`: control character `i` below 32, else `PIECES[i - 32]`.
+    fn value(pieces: &[usize]) -> String {
+        pieces
+            .iter()
+            .map(|&i| match i.checked_sub(0x20) {
+                Some(p) => PIECES[p].to_string(),
+                None => char::from(i as u8).to_string(),
+            })
+            .collect()
+    }
+
+    /// The export as the `Json` tree of each snapshot event prints it.
+    fn reference(log: &TraceLog) -> String {
+        log.snapshot()
+            .iter()
+            .map(|e| e.to_json().to_compact() + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn export_writes_the_json_tree_bytes_for_edge_cases() {
+        let log = TraceLog::new();
+        let all: Vec<usize> = (0..0x20 + PIECES.len()).collect();
+        let mut big = ev(u64::MAX, 0);
+        big.span_id = u64::MAX;
+        big.parent = (1 << 53) + 1;
+        big.attrs = vec![("b", value(&all)), ("a", "1".into()), ("b", "last".into())];
+        log.record(big);
+        // The same (trace_id, seq) twice: arrival order breaks the tie.
+        let mut twin = ev(3, 0);
+        twin.attrs = vec![("x", "first".into())];
+        log.record(twin.clone());
+        twin.attrs[0].1 = "second".into();
+        log.record(twin);
+        let export = log.export_jsonl();
+        assert_eq!(export, reference(&log));
+        assert!(export.contains(r#"{"args":{"a":"1","b":"last"},"kind""#));
+        assert!(export.find("first").unwrap() < export.find("second").unwrap());
+        assert!(export.ends_with("\"trace\":\"ffffffffffffffff\"}\n"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Colliding shards, repeated `(trace_id, seq)` keys, empty and
+        /// repeated attribute keys, and strings that need every escape:
+        /// the snapshot is the arrival order stably sorted, and the
+        /// export equals its `Json` tree rendering byte for byte.
+        #[test]
+        fn export_equals_the_json_tree_rendering(
+            events in proptest::collection::vec(
+                (
+                    0usize..IDS.len(),
+                    0u64..4,
+                    0u64..1_000,
+                    0u64..1_000,
+                    0usize..PHASES.len(),
+                    0usize..NAMES.len(),
+                    proptest::collection::vec(
+                        (
+                            0usize..KEYS.len(),
+                            proptest::collection::vec(0usize..0x20 + PIECES.len(), 0..4),
+                        ),
+                        0..5,
+                    ),
+                ),
+                0..200,
+            ),
+        ) {
+            let mut events: Vec<TraceEvent> = events
+                .into_iter()
+                .map(|(id, seq, span_id, parent, phase, name, attrs)| TraceEvent {
+                    trace_id: IDS[id],
+                    span_id,
+                    parent,
+                    seq,
+                    phase: PHASES[phase],
+                    name: NAMES[name],
+                    attrs: attrs.iter().map(|(k, v)| (KEYS[*k], value(v))).collect(),
+                })
+                .collect();
+            let log = TraceLog::new();
+            for e in &events {
+                log.record(e.clone());
+            }
+            // Ties on `(trace_id, seq)` keep their arrival order.
+            events.sort_by_key(|e| (e.trace_id, e.seq));
+            prop_assert_eq!(log.snapshot(), events);
+            prop_assert_eq!(log.export_jsonl(), reference(&log));
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! every integer appearing in GVL documents (vendor ids < 2^53).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 ///
@@ -474,32 +474,52 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Append `n` the way [`Json::to_compact`] prints a number: integral
+/// values below 9e15 in magnitude as integers, other finite values in
+/// Rust's shortest round-trip form, NaN and infinities as `null`.
+pub fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; serialize as null like most lenient encoders.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, the way [`Json::to_compact`]
+/// prints one: `"` and `\` backslash-escaped, the control characters
+/// U+0000–U+001F as `\b`, `\t`, `\n`, `\f`, `\r` or `\u00xx`, and
+/// everything else (DEL and non-ASCII included) as raw UTF-8.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Start of the pending run of bytes that need no escape.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` ends on a char boundary.
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -581,6 +601,32 @@ mod tests {
         assert_eq!(Json::Number(3.5).to_compact(), "3.5");
         assert_eq!(Json::Number(-0.25).to_compact(), "-0.25");
         assert_eq!(Json::Number(f64::NAN).to_compact(), "null");
+        assert_eq!(Json::int(-42).to_compact(), "-42");
+        assert_eq!(Json::Number(8.5e15).to_compact(), "8500000000000000");
+        let mut out = String::from("[");
+        write_number(&mut out, 7.0);
+        assert_eq!(out, "[7");
+    }
+
+    #[test]
+    fn string_escapes_are_pinned_for_every_ascii_char() {
+        let all: String = (0u8..0x80).map(char::from).chain(['😀']).collect();
+        let expected = concat!(
+            r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r"#,
+            r#"\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018"#,
+            r##"\u0019\u001a\u001b\u001c\u001d\u001e\u001f !\"#$%&'()*+,-./0123456789"##,
+            r#":;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~"#,
+            "\u{7f}😀\"",
+        );
+        let mut out = String::new();
+        write_string(&mut out, &all);
+        assert_eq!(out, expected);
+        assert_eq!(Json::str(all.clone()).to_compact(), expected);
+        assert_eq!(Json::parse(expected).unwrap().as_str(), Some(all.as_str()));
+        // Escapes between unescaped runs, at both ends, and back to back.
+        let mut out = String::from("x");
+        write_string(&mut out, "\"köln\"\n\n");
+        assert_eq!(out, r#"x"\"köln\"\n\n""#);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! The fault profile is read from `CONSENT_CHAOS` (`mild`, `heavy`, or
 //! unset for none; any other value is an error); the Chrome document is
 //! written to `trace_explain.chrome.json` (override with
-//! `TRACE_EXPLAIN_OUT`).
+//! `TRACE_EXPLAIN_OUT`) and the full JSONL export next to it, at the same
+//! path with the extension `.jsonl`.
 
 mod env_knobs;
 
@@ -23,6 +24,7 @@ use consent_crawler::{
 use consent_httpsim::Vantage;
 use consent_trace::{Provenance, TraceTree};
 use consent_util::Day;
+use std::path::Path;
 
 fn main() {
     println!("consent-observatory trace explain");
@@ -102,7 +104,14 @@ fn main() {
     let chrome = consent_trace::export_chrome_string(&log.snapshot());
     let out = std::env::var("TRACE_EXPLAIN_OUT")
         .unwrap_or_else(|_| "trace_explain.chrome.json".to_string());
+    let jsonl_out = Path::new(&out).with_extension("jsonl");
+    assert_ne!(
+        jsonl_out,
+        Path::new(&out),
+        "TRACE_EXPLAIN_OUT must not end in .jsonl: the JSONL export goes there"
+    );
     std::fs::write(&out, &chrome).expect("write chrome trace");
+    std::fs::write(&jsonl_out, &jsonl).expect("write trace JSONL");
     println!(
         "\nwrote {} ({} bytes) — load it in Perfetto or chrome://tracing",
         out,

@@ -11,8 +11,9 @@
 //! as the uninterrupted one; `FaultProfile::none` emits zero fault
 //! events; every recorded trace is a well-formed causal tree whose
 //! distilled [`Provenance`] equals the record the campaign persisted;
-//! and the Chrome export is valid trace-event JSON with one thread
-//! track per vantage.
+//! the Chrome export is valid trace-event JSON with one thread track
+//! per vantage; and the JSONL export of a small chaotic campaign equals
+//! the committed `fixtures/trace_v1.jsonl` byte for byte.
 
 use consent_crawler::{
     build_toplist, resume_campaign_parallel, run_campaign_parallel, vantage_code, BreakerConfig,
@@ -309,6 +310,65 @@ fn chrome_export_is_valid_with_one_track_per_vantage() {
     assert_eq!(tracks, expected);
     assert_eq!(tids.len(), vantages.len());
 
+    unlock(guard);
+}
+
+/// The committed export of a small fixed campaign: the first 18 pairs of
+/// `it_durability`'s golden campaign (24 domains of a 2,000-site world
+/// at the EU cloud vantage, heavy chaos plus a 15% injected-panic rate,
+/// one thread). Byte-identity suites compare two runs of one build; this
+/// pins the trace bytes across builds.
+const GOLDEN_TRACE: &str = include_str!("fixtures/trace_v1.jsonl");
+
+#[test]
+fn trace_export_matches_the_committed_golden_fixture() {
+    let guard = lock();
+    let world = World::new(WorldConfig {
+        n_sites: 2_000,
+        seed: 42,
+        adoption: AdoptionConfig::default(),
+    });
+    let profile = FaultProfile {
+        panic: 0.15,
+        ..FaultProfile::heavy()
+    };
+    let list = build_toplist(&world, 24, SeedTree::new(7));
+    let run = run_campaign_parallel(
+        &world,
+        &list,
+        DAY(),
+        &[Vantage::eu_cloud()],
+        SeedTree::new(9),
+        &opts(config(profile), Some(18)),
+    );
+    assert_eq!(run.state.provenance.len(), 18);
+    let export = consent_trace::global().export_jsonl();
+    if let Some((n, (got, want))) = export
+        .lines()
+        .zip(GOLDEN_TRACE.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "export differs from the fixture at line {}:\n  got  {got:?}\n  want {want:?}",
+            n + 1
+        );
+    }
+    assert_eq!(export, GOLDEN_TRACE);
+
+    // The fixture covers a contained panic's trace and the fault,
+    // breaker and dead-letter events.
+    for name in [
+        "pair.panic",
+        "fault.injected",
+        "breaker.open",
+        "dead_letter",
+    ] {
+        assert!(
+            GOLDEN_TRACE.contains(&format!("\"name\":\"{name}\"")),
+            "no {name} event in the fixture"
+        );
+    }
     unlock(guard);
 }
 
