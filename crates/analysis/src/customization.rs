@@ -7,7 +7,6 @@
 //! and footer links.
 
 use consent_crawler::CampaignCapture;
-use consent_fingerprint::Detector;
 use consent_httpsim::DomSnapshot;
 use consent_webgraph::Cmp;
 use std::collections::BTreeMap;
@@ -161,19 +160,16 @@ impl CustomizationReport {
     }
 }
 
-/// Build the report from the EU-university captures of a campaign
-/// column (the only one storing DOM snapshots).
-pub fn customization_report(
-    captures: &[CampaignCapture],
-    detector: &Detector,
-) -> CustomizationReport {
+/// Build the report from the EU-university records of a campaign
+/// column (the only one storing DOM snapshots), classifying each
+/// snapshot under the first CMP detected on its capture.
+pub fn customization_report(records: &[CampaignCapture]) -> CustomizationReport {
     let mut report = CustomizationReport::default();
-    for c in captures {
-        let Some(dom) = c.capture.dom.as_ref() else {
+    for c in records {
+        let Some(dom) = c.dom.as_ref() else {
             continue;
         };
-        let detected = detector.detect(&c.capture);
-        let Some(cmp) = detected.into_iter().next() else {
+        let Some(cmp) = c.cmps.iter().next() else {
             continue;
         };
         let style = classify_style(dom, true);
@@ -285,8 +281,7 @@ mod tests {
                 },
             )
             .result;
-            let report =
-                customization_report(result.column(vantage).unwrap(), &Detector::hostname_only());
+            let report = customization_report(result.column(vantage).unwrap());
             // Quantcast: ~55 % direct reject among classified sites; ~13 %
             // free-form wording.
             let q_direct = report.style_share(Cmp::Quantcast, ObservedStyle::DirectReject);

@@ -3,11 +3,10 @@
 //! The paper infers each CMP's regulatory target market from its
 //! customers' TLDs: "the share of sites with a EU+UK TLD for each CMP
 //! (Quantcast at 38.3 % and OneTrust with 16.3 %)". This module measures
-//! the same statistic from campaign captures — final hostnames and
+//! the same statistic from campaign records — final hostnames and
 //! detected CMPs — without touching ground truth.
 
 use consent_crawler::CampaignCapture;
-use consent_fingerprint::Detector;
 use consent_psl::PublicSuffixList;
 use consent_util::table::{pct, Table};
 use consent_webgraph::{site, Cmp, ALL_CMPS};
@@ -47,23 +46,22 @@ impl JurisdictionReport {
     }
 }
 
-/// Measure the report from campaign captures: detect the CMP, extract the
-/// final registrable domain's public suffix, and classify it as EU+UK or
-/// not.
+/// Measure the report from campaign records: take the first detected
+/// CMP of each usable capture, extract the final host's public suffix,
+/// and classify it as EU+UK or not.
 pub fn jurisdiction_report(
-    captures: &[CampaignCapture],
-    detector: &Detector,
+    records: &[CampaignCapture],
     psl: &PublicSuffixList,
 ) -> JurisdictionReport {
     let mut report = JurisdictionReport::default();
-    for c in captures {
-        if !c.capture.usable() {
+    for c in records {
+        if !c.status.usable() {
             continue;
         }
-        let Some(cmp) = detector.detect(&c.capture).into_iter().next() else {
+        let Some(cmp) = c.cmps.iter().next() else {
             continue;
         };
-        let Some(suffix) = psl.public_suffix(&c.capture.final_host) else {
+        let Some(suffix) = psl.public_suffix(&c.final_host) else {
             continue;
         };
         let entry = report.per_cmp.entry(cmp).or_insert((0, 0));
@@ -111,7 +109,6 @@ mod tests {
             .result;
             let report = jurisdiction_report(
                 result.column(vantage).unwrap(),
-                &Detector::hostname_only(),
                 &PublicSuffixList::embedded(),
             );
             let q = report.eu_share(Cmp::Quantcast);
@@ -137,11 +134,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_zero_shares() {
-        let report = jurisdiction_report(
-            &[],
-            &Detector::hostname_only(),
-            &PublicSuffixList::embedded(),
-        );
+        let report = jurisdiction_report(&[], &PublicSuffixList::embedded());
         for cmp in ALL_CMPS {
             assert_eq!(report.eu_share(cmp), 0.0);
         }

@@ -5,7 +5,6 @@
 //! relative to the best column).
 
 use consent_crawler::CampaignResult;
-use consent_fingerprint::Detector;
 use consent_httpsim::Vantage;
 use consent_util::table::{pct, Table};
 use consent_webgraph::{Cmp, ALL_CMPS};
@@ -63,17 +62,16 @@ impl VantageTable {
 }
 
 /// Compute the table from a campaign result. Each domain is counted once
-/// per CMP per column if any of its captures in that column shows the
-/// CMP.
-pub fn vantage_table(result: &CampaignResult, detector: &Detector) -> VantageTable {
+/// per CMP per column if its record in that column shows the CMP: the
+/// set the campaign detected on the final capture.
+pub fn vantage_table(result: &CampaignResult) -> VantageTable {
     let columns = result
         .columns
         .iter()
-        .map(|(vantage, captures)| {
+        .map(|(vantage, records)| {
             let mut counts = [0usize; 6];
-            for c in captures {
-                let found = detector.detect(&c.capture);
-                for cmp in found {
+            for c in records {
+                for cmp in c.cmps {
                     counts[ALL_CMPS.iter().position(|&x| x == cmp).expect("known")] += 1;
                 }
             }
@@ -121,7 +119,7 @@ mod tests {
             },
         )
         .result;
-        vantage_table(&result, &Detector::hostname_only())
+        vantage_table(&result)
     }
 
     #[test]

@@ -24,7 +24,9 @@ pub struct QuarantinedGeneration {
     /// Every individually intact section body, preserved in memory for
     /// domain-level salvage attempts.
     pub salvaged: Vec<Section>,
-    /// Where the file went.
+    /// Where the file went, relative to the store root
+    /// (`quarantine/gen-NNNNNNNN.ckpt`), so that two stores with the
+    /// same history report the same path.
     pub quarantine_path: Option<String>,
 }
 
@@ -187,7 +189,7 @@ mod tests {
             }],
             valid_prefix: 1,
             salvaged: vec![Section::new("meta", "m")],
-            quarantine_path: Some("/tmp/q/gen-00000004.ckpt".to_string()),
+            quarantine_path: Some("quarantine/gen-00000004.ckpt".to_string()),
         });
         r.note("fell back to generation 3");
         assert!(!r.is_clean());

@@ -303,6 +303,9 @@ impl CheckpointStore {
         reason: String,
     ) -> io::Result<QuarantinedGeneration> {
         let path = self.quarantine(generation)?;
+        // Relative to the store root, so the report of a store does not
+        // depend on the directory it was opened in.
+        let relative = path.strip_prefix(&self.dir).unwrap_or(&path);
         let (valid_prefix, salvaged, verdicts) = match scan {
             Some(scan) => (scan.valid_prefix(), scan.salvageable(), scan.verdicts),
             None => (0, Vec::new(), Vec::new()),
@@ -318,7 +321,7 @@ impl CheckpointStore {
             verdicts,
             valid_prefix,
             salvaged,
-            quarantine_path: Some(path.display().to_string()),
+            quarantine_path: Some(relative.display().to_string()),
         })
     }
 
@@ -448,6 +451,25 @@ mod tests {
         // The torn file was preserved for post-mortem, not deleted.
         assert!(store.quarantine_dir().join("gen-00000002.ckpt").is_file());
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn salvage_reports_do_not_depend_on_the_store_directory() {
+        let report = || {
+            let (dir, store) = tmp_store(3);
+            store.save(&sections("good")).unwrap();
+            store.save_torn(&sections("torn"), 30).unwrap();
+            let (_, report) = store.open_latest().unwrap();
+            fs::remove_dir_all(dir).unwrap();
+            report
+        };
+        let (a, b) = (report(), report());
+        assert_eq!(
+            a.quarantined[0].quarantine_path.as_deref(),
+            Some("quarantine/gen-00000002.ckpt")
+        );
+        assert_eq!(a.to_json().to_compact(), b.to_json().to_compact());
+        assert_eq!(a.render(), b.render());
     }
 
     #[test]

@@ -9,7 +9,6 @@ use consent_analysis::{
     customization_report, jurisdiction_report, CustomizationReport, JurisdictionReport,
     ObservedStyle,
 };
-use consent_fingerprint::Detector;
 use consent_httpsim::Vantage;
 use consent_psl::PublicSuffixList;
 use consent_util::table::{pct, Table};
@@ -81,28 +80,24 @@ impl I3Result {
 /// Run the analysis on an existing Table 1 campaign result.
 pub fn i3_customization(table1: &Table1Result) -> I3Result {
     let vantage = Vantage::table1_columns()[3]; // EU university, extended
-    let captures = table1
+    let records = table1
         .campaign
         .column(vantage)
         .expect("campaign includes the EU university column");
     I3Result {
-        report: customization_report(captures, &Detector::hostname_only()),
+        report: customization_report(records),
     }
 }
 
-/// Measure the §4.1 EU+UK TLD shares from the same campaign captures
+/// Measure the §4.1 EU+UK TLD shares from the same campaign records
 /// (the paper's Quantcast 38.3 % vs OneTrust 16.3 % comparison).
 pub fn jurisdiction(table1: &Table1Result) -> JurisdictionReport {
     let vantage = Vantage::table1_columns()[3];
-    let captures = table1
+    let records = table1
         .campaign
         .column(vantage)
         .expect("campaign includes the EU university column");
-    jurisdiction_report(
-        captures,
-        &Detector::hostname_only(),
-        &PublicSuffixList::embedded(),
-    )
+    jurisdiction_report(records, &PublicSuffixList::embedded())
 }
 
 #[cfg(test)]

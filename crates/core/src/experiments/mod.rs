@@ -28,6 +28,7 @@
 //! any thread count, so the thread count only changes wall-clock time.
 
 use crate::Study;
+use consent_util::table::pct;
 
 pub mod archive;
 pub mod fig1;
@@ -40,6 +41,30 @@ pub mod i3;
 pub mod methodology;
 pub mod table1;
 pub mod tables_a;
+
+/// The vantage-point comparison at `study`'s scale, as the
+/// `vantage_compare` example prints it: Table A.3 (January 2020) and
+/// Table 1 (May 2020), the US-cloud coverage between them, and the §4.1
+/// I3 customization and jurisdiction reports over the May campaign's
+/// EU-university records. `tests/fixtures/vantage_compare_quick_v1.txt`
+/// pins the text at [`Study::quick`].
+pub fn vantage_compare(study: &Study) -> String {
+    let jan = table1::table_a3(study);
+    let may = table1::table1(study);
+    format!(
+        "{}\n{}\n\
+         US-cloud coverage: {} (January) -> {} (May)\n\
+         Paper: 70% -> 79%, driven by CCPA adoption outside the EU.\n\n\
+         {}\n{}\n\
+         Paper: Quantcast 38.3% EU+UK TLDs, OneTrust 16.3%.\n",
+        jan.render(),
+        may.render(),
+        pct(jan.table.coverage(0)),
+        pct(may.table.coverage(0)),
+        i3::i3_customization(&may).render(),
+        i3::jurisdiction(&may).render(),
+    )
+}
 
 /// Run `f` against the global telemetry registry and record the
 /// resulting run report on `study`. Returns `f`'s value unchanged.

@@ -3,7 +3,6 @@
 use crate::study::Study;
 use consent_analysis::{vantage_table, VantageTable};
 use consent_crawler::{build_toplist, run_campaign_parallel, CampaignResult, ParallelOpts};
-use consent_fingerprint::Detector;
 use consent_httpsim::Vantage;
 use consent_util::{date::known, Day};
 
@@ -13,8 +12,8 @@ pub struct Table1Result {
     pub snapshot: Day,
     /// The computed table.
     pub table: VantageTable,
-    /// Raw campaign output (kept for the I3 analysis, which reuses the
-    /// EU-university captures).
+    /// The campaign's per-pair records (kept for the I3 analysis, which
+    /// reuses the EU-university DOM snapshots).
     pub campaign: CampaignResult,
 }
 
@@ -61,7 +60,7 @@ pub fn run_at(study: &Study, snapshot: Day) -> Table1Result {
         },
     )
     .result;
-    let table = vantage_table(&campaign, &Detector::hostname_only());
+    let table = vantage_table(&campaign);
     Table1Result {
         snapshot,
         table,
@@ -113,7 +112,7 @@ mod tests {
                     },
                 )
                 .result;
-                let again = vantage_table(&campaign, &Detector::hostname_only());
+                let again = vantage_table(&campaign);
                 assert_eq!(
                     again.render("t"),
                     table.table.render("t"),

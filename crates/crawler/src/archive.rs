@@ -17,25 +17,11 @@
 //! | `observability` | `obs-jsonl`, `alerts-jsonl` when a sampler/watch ran |
 //! | `gvl`           | `vendor-list` when a GVL snapshot was supplied   |
 //! | `analysis`      | the live run's `experiments::*` exports (provider-supplied) |
-//! | `artifacts`     | per-capture request/cookie logs (see below)      |
 //!
-//! # The content/dynamics split
-//!
-//! Raw request logs carry RNG-jittered *dynamics* — transfer sizes and
-//! timings differ per `(url, day, vantage)` even when the page is
-//! structurally unchanged. Archiving each log as one document would
-//! make every blob unique and dedup worthless. Instead each capture
-//! splits into a **skeleton** (`req/…`: URLs, hosts, statuses,
-//! third-party flags) and a **dynamics** document (`req-dyn/…`: sizes
-//! and start offsets); cookies split the same way (`cookies/…`
-//! names/hosts vs `cookie-values/…` values). The payoff is in the
-//! jitter-free capture classes: connection failures, HTTP-451 blocks,
-//! and anti-bot interstitials produce byte-identical skeleton *and*
-//! dynamics documents every time the same domain is hit — across
-//! vantages and across days — and every cookieless capture shares one
-//! empty cookie document. On a multi-day × multi-vantage workload those
-//! classes collapse into single blobs, which is where the manifest's
-//! dedup ratio comes from.
+//! A bundle holds no per-capture request or cookie logs. They are a
+//! deterministic function of the `config` section (a re-crawl of the
+//! same day, seed and domains reproduces them), no replay reads them,
+//! and the campaign drops them on the worker that crawled each pair.
 
 use std::io;
 use std::path::Path;
@@ -44,12 +30,10 @@ use consent_bundle::{
     first_divergence, pack_verified, read_section, BlobStore, BundleDoc, BundleInput,
     DivergenceReport, Manifest, PackReport, SectionInput, VerifyReport,
 };
-use consent_httpsim::Capture;
 use consent_util::{Day, SeedTree};
 
 use crate::campaign::{CampaignResult, CampaignState, STATE_SECTIONS};
 use crate::dead_letter::vantage_code;
-use crate::export::status_code;
 
 /// First line of the bundle's `config` document.
 pub const CONFIG_HEADER: &str = "#consent-bundle-config v1";
@@ -151,11 +135,9 @@ pub type ExportFn = dyn Fn(&CampaignState, &ArchiveContext) -> Vec<(String, Stri
 /// (and replayable) archive.
 #[derive(Default)]
 pub struct CampaignArtifacts<'a> {
-    /// Full captures (request/cookie logs), one result per archived
-    /// campaign day — each capture names its own day and vantage, so a
-    /// multi-day bundle just appends results. On a resumed campaign the
-    /// last incarnation's result covers its own pairs only — analyses
-    /// replay from the complete capture-db regardless.
+    /// Unused: no section is built from campaign results. Kept so that
+    /// callers which still pass their results compile; it goes once
+    /// none does.
     pub results: Vec<&'a CampaignResult>,
     /// The global trace log's JSONL export.
     pub trace_jsonl: String,
@@ -167,57 +149,8 @@ pub struct CampaignArtifacts<'a> {
     pub gvl_json: Option<String>,
 }
 
-fn capture_skeleton(c: &Capture) -> String {
-    let mut out = String::from("#consent-requests v1\n");
-    out.push_str(&format!(
-        "status={} final={} dialog={}\n",
-        status_code(c.status),
-        c.final_url,
-        u8::from(c.dialog_visible)
-    ));
-    for r in &c.requests {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\n",
-            r.url,
-            r.host,
-            r.status,
-            u8::from(r.third_party)
-        ));
-    }
-    out
-}
-
-fn capture_dynamics(c: &Capture) -> String {
-    let mut out = String::from("#consent-request-dynamics v1\n");
-    for r in &c.requests {
-        out.push_str(&format!("{}\t{}\n", r.bytes, r.started.as_millis()));
-    }
-    out
-}
-
-fn cookie_names(c: &Capture) -> String {
-    let mut out = String::from("#consent-cookies v1\n");
-    for k in &c.cookies {
-        out.push_str(&format!(
-            "{}\t{}\t{}\n",
-            k.name,
-            k.host,
-            u8::from(k.third_party)
-        ));
-    }
-    out
-}
-
-fn cookie_values(c: &Capture) -> String {
-    let mut out = String::from("#consent-cookie-values v1\n");
-    for k in &c.cookies {
-        out.push_str(&format!("{}\n", k.value));
-    }
-    out
-}
-
 /// Build the full [`BundleInput`] for one campaign: context, checkpoint
-/// section bodies, artifacts (content/dynamics split), and the
+/// section bodies, the trace, observability and GVL artifacts, and the
 /// provider's analysis exports. Pure — the same state and artifacts
 /// build the same input, which is what makes packs byte-comparable
 /// across thread counts.
@@ -271,28 +204,6 @@ pub fn build_bundle_input(
                 .into_iter()
                 .map(|(label, body)| BundleDoc::new(label, body))
                 .collect(),
-        });
-    }
-    if !artifacts.results.is_empty() {
-        let mut docs = Vec::new();
-        for result in &artifacts.results {
-            for (_, captures) in &result.columns {
-                for cc in captures {
-                    let c = &cc.capture;
-                    let at = format!("{}/{}/{}", c.day, vantage_code(c.vantage), cc.domain);
-                    docs.push(BundleDoc::new(format!("req/{at}"), capture_skeleton(c)));
-                    docs.push(BundleDoc::new(format!("req-dyn/{at}"), capture_dynamics(c)));
-                    docs.push(BundleDoc::new(format!("cookies/{at}"), cookie_names(c)));
-                    docs.push(BundleDoc::new(
-                        format!("cookie-values/{at}"),
-                        cookie_values(c),
-                    ));
-                }
-            }
-        }
-        sections.push(SectionInput {
-            name: "artifacts".into(),
-            docs,
         });
     }
     BundleInput {
@@ -465,7 +376,7 @@ pub fn replay_bundle(store: &BlobStore, provider: Option<&ExportFn>) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_toplist, meta_section, CampaignConfig, CampaignRun};
+    use crate::campaign::{build_toplist, meta_section, CampaignConfig};
     use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_faultsim::FaultProfile;
@@ -491,15 +402,6 @@ mod tests {
         }
     }
 
-    fn crawl(world: &World, list: &[String], day: Day, vantages: &[Vantage]) -> CampaignRun {
-        let opts = ParallelOpts {
-            threads: 1,
-            config: quiet(),
-            max_pairs: None,
-        };
-        run_campaign_parallel(world, list, day, vantages, SeedTree::new(9), &opts)
-    }
-
     fn small_campaign() -> (CampaignState, CampaignResult, ArchiveContext) {
         let world = World::new(WorldConfig {
             n_sites: 400,
@@ -510,7 +412,12 @@ mod tests {
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = [Vantage::us_cloud(), Vantage::eu_cloud()];
         let seed = SeedTree::new(9);
-        let run = crawl(&world, &list, day, &vantages);
+        let opts = ParallelOpts {
+            threads: 1,
+            config: quiet(),
+            max_pairs: None,
+        };
+        let run = run_campaign_parallel(&world, &list, day, &vantages, seed, &opts);
         let ctx = ArchiveContext::from_campaign(day, &list, &vantages, &seed);
         (run.state, run.result, ctx)
     }
@@ -523,43 +430,6 @@ mod tests {
         assert_eq!(back.vantages, vec!["us-fast-enus", "eu-fast-enus"]);
         assert!(ArchiveContext::parse("#wrong\n").is_err());
         assert!(ArchiveContext::parse(CONFIG_HEADER).is_err(), "missing day");
-    }
-
-    #[test]
-    fn artifact_split_dedups_across_days_and_vantages() {
-        // A workload wide enough to include unreachable, 451-blocked,
-        // and anti-bot domains — the capture classes whose request and
-        // cookie documents are invariant across days and vantages and
-        // therefore collapse into shared blobs.
-        let world = World::new(WorldConfig {
-            n_sites: 800,
-            seed: 42,
-            adoption: AdoptionConfig::default(),
-        });
-        let list = build_toplist(&world, 48, SeedTree::new(7));
-        let vantages = [Vantage::us_cloud(), Vantage::eu_cloud()];
-        let seed = SeedTree::new(9);
-        let days = [Day::from_ymd(2020, 5, 15), Day::from_ymd(2020, 5, 16)];
-        let runs: Vec<_> = days
-            .iter()
-            .map(|&day| crawl(&world, &list, day, &vantages))
-            .collect();
-        let ctx = ArchiveContext::from_campaign(days[1], &list, &vantages, &seed);
-        let artifacts = CampaignArtifacts {
-            results: runs.iter().map(|r| &r.result).collect(),
-            ..CampaignArtifacts::default()
-        };
-        let input = build_bundle_input(&runs[1].state, &ctx, &artifacts, None);
-        let dir = tmp_dir();
-        let store = BlobStore::open(&dir).unwrap();
-        let report = consent_bundle::pack(&store, &input).unwrap();
-        let stats = report.manifest.stats;
-        assert!(
-            stats.unique_blobs < stats.total_blobs,
-            "repeated capture documents must share blobs: {stats:?}"
-        );
-        assert!(report.dedup_ratio() > 1.0, "{}", report.summary());
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -577,6 +447,8 @@ mod tests {
         let (pack, fsck) = pack_campaign_bundle(&store, &state, &ctx, &artifacts, None).unwrap();
         assert!(fsck.clean(), "{}", fsck.render());
         assert!(pack.manifest.section("gvl").is_some());
+        // Results are accepted and ignored: no capture log is archived.
+        assert!(pack.manifest.section("artifacts").is_none());
         let replay = replay_campaign_bundle(&dir, None).unwrap();
         assert!(replay.ok(), "{}", replay.summary());
         assert_eq!(replay.pairs, state.pairs_done);

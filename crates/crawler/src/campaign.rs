@@ -31,46 +31,56 @@
 //! instant events for injected faults, attempt outcomes, retry
 //! decisions, breaker transitions, and dead-lettering.
 
-use crate::capture_db::{CaptureDb, CmpSet};
+use crate::capture_db::{CaptureDb, CaptureSummary, CmpSet};
 use crate::dead_letter::{self, vantage_code};
 use crate::durable::{SECTION_DB, SECTION_DEAD_LETTERS, SECTION_META, SECTION_PROVENANCE};
 use crate::export::{export as export_db, import as import_db, status_code, ImportError};
 use crate::parallel::CampaignPlan;
 use crate::resilience::{BreakerConfig, CircuitBreaker, Outcome, RetryPolicy};
 use consent_faultsim::FaultProfile;
-use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, Location, Vantage};
-use consent_psl::PublicSuffixList;
+use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, DomSnapshot, Location, Vantage};
 use consent_toplist::{default_providers, AggregationRule, SeedUrl, Toplist};
 use consent_trace::{stable_id, AttemptProvenance, Provenance, ProvenanceLog};
-use consent_util::SeedTree;
+use consent_util::{Day, SeedTree};
 use consent_webgraph::World;
 
-/// One crawled toplist entry at one vantage.
-#[derive(Clone, Debug)]
+/// One crawled toplist entry at one vantage: what the analyses read of
+/// its final capture (retried per §3.2 if unsuccessful). The capture
+/// itself, with its request and cookie logs, is dropped on the worker
+/// that crawled the pair.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CampaignCapture {
     /// Tranco rank of the entry (1-based position in the aggregated list).
     pub rank: usize,
     /// Toplist domain.
     pub domain: String,
-    /// The capture (retried per §3.2 if unsuccessful).
-    pub capture: consent_httpsim::Capture,
+    /// Status of the final capture.
+    pub status: CaptureStatus,
+    /// Hostname of the final URL after redirects.
+    pub final_host: String,
+    /// Day the final capture ran.
+    pub day: Day,
     /// How many attempts were needed (1 = first try).
     pub attempts: u8,
     /// Classification of the final attempt.
     pub outcome: Outcome,
+    /// CMPs detected on the final capture.
+    pub cmps: CmpSet,
+    /// The final capture's DOM snapshot (EU-university columns only).
+    pub dom: Option<DomSnapshot>,
 }
 
-/// Results of a full campaign: one capture list per vantage column.
+/// Results of a full campaign: one record list per vantage column.
 #[derive(Debug, Default)]
 pub struct CampaignResult {
-    /// `(vantage, captures)` in the same order as the input vantages.
+    /// `(vantage, records)` in the same order as the input vantages.
     pub columns: Vec<(Vantage, Vec<CampaignCapture>)>,
     /// The resolved seed URLs, including speculative ones.
     pub seeds: Vec<SeedUrl>,
 }
 
 impl CampaignResult {
-    /// The captures for one location/timing column, if present.
+    /// The records of one location/timing column, if present.
     pub fn column(&self, vantage: Vantage) -> Option<&[CampaignCapture]> {
         self.columns
             .iter()
@@ -78,7 +88,7 @@ impl CampaignResult {
             .map(|(_, c)| c.as_slice())
     }
 
-    /// Append another partial result's captures column-wise. Both halves
+    /// Append another partial result's records column-wise. Both halves
     /// must come from the same campaign (same seeds, same vantage order);
     /// since pairs are processed in a deterministic vantage-major order,
     /// concatenation reconstructs the uninterrupted result.
@@ -286,8 +296,9 @@ impl CampaignState {
 /// A (possibly partial) campaign run: the in-memory result of the pairs
 /// processed by this invocation plus the cumulative checkpoint state.
 pub struct CampaignRun {
-    /// Captures processed by this invocation only. After a resume,
-    /// [`CampaignResult::merge`] the halves to reconstruct the whole.
+    /// Records of the pairs processed by this invocation only. After a
+    /// resume, [`CampaignResult::merge`] the halves to reconstruct the
+    /// whole.
     pub result: CampaignResult,
     /// Cumulative state across this and any prior resumed-from runs.
     pub state: CampaignState,
@@ -323,11 +334,11 @@ pub fn build_toplist(world: &World, n: usize, seed: SeedTree) -> Vec<String> {
 pub(crate) struct PairOutput {
     /// Index into the campaign's vantage columns.
     pub(crate) col: usize,
-    pub(crate) capture: consent_httpsim::Capture,
-    pub(crate) outcome: Outcome,
-    /// CMPs detected on the final capture.
-    pub(crate) cmps: CmpSet,
-    /// The pair's record: identity, trace id, every attempt with its
+    /// The final capture's [`CaptureDb`] row.
+    pub(crate) row: CaptureSummary,
+    /// The final capture's result record.
+    pub(crate) record: CampaignCapture,
+    /// The pair's provenance: identity, trace id, every attempt with its
     /// injected fault, outcome and flags.
     pub(crate) provenance: Provenance,
 }
@@ -354,8 +365,11 @@ fn pair_record(plan: &CampaignPlan<'_>, idx: u64) -> Provenance {
     }
 }
 
-/// Close a pair's record on its final capture and package the output.
+/// Close a pair's provenance on its final capture and turn the capture
+/// into the pair's [`CaptureDb`] row and result record. The capture is
+/// consumed: its request and cookie logs end here.
 fn finish(
+    plan: &CampaignPlan<'_>,
     col: usize,
     mut provenance: Provenance,
     capture: consent_httpsim::Capture,
@@ -368,11 +382,22 @@ fn finish(
     provenance.outcome = outcome.name().to_string();
     provenance.final_status = status_code(capture.status).to_string();
     provenance.dead_lettered = !capture.usable();
-    PairOutput {
-        col,
-        capture,
+    let row = CaptureSummary::of(&capture, cmps, &plan.psl);
+    let record = CampaignCapture {
+        rank: provenance.rank as usize,
+        domain: provenance.domain.clone(),
+        status: capture.status,
+        final_host: capture.final_host,
+        day: capture.day,
+        attempts: provenance.attempts.len() as u8,
         outcome,
         cmps,
+        dom: capture.dom,
+    };
+    PairOutput {
+        col,
+        row,
+        record,
         provenance,
     }
 }
@@ -380,10 +405,10 @@ fn finish(
 /// Crawl the `(domain, vantage)` pair at position `idx` of the plan's
 /// pair order: open its trace, walk the retry schedule through the
 /// fault-injecting engine with a per-pair circuit breaker, run CMP
-/// detection, and return everything the merge step needs, its
-/// provenance record included. Thread-safe: touches only the immutable
-/// plan, the per-thread trace context, and the commutative telemetry
-/// registry.
+/// detection, and return everything the merge step needs: the pair's
+/// capture-db row, its result record and its provenance. Thread-safe:
+/// touches only the immutable plan, the per-thread trace context, and
+/// the commutative telemetry registry.
 pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     let _pair_span = consent_telemetry::span("campaign.pair");
     let (s, _, col, vantage) = plan.locate(idx);
@@ -461,7 +486,7 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
             a.push("attempts", record.attempts.len().to_string());
         });
     }
-    finish(col, record, capture, outcome, cmps)
+    finish(plan, col, record, capture, outcome, cmps)
 }
 
 /// [`process_pair`] with panic containment: a panic anywhere inside the
@@ -527,52 +552,41 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
         status: status_code(capture.status).to_string(),
         fault: Some("panic".to_string()),
     });
-    finish(col, record, capture, Outcome::Panic, CmpSet::empty())
+    finish(plan, col, record, capture, Outcome::Panic, CmpSet::empty())
 }
 
 /// Fold one [`PairOutput`] into the cumulative campaign state and the
-/// per-vantage result columns: count it, ingest its capture, and move
-/// its provenance record into the log. Single-threaded by construction:
-/// the driver calls it on the calling thread in ascending pair order —
-/// right after each pair with `threads <= 1`, after the pool joins
-/// otherwise — so the [`CaptureDb`] insertion order, and with it the
-/// checkpoint export, is identical at any thread count.
+/// per-vantage result columns: count it, insert its row, push its
+/// record and move its provenance into the log. Single-threaded by
+/// construction: the driver calls it on the calling thread in ascending
+/// pair order — right after each pair with `threads <= 1`, after the
+/// pool joins otherwise — so the [`CaptureDb`] insertion order, and with
+/// it the checkpoint export, is identical at any thread count.
 pub(crate) fn apply_pair(
     state: &mut CampaignState,
     columns: &mut [(Vantage, Vec<CampaignCapture>)],
     out: PairOutput,
-    psl: &PublicSuffixList,
 ) {
     let PairOutput {
         col,
-        capture,
-        outcome,
-        cmps,
+        row,
+        record,
         provenance,
     } = out;
-    let attempts = provenance.attempts.len() as u8;
+    let (attempts, outcome) = (record.attempts, record.outcome);
     if consent_telemetry::enabled() {
         consent_telemetry::observe("campaign.attempts", u64::from(attempts));
         consent_telemetry::count("campaign.retries", u64::from(attempts).saturating_sub(1));
         consent_telemetry::count_labeled("campaign.outcome", &[("outcome", outcome.name())], 1);
     }
-    state.db.ingest(&capture, cmps, psl);
+    state.db.insert(row);
     state.pairs_done += 1;
-    let rank = provenance.rank as usize;
-    let domain = provenance.domain.clone();
-    let dead_lettered = provenance.dead_lettered;
-    state.provenance.push(provenance);
-    if dead_lettered {
+    if provenance.dead_lettered {
         consent_telemetry::count_labeled("campaign.dead_letter", &[("outcome", outcome.name())], 1);
         consent_telemetry::observe("campaign.dead_letter.attempts", u64::from(attempts));
     }
-    columns[col].1.push(CampaignCapture {
-        rank,
-        domain,
-        capture,
-        attempts,
-        outcome,
-    });
+    state.provenance.push(provenance);
+    columns[col].1.push(record);
 }
 
 #[cfg(test)]
@@ -656,7 +670,7 @@ mod tests {
                 (p.domain.as_str(), p.vantage.as_str()),
                 (c.domain.as_str(), vantage_code(v).as_str())
             );
-            assert_eq!(p.dead_lettered, !c.capture.usable(), "{}", p.domain);
+            assert_eq!(p.dead_lettered, !c.status.usable(), "{}", p.domain);
         }
         assert_eq!(result.columns.len(), 6);
         assert_eq!(result.seeds.len(), 150);
@@ -667,11 +681,11 @@ mod tests {
         let uni = result.column(vantages[3]).unwrap();
         let usable_with_dom = uni
             .iter()
-            .filter(|c| c.capture.usable() && c.capture.dom.is_some())
+            .filter(|c| c.status.usable() && c.dom.is_some())
             .count();
         assert!(usable_with_dom > 100);
         let cloud = result.column(vantages[0]).unwrap();
-        assert!(cloud.iter().all(|c| c.capture.dom.is_none()));
+        assert!(cloud.iter().all(|c| c.dom.is_none()));
     }
 
     #[test]
@@ -690,13 +704,12 @@ mod tests {
             };
             let result =
                 run_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &opts).result;
-            let det = consent_fingerprint::Detector::hostname_only();
             let count = |vantage: Vantage| {
                 result
                     .column(vantage)
                     .unwrap()
                     .iter()
-                    .filter(|c| !det.detect(&c.capture).is_empty())
+                    .filter(|c| !c.cmps.is_empty())
                     .count()
             };
             let us = count(vantages[0]);
@@ -731,10 +744,10 @@ mod tests {
                 // The §3.2 schedule is for *transient* failures; a 451
                 // geo-block or dead host must not burn retry budget.
                 assert_eq!(c.attempts, 1, "{} retried a permanent failure", c.domain);
-                assert_eq!(c.capture.day, day);
+                assert_eq!(c.day, day);
             }
             if c.outcome == Outcome::Success && c.attempts == 1 {
-                assert_eq!(c.capture.day, day);
+                assert_eq!(c.day, day);
             }
         }
     }

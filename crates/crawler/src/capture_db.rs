@@ -121,7 +121,10 @@ impl CmpSet {
         self.0 == 0
     }
 
-    /// Iterate members in [`ALL_CMPS`] order.
+    /// Iterate members in [`ALL_CMPS`] order, which is `Cmp`'s `Ord`
+    /// order: the order of the `BTreeSet` that `Detector::detect`
+    /// returns, so a reader that takes the first member takes the same
+    /// CMP from either.
     pub fn iter(&self) -> CmpSetIter {
         CmpSetIter { set: *self, pos: 0 }
     }
@@ -223,6 +226,29 @@ pub struct CaptureSummary {
     pub redirected: bool,
     /// A consent dialog was visible.
     pub dialog_visible: bool,
+}
+
+impl CaptureSummary {
+    /// The row a full capture stores: its final eTLD+1, day, location,
+    /// status, the CMPs detected on it, whether the seed URL redirected
+    /// across eTLD+1, and the dialog flag. Pure, so a campaign worker
+    /// builds the row and the merge thread only inserts it.
+    pub fn of(capture: &Capture, cmps: CmpSet, psl: &PublicSuffixList) -> CaptureSummary {
+        let domain = psl
+            .registrable_domain(&capture.final_host)
+            .unwrap_or_else(|| capture.final_host.clone());
+        let (seed_host, _) = consent_httpsim::split_url(&capture.seed_url);
+        let seed_domain = psl.registrable_domain(&seed_host).unwrap_or(seed_host);
+        CaptureSummary {
+            redirected: seed_domain != domain,
+            domain,
+            day: capture.day,
+            location: capture.vantage.location,
+            status: capture.status,
+            cmps,
+            dialog_visible: capture.dialog_visible,
+        }
+    }
 }
 
 /// Row flag bits (the `flags` column).
@@ -397,25 +423,10 @@ impl CaptureDb {
         CaptureDb::default()
     }
 
-    /// Summarize a full capture and insert it.
+    /// Summarize a full capture and insert it:
+    /// [`insert`](Self::insert) of [`CaptureSummary::of`].
     pub fn ingest(&mut self, capture: &Capture, cmps: CmpSet, psl: &PublicSuffixList) {
-        let final_domain = psl
-            .registrable_domain(&capture.final_host)
-            .unwrap_or_else(|| capture.final_host.clone());
-        let (seed_host, _) = consent_httpsim::split_url(&capture.seed_url);
-        let seed_domain = psl
-            .registrable_domain(&seed_host)
-            .unwrap_or_else(|| seed_host.clone());
-        let summary = CaptureSummary {
-            domain: final_domain.clone(),
-            day: capture.day,
-            location: capture.vantage.location,
-            status: capture.status,
-            cmps,
-            redirected: seed_domain != final_domain,
-            dialog_visible: capture.dialog_visible,
-        };
-        self.insert(summary);
+        self.insert(CaptureSummary::of(capture, cmps, psl));
     }
 
     /// Insert a pre-built summary, appending one row to the domain's
@@ -670,6 +681,10 @@ mod tests {
         }
         assert_eq!(seen.len(), 2);
         assert_eq!(CmpSet::empty().into_iter().count(), 0);
+
+        // ALL_CMPS order is Cmp's Ord order, so a set iterates like the
+        // BTreeSet detection returns.
+        assert!(ALL_CMPS.windows(2).all(|w| w[0] < w[1]));
 
         // size_hint stays exact midway through iteration.
         let mut it = full.iter();

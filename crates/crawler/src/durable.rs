@@ -319,7 +319,7 @@ pub struct DurableRun {
     /// Cumulative state at exit (on a crash, the in-memory state the
     /// dead process would have lost back to `durable_pairs`).
     pub state: CampaignState,
-    /// Captures processed by this invocation only.
+    /// Records of the pairs processed by this invocation only.
     pub result: CampaignResult,
     /// Whether the run completed, degraded, or a crashpoint fired.
     pub outcome: DurableOutcome,
@@ -978,7 +978,6 @@ pub fn run_durable_campaign(
                 } else {
                     let ctx = ArchiveContext::from_campaign(day, domains, vantages, &seed);
                     let artifacts = CampaignArtifacts {
-                        results: vec![&result],
                         trace_jsonl: if consent_trace::enabled() {
                             consent_trace::global().export_jsonl()
                         } else {
@@ -987,6 +986,7 @@ pub fn run_durable_campaign(
                         obs_jsonl: opts.sampler.as_ref().map(|s| s.export_jsonl()),
                         alerts_jsonl: opts.watch.as_ref().map(|w| w.export_jsonl()),
                         gvl_json: spec.gvl_json.clone(),
+                        ..CampaignArtifacts::default()
                     };
                     let packed = BlobStore::with_vfs(&spec.dir, store.vfs()).and_then(|bundle| {
                         pack_campaign_bundle(

@@ -27,9 +27,12 @@
 //! per-trace counters — so the interleaving of workers is invisible in
 //! the export).
 //!
-//! Pair *application* — [`CaptureDb`](crate::CaptureDb) ingestion,
-//! appending each pair's provenance record (built on the worker), result
-//! columns — is order-sensitive, so it never happens on a worker. Workers push `(pair_index, PairOutput)`
+//! Each worker turns its pair's final capture into the
+//! [`CaptureDb`](crate::CaptureDb) row, the result record and the
+//! provenance record, and drops the capture. Pair *application* —
+//! inserting the row, pushing the record to its column and the
+//! provenance to the log — is order-sensitive, so it never happens on
+//! a worker. Workers push `(pair_index, PairOutput)`
 //! into private shards; after the pool joins, the shards are flattened,
 //! sorted by pair index (the vantage-major, rank-minor order the
 //! in-order case walks), and applied on the calling thread. Because
@@ -200,7 +203,7 @@ pub(crate) struct CampaignPlan<'a> {
     pub(crate) schedule: Vec<Day>,
     pub(crate) config: CampaignConfig,
     pub(crate) detector: Detector,
-    psl: PublicSuffixList,
+    pub(crate) psl: PublicSuffixList,
 }
 
 impl<'a> CampaignPlan<'a> {
@@ -275,7 +278,7 @@ impl<'a> CampaignPlan<'a> {
         let mut columns: Vec<(Vantage, Vec<CampaignCapture>)> =
             self.vantages.iter().map(|&v| (v, Vec::new())).collect();
         for out in outputs {
-            apply_pair(&mut state, &mut columns, out, &self.psl);
+            apply_pair(&mut state, &mut columns, out);
         }
         let complete = state.pairs_done == total_pairs;
         CampaignRun {
@@ -425,15 +428,7 @@ mod tests {
                 seq.state.export(),
                 "divergence at {threads} threads"
             );
-            for ((va, ca), (vb, cb)) in par.result.columns.iter().zip(seq.result.columns.iter()) {
-                assert_eq!(va, vb);
-                assert_eq!(ca.len(), cb.len());
-                for (x, y) in ca.iter().zip(cb.iter()) {
-                    assert_eq!(x.capture, y.capture);
-                    assert_eq!(x.attempts, y.attempts);
-                    assert_eq!(x.outcome, y.outcome);
-                }
-            }
+            assert_eq!(par.result.columns, seq.result.columns);
         }
     }
 

@@ -8,30 +8,7 @@
 //! ```
 
 use consent_core::{experiments, Study};
-use consent_util::table::pct;
 
 fn main() {
-    let study = Study::quick();
-
-    let jan = experiments::table1::table_a3(&study);
-    let may = experiments::table1::table1(&study);
-    println!("{}", jan.render());
-    println!("{}", may.render());
-
-    println!(
-        "US-cloud coverage: {} (January) -> {} (May)",
-        pct(jan.table.coverage(0)),
-        pct(may.table.coverage(0))
-    );
-    println!("Paper: 70% -> 79%, driven by CCPA adoption outside the EU.\n");
-
-    // The customization analysis reuses the May campaign's EU-university
-    // DOM snapshots.
-    let i3 = experiments::i3::i3_customization(&may);
-    println!("{}", i3.render());
-
-    // §4.1 jurisdiction: Quantcast's EU+UK skew vs OneTrust's US focus.
-    let j = experiments::i3::jurisdiction(&may);
-    println!("{}", j.render());
-    println!("Paper: Quantcast 38.3% EU+UK TLDs, OneTrust 16.3%.");
+    print!("{}", experiments::vantage_compare(&Study::quick()));
 }

@@ -60,3 +60,27 @@ fn fig9_stable_across_runs() {
     assert_eq!(a.median_wait_s, b.median_wait_s);
     assert_eq!(a.probes, b.probes);
 }
+
+/// The parent-commit stdout of the `vantage_compare` example: Table A.3,
+/// Table 1, the US-cloud coverage line, I3 customization and the §4.1
+/// jurisdiction shares at `Study::quick()`. Two runs of one build agree
+/// on their own; this pins what the readers of a campaign's records
+/// print across builds.
+const GOLDEN_VANTAGE_COMPARE: &str = include_str!("fixtures/vantage_compare_quick_v1.txt");
+
+#[test]
+fn vantage_compare_matches_the_committed_golden_fixture() {
+    let text = experiments::vantage_compare(&Study::quick());
+    if let Some((n, (got, want))) = text
+        .lines()
+        .zip(GOLDEN_VANTAGE_COMPARE.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "vantage_compare differs from the fixture at line {}:\n  got  {got:?}\n  want {want:?}",
+            n + 1
+        );
+    }
+    assert_eq!(text, GOLDEN_VANTAGE_COMPARE);
+}

@@ -10,9 +10,10 @@
 
 use consent_crawler::{
     build_toplist, resume_campaign_parallel, run_campaign_parallel, BreakerConfig, CampaignConfig,
-    CampaignState, Outcome, ParallelOpts, RetryPolicy,
+    CampaignState, CmpSet, Outcome, ParallelOpts, RetryPolicy,
 };
 use consent_faultsim::FaultProfile;
+use consent_fingerprint::Detector;
 use consent_httpsim::{CaptureOptions, CaptureStatus, Engine, Location, Vantage};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
@@ -69,14 +70,7 @@ fn seeded_chaos_is_deterministic() {
         a.state.dead_letters().next().is_some(),
         "heavy chaos produced no dead letters"
     );
-    for ((va, ca), (vb, cb)) in a.result.columns.iter().zip(b.result.columns.iter()) {
-        assert_eq!(va, vb);
-        for (x, y) in ca.iter().zip(cb.iter()) {
-            assert_eq!(x.capture, y.capture);
-            assert_eq!(x.attempts, y.attempts);
-            assert_eq!(x.outcome, y.outcome);
-        }
-    }
+    assert_eq!(a.result.columns, b.result.columns);
     // A different fault seed genuinely changes the injected faults.
     let c = run_campaign_parallel(
         &w,
@@ -103,27 +97,34 @@ fn none_profile_matches_the_unwrapped_engine() {
         seed,
         &opts(config(FaultProfile::none()), None),
     );
-    // Replay every recorded capture through a bare engine built from the
+    // Replay every recorded pair through a bare engine built from the
     // same seed node the campaign uses: the fault layer must have been a
-    // pure passthrough.
+    // pure passthrough, so each record is what the bare capture yields.
     let bare = Engine::new(&w, seed.child("engine"));
-    for (vantage, captures) in &run.result.columns {
+    let detector = Detector::hostname_only();
+    for (vantage, records) in &run.result.columns {
         let collect_dom = vantage.location == Location::EuUniversity;
-        for c in captures {
+        for c in records {
             let url = &run.result.seeds[c.rank - 1].url;
-            let replay = bare.capture(url, c.capture.day, *vantage, CaptureOptions { collect_dom });
+            let replay = bare.capture(url, c.day, *vantage, CaptureOptions { collect_dom });
             assert_eq!(
-                c.capture, replay,
+                (c.status, c.final_host.as_str(), c.dom.as_ref(), c.cmps),
+                (
+                    replay.status,
+                    replay.final_host.as_str(),
+                    replay.dom.as_ref(),
+                    CmpSet::from_iter(detector.detect(&replay))
+                ),
                 "{} diverged from the bare engine",
                 c.domain
             );
         }
     }
     // No injected statuses can exist without a fault profile.
-    for (_, captures) in &run.result.columns {
-        for c in captures {
+    for (_, records) in &run.result.columns {
+        for c in records {
             assert!(!matches!(
-                c.capture.status,
+                c.status,
                 CaptureStatus::ConnectionReset | CaptureStatus::Truncated | CaptureStatus::Timeout
             ));
         }
@@ -173,18 +174,10 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_state() {
     assert!(second.complete);
 
     // The merged halves equal the uninterrupted run: same cumulative
-    // state (db rows, dead letters, cursor) and same per-pair captures.
+    // state (db rows, dead letters, cursor) and same per-pair records.
     assert_eq!(second.state.export(), full.state.export());
     let merged = first.result.merge(second.result);
-    for (vantage, captures) in &full.result.columns {
-        let m = merged.column(*vantage).unwrap();
-        assert_eq!(m.len(), captures.len());
-        for (x, y) in captures.iter().zip(m.iter()) {
-            assert_eq!(x.rank, y.rank);
-            assert_eq!(x.capture, y.capture);
-            assert_eq!(x.attempts, y.attempts);
-        }
-    }
+    assert_eq!(merged.columns, full.result.columns);
 }
 
 #[test]
@@ -246,7 +239,7 @@ fn degraded_captures_are_kept_not_retried() {
     assert!(!degraded.is_empty());
     for c in &degraded {
         assert_eq!(c.attempts, 1, "degraded capture was retried");
-        assert!(c.capture.usable() && c.capture.degraded());
+        assert!(c.status.usable() && c.status.degraded());
         // Kept, not abandoned: degraded pairs are absent from the
         // dead letters.
         assert!(!run
@@ -309,6 +302,6 @@ fn schedule_is_explicit_and_stays_inside_the_week() {
         }
     }
     for c in run.result.column(Vantage::eu_cloud()).unwrap() {
-        assert!(schedule.contains(&c.capture.day));
+        assert!(schedule.contains(&c.day));
     }
 }

@@ -7,18 +7,75 @@
 //! safe to share the binary because it runs against its own leaked
 //! local registry.
 
-use consent_core::{experiments, Study};
+use consent_core::{experiments, Study, StudyConfig};
 use consent_crawler::{FeedConfig, Platform};
 use consent_faultsim::FaultProfile;
 use consent_telemetry::{global, Registry, RunReport};
 use consent_util::Day;
+use std::collections::BTreeMap;
 
 #[test]
 fn run_reports_reconcile_with_capture_db() {
     let study = Study::quick();
     for profile in [FaultProfile::none(), FaultProfile::mild()] {
         reconcile(&study, profile);
+        detections_are_counted_once(&Study::new(StudyConfig {
+            fault_profile: profile,
+            ..StudyConfig::quick()
+        }));
     }
+}
+
+/// One detection per crawled pair. The campaign detects CMPs once, on
+/// the worker that crawled the pair, and every reader takes the stored
+/// set: the `table1` run's `fingerprint.detect.*` counters are exactly
+/// the tallies of the records it returns, and the `i3` run, which
+/// crawls nothing, counts no detection.
+fn detections_are_counted_once(study: &Study) {
+    consent_telemetry::enable();
+    let profile = study.config().fault_profile;
+    let t1 = experiments::run_reported(study, "table1", || experiments::table1::table1(study));
+    let _i3 = experiments::run_reported(study, "i3", || experiments::i3::i3_customization(&t1));
+    let reports = study.reports();
+    let [table1, i3] = &reports[reports.len() - 2..] else {
+        unreachable!("two reports were recorded");
+    };
+    assert_eq!((table1.name.as_str(), i3.name.as_str()), ("table1", "i3"));
+
+    let mut want: BTreeMap<String, u64> = BTreeMap::new();
+    let mut tally = |key: String| *want.entry(key).or_default() += 1;
+    for (_, records) in &t1.campaign.columns {
+        for c in records {
+            if !c.status.usable() {
+                tally("fingerprint.detect.unusable".into());
+                continue;
+            }
+            if c.status.degraded() {
+                tally("fingerprint.detect.degraded".into());
+            }
+            if c.cmps.is_empty() && c.status.degraded() {
+                tally("fingerprint.detect.miss_degraded".into());
+            } else if c.cmps.is_empty() {
+                tally("fingerprint.detect.miss".into());
+            }
+            for cmp in c.cmps {
+                tally(format!("fingerprint.detect.hit{{cmp={}}}", cmp.name()));
+            }
+        }
+    }
+    let got: BTreeMap<String, u64> = table1
+        .delta
+        .counters_with_prefix("fingerprint.detect.")
+        .map(|(key, n)| (key.to_string(), n))
+        .collect();
+    assert!(want.contains_key("fingerprint.detect.miss"), "{profile}");
+    assert_eq!(got, want, "table1 detections ({profile})");
+    let i3_detections: Vec<_> = i3
+        .delta
+        .counters_with_prefix("fingerprint.detect.")
+        .collect();
+    assert!(i3_detections.is_empty(), "{i3_detections:?} ({profile})");
+    consent_telemetry::disable();
 }
 
 /// The reconciliation itself, with the social-feed platform under
@@ -138,7 +195,7 @@ fn reconcile(study: &Study, profile: FaultProfile) {
     let dead: Vec<&consent_trace::Provenance> = run.state.dead_letters().collect();
     assert_eq!(
         dead.len(),
-        captures.iter().filter(|c| !c.capture.usable()).count()
+        captures.iter().filter(|c| !c.status.usable()).count()
     );
     for (counter, n) in campaign_report
         .delta
