@@ -195,7 +195,7 @@ impl CampaignState {
     /// Serialize the checkpoint: a cursor line, then the capture-db,
     /// dead-letter, and provenance sections (each with its own header).
     pub fn export(&self) -> String {
-        self.sections().into_iter().map(|(_, body)| body).collect()
+        self.sections().map(|(_, body)| body).concat()
     }
 
     /// Parse a checkpoint produced by [`export`](Self::export). The
@@ -327,9 +327,10 @@ pub fn build_toplist(world: &World, n: usize, seed: SeedTree) -> Vec<String> {
 /// [`resume_campaign_parallel`](crate::parallel::resume_campaign_parallel)
 /// deterministic: production is a pure function of the pair identity
 /// (every random draw is keyed by `(host, day, vantage, attempt)` and
-/// trace ids come from [`stable_id`]), so any number of workers can
-/// produce outputs in any order, and the order-restoring merge applies
-/// them in pair order — reproducing the in-order run byte for byte.
+/// trace ids come from [`stable_id`]), so any number of crawling
+/// threads can produce outputs in any order, and the pool's reorder
+/// buffer applies them in pair order — reproducing the in-order run
+/// byte for byte.
 #[derive(Clone, Debug)]
 pub(crate) struct PairOutput {
     /// Index into the campaign's vantage columns.

@@ -3,7 +3,7 @@
 //! Every `(domain, vantage)` pair that never produced a usable capture —
 //! permanent failures, exhausted transient retries, breaker-opened
 //! anti-bot escalations, contained panics — is a
-//! [`Provenance`](consent_trace::Provenance) record with
+//! [`Provenance`] record with
 //! `dead_lettered` set. There is no second store: the
 //! [`ProvenanceLog`] is the source of truth, and the `dead-letters`
 //! checkpoint section is *rendered* from its dead-lettered records so a
@@ -17,16 +17,16 @@
 
 use crate::export::ImportError;
 use consent_httpsim::{Language, Location, Timing, Vantage};
-use consent_trace::ProvenanceLog;
+use consent_trace::{Provenance, ProvenanceLog};
+use std::fmt::Write as _;
 
 const HEADER: &str = "#consent-dead-letters v2";
 
-/// Escape a field for the tab-separated line format. v2 of the format
-/// escapes the separator alphabet (`\t`, `\n`, `\r`) and the escape
-/// character itself, so a hostile or garbage domain string can never
-/// smuggle extra fields or records into an export.
-fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` escaped for the tab-separated line format. v2 of the
+/// format escapes the separator alphabet (`\t`, `\n`, `\r`) and the
+/// escape character itself, so a hostile or garbage domain string can
+/// never smuggle extra fields or records into an export.
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -36,17 +36,16 @@ fn escape_field(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// The `dead-letters` section of `log`: the header, then one line per
 /// dead-lettered record (tab-separated, attempts as `day:status` comma
 /// lists).
 pub(crate) fn export(log: &ProvenanceLog) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(HEADER.len() + 1 + line_bytes(log, 0));
     out.push_str(HEADER);
     out.push('\n');
-    out.push_str(&export_from(log, 0));
+    write_lines(log, 0, &mut out);
     out
 }
 
@@ -57,25 +56,53 @@ pub(crate) fn export(log: &ProvenanceLog) -> String {
 /// reconstructs the full section (STORAGE.md). Cost is proportional to
 /// the records past `from`; `from` past the end yields an empty string.
 pub(crate) fn export_from(log: &ProvenanceLog, from: usize) -> String {
-    let mut out = String::new();
-    let records = log.records().get(from..).unwrap_or_default();
-    for r in records.iter().filter(|r| r.dead_lettered) {
-        let attempts: Vec<String> = r
-            .attempts
-            .iter()
-            .map(|a| format!("{}:{}", a.day, a.status))
-            .collect();
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\n",
-            escape_field(&r.domain),
-            r.rank,
-            r.vantage,
-            r.outcome,
-            u8::from(r.breaker_opened),
-            attempts.join(","),
-        ));
-    }
+    let mut out = String::with_capacity(line_bytes(log, from));
+    write_lines(log, from, &mut out);
     out
+}
+
+/// The dead-lettered records past `from`, in processing order.
+fn letters(log: &ProvenanceLog, from: usize) -> impl Iterator<Item = &Provenance> {
+    let records = log.records().get(from..).unwrap_or_default();
+    records.iter().filter(|r| r.dead_lettered)
+}
+
+/// An upper bound on the bytes [`write_lines`] appends: every domain
+/// byte escaped, the largest rank, every string and separator.
+fn line_bytes(log: &ProvenanceLog, from: usize) -> usize {
+    letters(log, from)
+        .map(|r| {
+            let attempts: usize = r
+                .attempts
+                .iter()
+                .map(|a| a.day.len() + a.status.len() + 2)
+                .sum();
+            // 20 rank digits, the breaker flag, five tabs and the newline.
+            2 * r.domain.len() + r.vantage.len() + r.outcome.len() + attempts + 20 + 1 + 6
+        })
+        .sum()
+}
+
+/// Append the dead-letter lines of the records `from..` to `out`.
+fn write_lines(log: &ProvenanceLog, from: usize, out: &mut String) {
+    for r in letters(log, from) {
+        push_escaped(out, &r.domain);
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "\t{}\t", r.rank);
+        out.push_str(&r.vantage);
+        out.push('\t');
+        out.push_str(&r.outcome);
+        out.push_str(if r.breaker_opened { "\t1\t" } else { "\t0\t" });
+        for (i, a) in r.attempts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&a.day);
+            out.push(':');
+            out.push_str(&a.status);
+        }
+        out.push('\n');
+    }
 }
 
 /// Check a persisted `dead-letters` section against the section `log`
@@ -166,7 +193,7 @@ pub fn vantage_from(code: &str) -> Option<Vantage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consent_trace::{AttemptProvenance, Provenance};
+    use consent_trace::AttemptProvenance;
     use proptest::prelude::*;
 
     fn attempt(day: &str, status: &str) -> AttemptProvenance {

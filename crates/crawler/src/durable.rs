@@ -42,10 +42,12 @@
 //! the driver recomputes it instead of persisting it. When tracing is
 //! on and the global trace log is empty after recovery — a freshly
 //! restarted process — the driver re-crawls the recovered pairs
-//! `0..pairs_done` and drops their outputs. The replay runs chunk by
-//! chunk at the checkpoint cadence on the run's worker count, so it
-//! never holds more outputs than a normal chunk, and the resumed trace
-//! export equals an uninterrupted run's byte for byte.
+//! `0..pairs_done` and drops their outputs. The replay is one pass of
+//! the streaming pool over the whole range on the run's thread count
+//! (at least the calling thread): outputs are dropped in pair order as
+//! they arrive, so it holds only the batches still waiting for their
+//! turn, and the resumed trace export equals an uninterrupted run's
+//! byte for byte.
 //!
 //! The replay runs before the observation window opens (see
 //! [below](#one-observation-window)), so no sample or alert window
@@ -229,9 +231,10 @@ impl std::fmt::Debug for BundleSpec {
 /// How a durable campaign runs.
 #[derive(Clone, Debug)]
 pub struct DurableOpts {
-    /// Worker threads per chunk, as in
-    /// [`ParallelOpts::threads`](crate::ParallelOpts::threads): `<= 1`
-    /// crawls each chunk in pair order on the calling thread.
+    /// Crawling threads per chunk, the calling thread included, as in
+    /// [`ParallelOpts::threads`](crate::ParallelOpts::threads):
+    /// `threads - 1` helpers are spawned, and `<= 1` crawls each chunk
+    /// in pair order on the calling thread.
     pub threads: usize,
     /// Campaign behavior: chaos profile, retry schedule, breaker.
     pub config: CampaignConfig,
@@ -760,7 +763,7 @@ pub fn run_durable_campaign(
     // the recovered pairs: re-crawl them, since checkpoints hold no
     // copy of the trace.
     if consent_trace::enabled() && consent_trace::global().is_empty() {
-        plan.replay(state.pairs_done, opts.threads, every);
+        plan.replay(state.pairs_done, opts.threads);
     }
 
     // Restore the detector state the previous incarnation persisted

@@ -40,7 +40,7 @@
 
 use crate::capture_db::{CaptureDb, DbMarks, SEGMENT_ROWS};
 use consent_httpsim::CaptureStatus;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Current format version: the columnar sharded layout.
 pub const FORMAT_VERSION: u32 = 3;
@@ -78,29 +78,50 @@ pub(crate) fn status_code(s: CaptureStatus) -> &'static str {
     }
 }
 
-fn join<T: ToString>(vals: &[T]) -> String {
-    vals.iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
+/// An upper bound on the bytes one row adds to the six column lines:
+/// a `u32` domain id, an `i32` day and four `u8` codes at their widest,
+/// each with its separator.
+const ROW_BYTES: usize = 10 + 11 + 4 * 3 + 6;
+
+/// An upper bound on the bytes a segment adds beyond its rows: the six
+/// column tags (`d=` … `f=` and their newlines) and a shard header.
+const SEGMENT_BYTES: usize = 6 * 3 + 48;
+
+/// Append one column line: `<tag>=` and the comma-joined values.
+fn push_column<T: fmt::Display>(out: &mut String, tag: &str, vals: &[T]) {
+    out.push_str(tag);
+    out.push('=');
+    for (i, v) in vals.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v}");
+    }
+    out.push('\n');
 }
 
 fn push_segment_columns(out: &mut String, seg: &crate::capture_db::Segment, lo: usize, hi: usize) {
-    out.push_str(&format!("d={}\n", join(&seg.domain_ids[lo..hi])));
-    out.push_str(&format!("t={}\n", join(&seg.days[lo..hi])));
-    out.push_str(&format!("l={}\n", join(&seg.locations[lo..hi])));
-    out.push_str(&format!("s={}\n", join(&seg.statuses[lo..hi])));
-    out.push_str(&format!("c={}\n", join(&seg.cmps[lo..hi])));
-    out.push_str(&format!("f={}\n", join(&seg.flags[lo..hi])));
+    push_column(out, "d", &seg.domain_ids[lo..hi]);
+    push_column(out, "t", &seg.days[lo..hi]);
+    push_column(out, "l", &seg.locations[lo..hi]);
+    push_column(out, "s", &seg.statuses[lo..hi]);
+    push_column(out, "c", &seg.cmps[lo..hi]);
+    push_column(out, "f", &seg.flags[lo..hi]);
 }
 
 /// Serialize the database to the columnar v3 format. The bytes are a
 /// pure function of the insertion history, so exports stay identical
 /// across thread counts and kill-halfway resumes.
 pub fn export(db: &CaptureDb) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("#consent-capture-db v{FORMAT_VERSION}\n"));
     let hosts = db.host_table();
+    let host_bytes: usize = hosts.iter().map(|h| h.len() + 1).sum();
+    let segments: usize = (0..crate::capture_db::SHARD_COUNT)
+        .map(|shard| db.shard_segments(shard).len())
+        .sum();
+    let bound = 64 + host_bytes + db.len() as usize * ROW_BYTES + segments * SEGMENT_BYTES;
+    let mut out = String::with_capacity(bound);
+    out.push_str(&format!("#consent-capture-db v{FORMAT_VERSION}\n"));
     out.push_str(&format!("hosts={}\n", hosts.len()));
     for h in hosts {
         out.push_str(h);

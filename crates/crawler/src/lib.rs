@@ -14,8 +14,8 @@
 //! [`resume_campaign_parallel`] (and [`run_campaign_parallel`] for a
 //! fresh start), whose output is byte-identical at any thread count:
 //! `threads <= 1` crawls in pair order on the calling thread, more
-//! threads shard the pairs across the deterministic [`parallel`] worker
-//! pool. Campaigns persist across process deaths with the [`durable`]
+//! threads crawl batches of pairs on the caller and `threads - 1`
+//! helpers of the deterministic [`parallel`] pool. Campaigns persist across process deaths with the [`durable`]
 //! driver, which runs the same loop chunk by chunk, checkpoints into a
 //! crash-safe [`consent_checkpoint::CheckpointStore`] and salvages
 //! corrupt checkpoints on recovery. When the *disk itself* fails, the

@@ -7,8 +7,9 @@
 //! resolved seeds, retry schedule, detector, public suffix list), then
 //! produces the `(domain, vantage)` pairs of the requested range either
 //! on the calling thread in pair order (`threads <= 1`, no thread is
-//! spawned) or on a `std::thread` worker pool, and folds them into one
-//! [`CampaignState`] through the same apply loop. The state's export is
+//! spawned) or on a streaming pool of `threads` crawling threads (the
+//! caller and `threads - 1` scoped helpers), and folds them into one
+//! [`CampaignState`] through the same apply step. The state's export is
 //! **byte-identical** at any thread count; the in-order case is the
 //! reference the pool is tested against.
 //!
@@ -20,22 +21,27 @@
 //! plan is keyed by `(host, day, vantage, attempt)`, trace ids come from
 //! [`consent_trace::stable_id`], and the per-pair
 //! [`CircuitBreaker`](crate::resilience::CircuitBreaker) lives on the
-//! worker's stack. Workers therefore never race on campaign state: a
-//! worker's only shared-mutable touchpoints are the commutative
-//! telemetry registry and the lock-sharded trace log (whose JSONL export
-//! sorts by `(trace_id, seq)`, with sequence numbers drawn from
-//! per-trace counters — so the interleaving of workers is invisible in
-//! the export).
+//! crawling thread's stack. Crawlers therefore never race on campaign
+//! state: a crawler's only shared-mutable touchpoints are the
+//! commutative telemetry registry and the lock-sharded trace log (whose
+//! JSONL export sorts by `(trace_id, seq)`, with sequence numbers drawn
+//! from per-trace counters — so the interleaving of crawlers is
+//! invisible in the export).
 //!
-//! Each worker turns its pair's final capture into the
+//! Each crawling thread turns its pair's final capture into the
 //! [`CaptureDb`](crate::CaptureDb) row, the result record and the
 //! provenance record, and drops the capture. Pair *application* —
 //! inserting the row, pushing the record to its column and the
-//! provenance to the log — is order-sensitive, so it never happens on
-//! a worker. Workers push `(pair_index, PairOutput)`
-//! into private shards; after the pool joins, the shards are flattened,
-//! sorted by pair index (the vantage-major, rank-minor order the
-//! in-order case walks), and applied on the calling thread. Because
+//! provenance to the log — is order-sensitive, so only the calling
+//! thread does it. The pool streams: the caller crawls beside `threads
+//! - 1` helpers, every crawler claims [`BATCH`] consecutive pair
+//! indices at a time from a shared cursor, and helpers send each
+//! finished batch to the caller over a channel. Between its own
+//! batches, and again once the cursor runs out, the caller files what
+//! it received into a reorder buffer keyed by batch start and applies
+//! every batch that starts at the next unapplied pair index, so pairs
+//! are applied in the vantage-major, rank-minor order the in-order case
+//! walks while the helpers are still crawling. Because
 //! application is single-threaded and the capture store is append-only
 //! (columnar segments that seal at fixed capacity, never at cut
 //! boundaries — see `docs/STORAGE.md`), the store's physical layout is
@@ -59,16 +65,24 @@ use consent_psl::PublicSuffixList;
 use consent_toplist::{resolve_all, SeedUrl};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::World;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread;
+
+/// Pair indices a crawling thread claims from the pool's cursor at a
+/// time: about 0.3 ms of work on a 2-vCPU host.
+const BATCH: u64 = 32;
 
 /// How a parallel campaign shards its work.
 #[derive(Clone, Debug)]
 pub struct ParallelOpts {
-    /// Worker threads. `0` and `1` spawn no thread: pairs are crawled
-    /// and applied on the calling thread in pair order — the in-order
-    /// reference the pool's output is byte-identical to.
+    /// Crawling threads, the calling thread included: `threads - 1`
+    /// helpers are spawned and the caller crawls beside them. `0` and
+    /// `1` spawn no thread: pairs are crawled and applied on the calling
+    /// thread in pair order — the in-order reference the pool's output
+    /// is byte-identical to.
     pub threads: usize,
     /// Campaign behavior: chaos profile, retry schedule, breaker.
     pub config: CampaignConfig,
@@ -78,8 +92,8 @@ pub struct ParallelOpts {
 }
 
 impl Default for ParallelOpts {
-    /// One worker per available core, default [`CampaignConfig`], no
-    /// pair budget.
+    /// One crawling thread per available core (the caller and a helper
+    /// for each other core), default [`CampaignConfig`], no pair budget.
     fn default() -> ParallelOpts {
         ParallelOpts {
             threads: thread::available_parallelism().map_or(1, |n| n.get()),
@@ -90,7 +104,8 @@ impl Default for ParallelOpts {
 }
 
 impl ParallelOpts {
-    /// Options with an explicit worker count and defaults elsewhere.
+    /// Options with an explicit crawling-thread count and defaults
+    /// elsewhere.
     pub fn with_threads(threads: usize) -> ParallelOpts {
         ParallelOpts {
             threads,
@@ -254,9 +269,10 @@ impl<'a> CampaignPlan<'a> {
     /// Process the next `max_pairs` pairs after `state.pairs_done`
     /// (`None`: all of them) and fold them into `state`. With
     /// `threads <= 1` each pair is crawled on the calling thread and
-    /// applied at once; otherwise the worker pool crawls the range and
-    /// its outputs are applied in pair order after the join. Either
-    /// way [`apply_pair`] sees the same outputs in the same order.
+    /// applied at once; otherwise the streaming [`pool`](Self::pool)
+    /// crawls the range and the caller applies its outputs in pair
+    /// order as they arrive. Either way [`apply_pair`] sees the same
+    /// outputs in the same order.
     pub(crate) fn run(
         &self,
         mut state: CampaignState,
@@ -269,16 +285,15 @@ impl<'a> CampaignPlan<'a> {
         let end = start
             .saturating_add(max_pairs.unwrap_or(u64::MAX))
             .min(total_pairs);
-        let outputs: Box<dyn Iterator<Item = PairOutput> + '_> = if threads > 1 {
-            let outputs = self.pool(start..end, threads);
-            Box::new(outputs.into_iter().map(|(_, out)| out))
-        } else {
-            Box::new((start..end).map(|idx| process_pair_contained(self, idx)))
-        };
         let mut columns: Vec<(Vantage, Vec<CampaignCapture>)> =
             self.vantages.iter().map(|&v| (v, Vec::new())).collect();
-        for out in outputs {
-            apply_pair(&mut state, &mut columns, out);
+        let mut apply = |out| apply_pair(&mut state, &mut columns, out);
+        if threads > 1 {
+            self.pool(start..end, threads, &mut apply);
+        } else {
+            for idx in start..end {
+                apply(process_pair_contained(self, idx));
+            }
         }
         let complete = state.pairs_done == total_pairs;
         CampaignRun {
@@ -294,61 +309,72 @@ impl<'a> CampaignPlan<'a> {
     /// Re-crawl the first `pairs` pairs of the order and drop their
     /// outputs, leaving only what crawling records: the trace events
     /// and the crawl-side telemetry. The durable driver uses it to
-    /// rebuild a resumed process's trace. With `threads > 1` the pool
-    /// crawls `chunk` pairs at a time, so the replay never holds more
-    /// outputs than a normal chunk of that size.
-    pub(crate) fn replay(&self, pairs: u64, threads: usize, chunk: u64) {
+    /// rebuild a resumed process's trace. The pool holds no more than
+    /// the batches still waiting for their turn, so one call covers the
+    /// whole range.
+    pub(crate) fn replay(&self, pairs: u64, threads: usize) {
         let end = pairs.min(self.total_pairs());
-        if threads <= 1 {
-            for idx in 0..end {
-                process_pair_contained(self, idx);
-            }
-            return;
-        }
-        let chunk = chunk.max(1);
-        for start in (0..end).step_by(chunk as usize) {
-            self.pool(start..end.min(start.saturating_add(chunk)), threads);
-        }
+        self.pool(0..end, threads.max(1), drop);
     }
 
-    /// Crawl `range` on `threads` workers and return the outputs sorted
-    /// into pair order.
-    fn pool(&self, range: Range<u64>, threads: usize) -> Vec<(u64, PairOutput)> {
-        // Work distribution: a shared cursor over the pair order.
-        // Claiming one index per fetch keeps the pool balanced when
-        // per-pair cost varies (retries, breaker opens). A pair is only
-        // ~5–8 µs of work (2-vCPU host), so the contended fetch per pair
-        // is a small but not free share of it.
+    /// Crawl `range` on `threads` crawling threads — the caller and
+    /// `threads - 1` scoped helpers — and hand every output to `apply`
+    /// on the calling thread, in pair order.
+    ///
+    /// A panic that escapes a helper (one outside
+    /// `process_pair_contained`) drops its sender: the caller's receive
+    /// loop ends once every sender is gone, and `thread::scope` re-raises
+    /// the panic, so the run fails instead of hanging.
+    fn pool(&self, range: Range<u64>, threads: usize, mut apply: impl FnMut(PairOutput)) {
+        // Work distribution: a shared cursor over the pair order. Each
+        // claim takes `BATCH` consecutive indices, so the contended fetch
+        // is paid once per batch rather than once per ~5–8 µs pair, and
+        // a batch is still small enough to keep the crawlers balanced
+        // when per-pair cost varies (retries, breaker opens).
         let next = AtomicU64::new(range.start);
-        let shards: Vec<Vec<(u64, PairOutput)>> = thread::scope(|sc| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    sc.spawn(|| {
-                        let mut shard: Vec<(u64, PairOutput)> = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= range.end {
-                                break;
-                            }
-                            shard.push((idx, process_pair_contained(self, idx)));
+        let claim = || {
+            let lo = next.fetch_add(BATCH, Ordering::Relaxed);
+            (lo < range.end).then(|| lo..range.end.min(lo + BATCH))
+        };
+        let crawl = |batch: Range<u64>| -> (u64, Vec<PairOutput>) {
+            let start = batch.start;
+            (
+                start,
+                batch.map(|idx| process_pair_contained(self, idx)).collect(),
+            )
+        };
+        thread::scope(|sc| {
+            let (tx, rx) = mpsc::channel();
+            for _ in 1..threads {
+                let tx = tx.clone();
+                sc.spawn(move || {
+                    while let Some(batch) = claim() {
+                        if tx.send(crawl(batch)).is_err() {
+                            break;
                         }
-                        shard
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
+                    }
+                });
+            }
+            drop(tx);
+            // The reorder buffer: finished batches keyed by their first
+            // pair index, and the next pair index to apply. Batch starts
+            // are unique, so draining it in index order reproduces the
+            // in-order insertion order exactly.
+            let mut pending: BTreeMap<u64, Vec<PairOutput>> = BTreeMap::new();
+            let mut applied = range.start;
+            let mut file = |(start, outputs): (u64, Vec<PairOutput>)| {
+                pending.insert(start, outputs);
+                while let Some(outputs) = pending.remove(&applied) {
+                    applied += outputs.len() as u64;
+                    outputs.into_iter().for_each(&mut apply);
+                }
+            };
+            while let Some(batch) = claim() {
+                file(crawl(batch));
+                rx.try_iter().for_each(&mut file);
+            }
+            rx.into_iter().for_each(file);
         });
-
-        // Order-restoring merge: pair indices are unique, so the sort is
-        // deterministic no matter how the pool interleaved, and applying
-        // in ascending order reproduces the in-order insertion order
-        // exactly.
-        let mut outputs: Vec<(u64, PairOutput)> = shards.into_iter().flatten().collect();
-        outputs.sort_unstable_by_key(|&(idx, _)| idx);
-        outputs
     }
 }
 
@@ -435,22 +461,47 @@ mod tests {
     #[test]
     fn budgeted_parallel_run_stops_at_the_cut() {
         let w = world();
-        let list = build_toplist(&w, 30, SeedTree::new(7));
+        let list = build_toplist(&w, 100, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
         let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
-        let mut o = opts(4, FaultProfile::mild());
-        o.max_pairs = Some(25);
-        let first = run_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &o);
-        assert!(!first.complete);
-        assert_eq!(first.state.pairs_done, 25);
-        assert_eq!(first.state.db.len(), 25);
-        // Resume the remainder in parallel and land on the in-order bytes.
-        o.max_pairs = None;
-        let second =
-            resume_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &o, first.state);
-        assert!(second.complete);
-        o.threads = 1;
-        let seq = run_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &o);
-        assert_eq!(second.state.export(), seq.state.export());
+        let total = (list.len() * vantages.len()) as u64;
+        let run = |threads, max_pairs, state| {
+            let o = ParallelOpts {
+                max_pairs,
+                ..opts(threads, FaultProfile::mild())
+            };
+            resume_campaign_parallel(&w, &list, day, &vantages, SeedTree::new(9), &o, state)
+        };
+        let seq = run(1, None, CampaignState::new());
+        assert!(seq.complete);
+        // Cuts on both sides of a batch boundary, then a resume chain
+        // of budgets that are not multiples of `BATCH`, so every resumed
+        // pool claims its batches off the first run's grid. The
+        // remainder runs to the end in parallel and must land on the
+        // in-order bytes and result columns.
+        let b = BATCH;
+        let chains: [&[u64]; 5] = [&[1], &[b - 1], &[b], &[b + 1], &[5, 40, 17, 2 * b + 3]];
+        for threads in [2, 3, 8] {
+            for budgets in chains {
+                let mut state = CampaignState::new();
+                let mut result = CampaignResult::default();
+                for &budget in budgets {
+                    let before = state.pairs_done;
+                    let cut = run(threads, Some(budget), state);
+                    assert!(!cut.complete);
+                    assert_eq!(cut.state.pairs_done, before + budget);
+                    assert_eq!(cut.state.db.len(), before + budget);
+                    result = result.merge(cut.result);
+                    state = cut.state;
+                }
+                let rest = run(threads, None, state);
+                assert!(rest.complete);
+                assert_eq!(rest.state.pairs_done, total);
+                let case = format!("{threads} threads, budgets {budgets:?}");
+                assert_eq!(rest.state.export(), seq.state.export(), "{case}");
+                let merged = result.merge(rest.result);
+                assert_eq!(merged.columns, seq.result.columns, "{case}");
+            }
+        }
     }
 }

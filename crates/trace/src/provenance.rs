@@ -13,7 +13,7 @@
 
 use crate::tree::TraceTree;
 use consent_util::Json;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One attempt inside a pair's provenance record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -246,10 +246,10 @@ impl ProvenanceLog {
     /// Serialize to the line format: one record per line, tab-separated,
     /// attempts as `day:status:fault` comma lists (`-` for no fault).
     pub fn export(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(HEADER.len() + 1 + self.line_bytes(0));
         out.push_str(HEADER);
         out.push('\n');
-        out.push_str(&self.export_from(0));
+        self.write_lines(0, &mut out);
         out
     }
 
@@ -260,35 +260,69 @@ impl ProvenanceLog {
     /// Cost is proportional to the records past `from`. `from` past the
     /// end yields an empty string.
     pub fn export_from(&self, from: usize) -> String {
-        let mut out = String::new();
-        for r in self.records.iter().skip(from) {
-            let attempts: Vec<String> = r
-                .attempts
-                .iter()
-                .map(|a| {
-                    format!(
-                        "{}:{}:{}",
-                        a.day,
-                        a.status,
-                        a.fault.as_deref().unwrap_or("-")
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\n",
-                r.domain,
-                r.rank,
-                r.vantage,
-                r.day,
-                r.trace_id,
-                r.outcome,
-                r.final_status,
-                u8::from(r.breaker_opened),
-                u8::from(r.dead_lettered),
-                attempts.join(","),
-            ));
-        }
+        let mut out = String::with_capacity(self.line_bytes(from));
+        self.write_lines(from, &mut out);
         out
+    }
+
+    /// The records past `from`, or none when `from` is past the end.
+    fn records_from(&self, from: usize) -> &[Provenance] {
+        self.records.get(from..).unwrap_or_default()
+    }
+
+    /// An upper bound on the bytes [`write_lines`](Self::write_lines)
+    /// appends for the records past `from`: the record's strings, the
+    /// largest number widths and every separator.
+    fn line_bytes(&self, from: usize) -> usize {
+        self.records_from(from)
+            .iter()
+            .map(|r| {
+                let attempts: usize = r
+                    .attempts
+                    .iter()
+                    .map(|a| {
+                        a.day.len() + a.status.len() + a.fault.as_ref().map_or(1, String::len) + 3
+                    })
+                    .sum();
+                let strings = r.domain.len()
+                    + r.vantage.len()
+                    + r.day.len()
+                    + r.outcome.len()
+                    + r.final_status.len();
+                // 20 rank digits, 16 trace-id digits, two flags, nine
+                // tabs and the newline.
+                strings + attempts + 20 + 16 + 2 + 10
+            })
+            .sum()
+    }
+
+    /// Append the record lines of entries `from..` to `out`.
+    fn write_lines(&self, from: usize, out: &mut String) {
+        for r in self.records_from(from) {
+            out.push_str(&r.domain);
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "\t{}\t", r.rank);
+            out.push_str(&r.vantage);
+            out.push('\t');
+            out.push_str(&r.day);
+            let _ = write!(out, "\t{:016x}\t", r.trace_id);
+            out.push_str(&r.outcome);
+            out.push('\t');
+            out.push_str(&r.final_status);
+            out.push_str(if r.breaker_opened { "\t1" } else { "\t0" });
+            out.push_str(if r.dead_lettered { "\t1\t" } else { "\t0\t" });
+            for (i, a) in r.attempts.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&a.day);
+                out.push(':');
+                out.push_str(&a.status);
+                out.push(':');
+                out.push_str(a.fault.as_deref().unwrap_or("-"));
+            }
+            out.push('\n');
+        }
     }
 
     /// Parse the line format back. Records go straight into the store —
