@@ -97,7 +97,7 @@ pub fn fig10(study: &Study) -> Fig10Result {
     fig10_with(study, &ExperimentConfig::default())
 }
 
-/// Run with a custom configuration (used for scale ablations).
+/// Run with a custom configuration.
 pub fn fig10_with(study: &Study, config: &ExperimentConfig) -> Fig10Result {
     Fig10Result {
         experiment: run_experiment(config, study.seed().child("fig10")),

@@ -89,7 +89,7 @@ pub fn gvl_figures(study: &Study) -> GvlResult {
     gvl_figures_with(study, &HistoryConfig::default())
 }
 
-/// Run with a custom history configuration (used by the ablations).
+/// Run with a custom history configuration.
 pub fn gvl_figures_with(study: &Study, config: &HistoryConfig) -> GvlResult {
     let history = generate_history(config, study.seed().child("gvl"));
     let fig7 = fig7_series(&history);

@@ -1,6 +1,7 @@
 //! One module per paper table/figure; see DESIGN.md's experiment index.
 //!
-//! Every experiment has exactly one entry point. To record telemetry for
+//! Every experiment has exactly one entry point, and [`reproduce`]
+//! renders them all in paper order. To record telemetry for
 //! a run, wrap the call in [`run_reported`]:
 //!
 //! ```
@@ -28,8 +29,10 @@
 //! any thread count, so the thread count only changes wall-clock time.
 
 use crate::Study;
-use consent_util::table::pct;
+use consent_util::table::{pct, thousands};
+use consent_util::Day;
 
+pub mod ablations;
 pub mod archive;
 pub mod fig1;
 pub mod fig10;
@@ -42,28 +45,94 @@ pub mod methodology;
 pub mod table1;
 pub mod tables_a;
 
-/// The vantage-point comparison at `study`'s scale, as the
-/// `vantage_compare` example prints it: Table A.3 (January 2020) and
-/// Table 1 (May 2020), the US-cloud coverage between them, and the §4.1
-/// I3 customization and jurisdiction reports over the May campaign's
-/// EU-university records. `tests/fixtures/vantage_compare_quick_v1.txt`
-/// pins the text at [`Study::quick`].
-pub fn vantage_compare(study: &Study) -> String {
+/// Every table and figure of the paper at `study`'s scale, in paper
+/// order: Figure 1; Table A.3 and Table 1 with the US-cloud coverage
+/// between them and the §4.1 I3 and jurisdiction reports over the May
+/// campaign; Figures 4–10, Figure 5 at three snapshots; the §3.4–3.5
+/// methodology statistics; Tables A.1 and A.2; and the
+/// [`ablations`]. The paper's reference values follow the results
+/// they compare with. `tests/fixtures/paper_quick_v1.txt` pins the
+/// text at [`Study::quick`]; the `reproduce` example prints it.
+pub fn reproduce(study: &Study) -> String {
     let jan = table1::table_a3(study);
     let may = table1::table1(study);
-    format!(
-        "{}\n{}\n\
-         US-cloud coverage: {} (January) -> {} (May)\n\
-         Paper: 70% -> 79%, driven by CCPA adoption outside the EU.\n\n\
-         {}\n{}\n\
-         Paper: Quantcast 38.3% EU+UK TLDs, OneTrust 16.3%.\n",
-        jan.render(),
-        may.render(),
-        pct(jan.table.coverage(0)),
-        pct(may.table.coverage(0)),
-        i3::i3_customization(&may).render(),
-        i3::jurisdiction(&may).render(),
-    )
+    let f6 = fig6::fig6(study);
+    let gvl = fig7_8::gvl_figures(study);
+    let fig5_snapshots = [
+        ("Figure A.4 (January 2019)", Day::from_ymd(2019, 1, 15)),
+        ("Figure A.5 (January 2020)", Day::from_ymd(2020, 1, 15)),
+        ("Figure 5 (May 2020)", Day::from_ymd(2020, 5, 15)),
+    ]
+    .map(|(label, day)| format!("=== {label} ===\n{}", fig5::fig5_at(study, day).render()));
+    let config = study.config();
+    [
+        format!(
+            "Measuring the Emergence of Consent Management on the Web (IMC 2020), reproduced: \
+             seed {}, {} sites, top {}, feed {} to {}\n",
+            config.seed,
+            thousands(u64::from(config.n_sites)),
+            thousands(config.toplist_size as u64),
+            config.window_start,
+            config.window_end - 1,
+        ),
+        fig1::render(),
+        format!(
+            "{}\n{}\n\
+             US-cloud coverage: {} (January) -> {} (May)\n\
+             Paper: 70% -> 79%, driven by CCPA adoption outside the EU.\n\n\
+             {}\n{}\n\
+             Paper: Quantcast 38.3% EU+UK TLDs, OneTrust 16.3%.\n\
+             Paper reference (May 2020, top 10k): OneTrust 341/368/403/412/412/414, \
+             Quantcast 173/207/225/229/230/233, coverage 79%→100%\n\
+             Paper reference: OneTrust 61% conventional banner / 2.4% opt-out button / \
+             5.5% script banner / 7.5% footer link; Quantcast 55% direct reject, 13% \
+             free-form wording; TrustArc 7% instant / 12% multi-partner opt-out; \
+             ~8% of sites use CMP APIs with custom dialogs.\n",
+            jan.render(),
+            may.render(),
+            pct(jan.table.coverage(0)),
+            pct(may.table.coverage(0)),
+            i3::i3_customization(&may).render(),
+            i3::jurisdiction(&may).render(),
+        ),
+        f6.render_switching(),
+        format!(
+            "{}Paper reference (May 2020): ~4% at top 100, ~13% at top 1k, \
+             1.51% cumulative over the top 1M; Quantcast leads the head, \
+             OneTrust the 500–50k band.\n",
+            fig5_snapshots.join("\n")
+        ),
+        format!(
+            "{}Paper reference: <1% of the 10k in Feb 2018 rising to ~10% by Sep 2020, \
+             doubling Jun18→Jun19→Jun20; Cookiebot loses ~10x what it gains.\n",
+            f6.render()
+        ),
+        format!(
+            "{}\n{}\
+             Net toward consent: {:+} (paper: positive — vendors obtain more consent over time)\n\
+             Paper reference: sharp vendor-count spike at GDPR, purpose 1 always most \
+             popular, ≥1/5 of vendors claim legitimate interest per purpose, \
+             activity bursts around GDPR and Mar/Apr 2020.\n",
+            gvl.render_fig7(),
+            gvl.render_fig8(),
+            gvl.net_toward_consent()
+        ),
+        format!(
+            "{}Paper reference: ≥7 clicks and ~34 s to opt out; +279 requests to 25 \
+             domains; +1.2 MB / 5.8 MB compressed/uncompressed.\n",
+            fig9::fig9(study).render()
+        ),
+        format!(
+            "{}Paper reference: accept 3.2 s / reject 3.6 s with a direct button \
+             (U(1344,279)=166582, z=-2.93, p<0.01); reject 6.7 s without one \
+             (z=-11.57, p<0.001); consent rate 83% → 90%.\n",
+            fig10::fig10(study).render()
+        ),
+        methodology::methodology(study, &f6).render(),
+        format!("{}\n{}", tables_a::table_a1(), tables_a::table_a2()),
+        ablations::render(study, &f6),
+    ]
+    .join("\n")
 }
 
 /// Run `f` against the global telemetry registry and record the

@@ -4,7 +4,7 @@
 //! table/figure (see [`crate::experiments`]). Everything is deterministic
 //! in the root seed; `Study::quick()` shrinks the scale parameters for
 //! tests and examples while `StudyConfig::default()` is the full
-//! paper-scale configuration used by the benches.
+//! paper-scale configuration (`reproduce --full` runs it).
 
 use consent_crawler::CampaignConfig;
 use consent_faultsim::FaultProfile;
@@ -54,7 +54,10 @@ impl Default for StudyConfig {
 }
 
 impl StudyConfig {
-    /// A reduced configuration for fast tests and the quickstart example.
+    /// A reduced configuration for fast tests and the examples;
+    /// `tests/fixtures/paper_quick_v1.txt` pins what
+    /// [`experiments::reproduce`](crate::experiments::reproduce) renders
+    /// at this scale.
     pub fn quick() -> StudyConfig {
         StudyConfig {
             seed: 2020,

@@ -61,26 +61,25 @@ fn fig9_stable_across_runs() {
     assert_eq!(a.probes, b.probes);
 }
 
-/// The parent-commit stdout of the `vantage_compare` example: Table A.3,
-/// Table 1, the US-cloud coverage line, I3 customization and the §4.1
-/// jurisdiction shares at `Study::quick()`. Two runs of one build agree
-/// on their own; this pins what the readers of a campaign's records
-/// print across builds.
-const GOLDEN_VANTAGE_COMPARE: &str = include_str!("fixtures/vantage_compare_quick_v1.txt");
+/// Every table, figure and ablation the paper regenerator renders at
+/// `Study::quick()`: the `reproduce` example's stdout. Two runs of one
+/// build agree on their own; this pins what the experiments print
+/// across builds.
+const GOLDEN_PAPER: &str = include_str!("fixtures/paper_quick_v1.txt");
 
 #[test]
-fn vantage_compare_matches_the_committed_golden_fixture() {
-    let text = experiments::vantage_compare(&Study::quick());
+fn reproduce_matches_the_committed_golden_fixture() {
+    let text = experiments::reproduce(&Study::quick());
     if let Some((n, (got, want))) = text
         .lines()
-        .zip(GOLDEN_VANTAGE_COMPARE.lines())
+        .zip(GOLDEN_PAPER.lines())
         .enumerate()
         .find(|(_, (got, want))| got != want)
     {
         panic!(
-            "vantage_compare differs from the fixture at line {}:\n  got  {got:?}\n  want {want:?}",
+            "reproduce differs from the fixture at line {}:\n  got  {got:?}\n  want {want:?}",
             n + 1
         );
     }
-    assert_eq!(text, GOLDEN_VANTAGE_COMPARE);
+    assert_eq!(text, GOLDEN_PAPER);
 }
