@@ -160,7 +160,8 @@ impl CustomizationReport {
     }
 }
 
-/// Build the report from the EU-university records of a campaign
+/// Build the report from the records of a campaign's
+/// [`Vantage::eu_university_extended`](consent_httpsim::Vantage::eu_university_extended)
 /// column (the only one storing DOM snapshots), classifying each
 /// snapshot under the first CMP detected on its capture.
 pub fn customization_report(records: &[CampaignCapture]) -> CustomizationReport {
@@ -264,7 +265,7 @@ mod tests {
         });
         // A deeper list gives enough CMP sites for stable shares.
         let list = build_toplist(&world, 4_000, SeedTree::new(7));
-        let vantage = Vantage::table1_columns()[3];
+        let vantage = Vantage::eu_university_extended();
         for profile in [FaultProfile::none(), FaultProfile::mild()] {
             let result = run_campaign_parallel(
                 &world,

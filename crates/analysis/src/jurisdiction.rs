@@ -90,7 +90,7 @@ mod tests {
             adoption: AdoptionConfig::default(),
         });
         let list = build_toplist(&world, 4_000, SeedTree::new(7));
-        let vantage = Vantage::table1_columns()[3];
+        let vantage = Vantage::eu_university_extended();
         for profile in [FaultProfile::none(), FaultProfile::mild()] {
             let result = run_campaign_parallel(
                 &world,

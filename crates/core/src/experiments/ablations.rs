@@ -81,7 +81,7 @@ pub fn detector_tiers() -> Vec<TierScreening> {
     });
     let engine = Engine::new(&world, SeedTree::new(1));
     let day = Day::from_ymd(2020, 5, 15);
-    let vantage = Vantage::table1_columns()[3];
+    let vantage = Vantage::eu_university_extended();
     let captures: Vec<_> = (1..=1_500u32)
         .map(|r| world.profile(r))
         .filter(|p| p.reachability == Reachability::Ok)

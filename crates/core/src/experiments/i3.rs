@@ -79,7 +79,7 @@ impl I3Result {
 
 /// Run the analysis on an existing Table 1 campaign result.
 pub fn i3_customization(table1: &Table1Result) -> I3Result {
-    let vantage = Vantage::table1_columns()[3]; // EU university, extended
+    let vantage = Vantage::eu_university_extended();
     let records = table1
         .campaign
         .column(vantage)
@@ -92,7 +92,7 @@ pub fn i3_customization(table1: &Table1Result) -> I3Result {
 /// Measure the §4.1 EU+UK TLD shares from the same campaign records
 /// (the paper's Quantcast 38.3 % vs OneTrust 16.3 % comparison).
 pub fn jurisdiction(table1: &Table1Result) -> JurisdictionReport {
-    let vantage = Vantage::table1_columns()[3];
+    let vantage = Vantage::eu_university_extended();
     let records = table1
         .campaign
         .column(vantage)

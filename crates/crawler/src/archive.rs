@@ -9,19 +9,23 @@
 //!
 //! # Sections
 //!
-//! | section         | documents                                        |
-//! |-----------------|--------------------------------------------------|
-//! | `config`        | `config` — day, seed, ranked domains, vantages   |
-//! | `state`         | `meta`, `capture-db`, `dead-letters`, `provenance` (the exact checkpoint section bodies) |
-//! | `trace`         | `trace-jsonl` — the causal trace export          |
-//! | `observability` | `obs-jsonl`, `alerts-jsonl` when a sampler/watch ran |
-//! | `gvl`           | `vendor-list` when a GVL snapshot was supplied   |
-//! | `analysis`      | the live run's `experiments::*` exports (provider-supplied) |
+//! | section    | documents                                        |
+//! |------------|--------------------------------------------------|
+//! | `config`   | `config` — day, seed, ranked domains, vantages   |
+//! | `state`    | `meta`, `capture-db`, `dead-letters`, `provenance` (the exact checkpoint section bodies) |
+//! | `gvl`      | `vendor-list` when a GVL snapshot was supplied   |
+//! | `analysis` | the live run's `experiments::*` exports (provider-supplied) |
 //!
-//! A bundle holds no per-capture request or cookie logs. They are a
-//! deterministic function of the `config` section (a re-crawl of the
-//! same day, seed and domains reproduces them), no replay reads them,
-//! and the campaign drops them on the worker that crawled each pair.
+//! A bundle holds what replay reads and what a caller supplies, and no
+//! recording of the run: no per-capture request or cookie log, no
+//! trace, no OBS or ALERTS export. No replay reads them, and on a
+//! resumed campaign they would cover only the last incarnation, so a
+//! bundle holding them could not equal an uninterrupted run's. Nor can
+//! a re-crawl from the bundle reproduce them yet: `config` records the
+//! day, seed, domains and vantages, but not the world they were
+//! crawled in or the fault profile, retry schedule and breaker
+//! ([`CampaignConfig`](crate::CampaignConfig)) a chaotic campaign's
+//! captures depend on.
 
 use std::io;
 use std::path::Path;
@@ -130,8 +134,8 @@ impl ArchiveContext {
 /// code over the live and the re-imported state.
 pub type ExportFn = dyn Fn(&CampaignState, &ArchiveContext) -> Vec<(String, String)> + Send + Sync;
 
-/// The per-invocation artifacts that accompany the campaign state into
-/// a bundle. All optional: a bundle of a bare state is still a valid
+/// The caller-supplied inputs that accompany the campaign state into a
+/// bundle. All optional: a bundle of a bare state is still a valid
 /// (and replayable) archive.
 #[derive(Default)]
 pub struct CampaignArtifacts<'a> {
@@ -139,21 +143,15 @@ pub struct CampaignArtifacts<'a> {
     /// callers which still pass their results compile; it goes once
     /// none does.
     pub results: Vec<&'a CampaignResult>,
-    /// The global trace log's JSONL export.
-    pub trace_jsonl: String,
-    /// The flight-recorder `OBS` export.
-    pub obs_jsonl: Option<String>,
-    /// The watchdog `ALERTS` export.
-    pub alerts_jsonl: Option<String>,
     /// A GVL snapshot (compact JSON).
     pub gvl_json: Option<String>,
 }
 
 /// Build the full [`BundleInput`] for one campaign: context, checkpoint
-/// section bodies, the trace, observability and GVL artifacts, and the
-/// provider's analysis exports. Pure — the same state and artifacts
-/// build the same input, which is what makes packs byte-comparable
-/// across thread counts.
+/// section bodies, the GVL snapshot and the provider's analysis
+/// exports. Pure — the same state and artifacts build the same input,
+/// which is what makes packs byte-comparable across thread counts and
+/// kill-halfway resumes.
 pub fn build_bundle_input(
     state: &CampaignState,
     ctx: &ArchiveContext,
@@ -173,24 +171,7 @@ pub fn build_bundle_input(
                 .map(|(name, body)| BundleDoc::new(name, body))
                 .collect(),
         },
-        SectionInput {
-            name: "trace".into(),
-            docs: vec![BundleDoc::new("trace-jsonl", artifacts.trace_jsonl.clone())],
-        },
     ];
-    let mut obs_docs = Vec::new();
-    if let Some(obs) = &artifacts.obs_jsonl {
-        obs_docs.push(BundleDoc::new("obs-jsonl", obs.clone()));
-    }
-    if let Some(alerts) = &artifacts.alerts_jsonl {
-        obs_docs.push(BundleDoc::new("alerts-jsonl", alerts.clone()));
-    }
-    if !obs_docs.is_empty() {
-        sections.push(SectionInput {
-            name: "observability".into(),
-            docs: obs_docs,
-        });
-    }
     if let Some(gvl) = &artifacts.gvl_json {
         sections.push(SectionInput {
             name: "gvl".into(),
@@ -437,18 +418,20 @@ mod tests {
         let (state, result, ctx) = small_campaign();
         let artifacts = CampaignArtifacts {
             results: vec![&result],
-            trace_jsonl: String::new(),
-            obs_jsonl: Some("{\"kind\":\"obs\"}\n".into()),
-            alerts_jsonl: None,
             gvl_json: Some("{}".into()),
         };
         let dir = tmp_dir();
         let store = BlobStore::open(&dir).unwrap();
         let (pack, fsck) = pack_campaign_bundle(&store, &state, &ctx, &artifacts, None).unwrap();
         assert!(fsck.clean(), "{}", fsck.render());
-        assert!(pack.manifest.section("gvl").is_some());
         // Results are accepted and ignored: no capture log is archived.
-        assert!(pack.manifest.section("artifacts").is_none());
+        let sections: Vec<&str> = pack
+            .manifest
+            .sections
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(sections, ["config", "state", "gvl"]);
         let replay = replay_campaign_bundle(&dir, None).unwrap();
         assert!(replay.ok(), "{}", replay.summary());
         assert_eq!(replay.pairs, state.pairs_done);

@@ -38,7 +38,7 @@ use crate::export::{export as export_db, import as import_db, status_code, Impor
 use crate::parallel::CampaignPlan;
 use crate::resilience::{BreakerConfig, CircuitBreaker, Outcome, RetryPolicy};
 use consent_faultsim::FaultProfile;
-use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, DomSnapshot, Location, Vantage};
+use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, DomSnapshot, Vantage};
 use consent_toplist::{default_providers, AggregationRule, SeedUrl, Toplist};
 use consent_trace::{stable_id, AttemptProvenance, Provenance, ProvenanceLog};
 use consent_util::{Day, SeedTree};
@@ -66,7 +66,8 @@ pub struct CampaignCapture {
     pub outcome: Outcome,
     /// CMPs detected on the final capture.
     pub cmps: CmpSet,
-    /// The final capture's DOM snapshot (EU-university columns only).
+    /// The final capture's DOM snapshot
+    /// ([`Vantage::eu_university_extended`] column only).
     pub dom: Option<DomSnapshot>,
 }
 
@@ -413,7 +414,9 @@ fn finish(
 pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     let _pair_span = consent_telemetry::span("campaign.pair");
     let (s, _, col, vantage) = plan.locate(idx);
-    let collect_dom = vantage.location == Location::EuUniversity;
+    // Only §4.1's customization analysis reads a DOM, and only this
+    // column's.
+    let collect_dom = vantage == Vantage::eu_university_extended();
     // One trace per pair.
     let mut record = pair_record(plan, idx);
     let _trace = consent_trace::start_trace("pair", record.trace_id, |a| {
@@ -594,7 +597,6 @@ pub(crate) fn apply_pair(
 mod tests {
     use super::*;
     use crate::parallel::{run_campaign_parallel, ParallelOpts};
-    use consent_httpsim::Timing;
     use consent_util::Day;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
 
@@ -678,15 +680,21 @@ mod tests {
         for (_, captures) in &result.columns {
             assert_eq!(captures.len(), 150);
         }
-        // University columns carry DOM; cloud columns don't.
-        let uni = result.column(vantages[3]).unwrap();
+        // The extended en-US university column carries DOM; the other
+        // university columns and the cloud columns don't.
+        let uni = result.column(Vantage::eu_university_extended()).unwrap();
         let usable_with_dom = uni
             .iter()
             .filter(|c| c.status.usable() && c.dom.is_some())
             .count();
         assert!(usable_with_dom > 100);
-        let cloud = result.column(vantages[0]).unwrap();
-        assert!(cloud.iter().all(|c| c.dom.is_none()));
+        for v in vantages
+            .iter()
+            .filter(|&&v| v != Vantage::eu_university_extended())
+        {
+            let column = result.column(*v).unwrap();
+            assert!(column.iter().all(|c| c.dom.is_none()), "{}", v.label());
+        }
     }
 
     #[test]
@@ -730,15 +738,7 @@ mod tests {
         let w = world();
         let list = build_toplist(&w, 100, SeedTree::new(7));
         let day = Day::from_ymd(2020, 5, 15);
-        let run = crawl(
-            &w,
-            &list,
-            &[Vantage {
-                location: Location::EuUniversity,
-                timing: Timing::Extended,
-                language: consent_httpsim::Language::EnUs,
-            }],
-        );
+        let run = crawl(&w, &list, &[Vantage::eu_university_extended()]);
         for c in run.result.column(run.result.columns[0].0).unwrap() {
             assert!((1..=4).contains(&c.attempts));
             if c.outcome == Outcome::Permanent {

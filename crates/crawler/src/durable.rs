@@ -981,13 +981,6 @@ pub fn run_durable_campaign(
                 } else {
                     let ctx = ArchiveContext::from_campaign(day, domains, vantages, &seed);
                     let artifacts = CampaignArtifacts {
-                        trace_jsonl: if consent_trace::enabled() {
-                            consent_trace::global().export_jsonl()
-                        } else {
-                            String::new()
-                        },
-                        obs_jsonl: opts.sampler.as_ref().map(|s| s.export_jsonl()),
-                        alerts_jsonl: opts.watch.as_ref().map(|w| w.export_jsonl()),
                         gvl_json: spec.gvl_json.clone(),
                         ..CampaignArtifacts::default()
                     };

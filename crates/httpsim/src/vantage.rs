@@ -96,6 +96,17 @@ impl Vantage {
         }
     }
 
+    /// The EU-university vantage with extended timeouts and an en-US
+    /// browser: Table 1's fourth column, and the one whose captures
+    /// §4.1's customization and jurisdiction analyses read.
+    pub fn eu_university_extended() -> Vantage {
+        Vantage {
+            location: Location::EuUniversity,
+            timing: Timing::Extended,
+            language: Language::EnUs,
+        }
+    }
+
     /// The six Table 1 configurations, in column order.
     pub fn table1_columns() -> [Vantage; 6] {
         [
@@ -106,11 +117,7 @@ impl Vantage {
                 timing: Timing::Aggressive,
                 language: Language::EnUs,
             },
-            Vantage {
-                location: Location::EuUniversity,
-                timing: Timing::Extended,
-                language: Language::EnUs,
-            },
+            Vantage::eu_university_extended(),
             Vantage {
                 location: Location::EuUniversity,
                 timing: Timing::Extended,

@@ -12,7 +12,7 @@
 //! kill-halfway resumes.
 //!
 //! Three detector families (see [`rules`] for the spec grammar, which
-//! the `watchdog` example reads from `CONSENT_WATCH`):
+//! the `flight_recorder` example reads from `CONSENT_WATCH`):
 //!
 //! - **burn-rate SLO** (`slo:usable:700:3`, …) — short window breaches
 //!   open a pending alert, the long-window aggregate confirms it to

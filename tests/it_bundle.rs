@@ -7,8 +7,10 @@
 //! * flipping one byte in *every* archived document is detected by
 //!   `bundle verify` and localized to the exact blob and its owning
 //!   section/label, and repairing the byte restores a clean fsck;
-//! * replay is byte-identical — including from a bundle packed by a
-//!   resumed incarnation after a kill halfway through the campaign.
+//! * replay is byte-identical, and a bundle packed by a resumed
+//!   incarnation after a kill halfway through the campaign has the
+//!   uninterrupted run's manifest byte for byte, with a sampler and a
+//!   watch recording each incarnation.
 //!
 //! Every test runs on two disks: the real filesystem and one failing 1%
 //! of its operations ([`IoFaultPlan::mild`]). Packs and replays go
@@ -25,11 +27,14 @@ use consent_crawler::{
 };
 use consent_faultsim::{CrashPlan, FaultProfile, IoFaultPlan};
 use consent_httpsim::Vantage;
-use consent_integration_tests::{disks, open_store, seam};
-use consent_util::{Day, SeedTree};
+use consent_integration_tests::{disks, open_store, seam, tmp_dir, DAY};
+use consent_obs::{ObsConfig, Sampler};
+use consent_telemetry::Registry;
+use consent_util::SeedTree;
+use consent_watch::rules::WatchConfig;
+use consent_watch::Watch;
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A world wide enough that the toplist includes unreachable,
@@ -52,16 +57,7 @@ fn toplist() -> &'static [String] {
 }
 
 const VANTAGES: fn() -> [Vantage; 2] = || [Vantage::us_cloud(), Vantage::eu_cloud()];
-const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
-
-fn tmp_dir() -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "consent-it-bundle-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
+const TMP: &str = "consent-it-bundle";
 
 /// The bundle at `dir`, read through a disk that injects `disk`'s
 /// faults.
@@ -80,9 +76,16 @@ fn provider() -> Arc<ExportFn> {
     Arc::new(standard_exports)
 }
 
+/// A registry of one incarnation's own, leaked like the process-global
+/// one: a sampler and a watch attach to a `&'static Registry`.
+fn leaked_registry() -> &'static Registry {
+    Box::leak(Box::new(Registry::new()))
+}
+
 /// One durable campaign over the shared toplist that packs a bundle
 /// into `bundle_dir` on completion, both through a disk that injects
-/// `disk`'s faults.
+/// `disk`'s faults. A fresh sampler and watch record the incarnation's
+/// windows, as in a restarted process.
 fn durable_with_bundle(
     store_dir: &Path,
     bundle_dir: &Path,
@@ -96,6 +99,14 @@ fn durable_with_bundle(
         config: quiet(),
         checkpoint_every: 16,
         crash,
+        sampler: Some(Sampler::attach(
+            leaked_registry(),
+            ObsConfig::deterministic(),
+        )),
+        watch: Some(Watch::attach(
+            leaked_registry(),
+            WatchConfig::default_rules(),
+        )),
         bundle: Some(BundleSpec {
             dir: bundle_dir.to_path_buf(),
             provider: Some(provider()),
@@ -120,7 +131,7 @@ fn durable_pack_is_byte_identical_across_thread_counts() {
     for disk in disks() {
         let mut baseline: Option<String> = None;
         for threads in [1usize, 2, 4] {
-            let (store_dir, bundle_dir) = (tmp_dir(), tmp_dir());
+            let (store_dir, bundle_dir) = (tmp_dir(TMP), tmp_dir(TMP));
             let run =
                 durable_with_bundle(&store_dir, &bundle_dir, threads, CrashPlan::none(), &disk);
             assert!(run.outcome.finished(), "{:?}", run.outcome);
@@ -175,9 +186,6 @@ fn packed_everything(disk: &IoFaultPlan) -> PathBuf {
     );
     let ctx = ArchiveContext::from_campaign(DAY(), toplist(), &VANTAGES(), &seed);
     let artifacts = CampaignArtifacts {
-        trace_jsonl: "{\"kind\":\"trace\"}\n".to_string(),
-        obs_jsonl: Some("{\"kind\":\"obs\"}\n".to_string()),
-        alerts_jsonl: Some("{\"kind\":\"alerts\"}\n".to_string()),
         gvl_json: Some("{\"vendors\":[]}".to_string()),
         ..CampaignArtifacts::default()
     };
@@ -189,7 +197,7 @@ fn packed_everything(disk: &IoFaultPlan) -> PathBuf {
     let vfs = seam(disk);
     let mut last_err = None;
     for _ in 0..5 {
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let store = BlobStore::with_vfs(&dir, Arc::clone(&vfs)).expect("bundle open");
         match pack_campaign_bundle(&store, &run.state, &ctx, &artifacts, Some(&*p)) {
             Ok((_, fsck)) => {
@@ -215,17 +223,7 @@ fn corruption_in_every_blob_class_is_detected_and_localized() {
 
         // Every archived document gets a flipped byte.
         let sections: Vec<&str> = manifest.sections.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            sections,
-            [
-                "config",
-                "state",
-                "trace",
-                "observability",
-                "gvl",
-                "analysis"
-            ]
-        );
+        assert_eq!(sections, ["config", "state", "gvl", "analysis"]);
         let targets: Vec<_> = manifest
             .sections
             .iter()
@@ -235,8 +233,8 @@ fn corruption_in_every_blob_class_is_detected_and_localized() {
                     .map(|b| (s.name.clone(), b.label.clone(), b.addr))
             })
             .collect();
-        // config 1, state 4, trace 1, observability 2, gvl 1, analysis 4.
-        assert_eq!(targets.len(), 13, "documents: {targets:?}");
+        // config 1, state 4, gvl 1, analysis 4.
+        assert_eq!(targets.len(), 10, "documents: {targets:?}");
 
         for (section, label, addr) in targets {
             let path = store.blob_path(&addr);
@@ -283,7 +281,7 @@ fn corruption_in_every_blob_class_is_detected_and_localized() {
 fn replay_is_byte_identical_including_after_a_kill_halfway() {
     for disk in disks() {
         // The uninterrupted reference run.
-        let (store_a, bundle_a) = (tmp_dir(), tmp_dir());
+        let (store_a, bundle_a) = (tmp_dir(TMP), tmp_dir(TMP));
         let full = durable_with_bundle(&store_a, &bundle_a, 1, CrashPlan::none(), &disk);
         assert!(full.outcome.finished(), "{:?}", full.outcome);
         if full.bundle.is_some() {
@@ -296,7 +294,7 @@ fn replay_is_byte_identical_including_after_a_kill_halfway() {
         }
 
         // Kill halfway; the crashed incarnation packs nothing.
-        let (store_b, bundle_b) = (tmp_dir(), tmp_dir());
+        let (store_b, bundle_b) = (tmp_dir(TMP), tmp_dir(TMP));
         let crashed =
             durable_with_bundle(&store_b, &bundle_b, 1, CrashPlan::after_apply(40), &disk);
         assert!(!crashed.outcome.finished(), "{:?}", crashed.outcome);
@@ -319,30 +317,16 @@ fn replay_is_byte_identical_including_after_a_kill_halfway() {
         assert!(replay.ok(), "{}", replay.summary());
         assert_eq!(replay.pairs, resumed.state.pairs_done);
 
-        // The state and analysis sections are content-addressed, so the
-        // reconverged campaign maps to the exact same blobs as the
-        // uninterrupted one — only the per-incarnation trace section may
-        // differ.
+        // Every section is content-addressed and none records the
+        // incarnation (no trace, OBS or ALERTS), so the reconverged
+        // campaign packs the uninterrupted one's manifest byte for byte.
         if full.bundle.is_some() {
-            let addrs = |dir: &Path, name: &str| {
-                let store = BlobStore::open(dir).unwrap();
-                let m = Manifest::parse(&store.read_manifest().unwrap()).unwrap();
-                m.section(name)
-                    .map(|s| {
-                        s.blobs
-                            .iter()
-                            .map(|b| (b.label.clone(), b.addr))
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default()
-            };
-            for section in ["config", "state", "analysis", "gvl"] {
-                assert_eq!(
-                    addrs(&bundle_a, section),
-                    addrs(&bundle_b, section),
-                    "{section} section diverged between uninterrupted and resumed bundles (disk {disk})"
-                );
-            }
+            let manifest = |dir: &Path| BlobStore::open(dir).unwrap().read_manifest().unwrap();
+            assert_eq!(
+                manifest(&bundle_a),
+                manifest(&bundle_b),
+                "uninterrupted and resumed bundle manifests diverged (disk {disk})"
+            );
         }
         for d in [&store_a, &bundle_a, &store_b, &bundle_b] {
             std::fs::remove_dir_all(d).unwrap();

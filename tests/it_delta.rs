@@ -37,14 +37,13 @@ use consent_crawler::{
 };
 use consent_faultsim::{CrashPlan, FaultProfile, IoFaultPlan};
 use consent_httpsim::Vantage;
-use consent_integration_tests::{disks, open_store};
-use consent_util::{Day, SeedTree};
+use consent_integration_tests::{disks, open_store, tmp_dir, DAY};
+use consent_util::SeedTree;
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 static LOCK: Mutex<()> = Mutex::new(());
+const TMP: &str = "consent-it-delta";
 
 /// Hold the global trace log + telemetry registry for one test.
 fn lock() -> MutexGuard<'static, ()> {
@@ -101,17 +100,6 @@ fn same_shard_list() -> &'static [String] {
     })
 }
 
-const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
-
-fn tmp_dir() -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "consent-it-delta-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// One single-vantage durable campaign over `list` at `mode`.
 fn durable(
     store: &CheckpointStore,
@@ -152,7 +140,7 @@ fn durable(
 /// in one shard, at least one sealed segment. The run checkpoints to a
 /// disk that injects `disk`'s faults.
 fn baseline(list: &[String], checkpoint_every: u64, disk: &IoFaultPlan) -> (String, String) {
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = open_store(&dir, disk);
     consent_trace::clear();
     let run = durable(
@@ -199,7 +187,7 @@ fn delta_mode_is_byte_identical_across_thread_counts() {
         let (state_bytes, trace_bytes) = baseline(list, 16, &disk);
 
         for threads in [1usize, 2, 4] {
-            let dir = tmp_dir();
+            let dir = tmp_dir(TMP);
             let store = open_store(&dir, &disk);
             consent_trace::clear();
             let run = durable(
@@ -254,7 +242,7 @@ fn kill_halfway_between_delta_cuts_at_segment_boundaries_resumes_byte_identical(
         for threads in [1usize, 2, 4] {
             for &k in &crashpoints {
                 assert!(k < pairs);
-                let dir = tmp_dir();
+                let dir = tmp_dir(TMP);
                 let store = open_store(&dir, &disk);
                 consent_trace::clear();
                 let mode = CheckpointMode::Delta { rebase_every: 8 };
@@ -302,7 +290,7 @@ fn corrupt_one_delta_falls_back_to_last_intact_chain_and_reconverges() {
     );
     let (state_bytes, trace_bytes) = bytes;
 
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     consent_trace::clear();
     // 40 pairs at cadence 8, never rebasing → full base 1, deltas 2–5.

@@ -38,19 +38,18 @@
 
 use consent_checkpoint::CheckpointStore;
 use consent_crawler::{
-    build_toplist, recover_state, run_campaign_parallel, run_durable_campaign, CampaignConfig,
-    CampaignState, DegradeLevel, DurableOpts, DurableOutcome, ParallelOpts,
+    build_toplist, recover_state, run_campaign_parallel, run_durable_campaign, CampaignState,
+    DegradeLevel, DurableOpts, DurableOutcome, ParallelOpts,
 };
 use consent_faultsim::{CrashPlan, FaultProfile, FaultyVfs, IoFaultKind, IoFaultPlan};
 use consent_httpsim::Vantage;
-use consent_integration_tests::{disks, open_store};
-use consent_util::{Day, SeedTree};
-use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use consent_integration_tests::{config, disks, open_store, tmp_dir, toplist, world, DAY};
+use consent_util::SeedTree;
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 static LOCK: Mutex<()> = Mutex::new(());
+const TMP: &str = "consent-it-durability";
 
 /// Hold the global trace log + telemetry registry for one test.
 fn lock() -> MutexGuard<'static, ()> {
@@ -65,40 +64,6 @@ fn unlock(guard: MutexGuard<'static, ()>) {
     consent_trace::clear();
     consent_telemetry::reset();
     drop(guard);
-}
-
-fn world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        World::new(WorldConfig {
-            n_sites: 2_000,
-            seed: 42,
-            adoption: AdoptionConfig::default(),
-        })
-    })
-}
-
-fn toplist() -> &'static [String] {
-    static LIST: OnceLock<Vec<String>> = OnceLock::new();
-    LIST.get_or_init(|| build_toplist(world(), 12, SeedTree::new(7)))
-}
-
-const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
-
-fn tmp_dir() -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "consent-it-durability-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-fn config(profile: FaultProfile) -> CampaignConfig {
-    CampaignConfig {
-        fault_profile: profile,
-        ..CampaignConfig::default()
-    }
 }
 
 fn opts(threads: usize, profile: FaultProfile, crash: CrashPlan) -> DurableOpts {
@@ -136,7 +101,7 @@ fn durable(
 /// The uninterrupted run's exports on a disk that injects `disk`'s
 /// faults: the bytes every crashed-and-resumed variant must reproduce.
 fn baseline(profile: FaultProfile, disk: &IoFaultPlan) -> (String, String) {
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = open_store(&dir, disk);
     consent_trace::clear();
     let run = durable(&store, 1, profile, CrashPlan::none());
@@ -174,7 +139,7 @@ fn every_crash_after_apply_resumes_byte_identical() {
             let (state_bytes, trace_bytes) = baseline(profile, &disk);
             for threads in [1usize, 4] {
                 for k in 1..=pairs {
-                    let dir = tmp_dir();
+                    let dir = tmp_dir(TMP);
                     let store = open_store(&dir, &disk);
                     consent_trace::clear();
                     let crashed = durable(&store, threads, profile, CrashPlan::after_apply(k));
@@ -215,7 +180,7 @@ fn every_torn_write_falls_back_and_resumes_byte_identical() {
         // Probe the write sizes: the sweep's crashed runs write the same
         // generations (same campaign, same chunking), so the baseline
         // store's files give each write's exact byte length.
-        let probe = tmp_dir();
+        let probe = tmp_dir(TMP);
         let probe_store = open_store(&probe, &disk);
         consent_trace::clear();
         durable(&probe_store, 1, FaultProfile::none(), CrashPlan::none());
@@ -233,7 +198,7 @@ fn every_torn_write_falls_back_and_resumes_byte_identical() {
             for (i, &size) in sizes.iter().enumerate() {
                 let write = (i + 1) as u64;
                 for cut in [0, 1, size / 2, size - 1] {
-                    let dir = tmp_dir();
+                    let dir = tmp_dir(TMP);
                     let store = open_store(&dir, &disk);
                     consent_trace::clear();
                     let crashed = durable(
@@ -284,7 +249,7 @@ fn fuzzed_checkpoints_are_salvaged_or_rejected_never_wrong() {
     let (state_bytes, _) = baseline_on_every_disk(FaultProfile::none());
 
     // A real checkpoint file to mutate.
-    let seed_dir = tmp_dir();
+    let seed_dir = tmp_dir(TMP);
     let seed_store = CheckpointStore::open(&seed_dir).unwrap();
     consent_trace::clear();
     durable(&seed_store, 1, FaultProfile::none(), CrashPlan::none());
@@ -341,7 +306,7 @@ fn fuzzed_checkpoints_are_salvaged_or_rejected_never_wrong() {
             }
         };
 
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(&name), &mutated).unwrap();
         let store = CheckpointStore::open(&dir).unwrap();
@@ -562,7 +527,7 @@ fn corrupt_meta_on_newest_generation_salvages_not_refalls() {
     let guard = lock();
     let (state_bytes, trace_bytes) = baseline_on_every_disk(FaultProfile::none());
 
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     consent_trace::clear();
     // Die mid-campaign with two durable generations on disk…
@@ -611,7 +576,7 @@ fn resumed_trace_does_not_depend_on_the_dead_process() {
         let profile = FaultProfile::mild();
         let (state_bytes, trace_bytes) = baseline(profile, &disk);
 
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let store = open_store(&dir, &disk);
         consent_trace::disable();
         consent_trace::clear();
@@ -673,7 +638,7 @@ fn every_io_fault_at_every_op_heals_or_degrades_byte_identical() {
         // vfs operations, which the sweep then enumerates. The probe
         // also pins the passthrough invariant: a FaultyVfs with no
         // plan changes nothing.
-        let probe = tmp_dir();
+        let probe = tmp_dir(TMP);
         let (pstore, pvfs) = store_with_plan(&probe, IoFaultPlan::none());
         consent_trace::clear();
         let run = durable(&pstore, threads, profile, CrashPlan::none());
@@ -690,7 +655,7 @@ fn every_io_fault_at_every_op_heals_or_degrades_byte_identical() {
 
         for kind in [IoFaultKind::Enospc, IoFaultKind::Eio, IoFaultKind::Short] {
             for at in 0..ops {
-                let dir = tmp_dir();
+                let dir = tmp_dir(TMP);
                 let (store, _vfs) = store_with_plan(&dir, IoFaultPlan::rule(kind, None, at, 1));
                 consent_trace::clear();
                 let run = durable(&store, threads, profile, CrashPlan::none());
@@ -746,7 +711,7 @@ fn io_faults_during_recovery_still_converge() {
     let (state_bytes, _) = baseline_on_every_disk(FaultProfile::none());
 
     // Probe the op index ranges of the crashed run and the resume leg.
-    let probe = tmp_dir();
+    let probe = tmp_dir(TMP);
     let (pstore, pvfs) = store_with_plan(&probe, IoFaultPlan::none());
     consent_trace::clear();
     durable(&pstore, 1, FaultProfile::none(), CrashPlan::after_apply(11));
@@ -762,7 +727,7 @@ fn io_faults_during_recovery_still_converge() {
 
     for kind in [IoFaultKind::Enospc, IoFaultKind::Eio, IoFaultKind::Short] {
         for at in crashed_ops..crashed_ops + resume_ops {
-            let dir = tmp_dir();
+            let dir = tmp_dir(TMP);
             let (store, _vfs) = store_with_plan(&dir, IoFaultPlan::rule(kind, None, at, 1));
             consent_trace::clear();
             let crashed = durable(&store, 1, FaultProfile::none(), CrashPlan::after_apply(11));
@@ -797,7 +762,7 @@ fn persistent_enospc_descends_ladder_and_finishes_loud() {
     let guard = lock();
     let (state_bytes, _) = baseline_on_every_disk(FaultProfile::none());
 
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let (store, vfs) = store_with_plan(
         &dir,
         IoFaultPlan::rule(IoFaultKind::Enospc, None, 0, u64::MAX),
@@ -851,7 +816,7 @@ fn transient_faults_retry_heal_and_complete() {
     let guard = lock();
     let (state_bytes, trace_bytes) = baseline_on_every_disk(FaultProfile::none());
 
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     // Two consecutive failing ops starting inside the second write —
     // transient-then-recovers, well within the default budget of 8.
     let (store, _vfs) = store_with_plan(&dir, IoFaultPlan::rule(IoFaultKind::Eio, None, 7, 2));
@@ -886,7 +851,7 @@ fn rate_faults_heal_or_degrade_byte_identical() {
     let guard = lock();
     let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
     let run = |plan: IoFaultPlan| {
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let (store, vfs) = store_with_plan(&dir, plan);
         consent_trace::clear();
         let run = run_durable_campaign(

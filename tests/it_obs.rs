@@ -19,20 +19,19 @@
 //! disabled, mirroring `it_durability`.
 
 use consent_checkpoint::CheckpointStore;
-use consent_crawler::{
-    build_toplist, run_durable_campaign, CampaignConfig, DurableOpts, DurableOutcome, DurableRun,
-};
+use consent_crawler::{run_durable_campaign, DurableOpts, DurableOutcome, DurableRun};
 use consent_faultsim::{CrashPlan, FaultProfile};
 use consent_httpsim::Vantage;
-use consent_integration_tests::assert_prometheus_well_formed;
+use consent_integration_tests::{
+    assert_prometheus_well_formed, config, ticks_of, tmp_dir, toplist, world, DAY,
+};
 use consent_obs::{FlightReport, ObsConfig, Sampler};
-use consent_util::{Day, Json, SeedTree};
-use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::path::PathBuf;
+use consent_util::{Json, SeedTree};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
+const TMP: &str = "consent-it-obs";
 
 /// Hold the global trace log + telemetry registry for one test.
 fn lock() -> MutexGuard<'static, ()> {
@@ -48,40 +47,6 @@ fn unlock(guard: MutexGuard<'static, ()>) {
     consent_trace::disable();
     consent_trace::clear();
     drop(guard);
-}
-
-fn world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        World::new(WorldConfig {
-            n_sites: 2_000,
-            seed: 42,
-            adoption: AdoptionConfig::default(),
-        })
-    })
-}
-
-fn toplist() -> &'static [String] {
-    static LIST: OnceLock<Vec<String>> = OnceLock::new();
-    LIST.get_or_init(|| build_toplist(world(), 12, SeedTree::new(7)))
-}
-
-const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
-
-fn tmp_dir() -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "consent-it-obs-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-fn config(profile: FaultProfile) -> CampaignConfig {
-    CampaignConfig {
-        fault_profile: profile,
-        ..CampaignConfig::default()
-    }
 }
 
 /// One durable-campaign incarnation with a fresh deterministic sampler:
@@ -128,26 +93,13 @@ fn obs_campaign(
     .expect("durable campaign io")
 }
 
-fn ticks_of(jsonl: &str) -> Vec<u64> {
-    jsonl
-        .lines()
-        .map(|l| {
-            Json::parse(l)
-                .expect("OBS line parses")
-                .get("tick")
-                .and_then(Json::as_f64)
-                .expect("OBS line has a tick") as u64
-        })
-        .collect()
-}
-
 #[test]
 fn obs_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
     let guard = lock();
 
     // The uninterrupted single-thread export: the bytes every other
     // incarnation pattern must reproduce.
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     let (run, baseline) = obs_incarnation(&store, 1, CrashPlan::none());
     assert_eq!(run.outcome, DurableOutcome::Complete);
@@ -155,7 +107,7 @@ fn obs_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
 
     // Recording never changes the measurement: the same campaign with
     // the registry off and no sampler attached exports the same state.
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     consent_trace::clear();
     consent_telemetry::disable();
@@ -191,7 +143,7 @@ fn obs_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
 
     // Same bytes at every thread count.
     for threads in [2usize, 4] {
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let store = CheckpointStore::open(&dir).unwrap();
         let (run, jsonl) = obs_incarnation(&store, threads, CrashPlan::none());
         assert_eq!(run.outcome, DurableOutcome::Complete);
@@ -208,7 +160,7 @@ fn obs_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
     // and 16. Concatenated, the two incarnations equal the uninterrupted
     // run byte for byte: no window is lost, re-emitted, or doubled.
     for threads in [1usize, 2, 4] {
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let store = CheckpointStore::open(&dir).unwrap();
         let (crashed, first) = obs_incarnation(&store, threads, CrashPlan::after_apply(11));
         match crashed.outcome {
@@ -238,7 +190,7 @@ fn resume_skips_are_counted_once_per_incarnation() {
     };
 
     // An uninterrupted run skips nothing, however many chunks it takes.
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     let (run, jsonl) = obs_incarnation(&store, 2, CrashPlan::none());
     assert_eq!(run.outcome, DurableOutcome::Complete);
@@ -248,7 +200,7 @@ fn resume_skips_are_counted_once_per_incarnation() {
 
     // A resumed incarnation skips its recovered cursor, counted once and
     // before the observation window opens, so no window attributes it.
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     let (crashed, _) = obs_incarnation(&store, 2, CrashPlan::after_apply(11));
     let DurableOutcome::Crashed { durable_pairs, .. } = crashed.outcome else {
@@ -477,7 +429,7 @@ fn flight_report_covers_a_chaotic_durable_campaign() {
         reset: 0.2,
         ..FaultProfile::none()
     };
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
     let run = run_durable_campaign(

@@ -14,7 +14,7 @@ use consent_crawler::{
 };
 use consent_faultsim::FaultProfile;
 use consent_fingerprint::Detector;
-use consent_httpsim::{CaptureOptions, CaptureStatus, Engine, Location, Vantage};
+use consent_httpsim::{CaptureOptions, CaptureStatus, Engine, Vantage};
 use consent_util::{Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
 
@@ -49,7 +49,7 @@ const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
 fn seeded_chaos_is_deterministic() {
     let w = world();
     let list = build_toplist(&w, 150, SeedTree::new(7));
-    let vantages = [Vantage::eu_cloud(), Vantage::table1_columns()[3]];
+    let vantages = [Vantage::eu_cloud(), Vantage::eu_university_extended()];
     let run = |_: u32| {
         run_campaign_parallel(
             &w,
@@ -87,7 +87,7 @@ fn seeded_chaos_is_deterministic() {
 fn none_profile_matches_the_unwrapped_engine() {
     let w = world();
     let list = build_toplist(&w, 120, SeedTree::new(7));
-    let vantages = [Vantage::us_cloud(), Vantage::table1_columns()[3]];
+    let vantages = [Vantage::us_cloud(), Vantage::eu_university_extended()];
     let seed = SeedTree::new(9);
     let run = run_campaign_parallel(
         &w,
@@ -103,7 +103,7 @@ fn none_profile_matches_the_unwrapped_engine() {
     let bare = Engine::new(&w, seed.child("engine"));
     let detector = Detector::hostname_only();
     for (vantage, records) in &run.result.columns {
-        let collect_dom = vantage.location == Location::EuUniversity;
+        let collect_dom = *vantage == Vantage::eu_university_extended();
         for c in records {
             let url = &run.result.seeds[c.rank - 1].url;
             let replay = bare.capture(url, c.day, *vantage, CaptureOptions { collect_dom });

@@ -21,20 +21,18 @@
 //! disabled, mirroring `it_obs`.
 
 use consent_checkpoint::{CheckpointStore, DEFAULT_KEEP};
-use consent_crawler::{
-    build_toplist, run_durable_campaign, CampaignConfig, DurableOpts, DurableOutcome, DurableRun,
-};
+use consent_crawler::{run_durable_campaign, DurableOpts, DurableOutcome, DurableRun};
 use consent_faultsim::{CrashPlan, FaultProfile, FaultyVfs, IoFaultPlan};
 use consent_httpsim::Vantage;
-use consent_util::{Day, Json, SeedTree};
+use consent_integration_tests::{config, ticks_of, tmp_dir, toplist, world, DAY};
+use consent_util::{Json, SeedTree};
 use consent_watch::rules::WatchConfig;
 use consent_watch::Watch;
-use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
+const TMP: &str = "consent-it-watch";
 
 /// Hold the global trace log + telemetry registry for one test.
 fn lock() -> MutexGuard<'static, ()> {
@@ -50,40 +48,6 @@ fn unlock(guard: MutexGuard<'static, ()>) {
     consent_trace::disable();
     consent_trace::clear();
     drop(guard);
-}
-
-fn world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        World::new(WorldConfig {
-            n_sites: 2_000,
-            seed: 42,
-            adoption: AdoptionConfig::default(),
-        })
-    })
-}
-
-fn toplist() -> &'static [String] {
-    static LIST: OnceLock<Vec<String>> = OnceLock::new();
-    LIST.get_or_init(|| build_toplist(world(), 12, SeedTree::new(7)))
-}
-
-const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
-
-fn tmp_dir() -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "consent-it-watch-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-fn config(profile: FaultProfile) -> CampaignConfig {
-    CampaignConfig {
-        fault_profile: profile,
-        ..CampaignConfig::default()
-    }
 }
 
 /// Thresholds tight enough that a mild-chaos 16-pair campaign walks
@@ -150,26 +114,13 @@ fn watch_campaign(
     .expect("durable campaign io")
 }
 
-fn ticks_of(jsonl: &str) -> Vec<u64> {
-    jsonl
-        .lines()
-        .map(|l| {
-            Json::parse(l)
-                .expect("ALERTS line parses")
-                .get("tick")
-                .and_then(Json::as_f64)
-                .expect("ALERTS line has a tick") as u64
-        })
-        .collect()
-}
-
 #[test]
 fn alerts_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
     let guard = lock();
 
     // The uninterrupted single-thread export: the bytes every other
     // incarnation pattern must reproduce.
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     let (run, baseline) = watch_incarnation(&store, 1, CrashPlan::none());
     assert_eq!(run.outcome, DurableOutcome::Complete);
@@ -177,7 +128,7 @@ fn alerts_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
 
     // Watching never changes the measurement: the same campaign with
     // the registry off and no watch attached exports the same state.
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     consent_trace::clear();
     consent_telemetry::disable();
@@ -212,7 +163,7 @@ fn alerts_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
 
     // Same bytes at every thread count.
     for threads in [2usize, 4] {
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let store = CheckpointStore::open(&dir).unwrap();
         let (run, jsonl) = watch_incarnation(&store, threads, CrashPlan::none());
         assert_eq!(run.outcome, DurableOutcome::Complete);
@@ -231,7 +182,7 @@ fn alerts_export_is_byte_identical_across_threads_and_kill_halfway_resume() {
     // is lost, re-emitted, or doubled, and multi-window detector memory
     // (burn-rate rings, EWMA, gap anchors) survives the crash.
     for threads in [1usize, 2, 4] {
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let store = CheckpointStore::open(&dir).unwrap();
         let (crashed, first) = watch_incarnation(&store, threads, CrashPlan::after_apply(11));
         match crashed.outcome {
@@ -272,7 +223,7 @@ fn storage_slo_alerts_are_crash_consistent() {
         // lands, so the window that write closes, (5, 10], holds one
         // fault and one retry over two attempts. Both rules open and
         // fire at tick 10 and resolve at the next durable cut.
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let (run, baseline) = incarnation(
             &store_failing_cut_10(&dir),
             threads,
@@ -306,7 +257,7 @@ fn storage_slo_alerts_are_crash_consistent() {
         // its retry are durable, so the dead process already logged
         // their alerts; the resumed process, on a fault-free disk,
         // logs only the resolutions.
-        let dir = tmp_dir();
+        let dir = tmp_dir(TMP);
         let (crashed, first) = incarnation(
             &store_failing_cut_10(&dir),
             threads,
@@ -345,7 +296,7 @@ fn seeded_chaos_fires_and_reconciles_with_telemetry_and_health() {
     // Heavy chaos: near-certain anti-bot escalation dead-letters pairs
     // through the breaker, and failed attempts leave unusable statuses.
     let profile = FaultProfile::heavy();
-    let dir = tmp_dir();
+    let dir = tmp_dir(TMP);
     let store = CheckpointStore::open(&dir).unwrap();
     let vantages = [Vantage::eu_cloud(), Vantage::us_cloud()];
     let run = run_durable_campaign(

@@ -2,9 +2,13 @@
 
 use consent_checkpoint::{CheckpointStore, RealVfs, Vfs, DEFAULT_KEEP};
 use consent_core::{Study, StudyConfig};
+use consent_crawler::{build_toplist, CampaignConfig};
 use consent_faultsim::{FaultProfile, FaultyVfs, IoFaultPlan};
-use std::path::Path;
-use std::sync::Arc;
+use consent_util::{Day, Json, SeedTree};
+use consent_webgraph::{AdoptionConfig, World, WorldConfig};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A mid-sized study: larger than `Study::quick()` for statistical
 /// stability, still fast enough for CI.
@@ -19,6 +23,60 @@ pub fn midsize_study(fault_profile: FaultProfile) -> Study {
         fig5_stratum_sample: 600,
         fault_profile,
     })
+}
+
+/// The world of the durable-campaign tests: 2,000 sites at seed 42,
+/// built once per test binary.
+pub fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        World::new(WorldConfig {
+            n_sites: 2_000,
+            seed: 42,
+            adoption: AdoptionConfig::default(),
+        })
+    })
+}
+
+/// The top 12 domains of [`world`] (toplist seed 7).
+pub fn toplist() -> &'static [String] {
+    static LIST: OnceLock<Vec<String>> = OnceLock::new();
+    LIST.get_or_init(|| build_toplist(world(), 12, SeedTree::new(7)))
+}
+
+/// The day every durable-campaign test crawls.
+pub const DAY: fn() -> Day = || Day::from_ymd(2020, 5, 15);
+
+/// The default campaign config under `profile`'s network faults.
+pub fn config(profile: FaultProfile) -> CampaignConfig {
+    CampaignConfig {
+        fault_profile: profile,
+        ..CampaignConfig::default()
+    }
+}
+
+/// A fresh path `<temp>/<prefix>-<pid>-<n>` (not created).
+pub fn tmp_dir(prefix: &str) -> PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "{prefix}-{}-{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// The `tick` of every line of an OBS or ALERTS JSONL export.
+pub fn ticks_of(jsonl: &str) -> Vec<u64> {
+    jsonl
+        .lines()
+        .map(|l| {
+            Json::parse(l)
+                .expect("JSONL line parses")
+                .get("tick")
+                .and_then(Json::as_f64)
+                .expect("JSONL line has a tick") as u64
+        })
+        .collect()
 }
 
 /// The two disks every storage test runs on: the real filesystem and
