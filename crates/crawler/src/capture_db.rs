@@ -296,8 +296,12 @@ struct Shard {
 }
 
 impl Shard {
+    /// Rows in the shard. Every segment but the tail is full, so this
+    /// reads only the tail.
     fn rows(&self) -> u32 {
-        self.segments.iter().map(|s| s.rows() as u32).sum()
+        self.segments.last().map_or(0, |tail| {
+            ((self.segments.len() - 1) * SEGMENT_ROWS + tail.rows()) as u32
+        })
     }
 
     /// Append one row, sealing the tail when it fills. Returns true if

@@ -15,10 +15,15 @@
 //! fresh start), whose output is byte-identical at any thread count:
 //! `threads <= 1` crawls in pair order on the calling thread, more
 //! threads crawl batches of pairs on the caller and `threads - 1`
-//! helpers of the deterministic [`parallel`] pool. Campaigns persist across process deaths with the [`durable`]
-//! driver, which runs the same loop chunk by chunk, checkpoints into a
-//! crash-safe [`consent_checkpoint::CheckpointStore`] and salvages
-//! corrupt checkpoints on recovery. When the *disk itself* fails, the
+//! helpers of the deterministic [`parallel`] pool. That pool is the
+//! crate's one executor: [`Platform::run`] runs the social feed on it
+//! too, with the caller admitting URLs and inserting rows in order
+//! while every core captures, and its capture database is the same at
+//! any core count. Campaigns persist across process deaths with the
+//! [`durable`] driver, which runs the same loop chunk by chunk,
+//! checkpoints into a crash-safe
+//! [`consent_checkpoint::CheckpointStore`] and salvages corrupt
+//! checkpoints on recovery. When the *disk itself* fails, the
 //! [`supervisor`] self-heals: transient storage faults are retried out
 //! of a budget and persistent ones descend a degradation ladder
 //! (widen cadence → memory-only), so campaigns always end

@@ -1,4 +1,4 @@
-//! The campaign driver.
+//! The campaign driver, and the pool it shares with the social feed.
 //!
 //! The paper's scale (Tranco-10k × six vantages × a week of retries,
 //! ~161 M crawls over the study) makes pair throughput the ceiling of
@@ -12,6 +12,19 @@
 //! [`CampaignState`] through the same apply step. The state's export is
 //! **byte-identical** at any thread count; the in-order case is the
 //! reference the pool is tested against.
+//!
+//! # One pool, two drivers
+//!
+//! The crate has one executor, the crate-private `pool`: it maps a
+//! range of indices through a pure `produce` on every crawling thread
+//! and hands the results to an `apply` on the calling thread, in index
+//! order. Campaigns produce one pair per index and apply it to the
+//! [`CampaignState`]. The social feed
+//! ([`Platform::run`](crate::Platform::run)) produces one capture row
+//! per URL the day admitted and inserts it into its
+//! [`CaptureDb`](crate::CaptureDb); the pool's `first` hook lets the
+//! caller admit the next day's URLs while the helpers capture this
+//! day's.
 //!
 //! # Why the merge can be deterministic
 //!
@@ -56,7 +69,7 @@
 
 use crate::campaign::{
     apply_pair, process_pair_contained, CampaignCapture, CampaignConfig, CampaignResult,
-    CampaignRun, CampaignState, PairOutput,
+    CampaignRun, CampaignState,
 };
 use consent_faultsim::FaultyEngine;
 use consent_fingerprint::Detector;
@@ -71,9 +84,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread;
 
-/// Pair indices a crawling thread claims from the pool's cursor at a
-/// time: about 0.3 ms of work on a 2-vCPU host.
-const BATCH: u64 = 32;
+/// Indices a crawling thread claims from the pool's cursor at a time:
+/// about 0.3 ms of campaign pairs, or 0.2 ms of feed captures, on a
+/// 2-vCPU host.
+pub(crate) const BATCH: u64 = 32;
 
 /// How a parallel campaign shards its work.
 #[derive(Clone, Debug)]
@@ -267,12 +281,10 @@ impl<'a> CampaignPlan<'a> {
     }
 
     /// Process the next `max_pairs` pairs after `state.pairs_done`
-    /// (`None`: all of them) and fold them into `state`. With
-    /// `threads <= 1` each pair is crawled on the calling thread and
-    /// applied at once; otherwise the streaming [`pool`](Self::pool)
-    /// crawls the range and the caller applies its outputs in pair
-    /// order as they arrive. Either way [`apply_pair`] sees the same
-    /// outputs in the same order.
+    /// (`None`: all of them) and fold them into `state`: the [`pool`]
+    /// crawls the range on `threads` crawling threads and the caller
+    /// applies each output in pair order, so [`apply_pair`] sees the
+    /// same outputs in the same order at any thread count.
     pub(crate) fn run(
         &self,
         mut state: CampaignState,
@@ -287,14 +299,13 @@ impl<'a> CampaignPlan<'a> {
             .min(total_pairs);
         let mut columns: Vec<(Vantage, Vec<CampaignCapture>)> =
             self.vantages.iter().map(|&v| (v, Vec::new())).collect();
-        let mut apply = |out| apply_pair(&mut state, &mut columns, out);
-        if threads > 1 {
-            self.pool(start..end, threads, &mut apply);
-        } else {
-            for idx in start..end {
-                apply(process_pair_contained(self, idx));
-            }
-        }
+        pool(
+            start..end,
+            threads,
+            |idx| process_pair_contained(self, idx),
+            |out| apply_pair(&mut state, &mut columns, out),
+            || {},
+        );
         let complete = state.pairs_done == total_pairs;
         CampaignRun {
             result: CampaignResult {
@@ -314,68 +325,87 @@ impl<'a> CampaignPlan<'a> {
     /// whole range.
     pub(crate) fn replay(&self, pairs: u64, threads: usize) {
         let end = pairs.min(self.total_pairs());
-        self.pool(0..end, threads.max(1), drop);
+        pool(
+            0..end,
+            threads,
+            |idx| process_pair_contained(self, idx),
+            drop,
+            || {},
+        );
     }
+}
 
-    /// Crawl `range` on `threads` crawling threads — the caller and
-    /// `threads - 1` scoped helpers — and hand every output to `apply`
-    /// on the calling thread, in pair order.
-    ///
-    /// A panic that escapes a helper (one outside
-    /// `process_pair_contained`) drops its sender: the caller's receive
-    /// loop ends once every sender is gone, and `thread::scope` re-raises
-    /// the panic, so the run fails instead of hanging.
-    fn pool(&self, range: Range<u64>, threads: usize, mut apply: impl FnMut(PairOutput)) {
-        // Work distribution: a shared cursor over the pair order. Each
-        // claim takes `BATCH` consecutive indices, so the contended fetch
-        // is paid once per batch rather than once per ~5–8 µs pair, and
-        // a batch is still small enough to keep the crawlers balanced
-        // when per-pair cost varies (retries, breaker opens).
-        let next = AtomicU64::new(range.start);
-        let claim = || {
-            let lo = next.fetch_add(BATCH, Ordering::Relaxed);
-            (lo < range.end).then(|| lo..range.end.min(lo + BATCH))
-        };
-        let crawl = |batch: Range<u64>| -> (u64, Vec<PairOutput>) {
-            let start = batch.start;
-            (
-                start,
-                batch.map(|idx| process_pair_contained(self, idx)).collect(),
-            )
-        };
-        thread::scope(|sc| {
-            let (tx, rx) = mpsc::channel();
-            for _ in 1..threads {
-                let tx = tx.clone();
-                sc.spawn(move || {
-                    while let Some(batch) = claim() {
-                        if tx.send(crawl(batch)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // The reorder buffer: finished batches keyed by their first
-            // pair index, and the next pair index to apply. Batch starts
-            // are unique, so draining it in index order reproduces the
-            // in-order insertion order exactly.
-            let mut pending: BTreeMap<u64, Vec<PairOutput>> = BTreeMap::new();
-            let mut applied = range.start;
-            let mut file = |(start, outputs): (u64, Vec<PairOutput>)| {
-                pending.insert(start, outputs);
-                while let Some(outputs) = pending.remove(&applied) {
-                    applied += outputs.len() as u64;
-                    outputs.into_iter().for_each(&mut apply);
-                }
-            };
-            while let Some(batch) = claim() {
-                file(crawl(batch));
-                rx.try_iter().for_each(&mut file);
-            }
-            rx.into_iter().for_each(file);
-        });
+/// Run `produce` over every index of `range` on `threads` crawling
+/// threads — the caller and `threads - 1` scoped helpers — and hand each
+/// result to `apply` on the calling thread, in index order. `first`
+/// runs once on the caller, after the helpers start and before it
+/// claims its first batch, so a driver can prepare its next range while
+/// the helpers work through this one.
+///
+/// With `threads <= 1`, or an empty range, no thread is spawned:
+/// `first` runs, then every index is produced and applied in order on
+/// the caller. That run is the reference the pool is tested against.
+///
+/// A panic that escapes `produce` on a helper drops its sender: the
+/// caller's receive loop ends once every sender is gone, and the scope
+/// re-raises the panic when it joins the helper, so the run fails
+/// instead of hanging.
+pub(crate) fn pool<T: Send>(
+    range: Range<u64>,
+    threads: usize,
+    produce: impl Fn(u64) -> T + Sync,
+    mut apply: impl FnMut(T),
+    first: impl FnOnce(),
+) {
+    if threads <= 1 || range.is_empty() {
+        first();
+        range.map(produce).for_each(apply);
+        return;
     }
+    // Work distribution: a shared cursor over the index order. Each
+    // claim takes `BATCH` consecutive indices, so the contended fetch is
+    // paid once per batch rather than once per few-µs item, and a batch
+    // is still small enough to keep the crawlers balanced when per-item
+    // cost varies (retries, breaker opens).
+    let next = AtomicU64::new(range.start);
+    let claim = || {
+        let lo = next.fetch_add(BATCH, Ordering::Relaxed);
+        (lo < range.end).then(|| lo..range.end.min(lo + BATCH))
+    };
+    let crawl = |batch: Range<u64>| (batch.start, batch.map(&produce).collect::<Vec<T>>());
+    thread::scope(|sc| {
+        let (tx, rx) = mpsc::channel();
+        for _ in 1..threads {
+            let tx = tx.clone();
+            sc.spawn(move || {
+                while let Some(batch) = claim() {
+                    if tx.send(crawl(batch)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        first();
+        // The reorder buffer: finished batches keyed by their first
+        // index, and the next index to apply. Batch starts are unique,
+        // so draining it in index order reproduces the in-order
+        // application order exactly.
+        let mut pending: BTreeMap<u64, Vec<T>> = BTreeMap::new();
+        let mut applied = range.start;
+        let mut file = |(start, outputs): (u64, Vec<T>)| {
+            pending.insert(start, outputs);
+            while let Some(outputs) = pending.remove(&applied) {
+                applied += outputs.len() as u64;
+                outputs.into_iter().for_each(&mut apply);
+            }
+        };
+        while let Some(batch) = claim() {
+            file(crawl(batch));
+            rx.try_iter().for_each(&mut file);
+        }
+        rx.into_iter().for_each(file);
+    });
 }
 
 #[cfg(test)]

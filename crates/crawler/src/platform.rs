@@ -5,9 +5,26 @@
 //! This is the pipeline behind the paper's 161M-capture dataset; ours is
 //! volume-scaled by `FeedConfig::urls_per_day` but structurally
 //! identical.
+//!
+//! # Who runs what
+//!
+//! Only two stages see URLs in order, and the calling thread runs both:
+//! *admission* (the day's feed items, the dedup queue, the vantage draw
+//! and the [`RunStats`]) and *insertion* into the [`CaptureDb`]. Each
+//! capture in between is a pure function of `(url, day, vantage)`: the
+//! fault plan is keyed by `(host, day, vantage, attempt)`. So capture →
+//! CMP detection → [`CaptureSummary::of`] runs on the campaign
+//! driver's streaming pool ([`parallel`](crate::parallel)), one day at
+//! a time, on every crawling thread. The caller inserts each day's
+//! rows in admission order, and admits the next day while the helpers
+//! capture this one. The queue sees the same offers, the vantage RNG
+//! draws once per admitted URL in admission order, and the rows are
+//! inserted in that same order, so the database's bytes do not depend
+//! on the thread count.
 
-use crate::capture_db::{CaptureDb, CmpSet};
-use crate::feed::{Feed, FeedConfig, FeedItem};
+use crate::capture_db::{CaptureDb, CaptureSummary, CmpSet};
+use crate::feed::{Feed, FeedConfig, FeedItem, FeedSource};
+use crate::parallel::pool;
 use crate::queue::{Admission, DedupQueue};
 use consent_faultsim::{FaultProfile, FaultyEngine};
 use consent_fingerprint::Detector;
@@ -16,6 +33,7 @@ use consent_psl::PublicSuffixList;
 use consent_util::{Day, SeedTree};
 use consent_webgraph::World;
 use rand::Rng;
+use std::thread;
 
 /// Aggregate statistics of a platform run (§3.4 methodology numbers).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -86,53 +104,71 @@ impl<'w> Platform<'w> {
         }
     }
 
-    /// Run the pipeline over `[start, end)`, returning the capture
-    /// database and run statistics.
+    /// Run the pipeline over `[start, end)` on one crawling thread per
+    /// available core, returning the capture database and run
+    /// statistics. Neither depends on the core count.
     pub fn run(&self, start: Day, end: Day) -> (CaptureDb, RunStats) {
+        let threads = thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_on(start, end, threads)
+    }
+
+    /// [`run`](Self::run) on `threads` crawling threads, the caller
+    /// included; `threads <= 1` spawns none and is the in-order
+    /// reference.
+    pub(crate) fn run_on(&self, start: Day, end: Day, threads: usize) -> (CaptureDb, RunStats) {
         let mut db = CaptureDb::new();
         let mut stats = RunStats::default();
         let mut queue = DedupQueue::new();
         let mut assign_rng = self.seed.child("assign").rng();
-        for day in start.days_until(end) {
+        let mut admit = |day: Day| {
+            let mut admitted = Vec::new();
             for item in self.feed.day_items(day) {
                 stats.submitted += 1;
-                if item.source == crate::feed::FeedSource::Twitter {
+                if item.source == FeedSource::Twitter {
                     stats.twitter_items += 1;
                 }
                 let ts = i64::from(day.0) * 86_400 + i64::from(item.seconds);
-                match queue.offer(&item.url, ts) {
-                    Admission::Accepted => {
-                        self.capture_one(&item, &mut assign_rng, &mut db, &mut stats);
-                    }
-                    _ => stats.skipped += 1,
+                if queue.offer(&item.url, ts) != Admission::Accepted {
+                    stats.skipped += 1;
+                    continue;
                 }
+                // §3.2: each URL is assigned randomly; 50 % of crawls
+                // from the EU.
+                let vantage = if assign_rng.gen::<bool>() {
+                    stats.eu_captures += 1;
+                    Vantage::eu_cloud()
+                } else {
+                    stats.us_captures += 1;
+                    Vantage::us_cloud()
+                };
+                stats.captured += 1;
+                admitted.push((item, vantage));
             }
             queue.compact(i64::from(day.0 + 1) * 86_400);
+            admitted
+        };
+        let mut days = start.days_until(end);
+        let mut next = days.next().map(&mut admit);
+        while let Some(today) = next.take() {
+            pool(
+                0..today.len() as u64,
+                threads,
+                |i| self.capture(&today[i as usize]),
+                |row| db.insert(row),
+                || next = days.next().map(&mut admit),
+            );
         }
         (db, stats)
     }
 
-    fn capture_one(
-        &self,
-        item: &FeedItem,
-        assign_rng: &mut rand::rngs::StdRng,
-        db: &mut CaptureDb,
-        stats: &mut RunStats,
-    ) {
-        // §3.2: each URL is assigned randomly; 50 % of crawls from the EU.
-        let vantage = if assign_rng.gen::<bool>() {
-            stats.eu_captures += 1;
-            Vantage::eu_cloud()
-        } else {
-            stats.us_captures += 1;
-            Vantage::us_cloud()
-        };
+    /// Capture one admitted URL from its vantage, detect its CMPs and
+    /// summarize it into its database row.
+    fn capture(&self, (item, vantage): &(FeedItem, Vantage)) -> CaptureSummary {
         let capture = self
             .engine
-            .capture(&item.url, item.day, vantage, CaptureOptions::default());
+            .capture(&item.url, item.day, *vantage, CaptureOptions::default());
         let cmps = CmpSet::from_iter(self.detector.detect(&capture));
-        db.ingest(&capture, cmps, &self.psl);
-        stats.captured += 1;
+        CaptureSummary::of(&capture, cmps, &self.psl)
     }
 }
 
@@ -141,6 +177,8 @@ impl<'w> Platform<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export_db;
+    use crate::parallel::BATCH;
     use consent_webgraph::{AdoptionConfig, WorldConfig};
 
     fn world() -> World {
@@ -242,6 +280,43 @@ mod tests {
                 "{} ({profile})",
                 db.multi_cmp_rate()
             );
+        }
+    }
+
+    #[test]
+    fn run_is_byte_identical_at_any_thread_count() {
+        let w = world();
+        let start = Day::from_ymd(2020, 5, 10);
+        // 200 URLs a day admit several 32-row batches a day; 0 admits
+        // nothing on any day; 0 days is an empty range.
+        for (urls_per_day, days) in [(200, 3), (0, 2), (200, 0)] {
+            for profile in [FaultProfile::none(), FaultProfile::mild()] {
+                let config = FeedConfig {
+                    urls_per_day,
+                    ..FeedConfig::default()
+                };
+                let platform = Platform::with_faults(&w, config, profile, SeedTree::new(3));
+                let run = |threads| {
+                    let (db, stats) = platform.run_on(start, start + days, threads);
+                    (export_db(&db), stats)
+                };
+                let (bytes, stats) = run(1);
+                let case = format!("{urls_per_day} URLs/day, {days} days ({profile})");
+                if urls_per_day > 0 && days > 0 {
+                    assert!(
+                        stats.captured > 2 * BATCH * days as u64,
+                        "{case}: {stats:?}"
+                    );
+                }
+                for threads in [2, 3, 8] {
+                    let (par_bytes, par_stats) = run(threads);
+                    assert_eq!(par_stats, stats, "{case}: {threads} threads");
+                    assert!(
+                        par_bytes == bytes,
+                        "{case}: export differs at {threads} threads"
+                    );
+                }
+            }
         }
     }
 
