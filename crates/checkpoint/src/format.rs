@@ -7,10 +7,8 @@
 //! ```text
 //! #consent-checkpoint v3
 //! generation=7
-//! sections=4
-//! section=meta 41 0d9aeb21
+//! sections=2
 //! section=capture-db 1834 9c2f11aa
-//! section=dead-letters 25 5f8e0140
 //! section=provenance 922 77aa1b02
 //! header_crc=4e0c19d7
 //! #end-header

@@ -12,7 +12,7 @@
 //! | section    | documents                                        |
 //! |------------|--------------------------------------------------|
 //! | `config`   | `config` — day, seed, ranked domains, vantages   |
-//! | `state`    | `meta`, `capture-db`, `dead-letters`, `provenance` (the exact checkpoint section bodies) |
+//! | `state`    | `capture-db`, `provenance` (the exact checkpoint section bodies) |
 //! | `gvl`      | `vendor-list` when a GVL snapshot was supplied   |
 //! | `analysis` | the live run's `experiments::*` exports (provider-supplied) |
 //!
@@ -36,8 +36,8 @@ use consent_bundle::{
 };
 use consent_util::{Day, SeedTree};
 
-use crate::campaign::{CampaignResult, CampaignState, STATE_SECTIONS};
-use crate::dead_letter::vantage_code;
+use crate::campaign::{vantage_code, CampaignResult, CampaignState};
+use crate::durable::{SECTION_DB, SECTION_PROVENANCE};
 
 /// First line of the bundle's `config` document.
 pub const CONFIG_HEADER: &str = "#consent-bundle-config v1";
@@ -255,10 +255,12 @@ pub fn replay_campaign_bundle(dir: &Path, provider: Option<&ExportFn>) -> io::Re
 /// Re-run the campaign analyses from the bundle in `store` alone and
 /// byte-compare against the archived exports.
 ///
-/// Steps: parse the manifest, re-import the `state` section through
-/// [`CampaignState::import`] (the same importer checkpoint recovery
-/// uses), re-*export* it and compare against the archived section
-/// bodies (proving the state round-trips), then run `provider` over the
+/// Steps: parse the manifest, re-import the `state` section's
+/// `capture-db` and `provenance` documents (the same importer
+/// checkpoint recovery uses; other documents, such as the cursor and
+/// dead-letter view older bundles stored, are not read), re-*export*
+/// the state and compare against the archived documents (proving it
+/// round-trips), then run `provider` over the
 /// re-imported state and compare each produced document against the
 /// archived `analysis` section. The first mismatch is returned as a
 /// [`DivergenceReport`] naming section, document, and line.
@@ -283,17 +285,13 @@ pub fn replay_bundle(store: &BlobStore, provider: Option<&ExportFn>) -> io::Resu
             .map(|d| d.body.as_str())
             .ok_or_else(|| invalid(format!("bundle state section missing {label:?}")))
     };
-    let archived = STATE_SECTIONS
-        .iter()
-        .map(|&label| Ok((label, doc(label)?)))
-        .collect::<io::Result<Vec<(&str, &str)>>>()?;
-    let concatenated: String = archived.iter().map(|(_, body)| *body).collect();
-    let state = CampaignState::import(&concatenated).map_err(|e| {
-        invalid(format!(
-            "bundle state unimportable: line {}: {}",
-            e.line, e.message
-        ))
-    })?;
+    let state =
+        CampaignState::from_sections(doc(SECTION_DB)?, doc(SECTION_PROVENANCE)?).map_err(|e| {
+            invalid(format!(
+                "bundle state unimportable: line {}: {}",
+                e.line, e.message
+            ))
+        })?;
 
     let mut report = ReplayReport {
         pairs: state.pairs_done,
@@ -302,11 +300,10 @@ pub fn replay_bundle(store: &BlobStore, provider: Option<&ExportFn>) -> io::Resu
     };
     // Round-trip proof: the re-imported state re-exports to the exact
     // archived section bodies.
-    let reexported = state.sections();
     'compare: {
-        for ((label, want), (_, got)) in archived.iter().zip(reexported.iter()) {
+        for (label, got) in state.sections() {
             report.docs_compared += 1;
-            if let Some(d) = first_divergence("state", label, want, got) {
+            if let Some(d) = first_divergence("state", label, doc(label)?, &got) {
                 report.divergence = Some(d);
                 break 'compare;
             }
@@ -357,7 +354,7 @@ pub fn replay_bundle(store: &BlobStore, provider: Option<&ExportFn>) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_toplist, meta_section, CampaignConfig};
+    use crate::campaign::{build_toplist, CampaignConfig};
     use crate::parallel::{run_campaign_parallel, ParallelOpts};
     use crate::resilience::{BreakerConfig, RetryPolicy};
     use consent_faultsim::FaultProfile;
@@ -435,7 +432,7 @@ mod tests {
         let replay = replay_campaign_bundle(&dir, None).unwrap();
         assert!(replay.ok(), "{}", replay.summary());
         assert_eq!(replay.pairs, state.pairs_done);
-        assert_eq!(replay.docs_compared, 4, "four state documents");
+        assert_eq!(replay.docs_compared, 2, "two state documents");
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -465,7 +462,7 @@ mod tests {
         .unwrap();
         let replay = replay_campaign_bundle(&dir, Some(&*provider)).unwrap();
         assert!(replay.ok(), "{}", replay.summary());
-        assert_eq!(replay.docs_compared, 5);
+        assert_eq!(replay.docs_compared, 3);
 
         // A drifted provider (simulating an analysis-code change) is
         // caught and localized.
@@ -492,20 +489,26 @@ mod tests {
         let dir = tmp_dir();
         let store = BlobStore::open(&dir).unwrap();
         pack_campaign_bundle(&store, &state, &ctx, &CampaignArtifacts::default(), None).unwrap();
-        // A state whose cursor lies fails the semantic import loudly.
+        // A provenance log one record short of the capture rows fails
+        // the semantic import loudly.
         let manifest = Manifest::parse(&store.read_manifest().unwrap()).unwrap();
-        let meta = &manifest.section("state").unwrap().blobs[0];
-        assert_eq!(meta.label, "meta");
-        // Rewrite the meta blob in place (bit-rot with a fixed-up CRC
-        // is indistinguishable from an honest blob to the container, so
-        // this models a *semantic* attack the import layer must catch).
-        let forged = meta_section(999);
+        let provenance = &manifest.section("state").unwrap().blobs[1];
+        assert_eq!(provenance.label, SECTION_PROVENANCE);
+        // Rewrite the provenance blob in place (bit-rot with a fixed-up
+        // CRC is indistinguishable from an honest blob to the container,
+        // so this models a *semantic* attack the import layer must
+        // catch).
+        let exported = state.provenance.export();
+        let forged = format!(
+            "{}\n",
+            exported.trim_end_matches('\n').rsplit_once('\n').unwrap().0
+        );
         let addr = consent_bundle::BlobAddr::of(forged.as_bytes());
         store.put(forged.as_bytes()).unwrap();
         let mut m = manifest.clone();
         for s in &mut m.sections {
             for b in &mut s.blobs {
-                if b.label == "meta" {
+                if b.label == SECTION_PROVENANCE {
                     b.addr = addr;
                     b.len = forged.len() as u64;
                 }
@@ -515,6 +518,7 @@ mod tests {
         store.write_manifest(&m.serialize()).unwrap();
         let err = replay_campaign_bundle(&dir, None).unwrap_err();
         assert!(err.to_string().contains("unimportable"), "{err}");
+        assert!(err.to_string().contains("capture rows"), "{err}");
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

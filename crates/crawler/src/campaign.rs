@@ -22,8 +22,8 @@
 //! the pure fault plan (so checkpoints are byte-identical whether
 //! tracing was on or off), and appended to the state's
 //! [`ProvenanceLog`]. Abandoned pairs are the log's `dead_lettered`
-//! records; the checkpoint's dead-letter section is rendered from them
-//! ([`crate::dead_letter`]).
+//! records ([`CampaignState::dead_letters`]); no checkpoint stores them
+//! a second time.
 //!
 //! Observability: each `(domain, vantage)` pair opens one
 //! `consent_trace` trace (id from [`consent_trace::stable_id`], so
@@ -32,13 +32,14 @@
 //! decisions, breaker transitions, and dead-lettering.
 
 use crate::capture_db::{CaptureDb, CaptureSummary, CmpSet};
-use crate::dead_letter::{self, vantage_code};
-use crate::durable::{SECTION_DB, SECTION_DEAD_LETTERS, SECTION_META, SECTION_PROVENANCE};
+use crate::durable::{SECTION_DB, SECTION_PROVENANCE};
 use crate::export::{export as export_db, import as import_db, status_code, ImportError};
 use crate::parallel::CampaignPlan;
 use crate::resilience::{BreakerConfig, CircuitBreaker, Outcome, RetryPolicy};
 use consent_faultsim::FaultProfile;
-use consent_httpsim::{split_url, CaptureOptions, CaptureStatus, DomSnapshot, Vantage};
+use consent_httpsim::{
+    split_url, CaptureOptions, CaptureStatus, DomSnapshot, Language, Location, Timing, Vantage,
+};
 use consent_toplist::{default_providers, AggregationRule, SeedUrl, Toplist};
 use consent_trace::{stable_id, AttemptProvenance, Provenance, ProvenanceLog};
 use consent_util::{Day, SeedTree};
@@ -145,25 +146,14 @@ pub struct CampaignState {
     /// Cursor into the deterministic vantage-major, rank-minor pair
     /// order: the number of pairs already processed. Each processed pair
     /// inserts exactly one [`CaptureDb`] row and one [`ProvenanceLog`]
-    /// record, so `pairs_done` always equals [`CaptureDb::len`].
+    /// record, so `pairs_done` always equals [`CaptureDb::len`]; no
+    /// export stores it.
     pub pairs_done: u64,
 }
 
-pub(crate) const STATE_HEADER: &str = "#consent-campaign-state v3";
-
-/// The names of a state's four sections, in export order. They name the
-/// checkpoint sections and the bundle `state` documents alike.
-pub(crate) const STATE_SECTIONS: [&str; 4] = [
-    SECTION_META,
-    SECTION_DB,
-    SECTION_DEAD_LETTERS,
-    SECTION_PROVENANCE,
-];
-
-/// The `meta` section body: the state header and the cursor line.
-pub(crate) fn meta_section(pairs_done: u64) -> String {
-    format!("{STATE_HEADER}\npairs_done={pairs_done}\n")
-}
+/// How the provenance section's header line starts: where
+/// [`CampaignState::import`] splits an export.
+const PROVENANCE_HEADER: &str = "#consent-provenance";
 
 impl CampaignState {
     /// Fresh state (nothing crawled).
@@ -178,119 +168,79 @@ impl CampaignState {
         self.provenance.records().iter().filter(|p| p.dead_lettered)
     }
 
-    /// The state's four sections as `(name, body)` pairs, in export
-    /// order: `meta` (header and cursor line), then the capture-db,
-    /// dead-letter, and provenance sections (each with its own header;
-    /// the dead-letter section is rendered from the provenance log).
-    /// Checkpoints and bundles store exactly these bodies.
-    pub(crate) fn sections(&self) -> [(&'static str, String); 4] {
-        let [meta, db, dead_letters, provenance] = STATE_SECTIONS;
+    /// The state's two logs as `(name, body)` pairs, in export order:
+    /// the capture-db section, then the provenance section (each with
+    /// its own header). Checkpoints and bundles store exactly these
+    /// bodies.
+    pub(crate) fn sections(&self) -> [(&'static str, String); 2] {
         [
-            (meta, meta_section(self.pairs_done)),
-            (db, export_db(&self.db)),
-            (dead_letters, dead_letter::export(&self.provenance)),
-            (provenance, self.provenance.export()),
+            (SECTION_DB, export_db(&self.db)),
+            (SECTION_PROVENANCE, self.provenance.export()),
         ]
     }
 
-    /// Serialize the checkpoint: a cursor line, then the capture-db,
-    /// dead-letter, and provenance sections (each with its own header).
+    /// Serialize the checkpoint: the capture-db section, then the
+    /// provenance section.
     pub fn export(&self) -> String {
         self.sections().map(|(_, body)| body).concat()
     }
 
-    /// Parse a checkpoint produced by [`export`](Self::export). The
-    /// dead-letter section is not parsed: it must equal the section the
-    /// imported provenance log renders, line for line.
+    /// Parse a checkpoint produced by [`export`](Self::export): split
+    /// it at the provenance header and import the two bodies with the
+    /// importer checkpoint recovery and bundle replay use, which
+    /// rejects a state whose row and record counts differ.
     pub fn import(text: &str) -> Result<CampaignState, ImportError> {
-        let mut lines = text.lines();
+        // No capture-db line after the section's own header starts
+        // with `#`, so the first line that starts with the provenance
+        // header begins the second section.
+        let split = text
+            .match_indices(PROVENANCE_HEADER)
+            .map(|(at, _)| at)
+            .find(|&at| at == 0 || text.as_bytes()[at - 1] == b'\n')
+            .ok_or_else(|| ImportError {
+                line: text.lines().count() + 1,
+                message: "missing provenance section".into(),
+            })?;
+        let (db, provenance) = text.split_at(split);
+        CampaignState::from_sections(db, provenance)
+    }
+
+    /// Build a state from its capture-db and provenance section bodies:
+    /// the one importer behind [`import`](Self::import), checkpoint
+    /// recovery (a full, salvaged or chain-reassembled generation) and
+    /// bundle replay. Each processed pair stored one row and one
+    /// record, so the two counts must agree, and they are the cursor.
+    /// Errors name lines of the two bodies concatenated, the state's
+    /// [`export`](Self::export).
+    pub(crate) fn from_sections(db: &str, provenance: &str) -> Result<CampaignState, ImportError> {
+        // Section importers count lines from their own header, 0 for a
+        // header problem. The provenance header follows the db's last
+        // line; only an error pays for counting them.
         let bad = |line: usize, message: String| ImportError { line, message };
-        match lines.next() {
-            Some(STATE_HEADER) => {}
-            other => {
-                return Err(bad(0, format!("unsupported state header {other:?}")));
-            }
-        }
-        let pairs_done: u64 = lines
-            .next()
-            .and_then(|l| l.strip_prefix("pairs_done="))
-            .ok_or_else(|| bad(2, "missing pairs_done line".into()))?
-            .parse()
-            .map_err(|e| bad(2, format!("bad pairs_done: {e}")))?;
-        let rest: Vec<&str> = lines.collect();
-        let split = rest
-            .iter()
-            .position(|l| l.starts_with("#consent-dead-letters"))
-            .ok_or_else(|| bad(2 + rest.len(), "missing dead-letter section".into()))?;
-        let prov_split = rest
-            .iter()
-            .position(|l| l.starts_with("#consent-provenance"))
-            .ok_or_else(|| bad(2 + rest.len(), "missing provenance section".into()))?;
-        if prov_split < split {
-            return Err(bad(
-                3 + prov_split,
-                "provenance section before dead letters".into(),
-            ));
-        }
-        // Section importers report line numbers relative to their own
-        // header (0 for header problems, N for the section's Nth line).
-        // Offset them so an `ImportError` names the offending line of
-        // the *whole* checkpoint, which is what a human debugging a
-        // corrupt file greps for. rest[0] is global line 3.
-        let offset = |base: usize, local: usize| {
-            if local == 0 {
-                base
-            } else {
-                base + local - 1
-            }
-        };
-        let db_text = rest[..split].join("\n");
-        let dl_text = rest[split..prov_split].join("\n");
-        let prov_text = rest[prov_split..].join("\n");
-        let db = import_db(&db_text).map_err(|e| {
+        let at_provenance = |local: usize| db.lines().count() + local.max(1);
+        let rows = import_db(db)
+            .map_err(|e| bad(e.line.max(1), format!("capture-db section: {}", e.message)))?;
+        let log = ProvenanceLog::import(provenance).map_err(|e| {
             bad(
-                offset(3, e.line),
-                format!("capture-db section: {}", e.message),
-            )
-        })?;
-        let provenance = ProvenanceLog::import(&prov_text).map_err(|e| {
-            bad(
-                offset(3 + prov_split, e.line),
+                at_provenance(e.line),
                 format!("provenance section: {}", e.message),
             )
         })?;
-        dead_letter::check(&dl_text, &provenance).map_err(|e| {
-            bad(
-                offset(3 + split, e.line),
-                format!("dead-letter section: {}", e.message),
-            )
-        })?;
-        let state = CampaignState {
-            db,
-            provenance,
-            pairs_done,
-        };
-        if state.pairs_done != state.db.len() {
+        if log.len() as u64 != rows.len() {
             return Err(bad(
-                2,
+                at_provenance(0),
                 format!(
-                    "cursor {} disagrees with {} stored captures",
-                    state.pairs_done,
-                    state.db.len()
+                    "provenance section: {} records for {} capture rows",
+                    log.len(),
+                    rows.len()
                 ),
             ));
         }
-        if state.provenance.len() as u64 != state.pairs_done {
-            return Err(bad(
-                2,
-                format!(
-                    "cursor {} disagrees with {} provenance records",
-                    state.pairs_done,
-                    state.provenance.len()
-                ),
-            ));
-        }
-        Ok(state)
+        Ok(CampaignState {
+            pairs_done: rows.len(),
+            db: rows,
+            provenance: log,
+        })
     }
 }
 
@@ -318,6 +268,58 @@ pub fn build_toplist(world: &World, n: usize, seed: SeedTree) -> Vec<String> {
     let providers = default_providers(&ground_truth, seed.child("providers"));
     let toplist = Toplist::aggregate(&providers, AggregationRule::Dowdall);
     toplist.top(n).map(str::to_owned).collect()
+}
+
+/// Compact stable code for a vantage, e.g. `uni-ext-de`. Shared by the
+/// provenance line format, the bundle `config` document and trace
+/// attributes, so every persistence layer names the six Table 1
+/// columns identically.
+pub fn vantage_code(v: Vantage) -> String {
+    let loc = match v.location {
+        Location::UsCloud => "us",
+        Location::EuCloud => "eu",
+        Location::EuUniversity => "uni",
+    };
+    let timing = match v.timing {
+        Timing::Aggressive => "fast",
+        Timing::Extended => "ext",
+    };
+    let lang = match v.language {
+        Language::EnUs => "enus",
+        Language::De => "de",
+        Language::EnGb => "engb",
+    };
+    format!("{loc}-{timing}-{lang}")
+}
+
+/// Parse a [`vantage_code`] back into its [`Vantage`].
+pub fn vantage_from(code: &str) -> Option<Vantage> {
+    let mut parts = code.split('-');
+    let location = match parts.next()? {
+        "us" => Location::UsCloud,
+        "eu" => Location::EuCloud,
+        "uni" => Location::EuUniversity,
+        _ => return None,
+    };
+    let timing = match parts.next()? {
+        "fast" => Timing::Aggressive,
+        "ext" => Timing::Extended,
+        _ => return None,
+    };
+    let language = match parts.next()? {
+        "enus" => Language::EnUs,
+        "de" => Language::De,
+        "engb" => Language::EnGb,
+        _ => return None,
+    };
+    if parts.next().is_some() {
+        return None;
+    }
+    Some(Vantage {
+        location,
+        timing,
+        language,
+    })
 }
 
 /// Everything one processed `(domain, vantage)` pair contributes to the
@@ -788,150 +790,87 @@ mod tests {
 
     /// The empty capture-db section.
     const EMPTY_DB: &str = "#consent-capture-db v3\nhosts=0\n";
+    /// The empty provenance section.
+    const EMPTY_PROV: &str = "#consent-provenance v1\n";
 
-    /// The lines of a real export that dead-letters a pair, and the
-    /// line indices of its dead-letter records.
-    fn export_with_dead_letters() -> (Vec<String>, std::ops::Range<usize>) {
+    /// The export of a three-pair campaign with its last provenance
+    /// record cut.
+    fn one_record_short() -> String {
         let w = world();
-        let list = build_toplist(&w, 60, SeedTree::new(7));
-        let run = crawl(&w, &list, &[Vantage::eu_cloud()]);
-        assert!(run.state.dead_letters().next().is_some());
-        let lines: Vec<String> = run.state.export().lines().map(str::to_owned).collect();
-        let header = |h: &str| lines.iter().position(|l| l == h).unwrap();
-        let records = header("#consent-dead-letters v2") + 1..header("#consent-provenance v1");
-        (lines, records)
-    }
-
-    fn joined(lines: &[String]) -> String {
-        lines.join("\n") + "\n"
-    }
-
-    /// `lines` with the breaker flag of line `at` flipped.
-    fn flip_breaker(lines: &[String], at: usize) -> Vec<String> {
-        let mut out = lines.to_vec();
-        let mut fields: Vec<&str> = lines[at].split('\t').collect();
-        fields[4] = if fields[4] == "0" { "1" } else { "0" };
-        out[at] = fields.join("\t");
-        out
+        let list = build_toplist(&w, 3, SeedTree::new(7));
+        let text = crawl(&w, &list, &[Vantage::us_cloud()]).state.export();
+        let kept = text.trim_end_matches('\n').rsplit_once('\n').unwrap().0;
+        format!("{kept}\n")
     }
 
     #[test]
     fn state_import_rejects_corruption() {
         assert!(CampaignState::import("").is_err());
         assert!(CampaignState::import("#wrong\n").is_err());
-        // v1 checkpoints (no provenance section) are not importable.
-        assert!(CampaignState::import(&format!(
-            "#consent-campaign-state v1\npairs_done=0\n{EMPTY_DB}#consent-dead-letters v1\n"
-        ))
-        .is_err());
-        assert!(CampaignState::import(STATE_HEADER).is_err());
-        let no_dl = format!("{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}");
-        assert!(CampaignState::import(&no_dl).is_err());
-        let no_prov = format!("{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}#consent-dead-letters v2\n");
-        assert!(CampaignState::import(&no_prov).is_err());
-        // Sections out of order are corruption.
-        let swapped = format!(
-            "{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}#consent-provenance v1\n#consent-dead-letters v2\n"
-        );
-        assert!(CampaignState::import(&swapped).is_err());
-        // A cursor that disagrees with the stored rows is corruption.
-        let bad_cursor = format!(
-            "{STATE_HEADER}\npairs_done=5\n{EMPTY_DB}#consent-dead-letters v2\n#consent-provenance v1\n"
-        );
-        let e = CampaignState::import(&bad_cursor).unwrap_err();
+        let empty = CampaignState::new().export();
+        assert_eq!(empty, format!("{EMPTY_DB}{EMPTY_PROV}"));
+        assert_eq!(CampaignState::import(&empty).unwrap().pairs_done, 0);
+        // A section missing or out of order is corruption.
+        assert!(CampaignState::import(EMPTY_DB).is_err());
+        assert!(CampaignState::import(EMPTY_PROV).is_err());
+        assert!(CampaignState::import(&format!("{EMPTY_PROV}{EMPTY_DB}")).is_err());
+        // A provenance section one record short of the capture rows is
+        // corruption even though both sections parse.
+        let e = CampaignState::import(&one_record_short()).unwrap_err();
         assert!(
-            e.message.contains("disagrees with 0 stored captures"),
+            e.message.contains("2 records for 3 capture rows"),
             "{}",
             e.message
         );
-        // v2 state checkpoints (unescaped dead-letter section) are a
-        // different format and must not be silently reinterpreted.
-        assert!(CampaignState::import(&format!(
-            "#consent-campaign-state v2\npairs_done=0\n{EMPTY_DB}#consent-dead-letters v1\n#consent-provenance v1\n"
-        ))
-        .is_err());
-        // A provenance section shorter than the cursor is corruption
-        // even when the capture-db agrees.
-        let run = {
-            let w = world();
-            let list = build_toplist(&w, 3, SeedTree::new(7));
-            crawl(&w, &list, &[Vantage::us_cloud()])
-        };
-        let text = run.state.export();
-        let prov_header = "#consent-provenance v1\n";
-        let pos = text.find(prov_header).unwrap();
-        let truncated = format!("{}{}", &text[..pos], prov_header);
-        assert!(CampaignState::import(&truncated).is_err());
-        let empty = CampaignState::new().export();
-        assert_eq!(CampaignState::import(&empty).unwrap().pairs_done, 0);
-        // A dead-letter section that contradicts the provenance log is
-        // corruption: a dropped record, a flipped breaker flag, a record
-        // no provenance backs.
-        let (lines, records) = export_with_dead_letters();
-        assert!(CampaignState::import(&joined(&lines)).is_ok());
-        let mut dropped = lines.clone();
-        dropped.remove(records.start);
-        let mut extra = lines.clone();
-        extra.insert(
-            records.end,
-            "phantom.example\t999\teu-fast-enus\tpermanent\t0\t2020-05-15:blocked451".into(),
-        );
-        for (what, bad) in [
-            ("dropped", dropped),
-            ("flipped", flip_breaker(&lines, records.start)),
-            ("extra", extra),
-        ] {
-            let e = CampaignState::import(&joined(&bad)).unwrap_err();
-            assert!(
-                e.message.contains("dead-letter section"),
-                "{what}: {}",
-                e.message
-            );
-        }
     }
 
     #[test]
     fn state_import_reports_whole_file_line_numbers() {
-        // Layout: line 1 state header, 2 pairs_done, 3 db header,
-        // 4 host count, 5 dl header, 6 prov header. A garbage row
-        // injected into a section must be reported at its line number
-        // in the whole checkpoint, not relative to the section header.
-        let garbage_in = |section: &str| -> String {
+        // Layout: line 1 db header, 2 host count, 3 provenance header.
+        // A garbage row injected into a section must be reported at its
+        // line number in the whole export, not relative to the section
+        // header.
+        let garbage_at = |at: usize| -> String {
             let mut lines = vec![
-                STATE_HEADER.to_string(),
-                "pairs_done=0".into(),
-                "#consent-capture-db v3".into(),
-                "hosts=0".into(),
-                "#consent-dead-letters v2".into(),
-                "#consent-provenance v1".into(),
+                "#consent-capture-db v3",
+                "hosts=0",
+                "#consent-provenance v1",
             ];
-            let at = match section {
-                "db" => 4,
-                "dl" => 5,
-                _ => 6,
-            };
-            lines.insert(at, "garbage row".into());
+            lines.insert(at, "garbage row");
             lines.join("\n") + "\n"
         };
-        for (section, want_line, want_msg) in [
-            ("db", 5, "capture-db section"),
-            ("dl", 6, "dead-letter section"),
-            ("prov", 7, "provenance section"),
-        ] {
-            let e = CampaignState::import(&garbage_in(section)).unwrap_err();
-            assert_eq!(e.line, want_line, "{section}: {}", e.message);
-            assert!(e.message.contains(want_msg), "{section}: {}", e.message);
+        for (at, want_line, want_msg) in
+            [(2, 3, "capture-db section"), (3, 4, "provenance section")]
+        {
+            let e = CampaignState::import(&garbage_at(at)).unwrap_err();
+            assert_eq!(e.line, want_line, "{}", e.message);
+            assert!(e.message.contains(want_msg), "{}", e.message);
         }
-        // A dead-letter record that contradicts the provenance log is
-        // reported at its own line.
-        let (lines, records) = export_with_dead_letters();
-        let e = CampaignState::import(&joined(&flip_breaker(&lines, records.start))).unwrap_err();
-        assert_eq!(e.line, records.start + 1, "{}", e.message);
-        assert!(e.message.contains("dead-letter section"), "{}", e.message);
-        // Missing sections point past the end of what's there.
-        let e = CampaignState::import(&format!("{STATE_HEADER}\npairs_done=0\n{EMPTY_DB}"))
-            .unwrap_err();
-        assert_eq!(e.line, 4);
-        assert!(e.message.contains("missing dead-letter section"));
+        // A count mismatch is reported at the provenance header.
+        let short = one_record_short();
+        let e = CampaignState::import(&short).unwrap_err();
+        let header = short.lines().position(|l| l == "#consent-provenance v1");
+        assert_eq!(Some(e.line), header.map(|i| i + 1), "{}", e.message);
+        // A missing section points past the end of what's there.
+        let e = CampaignState::import(EMPTY_DB).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("missing provenance section"));
+    }
+
+    #[test]
+    fn vantage_codes_are_unique_and_roundtrip() {
+        let mut codes: Vec<String> = Vantage::table1_columns()
+            .iter()
+            .map(|&v| vantage_code(v))
+            .collect();
+        for (code, &v) in codes.iter().zip(Vantage::table1_columns().iter()) {
+            assert_eq!(vantage_from(code), Some(v));
+        }
+        codes.sort();
+        codes.dedup();
+        assert_eq!(codes.len(), 6);
+        assert_eq!(vantage_from("us-fast"), None);
+        assert_eq!(vantage_from("us-fast-enus-extra"), None);
+        assert_eq!(vantage_from("moon-fast-enus"), None);
     }
 }

@@ -6,11 +6,13 @@
 //! module closes the loop: [`run_durable_campaign`] builds the
 //! campaign's set-up once per process incarnation, processes pairs in
 //! chunks through the same driver loop, and writes each cut to a
-//! [`CheckpointStore`] as the four `CampaignState` sections (a cursor
-//! line and the capture-db, dead-letter and provenance sections), plus
-//! the watchdog's `watch-state` blob when one is attached — so a process
-//! death at any instant loses at most one chunk of work. Checkpoints
-//! hold no copy of the trace log; see [below](#the-trace-on-resume).
+//! [`CheckpointStore`] as the two `CampaignState` logs (the capture-db
+//! and provenance sections), plus the watchdog's `watch-state` blob
+//! when one is attached — so a process death at any instant loses at
+//! most one chunk of work. Checkpoints hold nothing a log can derive:
+//! no cursor (it is the row count), no dead-letter list (it is the
+//! provenance records with the dead-letter flag set), and no copy of
+//! the trace log; see [below](#the-trace-on-resume).
 //!
 //! # Recovery and salvage rules
 //!
@@ -21,10 +23,9 @@
 //!    intact CRCs, the generation is quarantined like a corrupt one and
 //!    the walk continues.
 //! 2. A corrupt generation is quarantined by the store, but its
-//!    individually intact sections are still considered: if `capture-db`,
-//!    `dead-letters` and `provenance` all survived, the state is salvaged
-//!    from them — rebuilding the tiny `meta` cursor section from the
-//!    capture count when it was the casualty.
+//!    individually intact sections are still considered: if `capture-db`
+//!    and `provenance` both survived, the state is salvaged from them (a
+//!    lost `watch-state` only restarts the watchdog's detectors).
 //! 3. Otherwise the next-older generation is tried; with none left the
 //!    campaign restarts fresh.
 //!
@@ -32,9 +33,9 @@
 //! [`SalvageReport`]. Because pair processing is deterministic, any
 //! pairs lost to a quarantined generation are simply re-crawled, and the
 //! final exports reconcile byte-for-byte with an uninterrupted run.
-//! Generations written while checkpoints still carried a copy of the
-//! trace log recover the same way: recovery never reads their trace
-//! sections.
+//! Generations written in an older layout — with a copy of the trace
+//! log, a `meta` cursor section or a `dead-letters` view — recover the
+//! same way: recovery reads only the sections named here.
 //!
 //! # The trace on resume
 //!
@@ -79,11 +80,10 @@
 //! generations form *chains*: a full base followed by delta generations
 //! whose sections carry only what was appended since the previous cut —
 //! new capture rows (in the capture-db delta format, see
-//! `docs/STORAGE.md`), and new provenance record lines and the
-//! dead-letter lines rendered from them. A delta cut therefore costs
-//! O(captures since the last cut) instead of O(campaign so far). Chain
-//! structure lives in the [`SECTION_DELTA_META`] section
-//! (`parent=`/`base=` links); filenames
+//! `docs/STORAGE.md`) and new provenance record lines. A delta cut
+//! therefore costs O(captures since the last cut) instead of
+//! O(campaign so far). Chain structure lives in the
+//! [`SECTION_DELTA_META`] section (`parent=`/`base=` links); filenames
 //! and generation numbering are unchanged, and the chain base is pinned
 //! against rotation via
 //! [`CheckpointStore::save_with_min_retained`]. Recovery walks the
@@ -142,22 +142,16 @@ use consent_webgraph::World;
 pub use consent_checkpoint::SalvageReport;
 
 use crate::archive::{pack_campaign_bundle, ArchiveContext, CampaignArtifacts, ExportFn};
-use crate::campaign::{meta_section, CampaignConfig, CampaignResult, CampaignState};
+use crate::campaign::{CampaignConfig, CampaignResult, CampaignState};
 use crate::capture_db::DbMarks;
-use crate::dead_letter;
 use crate::export::export as export_db;
 use crate::export::import as import_db;
-use crate::export::{apply_delta, export_delta};
+use crate::export::{apply_delta, export_delta, is_host_line};
 use crate::parallel::CampaignPlan;
 use crate::supervisor::{DegradeLevel, HealthReport, SaveVerdict, Supervisor, SupervisorPolicy};
 
-/// Checkpoint section holding the state header + `pairs_done` cursor.
-pub const SECTION_META: &str = "meta";
 /// Checkpoint section holding the capture database.
 pub const SECTION_DB: &str = "capture-db";
-/// Checkpoint section holding the dead-letter lines rendered from the
-/// provenance log.
-pub const SECTION_DEAD_LETTERS: &str = "dead-letters";
 /// Checkpoint section holding the provenance log.
 pub const SECTION_PROVENANCE: &str = "provenance";
 
@@ -170,9 +164,6 @@ pub const SECTION_DELTA_META: &str = "delta-meta";
 /// the `#consent-capture-db-delta v1` format
 /// (see [`export_delta`]).
 pub(crate) const SECTION_DB_DELTA: &str = "capture-db-delta";
-/// Delta section: the dead-letter lines of the provenance records
-/// appended since the parent.
-pub(crate) const SECTION_DEAD_LETTERS_DELTA: &str = "dead-letters-delta";
 /// Delta section: provenance record lines appended since the parent.
 pub(crate) const SECTION_PROVENANCE_DELTA: &str = "provenance-delta";
 
@@ -340,9 +331,9 @@ pub struct DurableRun {
     pub bundle: Option<consent_bundle::PackReport>,
 }
 
-/// Build the four sections of a full checkpoint. Their concatenation
-/// is exactly [`CampaignState::export`], so reassembly re-uses the
-/// importer.
+/// Build the two sections of a full checkpoint. Their concatenation
+/// is exactly [`CampaignState::export`], and recovery imports them with
+/// [`CampaignState::from_sections`].
 pub(crate) fn state_sections(state: &CampaignState) -> Vec<Section> {
     state
         .sections()
@@ -358,8 +349,7 @@ pub(crate) fn state_sections(state: &CampaignState) -> Vec<Section> {
 pub(crate) struct DeltaMarks {
     /// Capture-db per-shard row counts + host count.
     db: DbMarks,
-    /// Provenance records — also the dead-letter cursor, since the
-    /// dead-letter section is rendered from the provenance log.
+    /// Provenance records.
     prov: usize,
 }
 
@@ -389,10 +379,9 @@ struct ChainMarks {
     marks: DeltaMarks,
 }
 
-/// Build the sections of one delta generation: the full (tiny) cursor
-/// meta, the chain links (`parent`/`base` generation numbers), and one
-/// appended-only section per store component. Total size is O(captures
-/// since `marks`).
+/// Build the sections of one delta generation: the chain links
+/// (`parent`/`base` generation numbers), then one appended-only section
+/// per log. Total size is O(captures since `marks`).
 pub(crate) fn delta_state_sections(
     state: &CampaignState,
     marks: &DeltaMarks,
@@ -400,16 +389,11 @@ pub(crate) fn delta_state_sections(
     base: u64,
 ) -> Vec<Section> {
     vec![
-        Section::new(SECTION_META, meta_section(state.pairs_done)),
         Section::new(
             SECTION_DELTA_META,
             format!("{DELTA_META_HEADER}\nparent={parent}\nbase={base}\n"),
         ),
         Section::new(SECTION_DB_DELTA, export_delta(&state.db, &marks.db)),
-        Section::new(
-            SECTION_DEAD_LETTERS_DELTA,
-            dead_letter::export_from(&state.provenance, marks.prov),
-        ),
         Section::new(
             SECTION_PROVENANCE_DELTA,
             state.provenance.export_from(marks.prov),
@@ -428,44 +412,19 @@ fn parse_delta_meta(body: &str) -> Option<(u64, u64)> {
     Some((parent, base))
 }
 
-/// Reassemble a state from checkpoint section bodies.
-fn state_from_parts(
-    meta: &str,
-    db: &str,
-    dead_letters: &str,
-    provenance: &str,
-) -> Result<CampaignState, String> {
-    let text = format!("{meta}{db}{dead_letters}{provenance}");
-    CampaignState::import(&text).map_err(|e| format!("line {}: {}", e.line, e.message))
-}
-
-/// A `meta` section reconstructed from an intact capture-db section —
-/// the cursor always equals the number of stored captures.
-fn rebuilt_meta(db_text: &str) -> Option<String> {
-    let db = import_db(db_text).ok()?;
-    Some(meta_section(db.len()))
-}
-
 /// Try to salvage a state (and its watch-state snapshot) from the
 /// individually intact sections of one quarantined generation. The
 /// `watch-state` section is optional — losing it only resets detector
 /// windows, never measurement state.
-fn salvage_from(
-    q: &consent_checkpoint::QuarantinedGeneration,
-) -> Option<(CampaignState, String, String)> {
+fn salvage_from(q: &consent_checkpoint::QuarantinedGeneration) -> Option<(CampaignState, String)> {
     let sec = |name: &str| q.salvaged.iter().find(|s| s.name == name);
-    let db = sec(SECTION_DB)?;
-    let dl = sec(SECTION_DEAD_LETTERS)?;
-    let prov = sec(SECTION_PROVENANCE)?;
+    let state =
+        CampaignState::from_sections(&sec(SECTION_DB)?.body, &sec(SECTION_PROVENANCE)?.body)
+            .ok()?;
     let watch = sec(WATCH_STATE_SECTION)
         .map(|s| s.body.clone())
         .unwrap_or_default();
-    let (meta, how) = match sec(SECTION_META) {
-        Some(m) => (m.body.clone(), "meta intact"),
-        None => (rebuilt_meta(&db.body)?, "meta rebuilt from capture count"),
-    };
-    let state = state_from_parts(&meta, &db.body, &dl.body, &prov.body).ok()?;
-    Some((state, watch, how.to_string()))
+    Some((state, watch))
 }
 
 /// A fully reassembled delta chain.
@@ -492,9 +451,9 @@ struct ChainFailure {
 /// Walk a delta chain from its head down the `parent=` links to the
 /// full base, then replay every delta in ascending order: capture rows
 /// through [`apply_delta`] (the normal insert path, so seals and
-/// telemetry reconcile), dead-letter/provenance lines by text
-/// concatenation. The reassembled state passes the same semantic import
-/// as a full generation.
+/// telemetry reconcile), provenance lines by text concatenation. The
+/// reassembled state passes the same semantic import as a full
+/// generation.
 fn assemble_chain(
     store: &CheckpointStore,
     head: consent_checkpoint::Checkpoint,
@@ -586,7 +545,6 @@ fn assemble_chain(
             })
         }
     };
-    let mut dead_letters = sec(&base, SECTION_DEAD_LETTERS);
     let mut provenance = sec(&base, SECTION_PROVENANCE);
     members.reverse(); // ascending: oldest delta first, head last
     for member in &members {
@@ -599,7 +557,6 @@ fn assemble_chain(
                 implicated: whole_chain(),
             });
         }
-        dead_letters.push_str(&sec(member, SECTION_DEAD_LETTERS_DELTA));
         provenance.push_str(&sec(member, SECTION_PROVENANCE_DELTA));
     }
     let Some(head) = members.last() else {
@@ -608,16 +565,11 @@ fn assemble_chain(
             implicated: whole_chain(),
         });
     };
-    let state = state_from_parts(
-        &sec(head, SECTION_META),
-        &export_db(&db),
-        &dead_letters,
-        &provenance,
-    )
-    .map_err(|e| ChainFailure {
-        reason: format!("reassembled chain failed state import: {e}"),
-        implicated: whole_chain(),
-    })?;
+    let state =
+        CampaignState::from_sections(&export_db(&db), &provenance).map_err(|e| ChainFailure {
+            reason: format!("reassembled chain failed state import: {e}"),
+            implicated: whole_chain(),
+        })?;
     Ok(AssembledChain {
         state,
         watch: sec(head, WATCH_STATE_SECTION),
@@ -641,10 +593,10 @@ pub fn recover_state(
         // A quarantined-but-partially-intact newer generation beats the
         // older fully intact one: fewer pairs to re-crawl.
         for q in report.quarantined.clone() {
-            if let Some((state, watch, how)) = salvage_from(&q) {
+            if let Some((state, watch)) = salvage_from(&q) {
                 report.used_generation = None;
                 report.note(format!(
-                    "salvaged state ({} pairs) from quarantined generation {} ({how})",
+                    "salvaged state ({} pairs) from quarantined generation {}",
                     state.pairs_done, q.generation
                 ));
                 return Ok((state, watch, report));
@@ -689,12 +641,7 @@ pub fn recover_state(
             }
         }
         let get = |name: &str| ckpt.section(name).map(|s| s.body.as_str()).unwrap_or("");
-        match state_from_parts(
-            get(SECTION_META),
-            get(SECTION_DB),
-            get(SECTION_DEAD_LETTERS),
-            get(SECTION_PROVENANCE),
-        ) {
+        match CampaignState::from_sections(get(SECTION_DB), get(SECTION_PROVENANCE)) {
             Ok(state) => return Ok((state, get(WATCH_STATE_SECTION).to_string(), report)),
             Err(e) => {
                 // CRC-intact but semantically unimportable (e.g. a
@@ -710,9 +657,40 @@ pub fn recover_state(
     }
 }
 
+/// Refuse a toplist whose checkpoints could not hold it. The provenance
+/// log stores each domain as it is, and a capture row stores the host a
+/// seed URL of the domain names (up to any `/`) or a registrable suffix
+/// of that host, so all of them must pass the capture-db host rule.
+fn check_domains(domains: &[String]) -> io::Result<()> {
+    for domain in domains {
+        let host = domain
+            .split_once('/')
+            .map_or(domain.as_str(), |(host, _)| host);
+        let suffixes = host
+            .match_indices('.')
+            .map(|(at, _)| &host[at + 1..])
+            .filter(|suffix| !suffix.is_empty());
+        if ![domain.as_str(), host]
+            .into_iter()
+            .chain(suffixes)
+            .all(is_host_line)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("domain {domain:?} cannot be stored in a checkpoint"),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Run (or resume) a campaign with durable checkpoints.
 ///
-/// Recovers the newest usable state from `store` (salvaging or
+/// Refuses, with [`io::ErrorKind::InvalidInput`] and before touching
+/// `store`, a domain its own checkpoints could not hold: one with a
+/// tab, newline or carriage return, or whose host (the part before any
+/// `/`) is empty or has a dot-separated label that starts with `#`.
+/// Then recovers the newest usable state from `store` (salvaging or
 /// quarantining corrupt generations as needed), builds the campaign's
 /// set-up once, re-crawls the recovered pairs to rebuild their trace
 /// (only when tracing is enabled and the global trace log is empty — a
@@ -734,6 +712,7 @@ pub fn run_durable_campaign(
     store: &CheckpointStore,
     opts: &DurableOpts,
 ) -> io::Result<DurableRun> {
+    check_domains(domains)?;
     let mut sup = Supervisor::new(opts.supervisor);
     let (mut state, watch_jsonl, salvage) = match sup.recover_with(|| recover_state(store)) {
         Ok(v) => v,
@@ -1090,12 +1069,7 @@ mod tests {
         let sections = state_sections(&state);
         assert_eq!(
             sections.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
-            vec![
-                SECTION_META,
-                SECTION_DB,
-                SECTION_DEAD_LETTERS,
-                SECTION_PROVENANCE
-            ],
+            vec![SECTION_DB, SECTION_PROVENANCE],
         );
         let concat: String = sections.iter().map(|s| s.body.as_str()).collect();
         assert_eq!(concat, state.export());
@@ -1120,13 +1094,62 @@ mod tests {
     }
 
     #[test]
-    fn generation_with_a_trace_section_still_recovers() {
-        // The layout checkpoints had while they carried a copy of the
-        // trace log: the state sections, then its JSONL export.
+    fn corrupt_watch_state_is_salvaged_from_intact_sections() {
         let dir = tmp_dir();
         let store = CheckpointStore::open(&dir).unwrap();
         let state = small_state();
         let mut sections = state_sections(&state);
+        sections.push(Section::new(WATCH_STATE_SECTION, "watch\n"));
+        let g = store.save(&sections).unwrap();
+        // Flip one byte inside the watch-state body: it is the last
+        // section, so its bytes end the file.
+        let path = store.path_for(g);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - "watch\n".len();
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (back, watch, report) = recover_state(&store).unwrap();
+        assert_eq!(back.export(), state.export(), "{}", report.render());
+        assert!(watch.is_empty(), "a corrupt watch-state is dropped");
+        assert_eq!(report.used_generation, None);
+        assert_eq!(report.quarantined.len(), 1);
+        assert!(
+            report.actions.iter().any(|a| a.contains(&format!(
+                "salvaged state ({} pairs) from quarantined generation {g}",
+                state.pairs_done
+            ))),
+            "{}",
+            report.render()
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn generation_with_a_trace_section_still_recovers() {
+        // The layout full generations and bundle states had while they
+        // also stored the `meta` cursor and the `dead-letters` view, and
+        // a generation also a copy of the trace log. Recovery and replay
+        // pick the capture-db and provenance sections by name, so the
+        // older sections' bodies are never parsed; these stand in for
+        // them.
+        let state = small_state();
+        let [db, provenance] = state.sections().map(|(_, body)| body);
+        let older = [
+            ("meta", format!("pairs_done={}\n", state.pairs_done)),
+            (SECTION_DB, db),
+            (
+                "dead-letters",
+                format!("{} dead letters\n", state.dead_letters().count()),
+            ),
+            (SECTION_PROVENANCE, provenance),
+        ];
+        let dir = tmp_dir();
+        let store = CheckpointStore::open(&dir).unwrap();
+        let mut sections: Vec<Section> = older
+            .iter()
+            .map(|(name, body)| Section::new(*name, body.as_str()))
+            .collect();
         sections.push(Section::new(
             "trace-jsonl",
             "{\"kind\":\"trace_event\",\"name\":\"pair\"}\n",
@@ -1134,10 +1157,39 @@ mod tests {
         store.save(&sections).unwrap();
         let (back, watch, report) = recover_state(&store).unwrap();
         assert_eq!(back.export(), state.export());
+        assert_eq!(back.pairs_done, state.pairs_done);
         assert!(watch.is_empty());
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.used_generation, Some(1));
+
+        // A bundle whose `state` section holds the four older documents
+        // replays to the same state and compares the two logs.
+        let bundle_dir = tmp_dir();
+        let ctx = ArchiveContext::from_campaign(
+            consent_util::Day::from_ymd(2020, 5, 15),
+            &[],
+            &[Vantage::eu_cloud()],
+            &SeedTree::new(9),
+        );
+        let mut input =
+            crate::archive::build_bundle_input(&state, &ctx, &CampaignArtifacts::default(), None);
+        let state_section = input
+            .sections
+            .iter_mut()
+            .find(|s| s.name == "state")
+            .unwrap();
+        state_section.docs = older
+            .iter()
+            .map(|(name, body)| consent_bundle::BundleDoc::new(*name, body.as_str()))
+            .collect();
+        let blobs = BlobStore::open(&bundle_dir).unwrap();
+        consent_bundle::pack_verified(&blobs, &input, 1).unwrap();
+        let replay = crate::archive::replay_bundle(&blobs, None).unwrap();
+        assert!(replay.ok(), "{}", replay.summary());
+        assert_eq!(replay.pairs, state.pairs_done);
+        assert_eq!(replay.docs_compared, 2, "the two logs");
         std::fs::remove_dir_all(dir).unwrap();
+        std::fs::remove_dir_all(bundle_dir).unwrap();
     }
 
     #[test]
@@ -1148,37 +1200,6 @@ mod tests {
         assert_eq!(state.pairs_done, 0);
         assert!(watch.is_empty());
         assert!(report.is_clean());
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_meta_is_rebuilt_from_intact_sections() {
-        let dir = tmp_dir();
-        let store = CheckpointStore::open(&dir).unwrap();
-        let state = small_state();
-        let g = store.save(&state_sections(&state)).unwrap();
-        // Flip one byte inside the meta body: it is the first section,
-        // so its bytes start right after the `#end-header` line.
-        let path = store.path_for(g);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let marker = b"#end-header\n";
-        let start = bytes
-            .windows(marker.len())
-            .position(|w| w == marker)
-            .unwrap()
-            + marker.len();
-        bytes[start + 1] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let (back, _, report) = recover_state(&store).unwrap();
-        assert_eq!(back.export(), state.export(), "{}", report.render());
-        assert_eq!(report.used_generation, None);
-        assert_eq!(report.quarantined.len(), 1);
-        assert!(
-            report.actions.iter().any(|a| a.contains("meta rebuilt")),
-            "{}",
-            report.render()
-        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1452,9 +1473,17 @@ mod tests {
         let state = small_state();
         store.save(&state_sections(&state)).unwrap();
         // A second generation whose sections checksum fine but whose
-        // cursor lies about the stored rows.
+        // provenance log is one record short of the capture rows.
         let mut lying = state_sections(&state);
-        lying[0].body = meta_section(999);
+        let provenance = &mut lying[1];
+        assert_eq!(provenance.name, SECTION_PROVENANCE);
+        let kept = provenance
+            .body
+            .trim_end_matches('\n')
+            .rsplit_once('\n')
+            .unwrap()
+            .0;
+        provenance.body = format!("{kept}\n");
         store.save(&lying).unwrap();
 
         let (back, _, report) = recover_state(&store).unwrap();
@@ -1476,6 +1505,50 @@ mod tests {
         assert!(q.reason.contains("state import failed"), "{}", q.reason);
         assert_eq!(q.valid_prefix, lying.len());
         assert!(store.quarantine_dir().join("gen-00000002.ckpt").is_file());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn hostile_domains_are_refused_before_crawling() {
+        let (world, list) = small_world();
+        let dir = tmp_dir();
+        let store = CheckpointStore::open(&dir).unwrap();
+        // Each would store a capture-db host line or a provenance field
+        // that the state import rejects or splits: a tab, a `#` header
+        // (the second through the registrable host `#b.example`), an
+        // empty host, a newline.
+        for hostile in [
+            "evil\tdomain.example",
+            "#hash.example",
+            "a.#b.example",
+            "",
+            "smuggle.example\nnext",
+        ] {
+            let mut domains = list.clone();
+            domains.insert(2, hostile.to_string());
+            let err = run_durable_campaign(
+                &world,
+                &domains,
+                consent_util::Day::from_ymd(2020, 5, 15),
+                &[Vantage::eu_cloud()],
+                SeedTree::new(9),
+                &store,
+                &DurableOpts {
+                    config: quiet(),
+                    ..DurableOpts::default()
+                },
+            )
+            .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{hostile:?}");
+            assert!(
+                err.to_string().contains(&format!("{hostile:?}")),
+                "{hostile:?}: {err}"
+            );
+        }
+        // Refused before the store was touched.
+        assert!(store.generations().unwrap().is_empty());
+        // The list itself is held to the same rule and passes.
+        assert!(check_domains(&list).is_ok());
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -232,10 +232,18 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// One host line of an interning table: reject separators and header
-/// markers that could smuggle rows or sections into an export.
+/// Whether `host` can be one line of an interning table: not empty,
+/// not a `#` header marker, and free of the tab, newline and carriage
+/// return that could split it or smuggle rows or sections into an
+/// export. The durable driver holds a campaign's domains to the same
+/// rule before it crawls them.
+pub(crate) fn is_host_line(host: &str) -> bool {
+    !host.is_empty() && !host.starts_with('#') && !host.contains(['\t', '\n', '\r'])
+}
+
+/// One host line of an interning table (see [`is_host_line`]).
 fn host_line(p: &Parser<'_>, l: &str) -> Result<String, ImportError> {
-    if l.is_empty() || l.starts_with('#') || l.contains('\t') {
+    if !is_host_line(l) {
         return Err(p.err(format!("bad host {l:?}")));
     }
     Ok(l.to_owned())

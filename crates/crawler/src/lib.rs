@@ -7,10 +7,11 @@
 //! ([`capture_db`]), toplist crawl campaigns across the six Table 1
 //! vantage configurations ([`campaign`]), and the robustness layer:
 //! outcome classification, retry policy, and circuit breaking
-//! ([`resilience`]), per-pair provenance records (`consent_trace`) with
-//! the dead-letter view of the abandoned pairs ([`dead_letter`]),
-//! causal traces, and checkpoint/resume via
-//! [`campaign::CampaignState`]. Every campaign runs through one driver,
+//! ([`resilience`]), per-pair provenance records (`consent_trace`) whose
+//! dead-letter flag marks the abandoned pairs, causal traces, and
+//! checkpoint/resume via [`campaign::CampaignState`], which stores
+//! exactly its two logs: the capture database and the provenance log.
+//! Every campaign runs through one driver,
 //! [`resume_campaign_parallel`] (and [`run_campaign_parallel`] for a
 //! fresh start), whose output is byte-identical at any thread count:
 //! `threads <= 1` crawls in pair order on the calling thread, more
@@ -35,7 +36,6 @@
 pub mod archive;
 pub mod campaign;
 pub mod capture_db;
-pub mod dead_letter;
 pub mod durable;
 pub mod export;
 pub mod feed;
@@ -50,25 +50,22 @@ pub use archive::{
     ArchiveContext, CampaignArtifacts, ExportFn, ReplayReport, CONFIG_HEADER,
 };
 pub use campaign::{
-    build_toplist, CampaignCapture, CampaignConfig, CampaignResult, CampaignRun, CampaignState,
+    build_toplist, vantage_code, vantage_from, CampaignCapture, CampaignConfig, CampaignResult,
+    CampaignRun, CampaignState,
 };
 pub use capture_db::{
     shard_of, CaptureDb, CaptureSummary, CmpSet, DbMarks, SEGMENT_ROWS, SHARD_COUNT,
 };
-pub use dead_letter::{vantage_code, vantage_from};
 pub use durable::{
     recover_state, run_durable_campaign, BundleSpec, CheckpointMode, DurableOpts, DurableOutcome,
-    DurableRun, SECTION_DB, SECTION_DEAD_LETTERS, SECTION_DELTA_META, SECTION_META,
-    SECTION_PROVENANCE,
+    DurableRun, SECTION_DB, SECTION_DELTA_META, SECTION_PROVENANCE,
 };
 pub use export::{export as export_db, import as import_db, FORMAT_VERSION};
 pub use feed::{Feed, FeedConfig, FeedItem, FeedSource};
 pub use parallel::{resume_campaign_parallel, run_campaign_parallel, ParallelOpts};
 pub use platform::{Platform, RunStats};
 pub use queue::{Admission, DedupQueue};
-pub use resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, Outcome, RetryPolicy, RetrySpacing,
-};
+pub use resilience::{BreakerConfig, BreakerState, CircuitBreaker, Outcome, RetryPolicy};
 pub use supervisor::{
     DegradeLevel, HealthEvent, HealthReport, SaveVerdict, Supervisor, SupervisorPolicy,
 };

@@ -71,24 +71,14 @@ impl Outcome {
     }
 }
 
-/// Day spacing between consecutive attempts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetrySpacing {
-    /// A fixed gap of `n` sim-days between attempts (§3.2's cadence is
-    /// two days: attempts on day, day+2, day+4, day+6).
-    EveryDays(i32),
-    /// Exponential backoff in sim-days: gaps of `base`, `2·base`,
-    /// `4·base`, … between consecutive attempts.
-    ExponentialDays(i32),
-}
-
 /// When and how often to retry a capture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts including the first (§3.2: 1 + 3 retries = 4).
     pub max_attempts: u8,
-    /// Spacing between attempt days.
-    pub spacing: RetrySpacing,
+    /// Sim-days between consecutive attempts (§3.2's cadence is two
+    /// days: attempts on day, day+2, day+4, day+6).
+    pub spacing_days: i32,
     /// All attempts must fall within `[day, day + window_days]`. The
     /// schedule is validated against this window — a drifting schedule
     /// is a bug, not a silent widening of the measurement.
@@ -105,17 +95,7 @@ impl RetryPolicy {
     pub fn paper() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 4,
-            spacing: RetrySpacing::EveryDays(2),
-            window_days: 7,
-            retry_degraded: false,
-        }
-    }
-
-    /// A single attempt, no retries (the social-feed platform's mode).
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            spacing: RetrySpacing::EveryDays(1),
+            spacing_days: 2,
             window_days: 7,
             retry_degraded: false,
         }
@@ -132,10 +112,7 @@ impl RetryPolicy {
         let mut offset = 0i32;
         for attempt in 0..i32::from(self.max_attempts) {
             if attempt > 0 {
-                offset += match self.spacing {
-                    RetrySpacing::EveryDays(n) => n,
-                    RetrySpacing::ExponentialDays(base) => base << (attempt - 1).min(30),
-                };
+                offset += self.spacing_days;
             }
             assert!(
                 offset <= self.window_days,
@@ -293,24 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn exponential_schedule_fits_the_week() {
-        let day = Day::from_ymd(2020, 5, 15);
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            spacing: RetrySpacing::ExponentialDays(1),
-            window_days: 7,
-            retry_degraded: false,
-        };
-        // Gaps 1, 2, 4 → days +0, +1, +3, +7: exactly the window edge.
-        assert_eq!(policy.schedule(day), vec![day, day + 1, day + 3, day + 7]);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds the 7-day retry window")]
     fn drifting_schedule_panics() {
         let policy = RetryPolicy {
             max_attempts: 5,
-            spacing: RetrySpacing::EveryDays(2),
+            spacing_days: 2,
             window_days: 7,
             retry_degraded: false,
         };

@@ -91,18 +91,6 @@ impl CrashPlan {
         }
     }
 
-    /// Parse an `apply:N` / `write:K:B` spec.
-    pub fn parse(spec: &str) -> Option<CrashPlan> {
-        let mut parts = spec.split(':');
-        match (parts.next()?, parts.next(), parts.next(), parts.next()) {
-            ("apply", Some(n), None, None) => Some(CrashPlan::after_apply(n.parse().ok()?)),
-            ("write", Some(k), Some(b), None) => {
-                Some(CrashPlan::truncate_write(k.parse().ok()?, b.parse().ok()?))
-            }
-            _ => None,
-        }
-    }
-
     /// Stable description for logs and `Crashed` outcomes.
     pub fn describe(&self) -> String {
         self.to_string()
@@ -146,26 +134,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_display() {
-        for spec in ["apply:0", "apply:12", "write:1:0", "write:3:4096"] {
-            let plan = CrashPlan::parse(spec).unwrap();
-            assert_eq!(plan.to_string(), spec);
-        }
+    fn display_names_each_crashpoint() {
         assert_eq!(CrashPlan::none().to_string(), "none");
-    }
-
-    #[test]
-    fn malformed_specs_are_rejected() {
-        for spec in [
-            "apply",
-            "apply:x",
-            "apply:1:2",
-            "write:1",
-            "write:a:b",
-            "boom:3",
-            "",
-        ] {
-            assert!(CrashPlan::parse(spec).is_none(), "{spec:?} parsed");
-        }
+        assert_eq!(CrashPlan::after_apply(0).to_string(), "apply:0");
+        assert_eq!(CrashPlan::after_apply(12).describe(), "apply:12");
+        assert_eq!(CrashPlan::truncate_write(1, 0).to_string(), "write:1:0");
+        assert_eq!(
+            CrashPlan::truncate_write(3, 4096).describe(),
+            "write:3:4096"
+        );
     }
 }

@@ -8,7 +8,7 @@
 #![allow(dead_code)]
 
 use consent_checkpoint::CheckpointStore;
-use consent_faultsim::{CrashPlan, FaultProfile, FaultyVfs, IoFaultPlan};
+use consent_faultsim::{FaultProfile, FaultyVfs, IoFaultPlan};
 use consent_watch::rules::WatchConfig;
 use std::path::Path;
 use std::sync::Arc;
@@ -56,19 +56,6 @@ pub fn watch(default: &str) -> WatchConfig {
         "none, default, slo:metric:permille:windows, drift:metric:centiz:warmup or \
          gap:ticks, ;-joined",
         WatchConfig::parse,
-    )
-}
-
-/// `CONSENT_CRASHPOINT`: an extra crash plan, none when unset.
-pub fn crashpoint() -> CrashPlan {
-    read(
-        "CONSENT_CRASHPOINT",
-        "none",
-        "none, apply:N or write:K:B",
-        |spec| match spec {
-            "none" => Some(CrashPlan::none()),
-            _ => CrashPlan::parse(spec),
-        },
     )
 }
 

@@ -233,8 +233,8 @@ fn corruption_in_every_blob_class_is_detected_and_localized() {
                     .map(|b| (s.name.clone(), b.label.clone(), b.addr))
             })
             .collect();
-        // config 1, state 4, gvl 1, analysis 4.
-        assert_eq!(targets.len(), 10, "documents: {targets:?}");
+        // config 1, state 2 (the two logs), gvl 1, analysis 4.
+        assert_eq!(targets.len(), 8, "documents: {targets:?}");
 
         for (section, label, addr) in targets {
             let path = store.blob_path(&addr);

@@ -20,7 +20,7 @@
 //!   (both executors, with and without mild chaos);
 //! * a torn checkpoint write at every write index × several byte cuts
 //!   falls back to an older generation (or scratch) and still resumes
-//!   byte-identical;
+//!   byte-identical, with and without mild chaos;
 //! * a seeded fuzzer over bit flips and truncations of a real
 //!   checkpoint file never produces a silently wrong state — every
 //!   mutation is either salvaged to the exact original bytes or
@@ -29,7 +29,7 @@
 //!   provenance and counted, the rest of the campaign completes, and
 //!   exports stay byte-identical across thread counts;
 //! * the state export of a small chaotic campaign equals the committed
-//!   `fixtures/campaign_state_v3.txt` byte for byte and round-trips
+//!   `fixtures/campaign_state.txt` byte for byte and round-trips
 //!   through import.
 //!
 //! Tests serialize on a lock because the trace log and telemetry
@@ -45,6 +45,8 @@ use consent_faultsim::{CrashPlan, FaultProfile, FaultyVfs, IoFaultKind, IoFaultP
 use consent_httpsim::Vantage;
 use consent_integration_tests::{config, disks, open_store, tmp_dir, toplist, world, DAY};
 use consent_util::SeedTree;
+use consent_watch::rules::WatchConfig;
+use consent_watch::Watch;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -94,6 +96,26 @@ fn durable(
         SeedTree::new(9),
         store,
         &opts(threads, profile, crash),
+    )
+    .expect("durable campaign io")
+}
+
+/// [`durable`] on one thread without network faults, with a fresh
+/// default-rules watch attached, so that every generation also carries
+/// the watchdog's `watch-state` section, after the two logs.
+fn durable_watched(store: &CheckpointStore, crash: CrashPlan) -> consent_crawler::DurableRun {
+    let watch = Watch::attach(consent_telemetry::global(), WatchConfig::default_rules());
+    run_durable_campaign(
+        world(),
+        &toplist()[..8],
+        DAY(),
+        &[Vantage::eu_cloud(), Vantage::us_cloud()],
+        SeedTree::new(9),
+        store,
+        &DurableOpts {
+            watch: Some(watch),
+            ..opts(1, FaultProfile::none(), crash)
+        },
     )
     .expect("durable campaign io")
 }
@@ -175,67 +197,72 @@ fn every_crash_after_apply_resumes_byte_identical() {
 fn every_torn_write_falls_back_and_resumes_byte_identical() {
     let guard = lock();
     for disk in disks() {
-        let (state_bytes, trace_bytes) = baseline(FaultProfile::none(), &disk);
+        for profile in [FaultProfile::none(), FaultProfile::mild()] {
+            let (state_bytes, trace_bytes) = baseline(profile, &disk);
 
-        // Probe the write sizes: the sweep's crashed runs write the same
-        // generations (same campaign, same chunking), so the baseline
-        // store's files give each write's exact byte length.
-        let probe = tmp_dir(TMP);
-        let probe_store = open_store(&probe, &disk);
-        consent_trace::clear();
-        durable(&probe_store, 1, FaultProfile::none(), CrashPlan::none());
-        let gens = probe_store.generations().unwrap();
-        if disk.is_none() {
-            assert_eq!(gens, vec![1, 2, 3, 4], "16 pairs in chunks of 5 → 4 writes");
-        }
-        let sizes: Vec<u64> = gens
-            .iter()
-            .map(|&g| std::fs::metadata(probe_store.path_for(g)).unwrap().len())
-            .collect();
-        std::fs::remove_dir_all(&probe).unwrap();
+            // Probe the write sizes: the sweep's crashed runs write the
+            // same generations (same campaign, same chunking), so the
+            // baseline store's files give each write's exact byte length.
+            let probe = tmp_dir(TMP);
+            let probe_store = open_store(&probe, &disk);
+            consent_trace::clear();
+            durable(&probe_store, 1, profile, CrashPlan::none());
+            let gens = probe_store.generations().unwrap();
+            if disk.is_none() {
+                assert_eq!(gens, vec![1, 2, 3, 4], "16 pairs in chunks of 5 → 4 writes");
+            }
+            let sizes: Vec<u64> = gens
+                .iter()
+                .map(|&g| std::fs::metadata(probe_store.path_for(g)).unwrap().len())
+                .collect();
+            std::fs::remove_dir_all(&probe).unwrap();
 
-        for threads in [1usize, 4] {
-            for (i, &size) in sizes.iter().enumerate() {
-                let write = (i + 1) as u64;
-                for cut in [0, 1, size / 2, size - 1] {
-                    let dir = tmp_dir(TMP);
-                    let store = open_store(&dir, &disk);
-                    consent_trace::clear();
-                    let crashed = durable(
-                        &store,
-                        threads,
-                        FaultProfile::none(),
-                        CrashPlan::truncate_write(write, cut),
-                    );
-                    match crashed.outcome {
-                        DurableOutcome::Crashed { durable_pairs, .. } => {
-                            // Only the writes before the torn one are durable.
-                            if disk.is_none() {
-                                assert_eq!(durable_pairs, (write - 1) * 5);
-                            }
-                        }
-                        other => panic!("crashpoint write:{write} never fired: {other:?}"),
-                    }
-                    die();
-                    let resumed = durable(&store, threads, FaultProfile::none(), CrashPlan::none());
-                    assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
-                    assert!(
-                        resumed.state.export() == state_bytes,
-                        "state diverged after write:{write}:{cut} at {threads} threads (disk {disk})"
-                    );
-                    assert!(
-                        consent_trace::global().export_jsonl() == trace_bytes,
-                        "trace diverged after write:{write}:{cut} at {threads} threads (disk {disk})"
-                    );
-                    if disk.is_none() {
-                        assert!(
-                            !resumed.salvage.is_clean(),
-                            "the torn generation must be quarantined, not used"
+            for threads in [1usize, 4] {
+                for (i, &size) in sizes.iter().enumerate() {
+                    let write = (i + 1) as u64;
+                    for cut in [0, 1, size / 2, size - 1] {
+                        let dir = tmp_dir(TMP);
+                        let store = open_store(&dir, &disk);
+                        consent_trace::clear();
+                        let crashed = durable(
+                            &store,
+                            threads,
+                            profile,
+                            CrashPlan::truncate_write(write, cut),
                         );
-                        // The torn file was preserved for post-mortem.
-                        assert!(store.quarantine_dir().is_dir());
+                        let at = format!(
+                            "write:{write}:{cut} at {threads} threads ({profile}, disk {disk})"
+                        );
+                        match crashed.outcome {
+                            DurableOutcome::Crashed { durable_pairs, .. } => {
+                                // Only the writes before the torn one are durable.
+                                if disk.is_none() {
+                                    assert_eq!(durable_pairs, (write - 1) * 5, "{at}");
+                                }
+                            }
+                            other => panic!("crashpoint {at} never fired: {other:?}"),
+                        }
+                        die();
+                        let resumed = durable(&store, threads, profile, CrashPlan::none());
+                        assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+                        assert!(
+                            resumed.state.export() == state_bytes,
+                            "state diverged after {at}"
+                        );
+                        assert!(
+                            consent_trace::global().export_jsonl() == trace_bytes,
+                            "trace diverged after {at}"
+                        );
+                        if disk.is_none() {
+                            assert!(
+                                !resumed.salvage.is_clean(),
+                                "the torn generation must be quarantined, not used ({at})"
+                            );
+                            // The torn file was preserved for post-mortem.
+                            assert!(store.quarantine_dir().is_dir());
+                        }
+                        std::fs::remove_dir_all(dir).unwrap();
                     }
-                    std::fs::remove_dir_all(dir).unwrap();
                 }
             }
         }
@@ -252,7 +279,7 @@ fn fuzzed_checkpoints_are_salvaged_or_rejected_never_wrong() {
     let seed_dir = tmp_dir(TMP);
     let seed_store = CheckpointStore::open(&seed_dir).unwrap();
     consent_trace::clear();
-    durable(&seed_store, 1, FaultProfile::none(), CrashPlan::none());
+    durable_watched(&seed_store, CrashPlan::none());
     let last = *seed_store.generations().unwrap().last().unwrap();
     let original = std::fs::read(seed_store.path_for(last)).unwrap();
     let name = format!("gen-{last:08}.ckpt");
@@ -269,15 +296,16 @@ fn fuzzed_checkpoints_are_salvaged_or_rejected_never_wrong() {
         rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D)
     };
 
-    // The meta section body starts right after the header terminator;
-    // flips aimed there exercise the rebuild-from-capture-count salvage,
-    // which blind flips over a multi-kilobyte file would rarely hit.
-    let marker = b"#end-header\n";
-    let meta_start = original
-        .windows(marker.len())
-        .position(|w| w == marker)
-        .expect("checkpoint has a header terminator")
-        + marker.len();
+    // The file's last section is the watch-state blob, which recovery
+    // can lose without losing a pair: flips aimed there exercise the
+    // salvage of the two intact logs, which blind flips over a
+    // multi-kilobyte file would rarely hit.
+    let watch_len: usize = String::from_utf8_lossy(&original)
+        .lines()
+        .find_map(|l| l.strip_prefix("section=watch-state "))
+        .and_then(|entry| entry.split(' ').next()?.parse().ok())
+        .expect("checkpoint has a watch-state section");
+    let watch_start = original.len() - watch_len;
 
     let mut salvaged = 0usize;
     let mut rejected = 0usize;
@@ -291,11 +319,11 @@ fn fuzzed_checkpoints_are_salvaged_or_rejected_never_wrong() {
                 format!("truncate:{keep}")
             }
             2 => {
-                // Seeded bit flip inside the meta section body.
-                let pos = meta_start + (rng() as usize) % 20;
+                // Seeded bit flip inside the watch-state body.
+                let pos = watch_start + (rng() as usize) % 20;
                 let bit = 1u8 << (rng() % 8);
                 mutated[pos] ^= bit;
-                format!("meta-flip:{pos}:{bit:#04x}")
+                format!("watch-flip:{pos}:{bit:#04x}")
             }
             _ => {
                 // Seeded bit flip anywhere in the file.
@@ -459,7 +487,7 @@ fn injected_panics_are_contained_and_dead_lettered() {
 /// cloud vantage under heavy chaos plus a 15% injected-panic rate, on
 /// one thread. Byte-identity suites compare two runs of one build; this
 /// pins the bytes across builds.
-const GOLDEN_STATE: &str = include_str!("fixtures/campaign_state_v3.txt");
+const GOLDEN_STATE: &str = include_str!("fixtures/campaign_state.txt");
 
 #[test]
 fn state_export_matches_the_committed_golden_fixture() {
@@ -499,31 +527,36 @@ fn state_export_matches_the_committed_golden_fixture() {
     let back = CampaignState::import(GOLDEN_STATE).expect("fixture imports");
     assert_eq!(back.export(), GOLDEN_STATE, "import→export round-trip");
 
-    // The fixture covers every kind of dead-letter line: the three
-    // abandoning outcomes and a breaker-opened pair.
+    // The fixture covers every kind of dead letter: the three
+    // abandoning outcomes and a breaker-opened pair. A dead letter is a
+    // provenance line whose dead-letter field (the ninth) is `1`.
     let dead_letters: Vec<Vec<&str>> = GOLDEN_STATE
-        .split_once("#consent-dead-letters v2\n")
-        .and_then(|(_, rest)| rest.split_once("#consent-provenance v1\n"))
-        .expect("dead-letter section")
-        .0
+        .split_once("#consent-provenance v1\n")
+        .expect("provenance section")
+        .1
         .lines()
-        .map(|l| l.split('\t').collect())
+        .map(|l| l.split('\t').collect::<Vec<_>>())
+        .filter(|f| f[8] == "1")
         .collect();
     for outcome in ["permanent", "transient", "panic"] {
         assert!(
-            dead_letters.iter().any(|f| f[3] == outcome),
+            dead_letters.iter().any(|f| f[5] == outcome),
             "no {outcome} dead letter in the fixture"
         );
     }
     assert!(
-        dead_letters.iter().any(|f| f[4] == "1"),
+        dead_letters.iter().any(|f| f[7] == "1"),
         "no breaker-opened dead letter in the fixture"
     );
     unlock(guard);
 }
 
+/// A generation whose only damaged section is the watchdog's
+/// `watch-state` still holds both logs: recovery salvages them rather
+/// than falling back a generation, and losing the blob only restarts
+/// the detectors.
 #[test]
-fn corrupt_meta_on_newest_generation_salvages_not_refalls() {
+fn damaged_watch_state_on_newest_generation_is_salvaged() {
     let guard = lock();
     let (state_bytes, trace_bytes) = baseline_on_every_disk(FaultProfile::none());
 
@@ -531,22 +564,32 @@ fn corrupt_meta_on_newest_generation_salvages_not_refalls() {
     let store = CheckpointStore::open(&dir).unwrap();
     consent_trace::clear();
     // Die mid-campaign with two durable generations on disk…
-    durable(&store, 1, FaultProfile::none(), CrashPlan::after_apply(11));
+    durable_watched(&store, CrashPlan::after_apply(11));
     die();
     assert_eq!(store.generations().unwrap(), vec![1, 2]);
-    // …then flip a byte in the newest generation's meta section.
+    // …then flip a byte in the newest generation's last section, the
+    // watch-state blob.
     let path = store.path_for(2);
     let mut bytes = std::fs::read(&path).unwrap();
-    let marker = b"#end-header\n";
-    let start = bytes
-        .windows(marker.len())
-        .position(|w| w == marker)
-        .unwrap()
-        + marker.len();
-    bytes[start + 1] ^= 0x01;
+    let at = bytes.len() - 2;
+    bytes[at] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
+    let scan = store.scan_generation(2).unwrap();
+    let verdicts: Vec<(&str, &str)> = scan
+        .verdicts
+        .iter()
+        .map(|v| (v.name.as_str(), v.status.name()))
+        .collect();
+    assert_eq!(
+        verdicts,
+        [
+            ("capture-db", "intact"),
+            ("provenance", "intact"),
+            ("watch-state", "corrupt"),
+        ]
+    );
 
-    let resumed = durable(&store, 1, FaultProfile::none(), CrashPlan::none());
+    let resumed = durable_watched(&store, CrashPlan::none());
     assert_eq!(resumed.outcome, DurableOutcome::Complete);
     // Salvage kept generation 2's ten pairs instead of falling back to
     // generation 1's five.
@@ -555,7 +598,7 @@ fn corrupt_meta_on_newest_generation_salvages_not_refalls() {
             .salvage
             .actions
             .iter()
-            .any(|a| a.contains("salvaged state (10 pairs)")),
+            .any(|a| a.contains("salvaged state (10 pairs) from quarantined generation 2")),
         "{}",
         resumed.salvage.render()
     );
