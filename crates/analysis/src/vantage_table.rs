@@ -43,7 +43,7 @@ impl VantageTable {
     /// Render in the paper's layout: one row per CMP, Σ and coverage.
     pub fn render(&self, title: &str) -> String {
         let mut header = vec!["CMP".to_owned()];
-        header.extend(self.columns.iter().map(|(v, _)| v.label()));
+        header.extend(self.columns.iter().map(|(v, _)| v.label().to_owned()));
         let mut t = Table::new(header);
         t.numeric().title(title);
         for (i, cmp) in ALL_CMPS.iter().enumerate() {

@@ -38,6 +38,7 @@ use consent_util::{Day, SeedTree};
 
 use crate::campaign::{vantage_code, CampaignResult, CampaignState};
 use crate::durable::{SECTION_DB, SECTION_PROVENANCE};
+use crate::export::check_domains;
 
 /// First line of the bundle's `config` document.
 pub const CONFIG_HEADER: &str = "#consent-bundle-config v1";
@@ -95,6 +96,8 @@ impl ArchiveContext {
     }
 
     /// Parse a `config` document (inverse of [`ArchiveContext::render`]).
+    /// A document with a second `day=` or `seed=` line is refused, not
+    /// read with the last one winning.
     pub fn parse(text: &str) -> Result<ArchiveContext, String> {
         let mut lines = text.lines();
         if lines.next() != Some(CONFIG_HEADER) {
@@ -106,8 +109,14 @@ impl ArchiveContext {
         let mut vantages = Vec::new();
         for line in lines {
             if let Some(v) = line.strip_prefix("day=") {
+                if day.is_some() {
+                    return Err(format!("repeated day line: {line:?}"));
+                }
                 day = Some(v.parse::<Day>().map_err(|e| format!("bad day: {e:?}"))?);
             } else if let Some(v) = line.strip_prefix("seed=") {
+                if seed.is_some() {
+                    return Err(format!("repeated seed line: {line:?}"));
+                }
                 seed = Some(v.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?);
             } else if let Some(v) = line.strip_prefix("vantage=") {
                 vantages.push(v.to_string());
@@ -201,6 +210,11 @@ pub fn build_bundle_input(
 /// ([`pack_verified`]): the returned report's fsck is clean or the pack
 /// failed. Storage faults reach the pack through the store's
 /// [`Vfs`](consent_checkpoint::Vfs).
+///
+/// Refuses, with [`io::ErrorKind::InvalidInput`] naming the domain and
+/// before writing a blob, a context holding a domain the durable driver
+/// refuses too: one with a tab, newline or carriage return, or whose
+/// host has an empty label or one that starts with `#`.
 pub fn pack_campaign_bundle(
     store: &BlobStore,
     state: &CampaignState,
@@ -208,6 +222,7 @@ pub fn pack_campaign_bundle(
     artifacts: &CampaignArtifacts<'_>,
     provider: Option<&ExportFn>,
 ) -> io::Result<(PackReport, VerifyReport)> {
+    check_domains(&ctx.domains)?;
     let input = build_bundle_input(state, ctx, artifacts, provider);
     pack_verified(store, &input, SCRUB_ROUNDS)
 }
@@ -408,6 +423,68 @@ mod tests {
         assert_eq!(back.vantages, vec!["us-fast-enus", "eu-fast-enus"]);
         assert!(ArchiveContext::parse("#wrong\n").is_err());
         assert!(ArchiveContext::parse(CONFIG_HEADER).is_err(), "missing day");
+    }
+
+    /// A tab, a `#` label and a newline: the last would write a second
+    /// `day=` line into the `config` document.
+    const HOSTILE: [&str; 3] = [
+        "evil\tdomain.example",
+        "a.#b.example",
+        "smuggle.example\nday=2001-01-01",
+    ];
+
+    #[test]
+    fn pack_refuses_domains_a_campaign_state_cannot_hold() {
+        let (state, _, ctx) = small_campaign();
+        for hostile in HOSTILE {
+            let mut ctx = ctx.clone();
+            ctx.domains.insert(3, hostile.to_string());
+            let dir = tmp_dir();
+            let store = BlobStore::open(&dir).unwrap();
+            let err =
+                pack_campaign_bundle(&store, &state, &ctx, &CampaignArtifacts::default(), None)
+                    .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{hostile:?}");
+            assert!(err.to_string().contains(&format!("{hostile:?}")), "{err}");
+            let written: Vec<_> = walk(&dir);
+            assert!(written.is_empty(), "{hostile:?} wrote {written:?}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    /// Every file under `dir`.
+    fn walk(dir: &Path) -> Vec<PathBuf> {
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files.extend(walk(&path));
+            } else {
+                files.push(path);
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn parse_refuses_a_repeated_day_or_seed() {
+        let (_, _, ctx) = small_campaign();
+        let text = ctx.render();
+        for extra in ["day=2001-01-01\n", "seed=1\n"] {
+            let err = ArchiveContext::parse(&format!("{text}{extra}")).unwrap_err();
+            assert!(err.starts_with("repeated"), "{extra:?}: {err}");
+        }
+        // What the newline domain renders no longer parses to 2001-01-01.
+        for hostile in HOSTILE {
+            let mut ctx = ctx.clone();
+            ctx.domains.push(hostile.to_string());
+            let parsed = ArchiveContext::parse(&ctx.render());
+            if hostile.contains('\n') {
+                assert!(parsed.is_err(), "{hostile:?}: {parsed:?}");
+            } else {
+                assert_eq!(parsed.unwrap(), ctx, "{hostile:?}");
+            }
+        }
     }
 
     #[test]

@@ -460,7 +460,7 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
             fault: plan
                 .engine
                 .plan()
-                .decide(&host, attempt_day, vantage, attempt_no)
+                .decide(host, attempt_day, vantage, attempt_no)
                 .map(|f| f.name().to_string()),
         });
         capture = Some(c);
@@ -544,7 +544,7 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
     let capture = consent_httpsim::Capture {
         seed_url: s.url.clone(),
         final_url: s.url.clone(),
-        final_host: host,
+        final_host: host.to_owned(),
         day: first_day,
         vantage,
         status: CaptureStatus::ConnectionFailed,

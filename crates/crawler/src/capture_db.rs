@@ -69,6 +69,7 @@ use consent_httpsim::{Capture, CaptureStatus, Location};
 use consent_psl::PublicSuffixList;
 use consent_util::Day;
 use consent_webgraph::{Cmp, ALL_CMPS};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Number of domain shards. Fixed by the storage format (STORAGE.md):
@@ -234,13 +235,10 @@ impl CaptureSummary {
     /// across eTLD+1, and the dialog flag. Pure, so a campaign worker
     /// builds the row and the merge thread only inserts it.
     pub fn of(capture: &Capture, cmps: CmpSet, psl: &PublicSuffixList) -> CaptureSummary {
-        let domain = psl
-            .registrable_domain(&capture.final_host)
-            .unwrap_or_else(|| capture.final_host.clone());
+        let domain = domain_of(psl, &capture.final_host).into_owned();
         let (seed_host, _) = consent_httpsim::split_url(&capture.seed_url);
-        let seed_domain = psl.registrable_domain(&seed_host).unwrap_or(seed_host);
         CaptureSummary {
-            redirected: seed_domain != domain,
+            redirected: domain_of(psl, seed_host) != domain.as_str(),
             domain,
             day: capture.day,
             location: capture.vantage.location,
@@ -248,6 +246,18 @@ impl CaptureSummary {
             cmps,
             dialog_visible: capture.dialog_visible,
         }
+    }
+}
+
+/// The unit a row and the dedup queue count `host` under: its
+/// registrable domain, lowercased as
+/// [`PublicSuffixList::registrable_domain`] returns it, or `host` itself
+/// when it has none. Borrowed from `host` unless lowercasing changes it.
+pub(crate) fn domain_of<'a>(psl: &PublicSuffixList, host: &'a str) -> Cow<'a, str> {
+    match psl.split(host).and_then(|parts| parts.registrable) {
+        Some(d) if d.bytes().any(|b| b.is_ascii_uppercase()) => Cow::Owned(d.to_ascii_lowercase()),
+        Some(d) => Cow::Borrowed(d),
+        None => Cow::Borrowed(host),
     }
 }
 

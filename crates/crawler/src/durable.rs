@@ -146,7 +146,7 @@ use crate::campaign::{CampaignConfig, CampaignResult, CampaignState};
 use crate::capture_db::DbMarks;
 use crate::export::export as export_db;
 use crate::export::import as import_db;
-use crate::export::{apply_delta, export_delta, is_host_line};
+use crate::export::{apply_delta, check_domains, export_delta};
 use crate::parallel::CampaignPlan;
 use crate::supervisor::{DegradeLevel, HealthReport, SaveVerdict, Supervisor, SupervisorPolicy};
 
@@ -655,33 +655,6 @@ pub fn recover_state(
             }
         }
     }
-}
-
-/// Refuse a toplist whose checkpoints could not hold it. The provenance
-/// log stores each domain as it is, and a capture row stores the host a
-/// seed URL of the domain names (up to any `/`) or a registrable suffix
-/// of that host, so all of them must pass the capture-db host rule.
-fn check_domains(domains: &[String]) -> io::Result<()> {
-    for domain in domains {
-        let host = domain
-            .split_once('/')
-            .map_or(domain.as_str(), |(host, _)| host);
-        let suffixes = host
-            .match_indices('.')
-            .map(|(at, _)| &host[at + 1..])
-            .filter(|suffix| !suffix.is_empty());
-        if ![domain.as_str(), host]
-            .into_iter()
-            .chain(suffixes)
-            .all(is_host_line)
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("domain {domain:?} cannot be stored in a checkpoint"),
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Run (or resume) a campaign with durable checkpoints.

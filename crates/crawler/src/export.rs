@@ -41,6 +41,7 @@
 use crate::capture_db::{CaptureDb, DbMarks, SEGMENT_ROWS};
 use consent_httpsim::CaptureStatus;
 use std::fmt::{self, Write as _};
+use std::io;
 
 /// Current format version: the columnar sharded layout.
 pub const FORMAT_VERSION: u32 = 3;
@@ -235,10 +236,40 @@ impl<'a> Parser<'a> {
 /// Whether `host` can be one line of an interning table: not empty,
 /// not a `#` header marker, and free of the tab, newline and carriage
 /// return that could split it or smuggle rows or sections into an
-/// export. The durable driver holds a campaign's domains to the same
-/// rule before it crawls them.
+/// export. The durable driver and the bundle writer hold a campaign's
+/// domains to the same rule ([`check_domains`]).
 pub(crate) fn is_host_line(host: &str) -> bool {
     !host.is_empty() && !host.starts_with('#') && !host.contains(['\t', '\n', '\r'])
+}
+
+/// Refuse a toplist whose campaign state could not hold it, with
+/// [`io::ErrorKind::InvalidInput`] naming the first such domain. The
+/// provenance log stores each domain as it is, and a capture row stores
+/// the host a seed URL of the domain names (up to any `/`) or a
+/// registrable suffix of that host, so all of them must pass the
+/// capture-db host rule ([`is_host_line`]). A bundle's `config` document
+/// writes one domain per line, which the same rule keeps whole.
+pub(crate) fn check_domains(domains: &[String]) -> io::Result<()> {
+    for domain in domains {
+        let host = domain
+            .split_once('/')
+            .map_or(domain.as_str(), |(host, _)| host);
+        let suffixes = host
+            .match_indices('.')
+            .map(|(at, _)| &host[at + 1..])
+            .filter(|suffix| !suffix.is_empty());
+        if ![domain.as_str(), host]
+            .into_iter()
+            .chain(suffixes)
+            .all(is_host_line)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("domain {domain:?} cannot be stored in a campaign state"),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One host line of an interning table (see [`is_host_line`]).

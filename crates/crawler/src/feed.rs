@@ -13,6 +13,12 @@ use consent_util::{Day, SeedTree};
 use consent_webgraph::{site, World};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt::Write;
+
+/// Room for the longest feed URL, so that each is built in one
+/// allocation: `https://` (8 bytes), a host of at most 34 (a 20-letter
+/// rank label and `.wordpress.com`) and `/article/NNNN` (13).
+const URL_CAPACITY: usize = 64;
 
 /// Where a URL was spotted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,13 +136,15 @@ impl<'w> Feed<'w> {
                 rng.gen_range(0..profile.subsites)
             };
             let path = site::subsite_path(rank, idx);
-            let host = if rng.gen::<f64>() < self.config.alias_share {
-                profile
-                    .alias
-                    .clone()
-                    .unwrap_or_else(|| site::alias_domain_for(rank))
+            let mut url = String::with_capacity(URL_CAPACITY);
+            // Writing to a `String` cannot fail.
+            let _ = if rng.gen::<f64>() < self.config.alias_share {
+                match &profile.alias {
+                    Some(alias) => write!(url, "https://{alias}{path}"),
+                    None => write!(url, "https://{}{path}", site::alias_domain_for(rank)),
+                }
             } else {
-                profile.domain.clone()
+                write!(url, "https://{}{path}", profile.domain)
             };
             let source = if rng.gen::<f64>() < self.config.twitter_share {
                 FeedSource::Twitter
@@ -146,7 +154,7 @@ impl<'w> Feed<'w> {
             return Some(FeedItem {
                 day,
                 seconds: rng.gen_range(0..86_400),
-                url: format!("https://{host}{path}"),
+                url,
                 source,
             });
         }
@@ -214,7 +222,7 @@ mod tests {
         for d in 0..5 {
             for item in f.day_items(Day::from_ymd(2019, 6, 1) + d) {
                 let (host, _) = consent_httpsim::split_url(&item.url);
-                if let Some(rank) = site::rank_of_host(&host) {
+                if let Some(rank) = site::rank_of_host(host) {
                     total += 1;
                     if rank <= 1_000 {
                         head += 1;

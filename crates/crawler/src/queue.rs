@@ -4,6 +4,7 @@
 //! hour or the precise URL in the last 48 hours. This applies to about
 //! 40 % of all submitted URLs."
 
+use crate::capture_db::domain_of;
 use consent_httpsim::split_url;
 use consent_psl::PublicSuffixList;
 use std::collections::HashMap;
@@ -73,18 +74,15 @@ impl DedupQueue {
             }
         }
         let (host, _) = split_url(url);
-        let domain = self
-            .psl
-            .registrable_domain(&host)
-            .unwrap_or_else(|| host.clone());
-        if let Some(&t) = self.last_domain.get(&domain) {
+        let domain = domain_of(&self.psl, host);
+        if let Some(&t) = self.last_domain.get(&*domain) {
             if now - t < DOMAIN_WINDOW {
                 self.skipped_domain += 1;
                 return Admission::SkippedDomain;
             }
         }
-        self.last_url.insert(url.to_owned(), now);
-        self.last_domain.insert(domain, now);
+        stamp(&mut self.last_url, url, now);
+        stamp(&mut self.last_domain, &domain, now);
         self.accepted += 1;
         Admission::Accepted
     }
@@ -114,6 +112,16 @@ impl DedupQueue {
     pub fn compact(&mut self, now: Ts) {
         self.last_url.retain(|_, &mut t| now - t < URL_WINDOW);
         self.last_domain.retain(|_, &mut t| now - t < DOMAIN_WINDOW);
+    }
+}
+
+/// Record `key` at `now`, copying it only when it is new.
+fn stamp(seen: &mut HashMap<String, Ts>, key: &str, now: Ts) {
+    match seen.get_mut(key) {
+        Some(t) => *t = now,
+        None => {
+            seen.insert(key.to_owned(), now);
+        }
     }
 }
 

@@ -67,7 +67,7 @@ impl<'w> FaultyEngine<'w> {
             return self.inner.capture(url, day, vantage, opts);
         }
         let (host, _) = split_url(url);
-        let Some(fault) = self.plan.decide(&host, day, vantage, attempt) else {
+        let Some(fault) = self.plan.decide(host, day, vantage, attempt) else {
             return self.inner.capture(url, day, vantage, opts);
         };
         consent_telemetry::count_labeled("faultsim.injected", &[("fault", fault.name())], 1);
@@ -89,9 +89,9 @@ impl<'w> FaultyEngine<'w> {
             }
             // Connection-level faults preempt the origin entirely.
             Fault::Brownout | Fault::ConnectionReset => {
-                no_content(url, &host, day, vantage, CaptureStatus::ConnectionReset)
+                no_content(url, host, day, vantage, CaptureStatus::ConnectionReset)
             }
-            Fault::AntiBotEscalation => interstitial(url, &host, day, vantage),
+            Fault::AntiBotEscalation => interstitial(url, host, day, vantage),
             // Record-level faults degrade whatever the origin returned;
             // a capture that already failed deterministically keeps its
             // more specific status.
@@ -101,7 +101,7 @@ impl<'w> FaultyEngine<'w> {
                     return c;
                 }
                 let cutoff =
-                    1_000 + (self.plan.shape(&host, day, vantage, attempt) * 4_000.0) as u64;
+                    1_000 + (self.plan.shape(host, day, vantage, attempt) * 4_000.0) as u64;
                 truncate(c, CaptureStatus::Timeout, CutAt::Millis(cutoff))
             }
             Fault::Truncation => {
@@ -109,7 +109,7 @@ impl<'w> FaultyEngine<'w> {
                 if c.status != CaptureStatus::Ok {
                     return c;
                 }
-                let keep = 0.3 + self.plan.shape(&host, day, vantage, attempt) * 0.5;
+                let keep = 0.3 + self.plan.shape(host, day, vantage, attempt) * 0.5;
                 truncate(c, CaptureStatus::Truncated, CutAt::Fraction(keep))
             }
         }
@@ -158,8 +158,8 @@ fn no_content(url: &str, host: &str, day: Day, vantage: Vantage, status: Capture
 fn interstitial(url: &str, host: &str, day: Day, vantage: Vantage) -> Capture {
     let mut c = no_content(url, host, day, vantage, CaptureStatus::AntiBotInterstitial);
     c.requests.push(RequestRecord {
-        url: url.to_owned(),
-        host: host.to_owned(),
+        url: url.to_owned().into(),
+        host: host.to_owned().into(),
         status: 403,
         bytes: 2_048,
         started: SimInstant::ZERO,

@@ -83,7 +83,7 @@ impl FaultPlan {
             .seed
             .child(host)
             .child_idx(day.0 as u64)
-            .child(&vantage.label())
+            .child(vantage.label())
             .child_idx(u64::from(attempt));
         if self.profile.panic > 0.0 && node.child("panic").unit_f64() < self.profile.panic {
             return Some(Fault::Panic);
@@ -113,7 +113,7 @@ impl FaultPlan {
                 .seed
                 .child("brownout")
                 .child_idx(day.0 as u64)
-                .child(&vantage.label())
+                .child(vantage.label())
                 .unit_f64()
                 < self.profile.brownout
     }
@@ -125,7 +125,7 @@ impl FaultPlan {
         self.seed
             .child(host)
             .child_idx(day.0 as u64)
-            .child(&vantage.label())
+            .child(vantage.label())
             .child_idx(u64::from(attempt))
             .child("shape")
             .unit_f64()

@@ -8,14 +8,20 @@
 
 use crate::vantage::Vantage;
 use consent_util::{Day, SimInstant};
+use std::borrow::Cow;
 
 /// One HTTP request observed during a page load.
+///
+/// The engine's constant requests borrow their strings: the tracker
+/// hosts and their `/collect` URLs, the CMP hosts and their script and
+/// configuration URLs, and the anti-bot challenge. Only first-party and
+/// seed-URL requests own theirs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Full URL requested.
-    pub url: String,
+    pub url: Cow<'static, str>,
     /// Hostname component.
-    pub host: String,
+    pub host: Cow<'static, str>,
     /// Response status (0 if the request never completed).
     pub status: u16,
     /// Compressed transfer size in bytes.
@@ -26,15 +32,16 @@ pub struct RequestRecord {
     pub third_party: bool,
 }
 
-/// One cookie set during a page load.
+/// One cookie set during a page load. Names, third-party hosts and
+/// constant values are borrowed, like [`RequestRecord`]'s strings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CookieRecord {
     /// Cookie name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Host that set it.
-    pub host: String,
+    pub host: Cow<'static, str>,
     /// Value (consent cookies carry a TCF consent string).
-    pub value: String,
+    pub value: Cow<'static, str>,
     /// True if set by a third-party context.
     pub third_party: bool,
 }
@@ -140,8 +147,8 @@ impl Capture {
     pub fn hosts(&self) -> Vec<&str> {
         let mut seen = Vec::new();
         for r in &self.requests {
-            if !seen.contains(&r.host.as_str()) {
-                seen.push(r.host.as_str());
+            if !seen.contains(&&*r.host) {
+                seen.push(&*r.host);
             }
         }
         seen
@@ -182,8 +189,8 @@ mod tests {
 
     fn req(host: &str, third_party: bool, bytes: u64) -> RequestRecord {
         RequestRecord {
-            url: format!("https://{host}/x"),
-            host: host.to_owned(),
+            url: format!("https://{host}/x").into(),
+            host: host.to_owned().into(),
             status: 200,
             bytes,
             started: SimInstant::ZERO,

@@ -16,6 +16,8 @@ use consent_webgraph::{
 };
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::borrow::Cow;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Idle timeout under aggressive timing (§3.5: five seconds).
@@ -65,7 +67,7 @@ impl<'w> Engine<'w> {
             // never iterates the request log here.
             for r in &capture.requests {
                 consent_trace::event("request", |a| {
-                    a.push("host", r.host.clone());
+                    a.push("host", &*r.host);
                     a.push("status", r.status.to_string());
                     a.push("ms", r.started.as_millis().to_string());
                     if r.third_party {
@@ -88,7 +90,7 @@ impl<'w> Engine<'w> {
             consent_telemetry::count_labeled(
                 "engine.capture.outcome",
                 &[
-                    ("vantage", &vantage.label()),
+                    ("vantage", vantage.label()),
                     ("status", capture.status.name()),
                 ],
                 1,
@@ -119,37 +121,33 @@ impl<'w> Engine<'w> {
             .seed
             .child(url)
             .child_idx(day.0 as u64)
-            .child(&vantage.label())
+            .child(vantage.label())
             .rng();
+        let unloaded = |status| failed(url, url.to_owned(), host.to_owned(), day, vantage, status);
 
-        let Some(profile) = self.world.site_by_host(&host) else {
-            return failed(url, &host, day, vantage, CaptureStatus::ConnectionFailed);
+        let Some(profile) = self.world.site_by_host(host) else {
+            return unloaded(CaptureStatus::ConnectionFailed);
         };
 
         // Alias domains 301 to the canonical site; toplist-level redirects
         // land on another site entirely.
         let (profile, redirected) = match profile.reachability {
-            Reachability::Unreachable => {
-                return failed(url, &host, day, vantage, CaptureStatus::ConnectionFailed)
+            Reachability::Unreachable | Reachability::NoValidHttp => {
+                return unloaded(CaptureStatus::ConnectionFailed)
             }
-            Reachability::NoValidHttp => {
-                return failed(url, &host, day, vantage, CaptureStatus::ConnectionFailed)
-            }
-            Reachability::HttpError => {
-                return failed(url, &host, day, vantage, CaptureStatus::HttpError)
-            }
+            Reachability::HttpError => return unloaded(CaptureStatus::HttpError),
             Reachability::RedirectsTo(target) => (self.world.profile(target), true),
             Reachability::Ok => {
-                let is_alias = profile
-                    .alias
-                    .as_deref()
-                    .is_some_and(|a| host == a || host.ends_with(&format!(".{a}")));
+                let is_alias = profile.alias.as_deref().is_some_and(|a| {
+                    host.strip_suffix(a)
+                        .is_some_and(|sub| sub.is_empty() || sub.ends_with('.'))
+                });
                 (Arc::clone(&profile), is_alias)
             }
         };
 
-        let final_host = format!("www.{}", profile.domain);
-        let final_url = format!("https://{final_host}{path}");
+        let final_host = ["www.", &profile.domain].concat();
+        let final_url = ["https://", &final_host, path].concat();
 
         // HTTP 451 to EU visitors (§3.5).
         if profile
@@ -158,44 +156,46 @@ impl<'w> Engine<'w> {
             .is_some_and(|b| b.geo == GeoBehavior::Block451Eu)
             && vantage.location.appears_eu()
         {
-            let mut c = failed(
-                url,
-                &final_host,
-                day,
-                vantage,
-                CaptureStatus::LegallyBlocked,
-            );
-            c.final_url = final_url;
-            c.requests.push(RequestRecord {
-                url: c.final_url.clone(),
-                host: final_host.clone(),
+            let blocked = RequestRecord {
+                url: final_url.clone().into(),
+                host: final_host.clone().into(),
                 status: 451,
                 bytes: 512,
                 started: SimInstant::ZERO,
                 third_party: false,
-            });
+            };
+            let mut c = failed(
+                url,
+                final_url,
+                final_host,
+                day,
+                vantage,
+                CaptureStatus::LegallyBlocked,
+            );
+            c.requests.push(blocked);
             return c;
         }
 
         // Anti-bot CDN interstitial for cloud crawlers (§3.5).
         if profile.behavior.as_ref().is_some_and(|b| b.anti_bot_cdn) && vantage.location.is_cloud()
         {
-            let mut c = failed(
-                url,
-                &final_host,
-                day,
-                vantage,
-                CaptureStatus::AntiBotInterstitial,
-            );
-            c.final_url = final_url;
-            c.requests.push(RequestRecord {
-                url: c.final_url.clone(),
-                host: final_host.clone(),
+            let refused = RequestRecord {
+                url: final_url.clone().into(),
+                host: final_host.clone().into(),
                 status: 403,
                 bytes: 2_048,
                 started: SimInstant::ZERO,
                 third_party: false,
-            });
+            };
+            let mut c = failed(
+                url,
+                final_url,
+                final_host,
+                day,
+                vantage,
+                CaptureStatus::AntiBotInterstitial,
+            );
+            c.requests.push(refused);
             c.requests.push(RequestRecord {
                 url: "https://challenge.cdn-shield.net/turnstile".into(),
                 host: "challenge.cdn-shield.net".into(),
@@ -208,16 +208,7 @@ impl<'w> Engine<'w> {
         }
 
         self.load_page(
-            url,
-            &profile,
-            redirected,
-            &final_host,
-            &final_url,
-            &path,
-            day,
-            vantage,
-            opts,
-            &mut rng,
+            url, &profile, redirected, final_host, final_url, path, day, vantage, opts, &mut rng,
         )
     }
 
@@ -227,8 +218,8 @@ impl<'w> Engine<'w> {
         seed_url: &str,
         profile: &SiteProfile,
         redirected: bool,
-        final_host: &str,
-        final_url: &str,
+        final_host: String,
+        final_url: String,
         path: &str,
         day: Day,
         vantage: Vantage,
@@ -245,8 +236,8 @@ impl<'w> Engine<'w> {
         if redirected {
             let (h, _) = split_url(seed_url);
             requests.push(RequestRecord {
-                url: seed_url.to_owned(),
-                host: h,
+                url: seed_url.to_owned().into(),
+                host: h.to_owned().into(),
                 status: 301,
                 bytes: 320,
                 started: SimInstant::ZERO,
@@ -254,8 +245,8 @@ impl<'w> Engine<'w> {
             });
         }
         requests.push(RequestRecord {
-            url: final_url.to_owned(),
-            host: final_host.to_owned(),
+            url: final_url.clone().into(),
+            host: final_host.clone().into(),
             status: 200,
             bytes: rng.gen_range(8_000..60_000),
             started: SimInstant::from_millis(if redirected { 180 } else { 0 }),
@@ -263,8 +254,8 @@ impl<'w> Engine<'w> {
         });
         cookies.push(CookieRecord {
             name: "session".into(),
-            host: final_host.to_owned(),
-            value: format!("s{:016x}", rng.gen::<u64>()),
+            host: final_host.clone().into(),
+            value: hex_value('s', rng.gen::<u64>(), 16),
             third_party: false,
         });
 
@@ -272,8 +263,8 @@ impl<'w> Engine<'w> {
         let n_assets = rng.gen_range(2..8);
         for i in 0..n_assets {
             requests.push(RequestRecord {
-                url: format!("https://{final_host}/static/asset{i}.js"),
-                host: final_host.to_owned(),
+                url: format!("https://{final_host}/static/asset{i}.js").into(),
+                host: final_host.clone().into(),
                 status: 200,
                 bytes: rng.gen_range(1_000..40_000),
                 started: SimInstant::from_millis(rng.gen_range(100..1_500)),
@@ -297,10 +288,10 @@ impl<'w> Engine<'w> {
                 _ => rng.gen_range(0..5),
             };
             for _ in 0..n_third {
-                let host = THIRD_PARTY_POOL[rng.gen_range(0..THIRD_PARTY_POOL.len())];
+                let (host, url) = THIRD_PARTY_POOL[rng.gen_range(0..THIRD_PARTY_POOL.len())];
                 requests.push(RequestRecord {
-                    url: format!("https://{host}/collect"),
-                    host: host.to_owned(),
+                    url: url.into(),
+                    host: host.into(),
                     status: 200,
                     bytes: rng.gen_range(200..8_000),
                     started: SimInstant::from_millis(rng.gen_range(300..4_000)),
@@ -309,8 +300,8 @@ impl<'w> Engine<'w> {
                 if rng.gen::<f64>() < 0.5 {
                     cookies.push(CookieRecord {
                         name: "uid".into(),
-                        host: host.to_owned(),
-                        value: format!("u{:012x}", rng.gen::<u64>() & 0xFFFF_FFFF_FFFF),
+                        host: host.into(),
+                        value: hex_value('u', rng.gen::<u64>() & 0xFFFF_FFFF_FFFF, 12),
                         third_party: true,
                     });
                 }
@@ -363,7 +354,7 @@ impl<'w> Engine<'w> {
                     // consent cookie — but the CMP sets a "seen" marker.
                     cookies.push(CookieRecord {
                         name: "euconsent-seen".into(),
-                        host: cmp.indicator_hostname().to_owned(),
+                        host: cmp.indicator_hostname().into(),
                         value: "1".into(),
                         third_party: true,
                     });
@@ -381,8 +372,8 @@ impl<'w> Engine<'w> {
 
         Capture {
             seed_url: seed_url.to_owned(),
-            final_url: final_url.to_owned(),
-            final_host: final_host.to_owned(),
+            final_url,
+            final_host,
             day,
             vantage,
             status: CaptureStatus::Ok,
@@ -394,8 +385,16 @@ impl<'w> Engine<'w> {
     }
 }
 
-/// Stable pool of synthetic third-party tracker hosts.
-const THIRD_PARTY_POOL: [&str; 12] = [
+/// Each tracker host with the URL of its `/collect` beacon.
+macro_rules! trackers {
+    ($($host:literal),* $(,)?) => {
+        [$(($host, concat!("https://", $host, "/collect"))),*]
+    };
+}
+
+/// Stable pool of synthetic third-party tracker hosts, each with its
+/// beacon URL.
+const THIRD_PARTY_POOL: [(&str, &str); 12] = trackers![
     "metrics.analytico.net",
     "pixel.adgrid.example",
     "sync.cohortworks.example",
@@ -410,19 +409,50 @@ const THIRD_PARTY_POOL: [&str; 12] = [
     "api.signalscope.example",
 ];
 
+/// `prefix` and then `value` as `width` lowercase hex digits, built in
+/// one allocation (`format!` would grow its buffer on the way).
+fn hex_value(prefix: char, value: u64, width: usize) -> Cow<'static, str> {
+    let mut out = String::with_capacity(1 + width);
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{prefix}{value:0width$x}");
+    out.into()
+}
+
+/// The script and configuration URLs a CMP embed loads from its
+/// indicator host.
+fn cmp_embed_urls(cmp: Cmp) -> [&'static str; 2] {
+    macro_rules! embed {
+        ($host:literal) => {
+            [
+                concat!("https://", $host, "/consent.js"),
+                concat!("https://", $host, "/v2/config.json"),
+            ]
+        };
+    }
+    match cmp {
+        Cmp::OneTrust => embed!("cdn.cookielaw.org"),
+        Cmp::Quantcast => embed!("quantcast.mgr.consensu.org"),
+        Cmp::TrustArc => embed!("consent.trustarc.com"),
+        Cmp::Cookiebot => embed!("consent.cookiebot.com"),
+        Cmp::LiveRamp => embed!("cmp.choice.faktor.io"),
+        Cmp::Crownpeak => embed!("iabmap.evidon.com"),
+    }
+}
+
 fn push_cmp_requests(requests: &mut Vec<RequestRecord>, cmp: Cmp, start_ms: u64, rng: &mut StdRng) {
     let host = cmp.indicator_hostname();
+    let [script, config] = cmp_embed_urls(cmp);
     requests.push(RequestRecord {
-        url: format!("https://{host}/consent.js"),
-        host: host.to_owned(),
+        url: script.into(),
+        host: host.into(),
         status: 200,
         bytes: rng.gen_range(20_000..90_000),
         started: SimInstant::from_millis(start_ms),
         third_party: true,
     });
     requests.push(RequestRecord {
-        url: format!("https://{host}/v2/config.json"),
-        host: host.to_owned(),
+        url: config.into(),
+        host: host.into(),
         status: 200,
         bytes: rng.gen_range(2_000..9_000),
         started: SimInstant::from_millis(start_ms + rng.gen_range(50..400)),
@@ -514,11 +544,19 @@ fn css_classes(cmp: Cmp, style: DialogStyle) -> Vec<String> {
     }
 }
 
-fn failed(url: &str, host: &str, day: Day, vantage: Vantage, status: CaptureStatus) -> Capture {
+/// A capture that loaded no page: no requests, cookies or DOM.
+fn failed(
+    seed_url: &str,
+    final_url: String,
+    final_host: String,
+    day: Day,
+    vantage: Vantage,
+    status: CaptureStatus,
+) -> Capture {
     Capture {
-        seed_url: url.to_owned(),
-        final_url: url.to_owned(),
-        final_host: host.to_owned(),
+        seed_url: seed_url.to_owned(),
+        final_url,
+        final_host,
         day,
         vantage,
         status,
@@ -529,15 +567,16 @@ fn failed(url: &str, host: &str, day: Day, vantage: Vantage, status: CaptureStat
     }
 }
 
-/// Split a URL into (host, path). Tolerates missing scheme.
-pub fn split_url(url: &str) -> (String, String) {
+/// Split a URL into (host, path), both borrowed from `url`; the path of
+/// a URL without one is `/`. Tolerates missing scheme.
+pub fn split_url(url: &str) -> (&str, &str) {
     let rest = url
         .strip_prefix("https://")
         .or_else(|| url.strip_prefix("http://"))
         .unwrap_or(url);
     match rest.find('/') {
-        Some(i) => (rest[..i].to_owned(), rest[i..].to_owned()),
-        None => (rest.to_owned(), "/".to_owned()),
+        Some(i) => rest.split_at(i),
+        None => (rest, "/"),
     }
 }
 
@@ -573,12 +612,26 @@ mod tests {
 
     #[test]
     fn url_splitting() {
-        assert_eq!(
-            split_url("https://a.com/x?y=1"),
-            ("a.com".into(), "/x?y=1".into())
-        );
-        assert_eq!(split_url("http://a.com"), ("a.com".into(), "/".into()));
-        assert_eq!(split_url("a.com/p"), ("a.com".into(), "/p".into()));
+        assert_eq!(split_url("https://a.com/x?y=1"), ("a.com", "/x?y=1"));
+        assert_eq!(split_url("http://a.com"), ("a.com", "/"));
+        assert_eq!(split_url("a.com/p"), ("a.com", "/p"));
+    }
+
+    #[test]
+    fn constant_urls_name_their_hosts() {
+        for (host, url) in THIRD_PARTY_POOL {
+            assert_eq!(url, format!("https://{host}/collect"));
+        }
+        for cmp in consent_webgraph::ALL_CMPS {
+            let host = cmp.indicator_hostname();
+            assert_eq!(
+                cmp_embed_urls(cmp),
+                [
+                    format!("https://{host}/consent.js"),
+                    format!("https://{host}/v2/config.json")
+                ]
+            );
+        }
     }
 
     #[test]

@@ -131,25 +131,30 @@ impl Vantage {
         ]
     }
 
-    /// Short column label for table output.
-    pub fn label(&self) -> String {
-        let loc = match self.location {
-            Location::UsCloud => "US☁",
-            Location::EuCloud => "EU☁",
-            Location::EuUniversity => "EUuni",
-        };
-        let timing = match self.timing {
-            Timing::Aggressive => "fast",
-            Timing::Extended => "ext",
-        };
-        let lang = match self.language {
-            Language::EnUs => "en-US",
-            Language::De => "de",
-            Language::EnGb => "en-GB",
-        };
-        format!("{loc}/{timing}/{lang}")
+    /// Short column label for table output, `location/timing/language`
+    /// (e.g. `EUuni/ext/en-US`). It also names the vantage in every
+    /// capture's and every fault decision's seed path.
+    pub fn label(&self) -> &'static str {
+        LABELS[self.location as usize][self.timing as usize][self.language as usize]
     }
 }
+
+/// [`Vantage::label`] of every vantage, indexed by location, timing and
+/// language in declaration order.
+const LABELS: [[[&str; 3]; 2]; 3] = [
+    [
+        ["US☁/fast/en-US", "US☁/fast/de", "US☁/fast/en-GB"],
+        ["US☁/ext/en-US", "US☁/ext/de", "US☁/ext/en-GB"],
+    ],
+    [
+        ["EU☁/fast/en-US", "EU☁/fast/de", "EU☁/fast/en-GB"],
+        ["EU☁/ext/en-US", "EU☁/ext/de", "EU☁/ext/en-GB"],
+    ],
+    [
+        ["EUuni/fast/en-US", "EUuni/fast/de", "EUuni/fast/en-GB"],
+        ["EUuni/ext/en-US", "EUuni/ext/de", "EUuni/ext/en-GB"],
+    ],
+];
 
 #[cfg(test)]
 mod tests {
@@ -180,9 +185,33 @@ mod tests {
     }
 
     #[test]
+    fn labels_name_location_timing_and_language() {
+        for (location, loc) in [
+            (Location::UsCloud, "US☁"),
+            (Location::EuCloud, "EU☁"),
+            (Location::EuUniversity, "EUuni"),
+        ] {
+            for (timing, t) in [(Timing::Aggressive, "fast"), (Timing::Extended, "ext")] {
+                for (language, lang) in [
+                    (Language::EnUs, "en-US"),
+                    (Language::De, "de"),
+                    (Language::EnGb, "en-GB"),
+                ] {
+                    let v = Vantage {
+                        location,
+                        timing,
+                        language,
+                    };
+                    assert_eq!(v.label(), format!("{loc}/{t}/{lang}"));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn labels_are_unique() {
         let cols = Vantage::table1_columns();
-        let labels: Vec<String> = cols.iter().map(Vantage::label).collect();
+        let labels: Vec<&str> = cols.iter().map(Vantage::label).collect();
         let mut dedup = labels.clone();
         dedup.sort();
         dedup.dedup();

@@ -88,18 +88,19 @@ impl PublicSuffixList {
         self.rule_count += 1;
     }
 
-    /// Length in labels of the public suffix of `labels_rev` (TLD first),
+    /// Length in labels of the public suffix of the lowercase host
+    /// `folded`, walking its labels right to left (TLD first) in place,
     /// following the PSL algorithm:
     ///
     /// 1. The prevailing rule is the matching rule with the most labels.
     /// 2. Exception rules prevail over any other matching rule; the public
     ///    suffix is then the exception rule minus its leftmost label.
     /// 3. If no rule matches, the prevailing rule is `*` (the TLD itself).
-    fn suffix_len(&self, labels_rev: &[&str]) -> usize {
+    fn suffix_len(&self, folded: &str) -> usize {
         let mut node = &self.root;
         let mut best = 1; // implicit `*` rule
-        for (depth, label) in labels_rev.iter().enumerate() {
-            // Wildcard at the current node covers `labels_rev[depth]`.
+        for (depth, label) in folded.rsplit('.').enumerate() {
+            // Wildcard at the current node covers this label.
             if node.wildcard {
                 if node.exceptions.iter().any(|e| e == label) {
                     // Exception: public suffix is the wildcard's parent
@@ -109,7 +110,7 @@ impl PublicSuffixList {
                     best = best.max(depth + 1);
                 }
             }
-            match node.children.get(*label) {
+            match node.children.get(label) {
                 Some(child) => {
                     if child.terminal == Some(RuleKind::Normal) {
                         best = best.max(depth + 1);
@@ -127,9 +128,12 @@ impl PublicSuffixList {
     /// Split a hostname into public suffix and registrable domain.
     ///
     /// Returns `None` for hostnames that cannot carry a registrable domain
-    /// at all: empty input, a lone dot, hosts with empty labels, or IP
-    /// addresses (we treat all-numeric final labels as IPs, as the PSL
-    /// algorithm requires hostnames).
+    /// at all: empty input, a lone dot, hosts with empty labels, IPv4
+    /// addresses (a host whose every label is numeric; the PSL algorithm
+    /// requires hostnames), or hosts with a `:` or `[` (IPv6 literals and
+    /// ports). Both parts are slices of `host`, in its case; the rules
+    /// match case-insensitively. Allocates nothing unless `host` has an
+    /// ASCII uppercase letter, when it matches a lowercased copy.
     ///
     /// ```
     /// use consent_psl::PublicSuffixList;
@@ -140,28 +144,35 @@ impl PublicSuffixList {
     /// ```
     pub fn split<'a>(&self, host: &'a str) -> Option<DomainParts<'a>> {
         let host = host.strip_suffix('.').unwrap_or(host);
-        if host.is_empty() {
+        // Reject IPv6 literals / ports smuggled in.
+        if host.is_empty() || host.contains([':', '[']) {
             return None;
         }
-        let labels: Vec<&str> = host.split('.').collect();
-        if labels.iter().any(|l| l.is_empty()) {
-            return None;
+        let mut labels = 0;
+        let mut numeric = true;
+        for label in host.split('.') {
+            if label.is_empty() {
+                return None;
+            }
+            labels += 1;
+            numeric &= label.bytes().all(|b| b.is_ascii_digit());
         }
         // Reject IPv4 literals: every label numeric.
-        if labels.iter().all(|l| l.bytes().all(|b| b.is_ascii_digit())) {
+        if numeric {
             return None;
         }
-        // Reject IPv6 literals / ports smuggled in.
-        if host.contains(':') || host.contains('[') {
-            return None;
-        }
-        let lower: Vec<String> = labels.iter().map(|l| l.to_ascii_lowercase()).collect();
-        let labels_rev: Vec<&str> = lower.iter().rev().map(String::as_str).collect();
-        let sfx = self.suffix_len(&labels_rev).min(labels.len());
+        let lower;
+        let folded = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            lower = host.to_ascii_lowercase();
+            &lower
+        } else {
+            host
+        };
+        let sfx = self.suffix_len(folded).min(labels);
 
         let suffix_start = byte_offset_of_last_n_labels(host, sfx);
         let public_suffix = &host[suffix_start..];
-        let registrable = if labels.len() > sfx {
+        let registrable = if labels > sfx {
             let start = byte_offset_of_last_n_labels(host, sfx + 1);
             Some(&host[start..])
         } else {
@@ -212,6 +223,7 @@ fn byte_offset_of_last_n_labels(s: &str, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> PublicSuffixList {
         PublicSuffixList::from_text(
@@ -341,5 +353,69 @@ mod tests {
                 .as_deref(),
             Some("consensu.org")
         );
+    }
+
+    /// Labels the generated hosts are made of: plain and private
+    /// suffixes, the embedded list's wildcard (`*.ck`, `*.kawasaki.jp`)
+    /// and exception (`!www.ck`, `!city.kawasaki.jp`) rules, unknown
+    /// labels, empty and all-digit labels, and `:` and `[`.
+    const LABELS: [&str; 20] = [
+        "com", "co", "uk", "github", "io", "ck", "www", "jp", "kawasaki", "city", "example",
+        "cedifogu", "zz", "", "192", "0", "a:8080", "[", "Www", "CiTy",
+    ];
+
+    /// True if `part` is a suffix of `host` that starts at a label.
+    fn dot_aligned_suffix(host: &str, part: &str) -> bool {
+        host.strip_suffix(part)
+            .is_some_and(|rest| rest.is_empty() || rest.ends_with('.'))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+        #[test]
+        fn prop_split_matches_the_lowercased_host(
+            picks in proptest::collection::vec(0usize..LABELS.len(), 0..6),
+            upper: u64,
+            trailing_dot: bool,
+        ) {
+            let psl = PublicSuffixList::embedded();
+            let mut host = picks.iter().map(|&i| LABELS[i]).collect::<Vec<_>>().join(".");
+            // Mixed case: uppercase the letters whose bit is set.
+            host = host
+                .char_indices()
+                .map(|(i, c)| if upper >> (i % 64) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                .collect();
+            if trailing_dot {
+                host.push('.');
+            }
+
+            let bare = host.strip_suffix('.').unwrap_or(&host);
+            let refused = bare.is_empty()
+                || bare.split('.').any(str::is_empty)
+                || bare.split('.').all(|l| l.bytes().all(|b| b.is_ascii_digit()))
+                || bare.contains([':', '[']);
+            let parts = psl.split(&host);
+            prop_assert_eq!(parts.is_none(), refused, "{:?}: {:?}", host, parts);
+            let Some(parts) = parts else { return Ok(()) };
+
+            let lower = host.to_ascii_lowercase();
+            let folded = psl.split(&lower).expect("the lowercased host splits too");
+            prop_assert_eq!(parts.public_suffix.to_ascii_lowercase(), folded.public_suffix);
+            prop_assert_eq!(
+                parts.registrable.map(str::to_ascii_lowercase),
+                folded.registrable.map(str::to_owned)
+            );
+            prop_assert!(dot_aligned_suffix(bare, parts.public_suffix), "{:?}", parts);
+            if let Some(registrable) = parts.registrable {
+                prop_assert!(dot_aligned_suffix(bare, registrable), "{:?}", parts);
+                prop_assert!(
+                    dot_aligned_suffix(registrable, parts.public_suffix)
+                        && registrable.len() > parts.public_suffix.len(),
+                    "{:?}",
+                    parts
+                );
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! a bijection, not a lookup.
 
 use consent_util::SeedTree;
+use std::fmt;
 
 /// A site's true popularity rank (1 = most popular).
 pub type Rank = u32;
@@ -28,34 +29,47 @@ const SYLLABLES: [&str; 10] = ["ba", "ce", "di", "fo", "gu", "ha", "ki", "lo", "
 
 /// Encode a rank as a pronounceable label, e.g. `1234` → `"cedifogu"`.
 pub fn rank_to_label(rank: Rank) -> String {
-    let digits = rank.to_string();
-    let mut out = String::with_capacity(digits.len() * 2);
-    for d in digits.bytes() {
-        out.push_str(SYLLABLES[(d - b'0') as usize]);
+    Label(rank).to_string()
+}
+
+/// A rank's label (see [`rank_to_label`]), formatted without allocating.
+struct Label(Rank);
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Decimal digits, least significant first.
+        let mut digits = [0u8; 10];
+        let (mut rest, mut n) = (self.0, 0);
+        loop {
+            digits[n] = (rest % 10) as u8;
+            n += 1;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        digits[..n]
+            .iter()
+            .rev()
+            .try_for_each(|&d| f.write_str(SYLLABLES[usize::from(d)]))
     }
-    out
 }
 
 /// Decode a label back to its rank; `None` if it is not a valid code.
+/// Allocates nothing.
 pub fn label_to_rank(label: &str) -> Option<Rank> {
-    if label.is_empty() || label.len() % 2 != 0 {
+    // A code starts with a nonzero digit: leading zeros do not
+    // round-trip, and rank 0 does not exist.
+    if label.is_empty() || label.len() % 2 != 0 || label.starts_with(SYLLABLES[0]) {
         return None;
     }
     let mut rank: u64 = 0;
     for chunk in label.as_bytes().chunks(2) {
-        let syl = std::str::from_utf8(chunk).ok()?;
-        let digit = SYLLABLES.iter().position(|&s| s == syl)? as u64;
+        let digit = SYLLABLES.iter().position(|s| s.as_bytes() == chunk)? as u64;
         rank = rank * 10 + digit;
         if rank > u64::from(u32::MAX) {
             return None;
         }
-    }
-    // Leading-zero digit strings don't round-trip; reject them.
-    if rank_to_label(rank as Rank).len() != label.len() {
-        return None;
-    }
-    if rank == 0 {
-        return None;
     }
     Some(rank as Rank)
 }
@@ -105,7 +119,7 @@ const PLATFORMS: [&str; 4] = ["github.io", "blogspot.com", "wordpress.com", "net
 
 /// The canonical registrable domain of the site at `rank`.
 pub fn domain_for(rank: Rank, site_seed: SeedTree, region: Region) -> String {
-    let label = rank_to_label(rank);
+    let label = Label(rank);
     let u = site_seed.child("hosting").unit_f64();
     if u < PRIVATE_SUFFIX_SHARE {
         let p = PLATFORMS[(site_seed.child("platform").unit_f64() * PLATFORMS.len() as f64)
@@ -131,8 +145,19 @@ pub fn rank_of_host(host: &str) -> Option<Rank> {
 
 /// Alias (redirecting) domain for sites that have one: a `-alt` twin on a
 /// generic TLD, standing in for vanity/legacy domains and shorteners.
-pub fn alias_domain_for(rank: Rank) -> String {
-    format!("{}-alt.net", rank_to_label(rank))
+/// Formats (e.g. with `to_string`) as `<rank label>-alt.net`.
+pub fn alias_domain_for(rank: Rank) -> AliasDomain {
+    AliasDomain(rank)
+}
+
+/// The alias domain of a rank (see [`alias_domain_for`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AliasDomain(Rank);
+
+impl fmt::Display for AliasDomain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}-alt.net", Label(self.0))
+    }
 }
 
 /// Number of distinct subsites (paths) a site exposes, heavy-tailed in
@@ -150,14 +175,35 @@ pub fn subsite_count(rank: Rank) -> u32 {
 /// Path of subsite `idx` for a site. Subsite 0 is the landing page; the
 /// last index is always the privacy-policy page (which on some sites
 /// embeds no external scripts at all, §3.5 "Subsites").
-pub fn subsite_path(rank: Rank, idx: u32) -> String {
+pub fn subsite_path(rank: Rank, idx: u32) -> SubsitePath {
     let n = subsite_count(rank);
     if idx == 0 {
-        "/".to_owned()
+        SubsitePath::Landing
     } else if idx >= n - 1 {
-        "/privacy".to_owned()
+        SubsitePath::Privacy
     } else {
-        format!("/article/{idx}")
+        SubsitePath::Article(idx)
+    }
+}
+
+/// A subsite's path (see [`subsite_path`]), formatted as a URL path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SubsitePath {
+    /// `/`.
+    Landing,
+    /// `/article/<idx>`.
+    Article(u32),
+    /// `/privacy`.
+    Privacy,
+}
+
+impl fmt::Display for SubsitePath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubsitePath::Landing => f.write_str("/"),
+            SubsitePath::Article(idx) => write!(f, "/article/{idx}"),
+            SubsitePath::Privacy => f.write_str("/privacy"),
+        }
     }
 }
 
@@ -194,7 +240,10 @@ mod tests {
         let domain = domain_for(1234, seed, region);
         assert_eq!(rank_of_host(&domain), Some(1234));
         assert_eq!(rank_of_host(&format!("www.{domain}")), Some(1234));
-        assert_eq!(rank_of_host(&alias_domain_for(1234)), Some(1234));
+        assert_eq!(
+            rank_of_host(&alias_domain_for(1234).to_string()),
+            Some(1234)
+        );
         assert_eq!(rank_of_host("cdn.cookielaw.org"), None);
         assert_eq!(rank_of_host("example.com"), None);
     }
@@ -247,10 +296,10 @@ mod tests {
 
     #[test]
     fn subsites_shape() {
-        assert_eq!(subsite_path(5, 0), "/");
-        assert_eq!(subsite_path(5, 1), "/article/1");
+        assert_eq!(subsite_path(5, 0).to_string(), "/");
+        assert_eq!(subsite_path(5, 1).to_string(), "/article/1");
         let n = subsite_count(5);
-        assert_eq!(subsite_path(5, n - 1), "/privacy");
+        assert_eq!(subsite_path(5, n - 1).to_string(), "/privacy");
         assert!(subsite_count(50) > subsite_count(5_000));
         assert!(subsite_count(5_000) > subsite_count(500_000));
     }
@@ -259,6 +308,20 @@ mod tests {
         #[test]
         fn prop_label_roundtrip(rank in 1u32..=100_000_000) {
             prop_assert_eq!(label_to_rank(&rank_to_label(rank)), Some(rank));
+        }
+
+        #[test]
+        fn prop_only_codes_decode(digits in 0u64..=9_999_999_999, zeros in 0usize..3) {
+            // Any digit string, with up to two leading zeros, decodes iff
+            // it is the code of a rank.
+            let label: String = "0".repeat(zeros)
+                .chars()
+                .chain(digits.to_string().chars())
+                .map(|d| SYLLABLES[d as usize - '0' as usize])
+                .collect();
+            let want = (zeros == 0 && digits > 0 && digits <= u64::from(u32::MAX))
+                .then_some(digits as Rank);
+            prop_assert_eq!(label_to_rank(&label), want, "{}", label);
         }
 
         #[test]

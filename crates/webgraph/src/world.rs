@@ -170,7 +170,8 @@ impl World {
             .last()
             .map(|s| behavior_for(s.cmp, s.from, site_seed));
 
-        let alias = (site_seed.child("alias").unit_f64() < 0.08).then(|| alias_domain_for(rank));
+        let alias = (site_seed.child("alias").unit_f64() < 0.08)
+            .then(|| alias_domain_for(rank).to_string());
 
         // §3.5 "Missing Data" rates over the Tranco 10k, applied globally.
         let reachability = {

@@ -243,7 +243,7 @@ fn captures_match_the_committed_golden_fixture() {
                     collect_dom: vantage == Vantage::eu_university_extended(),
                 };
                 for attempt in 1..=4 {
-                    let fault = engine.plan().decide(&host, day, vantage, attempt);
+                    let fault = engine.plan().decide(host, day, vantage, attempt);
                     let c = engine.capture_attempt(url, day, vantage, opts, attempt);
                     statuses.insert(c.status.name());
                     if let Some(f) = fault {
