@@ -104,13 +104,13 @@ fn registrable_domain_allocates_only_its_result() {
     }
 }
 
-/// Allocations per admitted URL of the parent commit of the change
-/// that introduced this test, on the sample of
-/// [`capture_path_allocates_at_most_two_fifths_of_the_old_count`].
+/// Allocations per URL that capture, detection and the row took on the
+/// sample of [`feed_urls_and_captures_allocate_little`] before the
+/// capture path stopped copying constant strings and URL slices.
 const OLD_ALLOCS_PER_URL: f64 = 87.27;
 
 #[test]
-fn capture_path_allocates_at_most_two_fifths_of_the_old_count() {
+fn feed_urls_and_captures_allocate_little() {
     let world = World::new(WorldConfig {
         n_sites: 50_000,
         seed: 42,
@@ -134,6 +134,14 @@ fn capture_path_allocates_at_most_two_fifths_of_the_old_count() {
         .map(|item| item.url)
         .collect();
     assert!(urls.len() > 200, "{} admitted URLs", urls.len());
+    // The same day again, its sites' profiles now cached: one
+    // allocation per URL, beside the day's `Vec` and the sort's buffer.
+    let (n, items) = counted(|| feed.day_items(day));
+    assert!(
+        n <= items.len() as u64 + 2,
+        "{n} allocations for {} feed items",
+        items.len()
+    );
 
     let engine = FaultyEngine::from_world(&world, FaultProfile::none(), seed);
     let detector = Detector::hostname_only();
