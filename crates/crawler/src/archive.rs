@@ -214,7 +214,8 @@ pub fn build_bundle_input(
 /// Refuses, with [`io::ErrorKind::InvalidInput`] naming the domain and
 /// before writing a blob, a context holding a domain the durable driver
 /// refuses too: one with a tab, newline or carriage return, or whose
-/// host has an empty label or one that starts with `#`.
+/// host (the part before any `/`) is empty or has a dot-separated label
+/// that starts with `#`.
 pub fn pack_campaign_bundle(
     store: &BlobStore,
     state: &CampaignState,
