@@ -235,10 +235,17 @@ impl CaptureSummary {
     /// across eTLD+1, and the dialog flag. Pure, so a campaign worker
     /// builds the row and the merge thread only inserts it.
     pub fn of(capture: &Capture, cmps: CmpSet, psl: &PublicSuffixList) -> CaptureSummary {
-        let domain = domain_of(psl, &capture.final_host).into_owned();
+        let host = capture.final_host.as_str();
+        let domain = psl
+            .registrable_domain(host)
+            .unwrap_or(Cow::Borrowed(host))
+            .into_owned();
         let (seed_host, _) = consent_httpsim::split_url(&capture.seed_url);
+        let seed_domain = psl
+            .registrable_domain(seed_host)
+            .unwrap_or(Cow::Borrowed(seed_host));
         CaptureSummary {
-            redirected: domain_of(psl, seed_host) != domain.as_str(),
+            redirected: seed_domain != domain.as_str(),
             domain,
             day: capture.day,
             location: capture.vantage.location,
@@ -246,18 +253,6 @@ impl CaptureSummary {
             cmps,
             dialog_visible: capture.dialog_visible,
         }
-    }
-}
-
-/// The unit a row and the dedup queue count `host` under: its
-/// registrable domain, lowercased as
-/// [`PublicSuffixList::registrable_domain`] returns it, or `host` itself
-/// when it has none. Borrowed from `host` unless lowercasing changes it.
-pub(crate) fn domain_of<'a>(psl: &PublicSuffixList, host: &'a str) -> Cow<'a, str> {
-    match psl.split(host).and_then(|parts| parts.registrable) {
-        Some(d) if d.bytes().any(|b| b.is_ascii_uppercase()) => Cow::Owned(d.to_ascii_lowercase()),
-        Some(d) => Cow::Borrowed(d),
-        None => Cow::Borrowed(host),
     }
 }
 

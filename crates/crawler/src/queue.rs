@@ -4,9 +4,9 @@
 //! hour or the precise URL in the last 48 hours. This applies to about
 //! 40 % of all submitted URLs."
 
-use crate::capture_db::domain_of;
 use consent_httpsim::split_url;
 use consent_psl::PublicSuffixList;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Timestamp in seconds since the simulation epoch.
@@ -74,7 +74,10 @@ impl DedupQueue {
             }
         }
         let (host, _) = split_url(url);
-        let domain = domain_of(&self.psl, host);
+        let domain = self
+            .psl
+            .registrable_domain(host)
+            .unwrap_or(Cow::Borrowed(host));
         if let Some(&t) = self.last_domain.get(&*domain) {
             if now - t < DOMAIN_WINDOW {
                 self.skipped_domain += 1;

@@ -418,30 +418,9 @@ fn hex_value(prefix: char, value: u64, width: usize) -> Cow<'static, str> {
     out.into()
 }
 
-/// The script and configuration URLs a CMP embed loads from its
-/// indicator host.
-fn cmp_embed_urls(cmp: Cmp) -> [&'static str; 2] {
-    macro_rules! embed {
-        ($host:literal) => {
-            [
-                concat!("https://", $host, "/consent.js"),
-                concat!("https://", $host, "/v2/config.json"),
-            ]
-        };
-    }
-    match cmp {
-        Cmp::OneTrust => embed!("cdn.cookielaw.org"),
-        Cmp::Quantcast => embed!("quantcast.mgr.consensu.org"),
-        Cmp::TrustArc => embed!("consent.trustarc.com"),
-        Cmp::Cookiebot => embed!("consent.cookiebot.com"),
-        Cmp::LiveRamp => embed!("cmp.choice.faktor.io"),
-        Cmp::Crownpeak => embed!("iabmap.evidon.com"),
-    }
-}
-
 fn push_cmp_requests(requests: &mut Vec<RequestRecord>, cmp: Cmp, start_ms: u64, rng: &mut StdRng) {
     let host = cmp.indicator_hostname();
-    let [script, config] = cmp_embed_urls(cmp);
+    let [script, config] = cmp.embed_urls();
     requests.push(RequestRecord {
         url: script.into(),
         host: host.into(),
@@ -621,16 +600,6 @@ mod tests {
     fn constant_urls_name_their_hosts() {
         for (host, url) in THIRD_PARTY_POOL {
             assert_eq!(url, format!("https://{host}/collect"));
-        }
-        for cmp in consent_webgraph::ALL_CMPS {
-            let host = cmp.indicator_hostname();
-            assert_eq!(
-                cmp_embed_urls(cmp),
-                [
-                    format!("https://{host}/consent.js"),
-                    format!("https://{host}/v2/config.json")
-                ]
-            );
         }
     }
 

@@ -7,6 +7,7 @@
 //! answer `public_suffix` / `registrable_domain` queries.
 
 use crate::rules::{Rule, RuleKind};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A compiled Public Suffix List.
@@ -186,11 +187,15 @@ impl PublicSuffixList {
 
     /// The registrable domain (eTLD+1) of `host`, lowercased — the unit the
     /// paper counts CMP adoption by. `None` when the host is itself a
-    /// public suffix or not a valid hostname.
-    pub fn registrable_domain(&self, host: &str) -> Option<String> {
-        self.split(host)?
-            .registrable
-            .map(|d| d.to_ascii_lowercase())
+    /// public suffix or not a valid hostname. Borrowed from `host` unless
+    /// it has an ASCII uppercase letter.
+    pub fn registrable_domain<'a>(&self, host: &'a str) -> Option<Cow<'a, str>> {
+        let domain = self.split(host)?.registrable?;
+        Some(if domain.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(domain.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(domain)
+        })
     }
 
     /// The public suffix of `host`, lowercased.

@@ -52,13 +52,35 @@ impl Cmp {
     /// this CMP performs an HTTP request to this host on load, regardless
     /// of dialog design — the paper's most robust detection signal.
     pub fn indicator_hostname(self) -> &'static str {
+        self.embed().0
+    }
+
+    /// The script (`/consent.js`) and configuration (`/v2/config.json`)
+    /// URLs an embed of this CMP loads from its indicator host.
+    pub fn embed_urls(self) -> [&'static str; 2] {
+        self.embed().1
+    }
+
+    /// The indicator host and the embed URLs, from one host literal.
+    fn embed(self) -> (&'static str, [&'static str; 2]) {
+        macro_rules! embed {
+            ($host:literal) => {
+                (
+                    $host,
+                    [
+                        concat!("https://", $host, "/consent.js"),
+                        concat!("https://", $host, "/v2/config.json"),
+                    ],
+                )
+            };
+        }
         match self {
-            Cmp::OneTrust => "cdn.cookielaw.org",
-            Cmp::Quantcast => "quantcast.mgr.consensu.org",
-            Cmp::TrustArc => "consent.trustarc.com",
-            Cmp::Cookiebot => "consent.cookiebot.com",
-            Cmp::LiveRamp => "cmp.choice.faktor.io",
-            Cmp::Crownpeak => "iabmap.evidon.com",
+            Cmp::OneTrust => embed!("cdn.cookielaw.org"),
+            Cmp::Quantcast => embed!("quantcast.mgr.consensu.org"),
+            Cmp::TrustArc => embed!("consent.trustarc.com"),
+            Cmp::Cookiebot => embed!("consent.cookiebot.com"),
+            Cmp::LiveRamp => embed!("cmp.choice.faktor.io"),
+            Cmp::Crownpeak => embed!("iabmap.evidon.com"),
         }
     }
 
@@ -161,6 +183,13 @@ mod tests {
         assert_eq!(Cmp::Cookiebot.indicator_hostname(), "consent.cookiebot.com");
         assert_eq!(Cmp::LiveRamp.indicator_hostname(), "cmp.choice.faktor.io");
         assert_eq!(Cmp::Crownpeak.indicator_hostname(), "iabmap.evidon.com");
+        assert_eq!(
+            Cmp::OneTrust.embed_urls(),
+            [
+                "https://cdn.cookielaw.org/consent.js",
+                "https://cdn.cookielaw.org/v2/config.json"
+            ]
+        );
     }
 
     #[test]

@@ -27,15 +27,17 @@ pub enum Region {
 /// prefix-free (consonant+vowel), so decoding is unambiguous.
 const SYLLABLES: [&str; 10] = ["ba", "ce", "di", "fo", "gu", "ha", "ki", "lo", "mu", "ne"];
 
-/// Encode a rank as a pronounceable label, e.g. `1234` → `"cedifogu"`.
-pub fn rank_to_label(rank: Rank) -> String {
-    Label(rank).to_string()
+/// Encode a rank as a pronounceable label, e.g. `1234` → `"cedifogu"`
+/// (formatted, e.g. with `to_string`).
+pub fn rank_to_label(rank: Rank) -> RankLabel {
+    RankLabel(rank)
 }
 
 /// A rank's label (see [`rank_to_label`]), formatted without allocating.
-struct Label(Rank);
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankLabel(Rank);
 
-impl fmt::Display for Label {
+impl fmt::Display for RankLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Decimal digits, least significant first.
         let mut digits = [0u8; 10];
@@ -119,7 +121,7 @@ const PLATFORMS: [&str; 4] = ["github.io", "blogspot.com", "wordpress.com", "net
 
 /// The canonical registrable domain of the site at `rank`.
 pub fn domain_for(rank: Rank, site_seed: SeedTree, region: Region) -> String {
-    let label = Label(rank);
+    let label = rank_to_label(rank);
     let u = site_seed.child("hosting").unit_f64();
     if u < PRIVATE_SUFFIX_SHARE {
         let p = PLATFORMS[(site_seed.child("platform").unit_f64() * PLATFORMS.len() as f64)
@@ -156,7 +158,7 @@ pub struct AliasDomain(Rank);
 
 impl fmt::Display for AliasDomain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-alt.net", Label(self.0))
+        write!(f, "{}-alt.net", rank_to_label(self.0))
     }
 }
 
@@ -214,8 +216,8 @@ mod tests {
 
     #[test]
     fn label_roundtrip_examples() {
-        assert_eq!(rank_to_label(1), "ce");
-        assert_eq!(rank_to_label(1234), "cedifogu");
+        assert_eq!(rank_to_label(1).to_string(), "ce");
+        assert_eq!(rank_to_label(1234).to_string(), "cedifogu");
         assert_eq!(label_to_rank("cedifogu"), Some(1234));
         assert_eq!(label_to_rank("ce"), Some(1));
         assert_eq!(label_to_rank("ne"), Some(9));
@@ -307,7 +309,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_label_roundtrip(rank in 1u32..=100_000_000) {
-            prop_assert_eq!(label_to_rank(&rank_to_label(rank)), Some(rank));
+            prop_assert_eq!(label_to_rank(&rank_to_label(rank).to_string()), Some(rank));
         }
 
         #[test]
