@@ -94,13 +94,8 @@ impl Fig10Result {
 
 /// Run the experiment with the paper's 2 910 visitors.
 pub fn fig10(study: &Study) -> Fig10Result {
-    fig10_with(study, &ExperimentConfig::default())
-}
-
-/// Run with a custom configuration.
-pub fn fig10_with(study: &Study, config: &ExperimentConfig) -> Fig10Result {
     Fig10Result {
-        experiment: run_experiment(config, study.seed().child("fig10")),
+        experiment: run_experiment(&ExperimentConfig::default(), study.seed().child("fig10")),
     }
 }
 

@@ -70,11 +70,6 @@ impl Fig6Result {
 
 /// Run the full longitudinal pipeline with monthly sampling.
 pub fn fig6(study: &Study) -> Fig6Result {
-    fig6_with_step(study, 30)
-}
-
-/// Run with a custom sampling step in days.
-pub fn fig6_with_step(study: &Study, step_days: i32) -> Fig6Result {
     let config = study.config();
     let platform = Platform::with_faults(
         study.world(),
@@ -98,7 +93,7 @@ pub fn fig6_with_step(study: &Study, step_days: i32) -> Fig6Result {
         &timelines,
         config.window_start,
         config.window_end - 1,
-        step_days,
+        30, // days between samples
     );
     // Switching is computed over *all* observed domains (the paper's
     // Figure 4 is not toplist-restricted).

@@ -86,12 +86,7 @@ impl GvlResult {
 
 /// Run the GVL experiments with the default (paper-calibrated) history.
 pub fn gvl_figures(study: &Study) -> GvlResult {
-    gvl_figures_with(study, &HistoryConfig::default())
-}
-
-/// Run with a custom history configuration.
-pub fn gvl_figures_with(study: &Study, config: &HistoryConfig) -> GvlResult {
-    let history = generate_history(config, study.seed().child("gvl"));
+    let history = generate_history(&HistoryConfig::default(), study.seed().child("gvl"));
     let fig7 = fig7_series(&history);
     let events = diff_history(&history);
     let fig8 = fig8_series(&events);

@@ -1,27 +1,40 @@
 //! One module per paper table/figure; see DESIGN.md's experiment index.
 //!
 //! Every experiment has exactly one entry point, and [`reproduce`]
-//! renders them all in paper order. To record telemetry for
-//! a run, wrap the call in [`run_reported`]:
+//! renders them all in paper order. For causal per-capture tracing,
+//! [`run_traced`] turns on the global `consent_trace` log around a
+//! closure and hands back the byte-stable JSONL export (see
+//! `examples/trace_explain.rs`):
 //!
 //! ```
-//! use consent_core::{experiments::{fig1::related_work, run_reported}, Study};
+//! use consent_core::{experiments::run_traced, Study};
+//! use consent_crawler::{build_toplist, run_campaign_parallel, ParallelOpts};
+//! use consent_httpsim::Vantage;
+//! use consent_util::Day;
 //!
 //! let study = Study::quick();
-//! let studies = run_reported(&study, "fig1", related_work);
-//! assert!(!studies.is_empty());
-//! assert_eq!(study.reports().last().unwrap().name, "fig1");
+//! let list = build_toplist(study.world(), 4, study.seed().child("doc-top"));
+//! let (run, jsonl) = run_traced(|| {
+//!     run_campaign_parallel(
+//!         study.world(),
+//!         &list,
+//!         Day::from_ymd(2020, 5, 15),
+//!         &[Vantage::eu_cloud()],
+//!         study.seed().child("doc-campaign"),
+//!         &ParallelOpts { threads: 1, ..ParallelOpts::default() },
+//!     )
+//! });
+//! // One trace per crawled pair, each opened by its root `pair` span.
+//! let roots = r#""name":"pair","parent":0,"ph":"B""#;
+//! let traces = jsonl.lines().filter(|l| l.contains(roots)).count();
+//! assert_eq!(traces as u64, run.state.pairs_done);
+//! assert!(!consent_trace::enabled(), "recording is switched back off");
 //! ```
 //!
-//! The run is timed, the global telemetry registry is snapshotted
-//! before and after, and the resulting
-//! [`consent_telemetry::RunReport`] — capture counts per vantage and
-//! `CaptureStatus`, retries, dedup skips — is recorded on the
-//! [`Study`]. With telemetry disabled (the default) the wrapper costs
-//! two empty snapshots and a clock read. For causal per-capture tracing,
-//! [`run_traced`] additionally turns on the global `consent_trace` log
-//! around a closure and hands back the byte-stable JSONL export (see
-//! `examples/trace_explain.rs`).
+//! To count a run's metrics, enable `consent_telemetry`, take a
+//! snapshot before the call and `consent_telemetry::global().delta(&before)`
+//! after it; the paper's §3.5 capture account is
+//! `consent_analysis::capture_quality` of the run's capture database.
 //!
 //! The campaign-shaped experiments ([`table1`]) crawl through
 //! `consent_crawler::run_campaign_parallel` with one worker per
@@ -33,7 +46,6 @@ use consent_util::table::{pct, thousands};
 use consent_util::Day;
 
 pub mod ablations;
-pub mod archive;
 pub mod fig1;
 pub mod fig10;
 pub mod fig5;
@@ -135,21 +147,12 @@ pub fn reproduce(study: &Study) -> String {
     .join("\n")
 }
 
-/// Run `f` against the global telemetry registry and record the
-/// resulting run report on `study`. Returns `f`'s value unchanged.
-pub fn run_reported<T>(study: &Study, name: &str, f: impl FnOnce() -> T) -> T {
-    let (value, report) =
-        consent_telemetry::RunReport::collect(consent_telemetry::global(), name, f);
-    study.record_report(report);
-    value
-}
-
 /// Run `f` with the global trace log recording and return `f`'s value
 /// together with the byte-stable JSONL export of every trace it
 /// recorded. The log is cleared before the run (so the export contains
 /// only this run's traces) and recording is restored to its previous
-/// state afterward, making the helper safe to compose with
-/// [`run_reported`] and with runs that leave tracing off.
+/// state afterward, making the helper safe to compose with runs that
+/// leave tracing off.
 pub fn run_traced<T>(f: impl FnOnce() -> T) -> (T, String) {
     let was_enabled = consent_trace::enabled();
     consent_trace::clear();

@@ -8,10 +8,8 @@
 
 use consent_crawler::CampaignConfig;
 use consent_faultsim::FaultProfile;
-use consent_telemetry::RunReport;
 use consent_util::{date::known, Day, SeedTree};
 use consent_webgraph::{AdoptionConfig, World, WorldConfig};
-use std::sync::Mutex;
 
 /// Scale and seed parameters of a study.
 #[derive(Clone, Debug)]
@@ -32,8 +30,8 @@ pub struct StudyConfig {
     pub window_end: Day,
     /// Sites sampled per rank stratum for the Figure 5 census sweep.
     pub fig5_stratum_sample: u32,
-    /// The chaos layer behind every capture of the Table 1, Figure 6
-    /// and archive experiments. [`FaultProfile::none`] (the default) is
+    /// The chaos layer behind every capture of the Table 1 and Figure 6
+    /// experiments. [`FaultProfile::none`] (the default) is
     /// byte-identical to the unwrapped engine.
     pub fault_profile: FaultProfile,
 }
@@ -77,7 +75,6 @@ pub struct Study {
     config: StudyConfig,
     world: World,
     seed: SeedTree,
-    reports: Mutex<Vec<RunReport>>,
 }
 
 impl Study {
@@ -93,7 +90,6 @@ impl Study {
             config,
             world,
             seed,
-            reports: Mutex::new(Vec::new()),
         }
     }
 
@@ -138,29 +134,6 @@ impl Study {
     /// The study-level seed node.
     pub fn seed(&self) -> SeedTree {
         self.seed
-    }
-
-    /// Record a telemetry run report
-    /// ([`run_reported`](crate::experiments::run_reported) calls this).
-    pub fn record_report(&self, report: RunReport) {
-        self.reports
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(report);
-    }
-
-    /// All run reports recorded so far, in execution order.
-    pub fn reports(&self) -> Vec<RunReport> {
-        self.reports
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Aggregate table over every recorded run report — the study's
-    /// analogue of the paper's Table 1 quality columns.
-    pub fn report_summary(&self) -> String {
-        consent_telemetry::summary_table(&self.reports())
     }
 }
 

@@ -117,17 +117,6 @@ impl Default for ParallelOpts {
     }
 }
 
-impl ParallelOpts {
-    /// Options with an explicit crawling-thread count and defaults
-    /// elsewhere.
-    pub fn with_threads(threads: usize) -> ParallelOpts {
-        ParallelOpts {
-            threads,
-            ..ParallelOpts::default()
-        }
-    }
-}
-
 /// Run a full campaign on `day` for the given vantage columns:
 /// [`resume_campaign_parallel`] from a fresh [`CampaignState`].
 pub fn run_campaign_parallel(

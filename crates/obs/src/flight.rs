@@ -256,9 +256,9 @@ pub struct FlightReport {
 
 impl FlightReport {
     /// Assemble a report from the sampled `series` and the cumulative
-    /// end-of-run snapshot delta `total` (e.g. a
-    /// `RunReport`'s delta, or `Registry::delta` against a pre-run
-    /// baseline).
+    /// end-of-run snapshot delta `total`: a
+    /// [`Registry::delta`](consent_telemetry::Registry::delta) against
+    /// a pre-run baseline.
     pub fn build(series: &TimeSeries, total: &Snapshot) -> FlightReport {
         let samples: Vec<&ObsSample> = series.samples().collect();
         let phases = PHASES

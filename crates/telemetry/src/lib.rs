@@ -2,20 +2,24 @@
 //!
 //! Observability for the capture pipeline: sharded atomic counters and
 //! gauges ([`counter`]), log-bucketed latency/size histograms with
-//! p50/p95/p99 ([`histogram`]), RAII span timers ([`span`](mod@span)), a labeled
-//! metric [`registry`], and per-experiment [`report::RunReport`]s — the
-//! simulator's analogue of the paper's §3.5 data-quality accounting
-//! (capture outcomes per vantage, retries, timeouts) that Table 1
-//! reports before any adoption number is trusted.
+//! p50/p95/p99 ([`histogram`]), RAII span timers ([`span`](mod@span))
+//! and a labeled metric [`registry`].
 //!
 //! Everything funnels through a process-global [`Registry`] that is
 //! **disabled by default**: every free function first checks one
 //! relaxed atomic, so an un-instrumented run (e.g. the benches) pays a
-//! load-and-branch per site and nothing else. Call [`enable`] (as the
-//! experiment entry points and `examples/telemetry_report.rs` do) to
-//! start recording. Exporters: human tables via `consent_util::table`
-//! ([`Snapshot::render`]) and JSONL via `consent_util::Json`
-//! ([`Snapshot::to_jsonl`]).
+//! load-and-branch per site and nothing else. Call [`enable`] (as
+//! `examples/flight_recorder.rs` does) to start recording.
+//!
+//! One window API reads the registry: take a [`Registry::snapshot`]
+//! before the work and [`Registry::delta`] after it, and the delta holds
+//! that window's traffic alone. The durable driver, `consent-obs`'s
+//! sampler and `consent-watch` close their windows this way, and
+//! `consent-obs` renders a registry as a flight report or a Prometheus
+//! exposition. The paper's §3.5 data-quality account (captures per
+//! status and vantage) is computed from the capture database by
+//! `consent_analysis::capture_quality`; the [`CAPTURE_FAMILY`] counters
+//! reconcile with it row for row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,16 +27,18 @@
 pub mod counter;
 pub mod histogram;
 pub mod registry;
-pub mod report;
 pub mod span;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{HistSummary, Histogram};
-pub use registry::{CollectGuard, Registry, Snapshot};
-pub use report::{summary_table, RunReport, CAPTURE_FAMILY};
+pub use registry::{Registry, Snapshot};
 pub use span::Span;
 
 use std::sync::OnceLock;
+
+/// The counter family `CaptureDb::insert` increments once per stored
+/// capture, labeled with `location` and `status`.
+pub const CAPTURE_FAMILY: &str = "capture_db.insert";
 
 /// The process-global registry, created disabled.
 pub fn global() -> &'static Registry {

@@ -1,13 +1,11 @@
-//! The labeled metric registry and its snapshots/exporters.
+//! The labeled metric registry and its snapshots.
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::{HistSummary, Histogram};
 use crate::span::Span;
-use consent_util::table::{thousands, Table};
-use consent_util::Json;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Encode a labeled metric key: `name{k=v,k2=v2}` in caller order.
@@ -54,23 +52,9 @@ pub fn parse_key(key: &str) -> (&str, Vec<(&str, &str)>) {
 #[derive(Debug, Default)]
 pub struct Registry {
     enabled: AtomicBool,
-    /// Open `RunReport::collect` windows (see [`Registry::begin_collect`]).
-    collects: AtomicUsize,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-}
-
-/// Guard for one open `RunReport::collect` window; closes it on drop.
-#[derive(Debug)]
-pub struct CollectGuard<'a> {
-    registry: &'a Registry,
-}
-
-impl Drop for CollectGuard<'_> {
-    fn drop(&mut self) {
-        self.registry.collects.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 impl Registry {
@@ -126,11 +110,6 @@ impl Registry {
         Self::get_or_insert(&self.histograms, name)
     }
 
-    /// The histogram for `name` with `labels`.
-    pub fn histogram_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        Self::get_or_insert(&self.histograms, &labeled_key(name, labels))
-    }
-
     /// Start a span recording into histogram `name` (micros), or an
     /// inert span while disabled.
     pub fn span(&self, name: &str) -> Span {
@@ -146,40 +125,21 @@ impl Registry {
     /// Tests and the benchmark call this between runs so each run's
     /// counters and histograms (and their p50/p95) describe that run alone.
     /// `Arc` handles obtained *before* the reset keep recording into
-    /// their now-detached metrics — take them again afterwards. Do not
-    /// reset inside an open [`RunReport::collect`](crate::RunReport::collect)
-    /// window: the snapshot delta would go negative.
+    /// their now-detached metrics — take them again afterwards. A
+    /// [`delta`](Self::delta) across a reset saturates at zero instead
+    /// of going negative.
     pub fn reset(&self) {
         self.counters.write().clear();
         self.gauges.write().clear();
         self.histograms.write().clear();
     }
 
-    /// Open a collect window (called by `RunReport::collect`). In debug
-    /// builds, opening a second window while one is in flight panics:
-    /// snapshot-delta reports attribute *all* registry traffic in their
-    /// window to themselves, so overlapping windows on the same registry
-    /// silently double-count each other's metrics. Release builds only
-    /// track the count.
-    pub fn begin_collect(&self) -> CollectGuard<'_> {
-        let prev = self.collects.fetch_add(1, Ordering::Relaxed);
-        debug_assert_eq!(
-            prev, 0,
-            "overlapping RunReport::collect windows on one registry double-count metrics"
-        );
-        CollectGuard { registry: self }
-    }
-
-    /// How many collect windows are currently open.
-    pub fn open_collects(&self) -> usize {
-        self.collects.load(Ordering::Relaxed)
-    }
-
     /// The change since `earlier`: shorthand for
-    /// `self.snapshot().delta_since(earlier)`. This is the sampling
-    /// primitive the `consent-obs` flight recorder is built on — take a
-    /// baseline [`snapshot`](Self::snapshot), then call `delta` at each
-    /// sample point to get the traffic of that window alone.
+    /// `self.snapshot().delta_since(earlier)`, and the registry's one
+    /// window API. Take a baseline [`snapshot`](Self::snapshot) before
+    /// the work and call `delta` after it: the result holds everything
+    /// recorded in between, from any thread. Windows may nest or
+    /// overlap; each counts all the traffic inside it.
     pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
         self.snapshot().delta_since(earlier)
     }
@@ -279,98 +239,6 @@ impl Snapshot {
             histograms,
         }
     }
-
-    /// Render every metric as human-readable tables.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            let mut t = Table::with_columns(&["Counter", "Total"]);
-            t.numeric().title("Counters");
-            for (k, v) in &self.counters {
-                t.row(vec![k.clone(), thousands(*v)]);
-            }
-            out.push_str(&t.to_string());
-        }
-        if !self.gauges.is_empty() {
-            let mut t = Table::with_columns(&["Gauge", "Value"]);
-            t.numeric().title("Gauges");
-            for (k, v) in &self.gauges {
-                t.row(vec![k.clone(), v.to_string()]);
-            }
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&t.to_string());
-        }
-        if !self.histograms.is_empty() {
-            let mut t =
-                Table::with_columns(&["Histogram", "Count", "Mean", "p50", "p95", "p99", "Max"]);
-            t.numeric().title("Histograms");
-            for (k, h) in &self.histograms {
-                t.row(vec![
-                    k.clone(),
-                    thousands(h.count),
-                    format!("{:.1}", h.mean),
-                    thousands(h.p50),
-                    thousands(h.p95),
-                    thousands(h.p99),
-                    thousands(h.max),
-                ]);
-            }
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&t.to_string());
-        }
-        out
-    }
-
-    /// Export as JSON Lines: one `{"kind": ...}` object per metric.
-    pub fn to_jsonl(&self) -> String {
-        let mut lines = Vec::new();
-        for (k, v) in &self.counters {
-            lines.push(
-                Json::object([
-                    ("kind".to_string(), Json::str("counter")),
-                    ("name".to_string(), Json::str(k.clone())),
-                    ("value".to_string(), Json::int(*v as i64)),
-                ])
-                .to_compact(),
-            );
-        }
-        for (k, v) in &self.gauges {
-            lines.push(
-                Json::object([
-                    ("kind".to_string(), Json::str("gauge")),
-                    ("name".to_string(), Json::str(k.clone())),
-                    ("value".to_string(), Json::int(*v)),
-                ])
-                .to_compact(),
-            );
-        }
-        for (k, h) in &self.histograms {
-            lines.push(
-                Json::object([
-                    ("kind".to_string(), Json::str("histogram")),
-                    ("name".to_string(), Json::str(k.clone())),
-                    ("count".to_string(), Json::int(h.count as i64)),
-                    ("sum".to_string(), Json::int(h.sum as i64)),
-                    ("mean".to_string(), Json::Number(h.mean)),
-                    ("min".to_string(), Json::int(h.min as i64)),
-                    ("max".to_string(), Json::int(h.max as i64)),
-                    ("p50".to_string(), Json::int(h.p50 as i64)),
-                    ("p95".to_string(), Json::int(h.p95 as i64)),
-                    ("p99".to_string(), Json::int(h.p99 as i64)),
-                ])
-                .to_compact(),
-            );
-        }
-        let mut out = lines.join("\n");
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -462,28 +330,5 @@ mod tests {
         }
         let h = reg.delta(&before).histograms["h"];
         assert_eq!((h.count, h.sum), (1, 0));
-    }
-
-    #[test]
-    fn exporters_cover_every_metric() {
-        let reg = Registry::new();
-        reg.counter("requests").add(1234);
-        reg.gauge("depth").set(-2);
-        reg.histogram("lat").record(50);
-        let snap = reg.snapshot();
-
-        let table = snap.render();
-        assert!(table.contains("requests"));
-        assert!(table.contains("1,234"));
-        assert!(table.contains("depth"));
-        assert!(table.contains("lat"));
-
-        let jsonl = snap.to_jsonl();
-        assert_eq!(jsonl.trim_end().lines().count(), 3);
-        for line in jsonl.trim_end().lines() {
-            let parsed = Json::parse(line).expect("each line is valid JSON");
-            assert!(parsed.get("kind").is_some());
-            assert!(parsed.get("name").is_some());
-        }
     }
 }

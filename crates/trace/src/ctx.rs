@@ -132,8 +132,9 @@ impl Drop for TraceGuard {
             name: self.name,
             attrs: Vec::new(),
         });
-        // RunReport wiring: traces and their event volume show up in
-        // the §3.5 quality columns when telemetry is also recording.
+        // Trace volume, counted into the telemetry registry when it is
+        // recording too (OBS samples and the Prometheus exposition
+        // carry it).
         consent_telemetry::count("trace.traces", 1);
         consent_telemetry::count("trace.events", seq + 1);
     }

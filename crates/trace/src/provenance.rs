@@ -209,8 +209,8 @@ impl ProvenanceLog {
     }
 
     /// Record one processed pair. Also bumps the
-    /// `campaign.provenance{outcome=…}` telemetry family so run reports
-    /// reconcile with the stored records.
+    /// `campaign.provenance{outcome=…}` telemetry family, so a
+    /// registry window's counts reconcile with the stored records.
     pub fn push(&mut self, record: Provenance) {
         consent_telemetry::count_labeled("campaign.provenance", &[("outcome", &record.outcome)], 1);
         self.records.push(record);

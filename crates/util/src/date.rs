@@ -338,11 +338,6 @@ pub mod known {
         Day::from_ymd(2020, 1, 1)
     }
 
-    /// CCPA enforcement began.
-    pub fn ccpa_enforcement() -> Day {
-        Day::from_ymd(2020, 7, 1)
-    }
-
     /// Snapshot date for Table 1 / Figure 5 (May 2020).
     pub fn may_2020_snapshot() -> Day {
         Day::from_ymd(2020, 5, 15)
@@ -351,16 +346,6 @@ pub mod known {
     /// Snapshot date for Table A.3 (January 2020).
     pub fn jan_2020_snapshot() -> Day {
         Day::from_ymd(2020, 1, 15)
-    }
-
-    /// Snapshot date for Figure A.4 (January 2019).
-    pub fn jan_2019_snapshot() -> Day {
-        Day::from_ymd(2019, 1, 15)
-    }
-
-    /// Snapshot date for Figure A.6 companion (September 2020).
-    pub fn sep_2020_snapshot() -> Day {
-        Day::from_ymd(2020, 9, 15)
     }
 
     /// LiveRamp's CMP launch (December 2019).

@@ -211,7 +211,7 @@ impl WindowMetrics {
         for (key, v) in counters {
             let (base, labels) = parse_key(key);
             match base {
-                "capture_db.insert" => {
+                consent_telemetry::CAPTURE_FAMILY => {
                     let loc = labels
                         .iter()
                         .find(|(k, _)| *k == "location")

@@ -26,9 +26,10 @@ use std::fmt;
 /// Which ratio a burn-rate SLO rule watches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SloMetric {
-    /// Usable-capture rate per vantage location (`capture_db.insert`
-    /// status deltas; usable = Ok/Timeout/Truncated). Breaches when the
-    /// rate falls *below* the threshold.
+    /// Usable-capture rate per vantage location
+    /// ([`CAPTURE_FAMILY`](consent_telemetry::CAPTURE_FAMILY) status
+    /// deltas; usable = Ok/Timeout/Truncated). Breaches when the rate
+    /// falls *below* the threshold.
     Usable,
     /// Dead-letter rate (`campaign.outcome` deltas; dead = any outcome
     /// other than success/degraded). Breaches *above* the threshold.

@@ -108,14 +108,6 @@ impl World {
         }
     }
 
-    /// A world with default parameters and the given seed.
-    pub fn with_seed(seed: u64) -> World {
-        World::new(WorldConfig {
-            seed,
-            ..WorldConfig::default()
-        })
-    }
-
     /// Number of ranked sites.
     pub fn n_sites(&self) -> Rank {
         self.config.n_sites

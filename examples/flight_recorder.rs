@@ -73,8 +73,6 @@ fn main() {
     std::fs::create_dir_all(&out_dir).expect("create FLIGHT_OUT_DIR");
     let bundle_dir = out_dir.join("flight_bundle");
     consent_telemetry::enable();
-    // OBS samples count trace events, so tracing stays on.
-    consent_trace::enable();
 
     let world = World::new(WorldConfig {
         n_sites: 4_000,

@@ -10,7 +10,8 @@
 //! * replay is byte-identical, and a bundle packed by a resumed
 //!   incarnation after a kill halfway through the campaign has the
 //!   uninterrupted run's manifest byte for byte, with a sampler and a
-//!   watch recording each incarnation.
+//!   watch recording each incarnation, for a campaign crawled fault-free
+//!   and one crawled under [`FaultProfile::mild`] network chaos.
 //!
 //! Every test runs on two disks: the real filesystem and one failing 1%
 //! of its operations ([`IoFaultPlan::mild`]). Packs and replays go
@@ -22,12 +23,12 @@ use consent_analysis::standard_exports;
 use consent_bundle::{verify, BlobStatus, BlobStore, Manifest};
 use consent_crawler::{
     build_toplist, pack_campaign_bundle, replay_bundle, run_campaign_parallel,
-    run_durable_campaign, ArchiveContext, BundleSpec, CampaignArtifacts, CampaignConfig,
-    DurableOpts, ExportFn, ParallelOpts,
+    run_durable_campaign, ArchiveContext, BundleSpec, CampaignArtifacts, DurableOpts, ExportFn,
+    ParallelOpts,
 };
 use consent_faultsim::{CrashPlan, FaultProfile, IoFaultPlan};
 use consent_httpsim::Vantage;
-use consent_integration_tests::{disks, open_store, seam, tmp_dir, DAY};
+use consent_integration_tests::{config, disks, open_store, seam, tmp_dir, DAY};
 use consent_obs::{ObsConfig, Sampler};
 use consent_telemetry::Registry;
 use consent_util::SeedTree;
@@ -65,13 +66,6 @@ fn bundle_on(dir: &Path, disk: &IoFaultPlan) -> BlobStore {
     BlobStore::with_vfs(dir, seam(disk)).expect("bundle open")
 }
 
-fn quiet() -> CampaignConfig {
-    CampaignConfig {
-        fault_profile: FaultProfile::none(),
-        ..CampaignConfig::default()
-    }
-}
-
 fn provider() -> Arc<ExportFn> {
     Arc::new(standard_exports)
 }
@@ -82,21 +76,23 @@ fn leaked_registry() -> &'static Registry {
     Box::leak(Box::new(Registry::new()))
 }
 
-/// One durable campaign over the shared toplist that packs a bundle
-/// into `bundle_dir` on completion, both through a disk that injects
-/// `disk`'s faults. A fresh sampler and watch record the incarnation's
-/// windows, as in a restarted process.
+/// One durable campaign over the shared toplist, crawled under
+/// `profile`'s network faults, that packs a bundle into `bundle_dir` on
+/// completion, both through a disk that injects `disk`'s faults. A
+/// fresh sampler and watch record the incarnation's windows, as in a
+/// restarted process.
 fn durable_with_bundle(
     store_dir: &Path,
     bundle_dir: &Path,
     threads: usize,
     crash: CrashPlan,
+    profile: FaultProfile,
     disk: &IoFaultPlan,
 ) -> consent_crawler::DurableRun {
     let store = open_store(store_dir, disk);
     let opts = DurableOpts {
         threads,
-        config: quiet(),
+        config: config(profile),
         checkpoint_every: 16,
         crash,
         sampler: Some(Sampler::attach(
@@ -132,8 +128,14 @@ fn durable_pack_is_byte_identical_across_thread_counts() {
         let mut baseline: Option<String> = None;
         for threads in [1usize, 2, 4] {
             let (store_dir, bundle_dir) = (tmp_dir(TMP), tmp_dir(TMP));
-            let run =
-                durable_with_bundle(&store_dir, &bundle_dir, threads, CrashPlan::none(), &disk);
+            let run = durable_with_bundle(
+                &store_dir,
+                &bundle_dir,
+                threads,
+                CrashPlan::none(),
+                FaultProfile::none(),
+                &disk,
+            );
             assert!(run.outcome.finished(), "{:?}", run.outcome);
             let Some(report) = &run.bundle else {
                 // Only a storage collapse to memory-only skips the pack,
@@ -180,7 +182,7 @@ fn packed_everything(disk: &IoFaultPlan) -> PathBuf {
         seed,
         &ParallelOpts {
             threads: 1,
-            config: quiet(),
+            config: config(FaultProfile::none()),
             max_pairs: None,
         },
     );
@@ -279,42 +281,57 @@ fn corruption_in_every_blob_class_is_detected_and_localized() {
 
 #[test]
 fn replay_is_byte_identical_including_after_a_kill_halfway() {
-    for disk in disks() {
-        // The uninterrupted reference run.
-        let (store_a, bundle_a) = (tmp_dir(TMP), tmp_dir(TMP));
-        let full = durable_with_bundle(&store_a, &bundle_a, 1, CrashPlan::none(), &disk);
-        assert!(full.outcome.finished(), "{:?}", full.outcome);
-        if full.bundle.is_some() {
-            let replay =
-                replay_bundle(&bundle_on(&bundle_a, &disk), Some(&*provider())).expect("replay io");
-            assert!(replay.ok(), "{}", replay.summary());
-            assert_eq!(replay.pairs, full.state.pairs_done);
-        } else {
-            assert!(!disk.is_none(), "pack skipped on the real disk");
+    for profile in [FaultProfile::none(), FaultProfile::mild()] {
+        for disk in disks() {
+            replay_round_trip(profile, &disk);
         }
+    }
+}
 
-        // Kill halfway; the crashed incarnation packs nothing.
-        let (store_b, bundle_b) = (tmp_dir(TMP), tmp_dir(TMP));
-        let crashed =
-            durable_with_bundle(&store_b, &bundle_b, 1, CrashPlan::after_apply(40), &disk);
-        assert!(!crashed.outcome.finished(), "{:?}", crashed.outcome);
-        assert!(crashed.bundle.is_none(), "a crashed run must not pack");
-
-        // The resumed incarnation completes, reconverges on the same state
-        // bytes, and packs a bundle whose replay is byte-identical.
-        let resumed = durable_with_bundle(&store_b, &bundle_b, 2, CrashPlan::none(), &disk);
-        assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
-        assert!(
-            resumed.state.export() == full.state.export(),
-            "resume did not reconverge on the reference state (disk {disk})"
-        );
-        let Some(_) = &resumed.bundle else {
-            assert!(!disk.is_none(), "pack skipped on the real disk");
-            continue;
-        };
+/// An uninterrupted and a killed-and-resumed durable campaign under
+/// `profile` on `disk`: both packs replay byte-identically, and their
+/// manifests are equal.
+fn replay_round_trip(profile: FaultProfile, disk: &IoFaultPlan) {
+    // The uninterrupted reference run.
+    let (store_a, bundle_a) = (tmp_dir(TMP), tmp_dir(TMP));
+    let full = durable_with_bundle(&store_a, &bundle_a, 1, CrashPlan::none(), profile, disk);
+    assert!(full.outcome.finished(), "{:?} ({profile})", full.outcome);
+    if full.bundle.is_some() {
         let replay =
-            replay_bundle(&bundle_on(&bundle_b, &disk), Some(&*provider())).expect("replay io");
-        assert!(replay.ok(), "{}", replay.summary());
+            replay_bundle(&bundle_on(&bundle_a, disk), Some(&*provider())).expect("replay io");
+        assert!(replay.ok(), "{} ({profile})", replay.summary());
+        assert_eq!(replay.pairs, full.state.pairs_done);
+    } else {
+        assert!(!disk.is_none(), "pack skipped on the real disk ({profile})");
+    }
+
+    // Kill halfway; the crashed incarnation packs nothing.
+    let (store_b, bundle_b) = (tmp_dir(TMP), tmp_dir(TMP));
+    let crashed = durable_with_bundle(
+        &store_b,
+        &bundle_b,
+        1,
+        CrashPlan::after_apply(40),
+        profile,
+        disk,
+    );
+    assert!(!crashed.outcome.finished(), "{:?}", crashed.outcome);
+    assert!(crashed.bundle.is_none(), "a crashed run must not pack");
+
+    // The resumed incarnation completes, reconverges on the same state
+    // bytes, and packs a bundle whose replay is byte-identical.
+    let resumed = durable_with_bundle(&store_b, &bundle_b, 2, CrashPlan::none(), profile, disk);
+    assert!(resumed.outcome.finished(), "{:?}", resumed.outcome);
+    assert!(
+        resumed.state.export() == full.state.export(),
+        "resume did not reconverge on the reference state (disk {disk}, {profile})"
+    );
+    if resumed.bundle.is_none() {
+        assert!(!disk.is_none(), "pack skipped on the real disk ({profile})");
+    } else {
+        let replay =
+            replay_bundle(&bundle_on(&bundle_b, disk), Some(&*provider())).expect("replay io");
+        assert!(replay.ok(), "{} ({profile})", replay.summary());
         assert_eq!(replay.pairs, resumed.state.pairs_done);
 
         // Every section is content-addressed and none records the
@@ -325,11 +342,11 @@ fn replay_is_byte_identical_including_after_a_kill_halfway() {
             assert_eq!(
                 manifest(&bundle_a),
                 manifest(&bundle_b),
-                "uninterrupted and resumed bundle manifests diverged (disk {disk})"
+                "uninterrupted and resumed bundle manifests diverged (disk {disk}, {profile})"
             );
         }
-        for d in [&store_a, &bundle_a, &store_b, &bundle_b] {
-            std::fs::remove_dir_all(d).unwrap();
-        }
+    }
+    for d in [&store_a, &bundle_a, &store_b, &bundle_b] {
+        std::fs::remove_dir_all(d).ok();
     }
 }

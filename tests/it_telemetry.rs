@@ -3,14 +3,18 @@
 //! The reconciliation test uses the process-global telemetry registry,
 //! so it lives in its own integration-test binary and must stay the
 //! only test fn that touches the global: nothing else may enable
-//! recording or the deltas would mix. The reset-race test below is
-//! safe to share the binary because it runs against its own leaked
-//! local registry.
+//! recording or the deltas would mix. Each window is a
+//! `global().snapshot()` before the work and a `global().delta(..)`
+//! after it. The reset-race test below is safe to share the binary
+//! because it runs against its own leaked local registry.
 
+use consent_analysis::capture_quality;
 use consent_core::{experiments, Study, StudyConfig};
-use consent_crawler::{FeedConfig, Platform};
+use consent_crawler::{CaptureDb, FeedConfig, Platform};
 use consent_faultsim::FaultProfile;
-use consent_telemetry::{global, Registry, RunReport};
+use consent_httpsim::CaptureStatus;
+use consent_telemetry::registry::parse_key;
+use consent_telemetry::{global, Registry, Snapshot, CAPTURE_FAMILY};
 use consent_util::Day;
 use std::collections::BTreeMap;
 
@@ -26,6 +30,53 @@ fn run_reports_reconcile_with_capture_db() {
     }
 }
 
+/// The capture family's counts in `delta` against the database they
+/// counted: summed per status they equal the matching
+/// [`capture_quality`] column, and summed per vantage location the rows
+/// `db` stores from that location. Returns the per-location sums.
+fn capture_account_matches(delta: &Snapshot, db: &CaptureDb, what: &str) -> BTreeMap<String, u64> {
+    let mut by_status: BTreeMap<String, u64> = BTreeMap::new();
+    let mut by_location: BTreeMap<String, u64> = BTreeMap::new();
+    for (key, n) in delta.counters_with_prefix(&format!("{CAPTURE_FAMILY}{{")) {
+        let (_, labels) = parse_key(key);
+        let [("location", location), ("status", status)] = labels[..] else {
+            panic!("{what}: unexpected labels in {key}");
+        };
+        *by_status.entry(status.to_string()).or_default() += n;
+        *by_location.entry(location.to_string()).or_default() += n;
+    }
+
+    let q = capture_quality(db);
+    assert_eq!(q.total, db.len(), "{what}");
+    let columns: BTreeMap<String, u64> = [
+        (CaptureStatus::Ok, q.ok),
+        (CaptureStatus::Timeout, q.timeout),
+        (CaptureStatus::Truncated, q.truncated),
+        (CaptureStatus::AntiBotInterstitial, q.interstitial),
+        (CaptureStatus::LegallyBlocked, q.blocked_451),
+        (CaptureStatus::HttpError, q.http_error),
+        (CaptureStatus::ConnectionFailed, q.connection_failed),
+        (CaptureStatus::ConnectionReset, q.connection_reset),
+    ]
+    .into_iter()
+    .filter(|&(_, n)| n > 0)
+    .map(|(status, n)| (status.name().to_string(), n))
+    .collect();
+    assert_eq!(by_status, columns, "{what}: captures per status");
+    // The account is more than a total: some capture ended in a status
+    // other than a clean load.
+    assert!(by_status.len() > 1, "{what}: {by_status:?}");
+
+    let mut rows: BTreeMap<String, u64> = BTreeMap::new();
+    for (_, history) in db.iter() {
+        for c in history {
+            *rows.entry(c.location.to_string()).or_default() += 1;
+        }
+    }
+    assert_eq!(by_location, rows, "{what}: captures per location");
+    by_location
+}
+
 /// One detection per crawled pair. The campaign detects CMPs once, on
 /// the worker that crawled the pair, and every reader takes the stored
 /// set: the `table1` run's `fingerprint.detect.*` counters are exactly
@@ -34,13 +85,12 @@ fn run_reports_reconcile_with_capture_db() {
 fn detections_are_counted_once(study: &Study) {
     consent_telemetry::enable();
     let profile = study.config().fault_profile;
-    let t1 = experiments::run_reported(study, "table1", || experiments::table1::table1(study));
-    let _i3 = experiments::run_reported(study, "i3", || experiments::i3::i3_customization(&t1));
-    let reports = study.reports();
-    let [table1, i3] = &reports[reports.len() - 2..] else {
-        unreachable!("two reports were recorded");
-    };
-    assert_eq!((table1.name.as_str(), i3.name.as_str()), ("table1", "i3"));
+    let before = global().snapshot();
+    let t1 = experiments::table1::table1(study);
+    let table1 = global().delta(&before);
+    let before = global().snapshot();
+    let _i3 = experiments::i3::i3_customization(&t1);
+    let i3 = global().delta(&before);
 
     let mut want: BTreeMap<String, u64> = BTreeMap::new();
     let mut tally = |key: String| *want.entry(key).or_default() += 1;
@@ -64,16 +114,12 @@ fn detections_are_counted_once(study: &Study) {
         }
     }
     let got: BTreeMap<String, u64> = table1
-        .delta
         .counters_with_prefix("fingerprint.detect.")
         .map(|(key, n)| (key.to_string(), n))
         .collect();
     assert!(want.contains_key("fingerprint.detect.miss"), "{profile}");
     assert_eq!(got, want, "table1 detections ({profile})");
-    let i3_detections: Vec<_> = i3
-        .delta
-        .counters_with_prefix("fingerprint.detect.")
-        .collect();
+    let i3_detections: Vec<_> = i3.counters_with_prefix("fingerprint.detect.").collect();
     assert!(i3_detections.is_empty(), "{i3_detections:?} ({profile})");
     consent_telemetry::disable();
 }
@@ -84,8 +130,8 @@ fn reconcile(study: &Study, profile: FaultProfile) {
     consent_telemetry::enable();
 
     // Social-feed pipeline: every insert into the CaptureDb increments
-    // the capture_db.insert{location,status} family, so the report's
-    // totals must equal the database row count exactly.
+    // the capture_db.insert{location,status} family, so the window's
+    // counts match the database row for row.
     let platform = Platform::with_faults(
         study.world(),
         FeedConfig {
@@ -95,46 +141,37 @@ fn reconcile(study: &Study, profile: FaultProfile) {
         profile,
         study.seed().child("it-telemetry"),
     );
-    let ((db, stats), report) = RunReport::collect(global(), "platform", || {
-        platform.run(Day::from_ymd(2020, 5, 1), Day::from_ymd(2020, 5, 3))
-    });
+    let before = global().snapshot();
+    let (db, stats) = platform.run(Day::from_ymd(2020, 5, 1), Day::from_ymd(2020, 5, 3));
+    let platform_delta = global().delta(&before);
     assert!(!db.is_empty(), "pipeline produced no captures");
-    assert_eq!(report.captures_total(), db.len());
-    assert_eq!(report.captures_total(), stats.captured);
-
-    let by_location = report.captures_by_location();
-    assert_eq!(by_location.values().sum::<u64>(), db.len());
+    let by_location =
+        capture_account_matches(&platform_delta, &db, &format!("platform ({profile})"));
+    assert_eq!(by_location.values().sum::<u64>(), stats.captured);
     // The social feed assigns US and EU cloud vantages only.
     assert_eq!(by_location.len(), 2);
     assert!(by_location.contains_key("US cloud"));
     assert!(by_location.contains_key("EU cloud"));
-    let by_status = report.captures_by_status();
-    assert_eq!(by_status.values().sum::<u64>(), db.len());
 
     // Every platform capture either ran through the engine or was
     // preempted by a connection-level injected fault (brownout, reset,
     // anti-bot escalation never reach the origin; injected timeouts and
     // truncations degrade a real engine capture). Fault-free, the fault
     // terms are zero and this reduces to engine outcomes == captures.
-    let outcomes: u64 = report
-        .delta
+    let outcomes: u64 = platform_delta
         .counters_with_prefix("engine.capture.outcome")
         .map(|(_, n)| n)
         .sum();
     let preempting: u64 = ["brownout", "reset", "antibot_escalation"]
         .iter()
-        .map(|f| {
-            report
-                .delta
-                .counter(&format!("faultsim.injected{{fault={f}}}"))
-        })
+        .map(|f| platform_delta.counter(&format!("faultsim.injected{{fault={f}}}")))
         .sum();
     assert_eq!(outcomes + preempting, stats.captured, "{profile}");
-    let skips = report.delta.counter("queue.offer{decision=SkippedUrl}")
-        + report.delta.counter("queue.offer{decision=SkippedDomain}");
+    let skips = platform_delta.counter("queue.offer{decision=SkippedUrl}")
+        + platform_delta.counter("queue.offer{decision=SkippedDomain}");
     assert_eq!(skips, stats.skipped);
     assert_eq!(
-        report.delta.counter("queue.offer{decision=Accepted}"),
+        platform_delta.counter("queue.offer{decision=Accepted}"),
         stats.captured
     );
 
@@ -144,32 +181,29 @@ fn reconcile(study: &Study, profile: FaultProfile) {
     // retries counter reconciles exactly with the per-capture attempt
     // numbers.
     let toplist = consent_crawler::build_toplist(study.world(), 120, study.seed().child("it-top"));
-    let (run, campaign_report) = RunReport::collect(global(), "campaign", || {
-        consent_crawler::run_campaign_parallel(
-            study.world(),
-            &toplist,
-            Day::from_ymd(2020, 5, 15),
-            &[consent_httpsim::Vantage::eu_cloud()],
-            study.seed().child("it-campaign"),
-            &consent_crawler::ParallelOpts {
-                threads: 1,
-                config: consent_crawler::CampaignConfig {
-                    fault_profile: consent_faultsim::FaultProfile::none(),
-                    ..consent_crawler::CampaignConfig::default()
-                },
-                max_pairs: None,
+    let before = global().snapshot();
+    let run = consent_crawler::run_campaign_parallel(
+        study.world(),
+        &toplist,
+        Day::from_ymd(2020, 5, 15),
+        &[consent_httpsim::Vantage::eu_cloud()],
+        study.seed().child("it-campaign"),
+        &consent_crawler::ParallelOpts {
+            threads: 1,
+            config: consent_crawler::CampaignConfig {
+                fault_profile: consent_faultsim::FaultProfile::none(),
+                ..consent_crawler::CampaignConfig::default()
             },
-        )
-    });
+            max_pairs: None,
+        },
+    );
+    let campaign_delta = global().delta(&before);
     let captures = run
         .result
         .column(consent_httpsim::Vantage::eu_cloud())
         .unwrap();
     let expected_retries: u64 = captures.iter().map(|c| u64::from(c.attempts) - 1).sum();
-    assert_eq!(
-        campaign_report.delta.counter("campaign.retries"),
-        expected_retries
-    );
+    assert_eq!(campaign_delta.counter("campaign.retries"), expected_retries);
     let permanents = captures
         .iter()
         .filter(|c| c.outcome == consent_crawler::Outcome::Permanent)
@@ -181,14 +215,12 @@ fn reconcile(study: &Study, profile: FaultProfile) {
         }
     }
     assert_eq!(
-        campaign_report
-            .delta
-            .counter("campaign.outcome{outcome=permanent}"),
+        campaign_delta.counter("campaign.outcome{outcome=permanent}"),
         permanents
     );
     // One db row per (domain, vantage) pair, reconciled via the insert
     // family like the platform above.
-    assert_eq!(campaign_report.captures_total(), run.state.db.len());
+    capture_account_matches(&campaign_delta, &run.state.db, "campaign");
     assert_eq!(run.state.db.len(), toplist.len() as u64);
     // Dead letters cover exactly the pairs without a usable capture, and
     // the campaign.dead_letter{outcome=…} family counts them per outcome.
@@ -197,10 +229,7 @@ fn reconcile(study: &Study, profile: FaultProfile) {
         dead.len(),
         captures.iter().filter(|c| !c.status.usable()).count()
     );
-    for (counter, n) in campaign_report
-        .delta
-        .counters_with_prefix("campaign.dead_letter{")
-    {
+    for (counter, n) in campaign_delta.counters_with_prefix("campaign.dead_letter{") {
         let outcome = counter
             .strip_prefix("campaign.dead_letter{outcome=")
             .and_then(|rest| rest.strip_suffix('}'))
@@ -212,8 +241,7 @@ fn reconcile(study: &Study, profile: FaultProfile) {
         );
     }
     assert_eq!(
-        campaign_report
-            .delta
+        campaign_delta
             .counters_with_prefix("campaign.dead_letter{")
             .map(|(_, n)| n)
             .sum::<u64>(),
@@ -226,8 +254,7 @@ fn reconcile(study: &Study, profile: FaultProfile) {
     let provenance = &run.state.provenance;
     assert_eq!(provenance.len() as u64, run.state.pairs_done);
     assert_eq!(
-        campaign_report
-            .delta
+        campaign_delta
             .counters_with_prefix("campaign.provenance{")
             .map(|(_, n)| n)
             .sum::<u64>(),
@@ -240,17 +267,6 @@ fn reconcile(study: &Study, profile: FaultProfile) {
         assert_eq!(p.attempts.len(), usize::from(c.attempts));
         assert_eq!(p.domain, c.domain);
     }
-
-    // A reported experiment records onto the study, and a second report
-    // only contains its own delta (snapshots isolate runs).
-    let before_reports = study.reports().len();
-    let _f9 = experiments::run_reported(study, "fig9", || experiments::fig9::fig9(study));
-    let reports = study.reports();
-    assert_eq!(reports.len(), before_reports + 1);
-    let f9_report = reports.last().unwrap();
-    assert_eq!(f9_report.name, "fig9");
-    // fig9 is a dialog-interaction experiment: no captures are stored.
-    assert_eq!(f9_report.captures_total(), 0);
 
     // Instrumentation is observational only: a re-run of the same
     // pipeline yields byte-identical capture sets.
