@@ -422,10 +422,10 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     // One trace per pair.
     let mut record = pair_record(plan, idx);
     let _trace = consent_trace::start_trace("pair", record.trace_id, |a| {
-        a.push("domain", record.domain.clone());
-        a.push("rank", record.rank.to_string());
-        a.push("vantage", record.vantage.clone());
-        a.push("day", record.day.clone());
+        a.push("domain", &record.domain);
+        a.push("rank", record.rank);
+        a.push("vantage", &record.vantage);
+        a.push("day", &record.day);
     });
     let (host, _) = split_url(&s.url);
 
@@ -435,8 +435,8 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     for (attempt, &attempt_day) in plan.schedule.iter().enumerate() {
         let attempt_no = attempt as u8 + 1;
         let _span = consent_trace::span("attempt", |a| {
-            a.push("attempt", attempt_no.to_string());
-            a.push("day", attempt_day.to_string());
+            a.push("attempt", attempt_no);
+            a.push("day", attempt_day);
         });
         let c = plan.engine.capture_attempt(
             &s.url,
@@ -468,7 +468,7 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
             consent_telemetry::count("campaign.breaker.open", 1);
             consent_telemetry::gauge_add("campaign.breaker.open_pairs", 1);
             consent_trace::event("breaker.open", |a| {
-                a.push("attempt", attempt_no.to_string());
+                a.push("attempt", attempt_no);
             });
             break;
         }
@@ -489,7 +489,7 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     if !capture.usable() {
         consent_trace::event("dead_letter", |a| {
             a.push("outcome", outcome.name());
-            a.push("attempts", record.attempts.len().to_string());
+            a.push("attempts", record.attempts.len());
         });
     }
     finish(plan, col, record, capture, outcome, cmps)
@@ -529,10 +529,10 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
     let panic_trace = stable_id(&["pair.panic", &record.domain, &record.vantage, &record.day]);
     {
         let _t = consent_trace::start_trace("pair.panic", panic_trace, |a| {
-            a.push("domain", record.domain.clone());
-            a.push("vantage", record.vantage.clone());
-            a.push("day", record.day.clone());
-            a.push("message", message.clone());
+            a.push("domain", &record.domain);
+            a.push("vantage", &record.vantage);
+            a.push("day", &record.day);
+            a.push("message", &message);
         });
     }
     let (host, _) = split_url(&s.url);

@@ -36,10 +36,11 @@
 //! [`CircuitBreaker`](crate::resilience::CircuitBreaker) lives on the
 //! crawling thread's stack. Crawlers therefore never race on campaign
 //! state: a crawler's only shared-mutable touchpoints are the
-//! commutative telemetry registry and the lock-sharded trace log (whose
-//! JSONL export sorts by `(trace_id, seq)`, with sequence numbers drawn
-//! from per-trace counters — so the interleaving of crawlers is
-//! invisible in the export).
+//! commutative telemetry registry and the trace log, which takes each
+//! pair's trace as one block when it closes (its JSONL export sorts by
+//! `(trace_id, seq)`, with sequence numbers drawn from per-trace
+//! counters — so the interleaving of crawlers is invisible in the
+//! export).
 //!
 //! Each crawling thread turns its pair's final capture into the
 //! [`CaptureDb`](crate::CaptureDb) row, the result record and the

@@ -73,7 +73,7 @@ impl<'w> FaultyEngine<'w> {
         consent_telemetry::count_labeled("faultsim.injected", &[("fault", fault.name())], 1);
         consent_trace::event("fault.injected", |a| {
             a.push("fault", fault.name());
-            a.push("attempt", attempt.to_string());
+            a.push("attempt", attempt);
         });
         match fault {
             // An injected crawler bug: the panic unwinds out of the

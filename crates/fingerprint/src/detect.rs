@@ -91,10 +91,9 @@ impl Detector {
             }
         }
         consent_trace::event("detect", |a| {
-            let cmps: Vec<&str> = found.iter().map(|c| c.name()).collect();
-            a.push("result", if cmps.is_empty() { "miss" } else { "hit" });
-            if !cmps.is_empty() {
-                a.push("cmps", cmps.join(","));
+            a.push("result", if found.is_empty() { "miss" } else { "hit" });
+            if !found.is_empty() {
+                a.push_joined("cmps", found.iter().map(|c| c.name()), ",");
             }
             if degraded {
                 a.push("degraded", "1");

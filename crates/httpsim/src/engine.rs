@@ -68,8 +68,8 @@ impl<'w> Engine<'w> {
             for r in &capture.requests {
                 consent_trace::event("request", |a| {
                     a.push("host", &*r.host);
-                    a.push("status", r.status.to_string());
-                    a.push("ms", r.started.as_millis().to_string());
+                    a.push("status", r.status);
+                    a.push("ms", r.started.as_millis());
                     if r.third_party {
                         a.push("third_party", "1");
                     }
@@ -77,13 +77,13 @@ impl<'w> Engine<'w> {
             }
             if capture.final_host != split_url(url).0 {
                 consent_trace::event("redirect", |a| {
-                    a.push("to", capture.final_host.clone());
+                    a.push("to", &capture.final_host);
                 });
             }
             consent_trace::event("page_load.status", |a| {
                 a.push("status", capture.status.name());
-                a.push("requests", capture.requests.len().to_string());
-                a.push("bytes", capture.total_bytes().to_string());
+                a.push("requests", capture.requests.len());
+                a.push("bytes", capture.total_bytes());
             });
         }
         if consent_telemetry::enabled() {

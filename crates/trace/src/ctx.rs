@@ -1,11 +1,14 @@
 //! The thread-local trace context and its RAII guards.
 //!
 //! A trace is opened with [`start_trace`], which installs a per-thread
-//! context carrying the trace id and two monotonic counters: the next
-//! span id and the next sequence number. [`span`] and [`event`] draw
-//! from those counters, so id assignment is deterministic as long as
-//! the traced code itself is deterministic — there is no global counter
-//! whose value could depend on how traces interleave across threads.
+//! context carrying the trace id, the next span id and the buffer the
+//! trace's events are written into. [`span`] and [`event`] draw span
+//! ids from that counter and sequence numbers from the buffer's length,
+//! so id assignment is deterministic as long as the traced code itself
+//! is deterministic — there is no global counter whose value could
+//! depend on how traces interleave across threads. The log sees a trace
+//! only when it closes: the [`TraceGuard`]'s drop moves it into the log
+//! as one block, under one shard lock.
 //!
 //! Every entry point first checks the global log's enable flag (one
 //! relaxed atomic load) and only then runs the caller's attribute
@@ -14,37 +17,54 @@
 //! always emits the matching End on drop, even if recording is turned
 //! off mid-flight, keeping every recorded tree well-formed.
 
-use crate::event::{Phase, TraceEvent};
+use crate::block::{AttrList, BlockBuf};
+use crate::event::Phase;
 use crate::global;
 use std::cell::RefCell;
 
 /// The root span id of every trace.
 const ROOT_SPAN: u64 = 1;
 
-/// Attribute accumulator passed to the closures of [`start_trace`],
-/// [`span`], and [`event`]. The closure only runs when the event is
-/// actually recorded.
-#[derive(Debug, Default)]
-pub struct AttrList {
-    items: Vec<(&'static str, String)>,
-}
-
-impl AttrList {
-    /// Append one key/value attribute.
-    pub fn push(&mut self, key: &'static str, value: impl Into<String>) {
-        self.items.push((key, value.into()));
-    }
-}
-
+/// The open trace of one thread. Its buffers outlive the trace, so a
+/// thread's next trace reuses their capacity.
 struct ActiveTrace {
-    trace_id: u64,
+    /// The open trace's id; `None` between traces.
+    trace_id: Option<u64>,
     next_span: u64,
-    next_seq: u64,
     stack: Vec<u64>,
+    events: BlockBuf,
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
+    static ACTIVE: RefCell<ActiveTrace> = const {
+        RefCell::new(ActiveTrace {
+            trace_id: None,
+            next_span: ROOT_SPAN,
+            stack: Vec::new(),
+            events: BlockBuf::new(),
+        })
+    };
+}
+
+impl ActiveTrace {
+    /// Open a span or instant under the innermost open span, returning
+    /// its `(span_id, parent)`; `None` without an open trace.
+    fn open(
+        &mut self,
+        phase: Phase,
+        name: &'static str,
+        attrs: impl FnOnce(&mut AttrList<'_>),
+    ) -> Option<(u64, u64)> {
+        self.trace_id?;
+        let span_id = self.next_span;
+        self.next_span += 1;
+        let parent = *self.stack.last().expect("an open trace always has a root");
+        if phase == Phase::Begin {
+            self.stack.push(span_id);
+        }
+        self.events.push(span_id, parent, phase, name, attrs);
+        Some((span_id, parent))
+    }
 }
 
 /// True when the global log is recording *and* the current thread has
@@ -52,7 +72,7 @@ thread_local! {
 /// per item behind this (mirrors `consent_telemetry::enabled`).
 #[inline]
 pub fn active() -> bool {
-    global().enabled() && ACTIVE.with(|a| a.borrow().is_some())
+    global().enabled() && ACTIVE.with(|a| a.borrow().trace_id.is_some())
 }
 
 /// Guard for a whole trace; closes the root span on drop.
@@ -79,39 +99,24 @@ pub struct SpanGuard {
 pub fn start_trace(
     name: &'static str,
     trace_id: u64,
-    attrs: impl FnOnce(&mut AttrList),
+    attrs: impl FnOnce(&mut AttrList<'_>),
 ) -> TraceGuard {
     if !global().enabled() {
         return TraceGuard { armed: false, name };
     }
-    let installed = ACTIVE.with(|a| {
-        let mut slot = a.borrow_mut();
-        if slot.is_some() {
+    let armed = ACTIVE.with(|a| {
+        let mut t = a.borrow_mut();
+        if t.trace_id.is_some() {
             return false;
         }
-        *slot = Some(ActiveTrace {
-            trace_id,
-            next_span: ROOT_SPAN + 1,
-            next_seq: 1,
-            stack: vec![ROOT_SPAN],
-        });
+        t.trace_id = Some(trace_id);
+        t.next_span = ROOT_SPAN + 1;
+        t.stack.clear();
+        t.stack.push(ROOT_SPAN);
+        t.events.push(ROOT_SPAN, 0, Phase::Begin, name, attrs);
         true
     });
-    if !installed {
-        return TraceGuard { armed: false, name };
-    }
-    let mut list = AttrList::default();
-    attrs(&mut list);
-    global().record(TraceEvent {
-        trace_id,
-        span_id: ROOT_SPAN,
-        parent: 0,
-        seq: 0,
-        phase: Phase::Begin,
-        name,
-        attrs: list.items,
-    });
-    TraceGuard { armed: true, name }
+    TraceGuard { armed, name }
 }
 
 impl Drop for TraceGuard {
@@ -119,66 +124,36 @@ impl Drop for TraceGuard {
         if !self.armed {
             return;
         }
-        let Some(t) = ACTIVE.with(|a| a.borrow_mut().take()) else {
+        let block = ACTIVE.with(|a| {
+            let mut t = a.borrow_mut();
+            let trace_id = t.trace_id.take()?;
+            t.events.push(ROOT_SPAN, 0, Phase::End, self.name, |_| {});
+            Some(t.events.finish(trace_id))
+        });
+        let Some(block) = block else {
             return;
         };
-        let seq = t.next_seq;
-        global().record(TraceEvent {
-            trace_id: t.trace_id,
-            span_id: ROOT_SPAN,
-            parent: 0,
-            seq,
-            phase: Phase::End,
-            name: self.name,
-            attrs: Vec::new(),
-        });
+        let events = block.len() as u64;
+        global().commit(block);
         // Trace volume, counted into the telemetry registry when it is
         // recording too (OBS samples and the Prometheus exposition
         // carry it).
         consent_telemetry::count("trace.traces", 1);
-        consent_telemetry::count("trace.events", seq + 1);
+        consent_telemetry::count("trace.events", events);
     }
 }
 
 /// Open a child span under the innermost open span. Inert without an
 /// open trace on this thread (or while the log is disabled).
-pub fn span(name: &'static str, attrs: impl FnOnce(&mut AttrList)) -> SpanGuard {
-    let inert = SpanGuard {
-        armed: false,
-        name,
-        span_id: 0,
-        parent: 0,
+pub fn span(name: &'static str, attrs: impl FnOnce(&mut AttrList<'_>)) -> SpanGuard {
+    let ids = if global().enabled() {
+        ACTIVE.with(|a| a.borrow_mut().open(Phase::Begin, name, attrs))
+    } else {
+        None
     };
-    if !global().enabled() {
-        return inert;
-    }
-    let ids = ACTIVE.with(|a| {
-        let mut slot = a.borrow_mut();
-        let t = slot.as_mut()?;
-        let span_id = t.next_span;
-        t.next_span += 1;
-        let parent = *t.stack.last().expect("an open trace always has a root");
-        let seq = t.next_seq;
-        t.next_seq += 1;
-        t.stack.push(span_id);
-        Some((t.trace_id, span_id, parent, seq))
-    });
-    let Some((trace_id, span_id, parent, seq)) = ids else {
-        return inert;
-    };
-    let mut list = AttrList::default();
-    attrs(&mut list);
-    global().record(TraceEvent {
-        trace_id,
-        span_id,
-        parent,
-        seq,
-        phase: Phase::Begin,
-        name,
-        attrs: list.items,
-    });
+    let (span_id, parent) = ids.unwrap_or_default();
     SpanGuard {
-        armed: true,
+        armed: ids.is_some(),
         name,
         span_id,
         parent,
@@ -190,61 +165,27 @@ impl Drop for SpanGuard {
         if !self.armed {
             return;
         }
-        let ids = ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let t = slot.as_mut()?;
+        ACTIVE.with(|a| {
+            let mut t = a.borrow_mut();
+            if t.trace_id.is_none() {
+                return;
+            }
             debug_assert_eq!(
                 t.stack.last(),
                 Some(&self.span_id),
                 "span guards must drop in LIFO order"
             );
             t.stack.pop();
-            let seq = t.next_seq;
-            t.next_seq += 1;
-            Some((t.trace_id, seq))
+            t.events
+                .push(self.span_id, self.parent, Phase::End, self.name, |_| {});
         });
-        if let Some((trace_id, seq)) = ids {
-            global().record(TraceEvent {
-                trace_id,
-                span_id: self.span_id,
-                parent: self.parent,
-                seq,
-                phase: Phase::End,
-                name: self.name,
-                attrs: Vec::new(),
-            });
-        }
     }
 }
 
 /// Record an instant event under the innermost open span. No-op without
 /// an open trace on this thread (or while the log is disabled).
-pub fn event(name: &'static str, attrs: impl FnOnce(&mut AttrList)) {
-    if !global().enabled() {
-        return;
+pub fn event(name: &'static str, attrs: impl FnOnce(&mut AttrList<'_>)) {
+    if global().enabled() {
+        ACTIVE.with(|a| a.borrow_mut().open(Phase::Instant, name, attrs));
     }
-    let ids = ACTIVE.with(|a| {
-        let mut slot = a.borrow_mut();
-        let t = slot.as_mut()?;
-        let span_id = t.next_span;
-        t.next_span += 1;
-        let parent = *t.stack.last().expect("an open trace always has a root");
-        let seq = t.next_seq;
-        t.next_seq += 1;
-        Some((t.trace_id, span_id, parent, seq))
-    });
-    let Some((trace_id, span_id, parent, seq)) = ids else {
-        return;
-    };
-    let mut list = AttrList::default();
-    attrs(&mut list);
-    global().record(TraceEvent {
-        trace_id,
-        span_id,
-        parent,
-        seq,
-        phase: Phase::Instant,
-        name,
-        attrs: list.items,
-    });
 }

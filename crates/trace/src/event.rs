@@ -7,8 +7,7 @@
 //! across replays of the same seed, so ordering is logical (`seq`) and
 //! any simulated-time quantities travel as attributes.
 
-use consent_util::{json, Json};
-use std::fmt::Write as _;
+use consent_util::Json;
 
 /// The role of an event inside its span tree, mirroring the Chrome
 /// trace-event phases the exporter emits.
@@ -56,18 +55,21 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Look up an attribute value by key.
+    /// Look up an attribute value by key. A key recorded twice reads
+    /// its last value, as the JSONL and Chrome exports write it.
     pub fn attr(&self, key: &str) -> Option<&str> {
         self.attrs
             .iter()
+            .rev()
             .find(|(k, _)| *k == key)
             .map(|(_, v)| v.as_str())
     }
 
     /// One JSON object for the JSONL export. The trace id is encoded as
     /// a 16-digit hex string (JSON numbers lose precision above 2^53).
-    /// The export itself writes the same bytes without building the
-    /// tree; this is the reference its tests compare against.
+    /// The export itself writes the same bytes from the log's per-trace
+    /// blocks without building the tree; this is the reference its
+    /// tests compare against.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("kind".to_string(), Json::str("trace_event")),
@@ -92,59 +94,6 @@ impl TraceEvent {
             ));
         }
         Json::object(fields)
-    }
-
-    /// Append this event's JSONL line, `\n` included: the bytes of
-    /// [`to_json`](Self::to_json)`.to_compact()` written straight into
-    /// `out`. Keys follow `Json`'s `BTreeMap` order (`args, kind, name,
-    /// parent, ph, seq, span, trace`); `args` appears only when the
-    /// event has attributes, with its keys sorted and the last value of
-    /// a repeated key winning.
-    pub(crate) fn write_jsonl(&self, out: &mut String) {
-        out.push('{');
-        if !self.attrs.is_empty() {
-            out.push_str("\"args\":{");
-            // Each round writes the smallest key above the last one
-            // written, taking its last value (the first met in reverse).
-            let mut last: Option<&str> = None;
-            while let Some((key, value)) = self
-                .attrs
-                .iter()
-                .rev()
-                .filter(|(k, _)| last.is_none_or(|l| *k > l))
-                .min_by_key(|(k, _)| *k)
-            {
-                if last.is_some() {
-                    out.push(',');
-                }
-                json::write_string(out, key);
-                out.push(':');
-                json::write_string(out, value);
-                last = Some(key);
-            }
-            out.push_str("},");
-        }
-        out.push_str("\"kind\":\"trace_event\",\"name\":");
-        json::write_string(out, self.name);
-        // Counters take the `Json::int` conversion `to_json` gives them.
-        out.push_str(",\"parent\":");
-        json::write_number(out, self.parent as i64 as f64);
-        out.push_str(",\"ph\":\"");
-        out.push_str(self.phase.code());
-        out.push_str("\",\"seq\":");
-        json::write_number(out, self.seq as i64 as f64);
-        out.push_str(",\"span\":");
-        json::write_number(out, self.span_id as i64 as f64);
-        // Writing into a `String` cannot fail.
-        let _ = writeln!(out, ",\"trace\":\"{:016x}\"}}", self.trace_id);
-    }
-
-    /// How many bytes [`write_jsonl`](Self::write_jsonl) appends when no
-    /// string needs an escape, no key repeats and each counter has three
-    /// digits.
-    pub(crate) fn jsonl_len_hint(&self) -> usize {
-        let args: usize = self.attrs.iter().map(|(k, v)| k.len() + v.len() + 5).sum();
-        103 + self.name.len() + if args == 0 { 0 } else { args + 9 }
     }
 }
 

@@ -4,10 +4,13 @@
 //! The crate has two coupled layers:
 //!
 //! * **Tracing** — a process-global, disabled-by-default [`TraceLog`]
-//!   of [`TraceEvent`]s. The campaign opens one trace per
-//!   `(domain, vantage)` pair via [`start_trace`]; nested work records
-//!   [`span`]s (attempts, page loads) and instant [`event`]s (injected
-//!   faults, retry decisions, breaker transitions, CMP detections).
+//!   of recorded traces, read back as [`TraceEvent`]s. The campaign
+//!   opens one trace per `(domain, vantage)` pair via [`start_trace`];
+//!   nested work records [`span`]s (attempts, page loads) and instant
+//!   [`event`]s (injected faults, retry decisions, breaker transitions,
+//!   CMP detections). An open trace writes its events into one
+//!   per-thread buffer (fixed-size records plus one string of attribute
+//!   values), and closing it moves the trace into the log as one block.
 //!   Ids and sequence numbers are drawn from per-trace counters seeded
 //!   by [`stable_id`], so a replay of the same campaign seed produces a
 //!   byte-identical [JSONL export](TraceLog::export_jsonl) — and so
@@ -22,7 +25,8 @@
 //!   record from the pair's [`TraceTree`], which cross-checks the two
 //!   layers.
 //!
-//! Exporters: [`TraceLog::export_jsonl`] (byte-stable line format),
+//! Exporters: [`TraceLog::export_jsonl`] (byte-stable line format,
+//! written straight from the blocks),
 //! [`export_chrome`] (Chrome `trace_event` JSON loadable in Perfetto,
 //! one thread track per vantage), and [`TraceTree::render`] (a
 //! pretty-printed causal tree for single-capture debugging). Nothing
@@ -37,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 mod chrome;
 mod ctx;
 mod event;
@@ -44,8 +49,9 @@ mod log;
 mod provenance;
 mod tree;
 
+pub use block::{AttrList, AttrValue};
 pub use chrome::{export_chrome, export_chrome_string};
-pub use ctx::{active, event, span, start_trace, AttrList, SpanGuard, TraceGuard};
+pub use ctx::{active, event, span, start_trace, SpanGuard, TraceGuard};
 pub use event::{Phase, TraceEvent};
 pub use log::TraceLog;
 pub use provenance::{AttemptProvenance, Provenance, ProvenanceImportError, ProvenanceLog};
@@ -177,6 +183,40 @@ mod tests {
         let tree = TraceTree::build(&events).expect("armed guards keep trees closed");
         assert_eq!(tree.find_all("dropped").len(), 0);
         assert_eq!(tree.find_all("attempt").len(), 1);
+
+        // The guard path exports what the reference renders: a value
+        // that needs escapes, integers and a repeated key.
+        clear();
+        enable();
+        let id3 = stable_id(&["pair", "escapes"]);
+        {
+            let _t = start_trace("pair", id3, |a| {
+                a.push("domain", "a\"b\\c\n\u{1}\u{7f}köln");
+                a.push("rank", 12_345usize);
+                a.push("bytes", u64::MAX);
+                a.push("day", consent_util::Day::from_ymd(2020, 5, 15));
+            });
+            let _s = span("attempt", |a| {
+                a.push("attempt", 1u8);
+                a.push("attempt", 2u8);
+            });
+            event("detect", |a| {
+                a.push_joined("cmps", ["onetrust", "quantcast"], ",");
+            });
+        }
+        disable();
+        let snapshot = global().snapshot();
+        let reference: String = snapshot
+            .iter()
+            .map(|e| e.to_json().to_compact() + "\n")
+            .collect();
+        assert_eq!(snapshot.len(), 5);
+        assert_eq!(global().export_jsonl(), reference);
+        assert_eq!(snapshot[0].attr("bytes"), Some("18446744073709551615"));
+        assert_eq!(snapshot[0].attr("day"), Some("2020-05-15"));
+        assert_eq!(snapshot[1].attr("attempt"), Some("2"));
+        assert!(reference.contains(r#"{"args":{"attempt":"2"},"kind""#));
+        assert!(reference.contains("\"domain\":\"a\\\"b\\\\c\\n\\u0001\u{7f}köln\""));
 
         clear();
         assert!(!enabled());

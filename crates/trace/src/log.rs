@@ -1,22 +1,27 @@
-//! The lock-sharded trace log.
+//! The trace log: one block per recorded trace.
 //!
-//! Events land in one of a fixed number of shards keyed by trace id, so
-//! concurrent traced pipelines contend only when they interleave traces
-//! onto the same shard. The [JSONL export](TraceLog::export_jsonl) and
-//! a [`snapshot`](TraceLog::snapshot) read the whole log in
+//! A finished trace arrives as one [`Block`] (its events, their
+//! attribute records and one string of attribute values) and lands in
+//! one of a fixed number of shards keyed by trace id, so concurrent
+//! traced pipelines contend once per trace, and only when two traces
+//! share a shard. The [JSONL export](TraceLog::export_jsonl) and a
+//! [`snapshot`](TraceLog::snapshot) read the whole log in
 //! `(trace_id, seq)` order, which is what makes the export byte-stable
 //! across replays *and* across checkpoint resumes: the set of recorded
 //! events is identical, and the sort erases any difference in arrival
-//! order. The export writes each line straight from the shards, with no
-//! copy of the events and no `Json` tree.
+//! order. The sort is over blocks, not events, because a block is
+//! already in `seq` order; the export writes each line straight from
+//! its block, with no [`TraceEvent`] copy and no `Json` tree.
 
+use crate::block::Block;
 use crate::event::TraceEvent;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const SHARDS: usize = 16;
 
-/// An append-only log of [`TraceEvent`]s behind an enable flag.
+/// An append-only log of recorded traces behind an enable flag, read
+/// back as [`TraceEvent`]s.
 ///
 /// Like `consent_telemetry::Registry`, the disabled state is the
 /// default for the process-global instance and costs exactly one
@@ -24,7 +29,7 @@ const SHARDS: usize = 16;
 #[derive(Debug, Default)]
 pub struct TraceLog {
     enabled: AtomicBool,
-    shards: [Mutex<Vec<TraceEvent>>; SHARDS],
+    shards: [Mutex<Vec<Block>>; SHARDS],
 }
 
 impl TraceLog {
@@ -52,15 +57,20 @@ impl TraceLog {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Append one event unconditionally. The crate's free functions
-    /// gate on [`enabled`](Self::enabled) *before*
-    /// building the event; armed guards call this directly on drop so a
-    /// span that emitted a Begin always emits its End, keeping trees
-    /// well-formed even when recording is disabled mid-flight.
+    /// Append one event unconditionally, as a block of its own. The
+    /// crate's free functions gate on [`enabled`](Self::enabled) and
+    /// hand the log whole traces instead; a closing trace guard commits
+    /// its trace even when recording was disabled mid-flight, keeping
+    /// trees well-formed.
     pub fn record(&self, event: TraceEvent) {
-        self.shards[(event.trace_id as usize) % SHARDS]
+        self.commit(Block::of_event(&event));
+    }
+
+    /// Append one block, under its shard's lock.
+    pub(crate) fn commit(&self, block: Block) {
+        self.shards[(block.trace_id as usize) % SHARDS]
             .lock()
-            .push(event);
+            .push(block);
     }
 
     /// Drop every recorded event (the enable flag is left unchanged).
@@ -72,7 +82,10 @@ impl TraceLog {
 
     /// Total number of recorded events.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().iter().map(Block::len).sum::<usize>())
+            .sum()
     }
 
     /// True if nothing has been recorded.
@@ -82,26 +95,21 @@ impl TraceLog {
 
     /// Every recorded event, sorted by `(trace_id, seq)`.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.in_order(|events| events.into_iter().cloned().collect())
+        self.in_order(events)
     }
 
     /// The events of one trace, sorted by `seq`.
     pub fn trace(&self, trace_id: u64) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self.shards[(trace_id as usize) % SHARDS]
-            .lock()
-            .iter()
-            .filter(|e| e.trace_id == trace_id)
-            .cloned()
-            .collect();
-        events.sort_by_key(|e| e.seq);
-        events
+        let shard = self.shards[(trace_id as usize) % SHARDS].lock();
+        let blocks: Vec<&Block> = shard.iter().filter(|b| b.trace_id == trace_id).collect();
+        events(&blocks)
     }
 
     /// Every distinct trace id, sorted.
     pub fn trace_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = Vec::new();
         for shard in &self.shards {
-            ids.extend(shard.lock().iter().map(|e| e.trace_id));
+            ids.extend(shard.lock().iter().map(|b| b.trace_id));
         }
         ids.sort_unstable();
         ids.dedup();
@@ -111,29 +119,56 @@ impl TraceLog {
     /// JSONL export: one event object per line, in `(trace_id, seq)`
     /// order. Byte-identical for identical seeds (and for interrupted +
     /// resumed replays of the same campaign). Each line is
-    /// [`TraceEvent::to_json`] in compact form, written straight from the
-    /// shards into one string.
+    /// [`TraceEvent::to_json`] in compact form, written on this thread
+    /// straight from the blocks into one string.
     pub fn export_jsonl(&self) -> String {
-        self.in_order(|events| {
-            let mut out = String::with_capacity(events.iter().map(|e| e.jsonl_len_hint()).sum());
-            for e in events {
-                e.write_jsonl(&mut out);
-            }
+        self.in_order(|blocks| {
+            let mut out = String::with_capacity(blocks.iter().map(|b| b.jsonl_len_hint()).sum());
+            each_event(blocks, |block, i| block.write_jsonl(i, &mut out));
             out
         })
     }
 
-    /// Run `f` on every event sorted by `(trace_id, seq)`, read in place
-    /// with all shards locked (in index order; recording takes one shard
-    /// at a time, so this cannot deadlock). The sort is stable and a
-    /// trace lives in one shard, so events with equal keys (a pair
-    /// recorded twice without [`clear`](Self::clear)) keep their arrival
+    /// Run `f` on every block sorted by trace id, read in place with
+    /// all shards locked (in index order; recording takes one shard at
+    /// a time, so this cannot deadlock). The sort is stable and a trace
+    /// lives in one shard, so blocks of one trace keep their arrival
     /// order.
-    fn in_order<R>(&self, f: impl FnOnce(Vec<&TraceEvent>) -> R) -> R {
+    fn in_order<R>(&self, f: impl FnOnce(&[&Block]) -> R) -> R {
         let shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut events: Vec<&TraceEvent> = shards.iter().flat_map(|s| s.iter()).collect();
-        events.sort_by_key(|e| (e.trace_id, e.seq));
-        f(events)
+        let mut blocks: Vec<&Block> = shards.iter().flat_map(|s| s.iter()).collect();
+        blocks.sort_by_key(|b| b.trace_id);
+        f(&blocks)
+    }
+}
+
+/// The events of `blocks` (sorted as [`each_event`] takes them) as
+/// [`TraceEvent`]s, in `(trace_id, seq)` order.
+fn events(blocks: &[&Block]) -> Vec<TraceEvent> {
+    let mut out = Vec::with_capacity(blocks.iter().map(|b| b.len()).sum());
+    each_event(blocks, |block, i| out.push(block.event(i)));
+    out
+}
+
+/// Call `f` on every event of `blocks` (sorted by trace id, a trace's
+/// blocks in arrival order) in `(trace_id, seq)` order. A trace held in
+/// one block, as every recorded trace is, is already in `seq` order;
+/// the blocks of a trace recorded more than once without
+/// [`clear`](TraceLog::clear), or of single [`record`](TraceLog::record)ed
+/// events, are merged by a stable sort, so equal keys keep their
+/// arrival order.
+fn each_event(blocks: &[&Block], mut f: impl FnMut(&Block, usize)) {
+    for trace in blocks.chunk_by(|a, b| a.trace_id == b.trace_id) {
+        if let [block] = trace {
+            (0..block.len()).for_each(|i| f(block, i));
+        } else {
+            let mut merged: Vec<(&Block, usize)> = trace
+                .iter()
+                .flat_map(|&block| (0..block.len()).map(move |i| (block, i)))
+                .collect();
+            merged.sort_by_key(|&(block, i)| block.seq(i));
+            merged.into_iter().for_each(|(block, i)| f(block, i));
+        }
     }
 }
 
@@ -234,9 +269,27 @@ mod tests {
         log.record(twin.clone());
         twin.attrs[0].1 = "second".into();
         log.record(twin);
+        // Counters `Json` prints as exact integers (below 9e15), rounds
+        // to an `f64` (past 2^53) and, once `as i64` turns them negative
+        // (from 2^63), prints with a sign.
+        let counters: [u64; 5] = [
+            8_999_999_999_999_999,
+            i64::MAX as u64,
+            1 << 63,
+            u64::MAX - (1 << 53),
+            u64::MAX - 8_999_999_999_999_998,
+        ];
+        for (seq, n) in (1..).zip(counters) {
+            let mut e = ev(0x0123_4567_89ab_cdef, seq);
+            e.span_id = n;
+            e.parent = n;
+            log.record(e);
+        }
         let export = log.export_jsonl();
         assert_eq!(export, reference(&log));
         assert!(export.contains(r#"{"args":{"a":"1","b":"last"},"kind""#));
+        // A repeated key reads its last value, as the export writes it.
+        assert_eq!(log.trace(u64::MAX)[0].attr("b"), Some("last"));
         assert!(export.find("first").unwrap() < export.find("second").unwrap());
         assert!(export.ends_with("\"trace\":\"ffffffffffffffff\"}\n"));
     }

@@ -5,8 +5,17 @@
 //! parallel threads, never see each other's allocations. Every call
 //! into the allocator that can hand out fresh memory counts once:
 //! `alloc`, `alloc_zeroed` and `realloc`.
+//!
+//! Only [`a_traced_pair_allocates_little_more_than_an_untraced_one`]
+//! opens a trace. While it has the process-global trace log enabled,
+//! the other tests' capture paths check the flag and find no trace open
+//! on their threads, so they record nothing and their counts stay as
+//! they are.
 
-use consent_crawler::{Admission, CaptureSummary, CmpSet, DedupQueue, Feed, FeedConfig};
+use consent_crawler::{
+    build_toplist, run_campaign_parallel, Admission, BreakerConfig, CampaignConfig, CaptureSummary,
+    CmpSet, DedupQueue, Feed, FeedConfig, ParallelOpts, RetryPolicy,
+};
 use consent_faultsim::{FaultProfile, FaultyEngine};
 use consent_fingerprint::Detector;
 use consent_httpsim::{CaptureOptions, Vantage};
@@ -170,5 +179,74 @@ fn feed_urls_and_captures_allocate_little() {
     assert!(
         per_url <= 0.4 * OLD_ALLOCS_PER_URL,
         "{per_url:.2} allocations per URL, more than 40% of {OLD_ALLOCS_PER_URL}"
+    );
+}
+
+/// Allocations tracing added to a pair of
+/// [`a_traced_pair_allocates_little_more_than_an_untraced_one`] when
+/// every event and attribute value was an allocation of its own.
+const OLD_TRACE_ALLOCS_PER_PAIR: f64 = 92.38;
+
+/// At most this many more allocations for a traced pair than for the
+/// same pair untraced.
+const TRACE_ALLOCS_PER_PAIR: f64 = 8.0;
+
+#[test]
+fn a_traced_pair_allocates_little_more_than_an_untraced_one() {
+    let world = World::new(WorldConfig {
+        n_sites: 2_000,
+        seed: 42,
+        adoption: AdoptionConfig::default(),
+    });
+    let list = build_toplist(&world, 20, SeedTree::new(7));
+    let vantages = Vantage::table1_columns();
+    let opts = ParallelOpts {
+        threads: 1,
+        config: CampaignConfig {
+            fault_profile: FaultProfile::none(),
+            retry: RetryPolicy::paper(),
+            breaker: BreakerConfig::default(),
+        },
+        max_pairs: None,
+    };
+    let day = Day::from_ymd(2020, 5, 15);
+    let campaign = || {
+        black_box(run_campaign_parallel(
+            &world,
+            &list,
+            day,
+            &vantages,
+            SeedTree::new(3),
+            &opts,
+        ))
+    };
+    // First runs fill the world's profile cache, the thread's trace
+    // buffers and the log's shards; `clear` keeps the shards' capacity.
+    campaign();
+    consent_trace::enable();
+    campaign();
+    consent_trace::clear();
+    consent_trace::disable();
+
+    let (untraced, _) = counted(campaign);
+    consent_trace::enable();
+    let (traced, _) = counted(campaign);
+    consent_trace::disable();
+    let events = consent_trace::global().len();
+    consent_trace::clear();
+
+    let pairs = (list.len() * vantages.len()) as f64;
+    assert!(
+        events as f64 > 10.0 * pairs,
+        "{events} events for {pairs} pairs"
+    );
+    let extra = (traced as f64 - untraced as f64) / pairs;
+    println!(
+        "{extra:.2} more allocations per traced pair ({untraced} untraced, {traced} traced, {pairs} pairs)"
+    );
+    assert!(
+        extra <= TRACE_ALLOCS_PER_PAIR,
+        "a traced pair made {extra:.2} more allocations than an untraced one, over \
+         {TRACE_ALLOCS_PER_PAIR} (from {OLD_TRACE_ALLOCS_PER_PAIR})"
     );
 }
