@@ -302,4 +302,57 @@ mod tests {
         let t = Timeline::from_history(&history);
         assert_eq!(t.observations[0].cmp, Some(Cmp::OneTrust));
     }
+
+    #[test]
+    fn day_tie_picks_the_later_cmp_in_all_cmps_order() {
+        let d = Day::from_ymd(2020, 1, 1);
+        // OneTrust precedes Quantcast in ALL_CMPS, and Crownpeak comes
+        // last: whatever order the captures arrive in, a tie goes to the
+        // later CMP.
+        for pair in [
+            [Cmp::OneTrust, Cmp::Quantcast],
+            [Cmp::Quantcast, Cmp::OneTrust],
+        ] {
+            let history: Vec<_> = pair.iter().map(|&c| cap(d, Some(c))).collect();
+            let t = Timeline::from_history(&history);
+            assert_eq!(t.observations[0].cmp, Some(Cmp::Quantcast), "{pair:?}");
+            assert_eq!(t.observations[0].cmp_captures, 1);
+        }
+        let history = vec![
+            cap(d, Some(Cmp::Crownpeak)),
+            cap(d, Some(Cmp::Cookiebot)),
+            cap(d, Some(Cmp::Cookiebot)),
+            cap(d, Some(Cmp::Crownpeak)),
+            cap(d, Some(Cmp::OneTrust)),
+            cap(d, Some(Cmp::OneTrust)),
+        ];
+        let t = Timeline::from_history(&history);
+        assert_eq!(t.observations[0].cmp, Some(Cmp::Crownpeak));
+        assert_eq!(t.observations[0].cmp_captures, 2);
+    }
+
+    #[test]
+    fn out_of_order_days_classify_like_sorted_ones() {
+        let d = Day::from_ymd(2020, 1, 1);
+        let sorted = vec![
+            cap(d, Some(Cmp::OneTrust)),
+            cap(d, None),
+            failed_cap(d + 2),
+            cap(d + 3, None),
+            cap(d + 3, Some(Cmp::Cookiebot)),
+            cap(d + 3, Some(Cmp::Cookiebot)),
+            cap(d + 9, Some(Cmp::TrustArc)),
+            cap(d + 9, Some(Cmp::Quantcast)),
+            cap(d + 40, None),
+        ];
+        let want = Timeline::from_history(&sorted);
+        let days: Vec<Day> = want.observations.iter().map(|o| o.day).collect();
+        assert_eq!(days, [d, d + 3, d + 9, d + 40]);
+        let mut shuffled = sorted.clone();
+        shuffled.reverse();
+        shuffled.swap(1, 6);
+        assert_eq!(Timeline::from_history(&shuffled), want);
+        shuffled.rotate_left(4);
+        assert_eq!(Timeline::from_history(&shuffled), want);
+    }
 }

@@ -1,14 +1,19 @@
 //! Determinism guarantees: identical seeds must reproduce identical
 //! results byte-for-byte across every experiment surface.
 
+use consent_analysis::{build_timelines, standard_exports};
 use consent_bundle::fnv64;
 use consent_core::{experiments, Study, StudyConfig};
-use consent_crawler::{build_toplist, vantage_code};
+use consent_crawler::{
+    build_toplist, vantage_code, ArchiveContext, CampaignState, FeedConfig, Platform,
+};
 use consent_faultsim::{FaultPlan, FaultProfile, FaultyEngine};
 use consent_httpsim::{Capture, CaptureOptions, CaptureStatus, Vantage, WorldProber};
 use consent_toplist::resolve_all;
 use consent_util::{Day, SeedTree};
-use consent_webgraph::{GeoBehavior, Reachability, SiteProfile};
+use consent_webgraph::{
+    AdoptionConfig, GeoBehavior, Reachability, SiteProfile, World, WorldConfig,
+};
 use std::collections::BTreeSet;
 
 fn study() -> Study {
@@ -68,6 +73,29 @@ fn fig9_stable_across_runs() {
     assert_eq!(a.probes, b.probes);
 }
 
+/// Assert that `got` equals the fixture `want`, naming the first line
+/// where they differ, or both line counts when one is a prefix of the
+/// other.
+fn assert_matches_fixture(what: &str, got: &str, want: &str) {
+    if let Some((n, (got, want))) = got
+        .lines()
+        .zip(want.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "{what} differs from the fixture at line {}:\n  got  {got:?}\n  want {want:?}",
+            n + 1
+        );
+    }
+    assert!(
+        got == want,
+        "{what} has {} lines, the fixture {}",
+        got.lines().count(),
+        want.lines().count()
+    );
+}
+
 /// Every table, figure and ablation the paper regenerator renders at
 /// `Study::quick()`: the `reproduce` example's stdout. Two runs of one
 /// build agree on their own; this pins what the experiments print
@@ -77,18 +105,7 @@ const GOLDEN_PAPER: &str = include_str!("fixtures/paper_quick_v1.txt");
 #[test]
 fn reproduce_matches_the_committed_golden_fixture() {
     let text = experiments::reproduce(&Study::quick());
-    if let Some((n, (got, want))) = text
-        .lines()
-        .zip(GOLDEN_PAPER.lines())
-        .enumerate()
-        .find(|(_, (got, want))| got != want)
-    {
-        panic!(
-            "reproduce differs from the fixture at line {}:\n  got  {got:?}\n  want {want:?}",
-            n + 1
-        );
-    }
-    assert_eq!(text, GOLDEN_PAPER);
+    assert_matches_fixture("reproduce", &text, GOLDEN_PAPER);
 }
 
 /// Every field of every capture the engine and its fault layer return
@@ -295,16 +312,69 @@ fn captures_match_the_committed_golden_fixture() {
     assert!(blocked_451, "a site answers 451");
     assert!(interstitial, "an anti-bot interstitial is served");
 
-    if let Some((n, (got, want))) = text
-        .lines()
-        .zip(GOLDEN_CAPTURES.lines())
-        .enumerate()
-        .find(|(_, (got, want))| got != want)
-    {
-        panic!(
-            "captures differ from the fixture at line {}:\n  got  {got:?}\n  want {want:?}",
-            n + 1
-        );
+    assert_matches_fixture("captures", &text, GOLDEN_CAPTURES);
+}
+
+/// The four `standard_exports` documents (timelines, adoption, shares,
+/// quality) of a 90-day social-feed database on the 30,000-site test
+/// world under [`FaultProfile::mild()`], with a 500-domain toplist as
+/// the archive context. Each document follows a `== <label>` line.
+/// Bundle replay compares two runs of one build; this pins the
+/// documents across builds.
+const GOLDEN_ANALYSIS: &str = include_str!("fixtures/analysis_v1.txt");
+
+#[test]
+fn analysis_exports_match_the_committed_golden_fixture() {
+    let world = World::new(WorldConfig {
+        n_sites: 30_000,
+        seed: 99,
+        adoption: AdoptionConfig::default(),
+    });
+    let platform = Platform::with_faults(
+        &world,
+        FeedConfig {
+            urls_per_day: 300,
+            ..FeedConfig::default()
+        },
+        FaultProfile::mild(),
+        SeedTree::new(5),
+    );
+    let start = Day::from_ymd(2020, 2, 1);
+    let end = start + 90;
+    let (db, _) = platform.run(start, end);
+    let list = build_toplist(&world, 500, SeedTree::new(7));
+    let ctx =
+        ArchiveContext::from_campaign(end - 1, &list, &[Vantage::eu_cloud()], &SeedTree::new(9));
+
+    // The database exercises every step of the reconstruction: a gap
+    // bridged between two agreeing observations, a CMP fading out after
+    // its last observation, and a switch between two CMPs.
+    let timelines = build_timelines(&db, None);
+    let bridged = timelines.values().any(|t| {
+        t.observations
+            .windows(2)
+            .any(|w| w[0].cmp.is_some() && w[0].cmp == w[1].cmp && w[1].day - w[0].day > 1)
+    });
+    let faded = timelines.values().any(|t| {
+        t.observations.last().is_some_and(|last| {
+            last.cmp.is_some()
+                && last.day + consent_analysis::FADE_OUT_DAYS + 1 < end
+                && t.cmp_on(last.day + consent_analysis::FADE_OUT_DAYS + 1)
+                    .is_none()
+        })
+    });
+    let switched = timelines.values().any(|t| !t.switches().is_empty());
+    assert!(bridged && faded && switched, "{bridged} {faded} {switched}");
+
+    let state = CampaignState {
+        pairs_done: db.len(),
+        db,
+        ..CampaignState::new()
+    };
+    let mut text = String::new();
+    for (label, doc) in standard_exports(&state, &ctx) {
+        text.push_str(&format!("== {label}\n"));
+        text.push_str(&doc);
     }
-    assert_eq!(text, GOLDEN_CAPTURES);
+    assert_matches_fixture("analysis exports", &text, GOLDEN_ANALYSIS);
 }
