@@ -2,21 +2,25 @@
 //! documents archived in a campaign bundle's `analysis` section and
 //! recomputed during bundle replay.
 //!
-//! Every renderer is a pure function of the capture database (plus the
-//! bundle's [`ArchiveContext`]): sorted iteration orders, fixed-width
-//! float formatting (`{:.6}`), and day ranges derived from the data
-//! itself, so the same state always renders the same bytes. That is the
+//! Every renderer is a pure function of the capture database, of the
+//! timelines [`build_timelines`] reconstructs from it (built once per
+//! [`standard_exports`] call) and of the bundle's [`ArchiveContext`]:
+//! sorted iteration orders, fixed-width float formatting (`{:.6}`), and
+//! day ranges derived from the data itself, so the same state always
+//! renders the same bytes. That is the
 //! property [`consent_crawler::archive::replay_campaign_bundle`]
 //! checks: it re-runs [`standard_exports`] over the re-imported state
 //! and byte-compares against the archived documents.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 use consent_crawler::archive::ArchiveContext;
 use consent_crawler::{CampaignState, CaptureDb};
 use consent_util::Day;
 use consent_webgraph::ALL_CMPS;
 
+use crate::interpolate::Timeline;
 use crate::marketshare::{marketshare_curve, standard_sizes, RankObservation};
 use crate::quality::capture_quality;
 use crate::timeseries::{adoption_series, build_timelines, switch_matrix};
@@ -35,22 +39,25 @@ fn day_range(db: &CaptureDb) -> Option<(Day, Day)> {
     range
 }
 
+// Writing into a `String` cannot fail, so the renderers below ignore
+// the `fmt::Result` of `write!`.
+
 /// Per-domain timeline summary (Figure 1 / §3.2 interpolation layer):
 /// observed days, switch count, and each switch as `day from>to`,
 /// domains sorted.
-pub fn render_timelines(db: &CaptureDb) -> String {
-    let timelines = build_timelines(db, None);
+pub fn render_timelines(timelines: &HashMap<String, Timeline>) -> String {
     let sorted: BTreeMap<&str, _> = timelines.iter().map(|(d, t)| (d.as_str(), t)).collect();
     let mut out = String::from("#consent-analysis-timelines v1\n");
     for (domain, t) in sorted {
         let switches = t.switches();
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{domain}\tdays={}\tswitches={}",
             t.observed_days(),
             switches.len()
-        ));
+        );
         for (day, from, to) in switches {
-            out.push_str(&format!("\t{day} {from}>{to}"));
+            let _ = write!(out, "\t{day} {from}>{to}");
         }
         out.push('\n');
     }
@@ -59,27 +66,24 @@ pub fn render_timelines(db: &CaptureDb) -> String {
 
 /// The Figure 6 adoption series over the database's own day range
 /// (daily step), one line per day with per-CMP domain counts in
-/// [`ALL_CMPS`] order.
-pub fn render_adoption(db: &CaptureDb) -> String {
+/// [`ALL_CMPS`] order, then the switch matrix; `timelines` are the
+/// database's.
+pub fn render_adoption(db: &CaptureDb, timelines: &HashMap<String, Timeline>) -> String {
     let mut out = String::from("#consent-analysis-adoption v1\n");
-    out.push_str(&format!(
-        "cmps={}\n",
-        ALL_CMPS.map(|c| c.to_string()).join(" ")
-    ));
+    let _ = writeln!(out, "cmps={}", ALL_CMPS.map(|c| c.to_string()).join(" "));
     let Some((start, end)) = day_range(db) else {
         return out;
     };
-    let timelines = build_timelines(db, None);
-    for point in adoption_series(&timelines, start, end, 1) {
-        out.push_str(&format!("{}", point.day));
+    for point in adoption_series(timelines, start, end, 1) {
+        let _ = write!(out, "{}", point.day);
         for n in point.counts {
-            out.push_str(&format!("\t{n}"));
+            let _ = write!(out, "\t{n}");
         }
         out.push('\n');
     }
-    let matrix = switch_matrix(&timelines);
+    let matrix = switch_matrix(timelines);
     for ((from, to), n) in &matrix.flows {
-        out.push_str(&format!("switch\t{from}\t{to}\t{n}\n"));
+        let _ = writeln!(out, "switch\t{from}\t{to}\t{n}");
     }
     out
 }
@@ -87,8 +91,7 @@ pub fn render_adoption(db: &CaptureDb) -> String {
 /// The Figure 5 rank-stratified market-share curve, computed from the
 /// toplist rank order the bundle's [`ArchiveContext`] preserves and
 /// each domain's interpolated CMP on the campaign day.
-pub fn render_shares(db: &CaptureDb, ctx: &ArchiveContext) -> String {
-    let timelines = build_timelines(db, None);
+pub fn render_shares(timelines: &HashMap<String, Timeline>, ctx: &ArchiveContext) -> String {
     let observations: Vec<RankObservation> = ctx
         .domains
         .iter()
@@ -101,14 +104,11 @@ pub fn render_shares(db: &CaptureDb, ctx: &ArchiveContext) -> String {
         .collect();
     let curve = marketshare_curve(&observations, &standard_sizes());
     let mut out = String::from("#consent-analysis-shares v1\n");
-    out.push_str(&format!(
-        "cmps={}\n",
-        ALL_CMPS.map(|c| c.to_string()).join(" ")
-    ));
+    let _ = writeln!(out, "cmps={}", ALL_CMPS.map(|c| c.to_string()).join(" "));
     for (i, size) in curve.sizes.iter().enumerate() {
-        out.push_str(&format!("{size}\tcovered={:.6}", curve.covered[i]));
+        let _ = write!(out, "{size}\tcovered={:.6}", curve.covered[i]);
         for share in curve.shares[i] {
-            out.push_str(&format!("\t{share:.6}"));
+            let _ = write!(out, "\t{share:.6}");
         }
         out.push('\n');
     }
@@ -142,12 +142,17 @@ pub fn render_quality(db: &CaptureDb) -> String {
 /// `adoption`, `shares`, and `quality`. Matches the
 /// [`ExportFn`](consent_crawler::archive::ExportFn) signature, so it
 /// plugs straight into `BundleSpec::provider` and
-/// `replay_campaign_bundle`.
+/// `replay_campaign_bundle`. The timelines are built once for the three
+/// renderers that read them.
 pub fn standard_exports(state: &CampaignState, ctx: &ArchiveContext) -> Vec<(String, String)> {
+    let timelines = build_timelines(&state.db, None);
     vec![
-        ("timelines".to_string(), render_timelines(&state.db)),
-        ("adoption".to_string(), render_adoption(&state.db)),
-        ("shares".to_string(), render_shares(&state.db, ctx)),
+        ("timelines".to_string(), render_timelines(&timelines)),
+        (
+            "adoption".to_string(),
+            render_adoption(&state.db, &timelines),
+        ),
+        ("shares".to_string(), render_shares(&timelines, ctx)),
         ("quality".to_string(), render_quality(&state.db)),
     ]
 }
@@ -224,7 +229,7 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(total, state.pairs_done);
-        let shares = render_shares(&state.db, &ctx);
+        let shares = render_shares(&build_timelines(&state.db, None), &ctx);
         assert!(shares.lines().count() > 2, "{shares}");
     }
 }

@@ -6,10 +6,9 @@
 //! boundary observations agree, and (3) right-censors by fading out a
 //! CMP 30 days after the last observation.
 
-use consent_crawler::CaptureSummary;
+use consent_crawler::{CaptureSummary, CmpSet};
 use consent_util::Day;
-use consent_webgraph::Cmp;
-use std::collections::BTreeMap;
+use consent_webgraph::{Cmp, ALL_CMPS};
 
 /// The fade-out horizon for right censoring (§3.2: 30 days).
 pub const FADE_OUT_DAYS: i32 = 30;
@@ -49,48 +48,48 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Classify each observation day of a domain's capture history.
+    /// Classify each observation day of a domain's capture history, in
+    /// any row order.
     ///
     /// Only usable captures count. A CMP is assigned to a day when it
     /// appears in at least [`DAY_SHARE_THRESHOLD`] of that day's
-    /// captures; if several qualify, the most frequent wins.
-    pub fn from_history(history: &[CaptureSummary]) -> Timeline {
-        let mut by_day: BTreeMap<Day, Vec<&CaptureSummary>> = BTreeMap::new();
-        for c in history {
-            // Usable includes degraded (timeout / truncated) captures:
-            // a partial request log can still witness a CMP, and §3.5
-            // counts the degradation separately in the quality report.
-            if c.status.usable() {
-                by_day.entry(c.day).or_default().push(c);
-            }
-        }
-        let observations = by_day
-            .into_iter()
-            .map(|(day, captures)| {
+    /// captures; if several qualify, the most frequent wins, and of
+    /// equally frequent ones the last in [`ALL_CMPS`] order. The usable
+    /// rows are sorted by day once, and each day's CMPs are counted in
+    /// one array indexed like [`ALL_CMPS`].
+    pub fn from_history(history: &[CaptureSummary<'_>]) -> Timeline {
+        // Usable includes degraded (timeout / truncated) captures: a
+        // partial request log can still witness a CMP, and §3.5 counts
+        // the degradation separately in the quality report.
+        let mut usable: Vec<(Day, CmpSet)> = history
+            .iter()
+            .filter(|c| c.status.usable())
+            .map(|c| (c.day, c.cmps))
+            .collect();
+        usable.sort_unstable_by_key(|&(day, _)| day);
+        let observations = usable
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|captures| {
+                let day = captures[0].0;
                 let total = captures.len() as u32;
-                let mut counts: BTreeMap<Cmp, u32> = BTreeMap::new();
-                for c in &captures {
-                    for cmp in c.cmps.iter() {
-                        *counts.entry(cmp).or_insert(0) += 1;
+                let mut counts = [0u32; ALL_CMPS.len()];
+                for (_, cmps) in captures.iter().filter(|(_, cmps)| !cmps.is_empty()) {
+                    for (n, &cmp) in counts.iter_mut().zip(&ALL_CMPS) {
+                        *n += u32::from(cmps.contains(cmp));
                     }
                 }
+                // `max_by_key` keeps the last of equal maxima.
                 let best = counts
-                    .into_iter()
-                    .max_by_key(|&(_, n)| n)
-                    .filter(|&(_, n)| f64::from(n) / f64::from(total) >= DAY_SHARE_THRESHOLD);
-                match best {
-                    Some((cmp, n)) => DayObservation {
-                        day,
-                        cmp: Some(cmp),
-                        captures: total,
-                        cmp_captures: n,
-                    },
-                    None => DayObservation {
-                        day,
-                        cmp: None,
-                        captures: total,
-                        cmp_captures: 0,
-                    },
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &n)| n > 0)
+                    .max_by_key(|&(_, &n)| n)
+                    .filter(|&(_, &n)| f64::from(n) / f64::from(total) >= DAY_SHARE_THRESHOLD);
+                DayObservation {
+                    day,
+                    cmp: best.map(|(i, _)| ALL_CMPS[i]),
+                    captures: total,
+                    cmp_captures: best.map_or(0, |(_, &n)| n),
                 }
             })
             .collect();
@@ -173,10 +172,9 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consent_crawler::CmpSet;
     use consent_httpsim::{CaptureStatus, Location};
 
-    fn cap(day: Day, cmp: Option<Cmp>) -> CaptureSummary {
+    fn cap(day: Day, cmp: Option<Cmp>) -> CaptureSummary<'static> {
         CaptureSummary {
             domain: "x.com".into(),
             day,
@@ -188,7 +186,7 @@ mod tests {
         }
     }
 
-    fn failed_cap(day: Day) -> CaptureSummary {
+    fn failed_cap(day: Day) -> CaptureSummary<'static> {
         let mut c = cap(day, Some(Cmp::OneTrust));
         c.status = CaptureStatus::AntiBotInterstitial;
         c

@@ -12,7 +12,8 @@ use consent_webgraph::{Cmp, ALL_CMPS};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Reconstruct timelines for every domain in the capture DB (optionally
-/// restricted to a membership set such as the Tranco 10k).
+/// restricted to a membership set such as the Tranco 10k). One scan of
+/// the store; only the map's keys are fresh strings.
 pub fn build_timelines(
     db: &CaptureDb,
     restrict_to: Option<&HashSet<String>>,
@@ -45,6 +46,9 @@ impl AdoptionPoint {
 }
 
 /// Compute the Figure 6 series: per-CMP domain counts on each sample day.
+///
+/// Only timelines with a CMP-bearing observation are evaluated: on the
+/// others [`Timeline::cmp_on`] is `None` on every day.
 pub fn adoption_series(
     timelines: &HashMap<String, Timeline>,
     start: Day,
@@ -52,6 +56,10 @@ pub fn adoption_series(
     step_days: i32,
 ) -> Vec<AdoptionPoint> {
     assert!(step_days >= 1);
+    let adopters: Vec<&Timeline> = timelines
+        .values()
+        .filter(|t| t.observations.iter().any(|o| o.cmp.is_some()))
+        .collect();
     let mut out = Vec::new();
     let mut day = start;
     while day <= end {
@@ -59,7 +67,7 @@ pub fn adoption_series(
             day,
             counts: [0; 6],
         };
-        for timeline in timelines.values() {
+        for timeline in &adopters {
             if let Some(cmp) = timeline.cmp_on(day) {
                 point.counts[ALL_CMPS.iter().position(|&c| c == cmp).expect("known")] += 1;
             }
@@ -124,7 +132,7 @@ mod tests {
     use consent_crawler::{CaptureSummary, CmpSet};
     use consent_httpsim::{CaptureStatus, Location};
 
-    fn cap(domain: &str, day: Day, cmp: Option<Cmp>) -> CaptureSummary {
+    fn cap(domain: &str, day: Day, cmp: Option<Cmp>) -> CaptureSummary<'_> {
         CaptureSummary {
             domain: domain.into(),
             day,

@@ -339,7 +339,7 @@ pub(crate) struct PairOutput {
     /// Index into the campaign's vantage columns.
     pub(crate) col: usize,
     /// The final capture's [`CaptureDb`] row.
-    pub(crate) row: CaptureSummary,
+    pub(crate) row: CaptureSummary<'static>,
     /// The final capture's result record.
     pub(crate) record: CampaignCapture,
     /// The pair's provenance: identity, trace id, every attempt with its

@@ -12,11 +12,15 @@
 //! the hot path is *append* (one row per processed pair) and the cold
 //! path is *scan* (analyses and exports). Rows live in [`SHARD_COUNT`]
 //! shards keyed by a stable FNV-1a hash of the domain, each shard a list
-//! of fixed-capacity columnar segments:
+//! of fixed-capacity columnar segments. The interned host id is the
+//! store's only key: an insert looks the host's name up once, and
+//! everything after that, the per-host row list included, is indexed by
+//! the id.
 //!
 //! ```text
 //! CaptureDb
 //! ├── interner: host string ↔ u32 id (id = first-insert order)
+//! ├── index:    id → (shard, row indexes within the shard)
 //! ├── shard 0: [ sealed seg ][ sealed seg ][ active tail → ]
 //! ├── shard 1: [ sealed seg ][ active tail → ]
 //! │   ...                 each segment = SEGMENT_ROWS parallel columns:
@@ -36,6 +40,10 @@
 //! checkpoint cursor: everything past a mark is exactly the set of rows
 //! appended since that mark was taken. `docs/STORAGE.md` is the
 //! normative spec of the on-disk serialization of this layout.
+//!
+//! Reads ([`CaptureDb::iter`], [`CaptureDb::domain_history`]) return
+//! rows whose domain borrows the interned name, so a scan allocates one
+//! `Vec` per domain and nothing per row.
 //!
 //! # Append and seal
 //!
@@ -70,7 +78,7 @@ use consent_psl::PublicSuffixList;
 use consent_util::Day;
 use consent_webgraph::{Cmp, ALL_CMPS};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Number of domain shards. Fixed by the storage format (STORAGE.md):
 /// changing it changes every shard assignment and therefore the export
@@ -135,9 +143,10 @@ impl CmpSet {
         self.0
     }
 
-    /// Rebuild from a raw bitmask (inverse of [`bits`](Self::bits)).
-    pub(crate) fn from_bits(bits: u8) -> CmpSet {
-        CmpSet(bits)
+    /// Rebuild from a raw bitmask (inverse of [`bits`](Self::bits)), or
+    /// `None` if a bit is set that no CMP of [`ALL_CMPS`] owns.
+    pub(crate) fn from_bits(bits: u8) -> Option<CmpSet> {
+        (bits >> ALL_CMPS.len() == 0).then_some(CmpSet(bits))
     }
 }
 
@@ -210,10 +219,14 @@ fn cmp_index(cmp: Cmp) -> u8 {
 }
 
 /// One stored capture summary (the materialized row view).
+///
+/// The domain is owned when [`CaptureSummary::of`] builds the row and
+/// borrowed from the store's host table when [`CaptureDb::iter`] or
+/// [`CaptureDb::domain_history`] reads it back.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CaptureSummary {
+pub struct CaptureSummary<'a> {
     /// Final registrable domain (eTLD+1) after redirects.
-    pub domain: String,
+    pub domain: Cow<'a, str>,
     /// Capture day.
     pub day: Day,
     /// Crawl location.
@@ -229,12 +242,12 @@ pub struct CaptureSummary {
     pub dialog_visible: bool,
 }
 
-impl CaptureSummary {
+impl CaptureSummary<'static> {
     /// The row a full capture stores: its final eTLD+1, day, location,
     /// status, the CMPs detected on it, whether the seed URL redirected
     /// across eTLD+1, and the dialog flag. Pure, so a campaign worker
     /// builds the row and the merge thread only inserts it.
-    pub fn of(capture: &Capture, cmps: CmpSet, psl: &PublicSuffixList) -> CaptureSummary {
+    pub fn of(capture: &Capture, cmps: CmpSet, psl: &PublicSuffixList) -> CaptureSummary<'static> {
         let host = capture.final_host.as_str();
         let domain = psl
             .registrable_domain(host)
@@ -246,7 +259,7 @@ impl CaptureSummary {
             .unwrap_or(Cow::Borrowed(seed_host));
         CaptureSummary {
             redirected: seed_domain != domain.as_str(),
-            domain,
+            domain: Cow::Owned(domain),
             day: capture.day,
             location: capture.vantage.location,
             status: capture.status,
@@ -347,20 +360,27 @@ pub struct DbMarks {
     pub shard_rows: Vec<u32>,
 }
 
+/// Where one interned host's rows live: its shard and its row indexes
+/// within that shard, in insertion order.
+#[derive(Debug)]
+struct HostRows {
+    shard: u8,
+    rows: Vec<u32>,
+}
+
 /// The capture store: interned hosts plus [`SHARD_COUNT`] columnar
 /// shards (see the [module docs](self) for the layout).
 #[derive(Debug)]
 pub struct CaptureDb {
     /// Host names in id order; `hosts[id]` is the interned string.
     hosts: Vec<String>,
-    /// Host name → id (inverse of `hosts`).
+    /// Host name → id (inverse of `hosts`). The default hasher, because
+    /// hosts also come from checkpoint files.
     host_ids: HashMap<String, u32>,
+    /// Per-host row index, indexed by host id like `hosts`.
+    index: Vec<HostRows>,
     /// The columnar shards.
     shards: Vec<Shard>,
-    /// Per-domain row index: domain id → row indexes within the
-    /// domain's shard, in insertion order. BTree keyed by name so
-    /// domain iteration is sorted without materializing.
-    by_domain: BTreeMap<String, Vec<u32>>,
     total: u64,
     redirected: u64,
     multi_cmp: u64,
@@ -372,8 +392,8 @@ impl Default for CaptureDb {
         CaptureDb {
             hosts: Vec::new(),
             host_ids: HashMap::new(),
+            index: Vec::new(),
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            by_domain: BTreeMap::new(),
             total: 0,
             redirected: 0,
             multi_cmp: 0,
@@ -439,33 +459,13 @@ impl CaptureDb {
     }
 
     /// Insert a pre-built summary, appending one row to the domain's
-    /// shard (sealing the tail segment when it fills).
-    ///
-    /// This is the telemetry reconciliation anchor: the
-    /// `capture_db.insert{location,status}` counter family increments
-    /// here and nowhere else, so its sum always equals [`len`](Self::len)
-    /// across all databases touched while recording was on. Segment
-    /// seals are counted as `capture_db.segment.sealed`.
-    pub fn insert(&mut self, summary: CaptureSummary) {
-        if consent_telemetry::enabled() {
-            consent_telemetry::count_labeled(
-                consent_telemetry::CAPTURE_FAMILY,
-                &[
-                    ("location", &summary.location.to_string()),
-                    ("status", summary.status.name()),
-                ],
-                1,
-            );
-        }
-        self.total += 1;
-        if summary.redirected {
-            self.redirected += 1;
-        }
-        if summary.cmps.len() > 1 {
-            self.multi_cmp += 1;
-        }
-        let id = self.intern(&summary.domain);
-        let shard = shard_of(&summary.domain);
+    /// shard (sealing the tail segment when it fills). The row's domain
+    /// moves into the host table only when the host is new.
+    pub fn insert(&mut self, summary: CaptureSummary<'_>) {
+        let id = match self.host_ids.get(summary.domain.as_ref()) {
+            Some(&id) => id,
+            None => self.intern(summary.domain.into_owned()),
+        };
         let mut flags = 0u8;
         if summary.redirected {
             flags |= FLAG_REDIRECTED;
@@ -473,38 +473,85 @@ impl CaptureDb {
         if summary.dialog_visible {
             flags |= FLAG_DIALOG;
         }
-        let row = self.shards[shard].rows();
-        let sealed = self.shards[shard].append(
+        self.append(
             id,
             summary.day.0,
-            location_bits(summary.location),
-            status_bits(summary.status),
-            summary.cmps.bits(),
+            summary.location,
+            summary.status,
+            summary.cmps,
+            flags,
+        );
+    }
+
+    /// Append one row of host `id`, which must be interned.
+    ///
+    /// This is the telemetry reconciliation anchor: the
+    /// `capture_db.insert{location,status}` counter family increments
+    /// here and nowhere else, so its sum always equals [`len`](Self::len)
+    /// across all databases touched while recording was on. Segment
+    /// seals are counted as `capture_db.segment.sealed`.
+    fn append(
+        &mut self,
+        id: u32,
+        day: i32,
+        location: Location,
+        status: CaptureStatus,
+        cmps: CmpSet,
+        flags: u8,
+    ) {
+        if consent_telemetry::enabled() {
+            consent_telemetry::count_labeled(
+                consent_telemetry::CAPTURE_FAMILY,
+                &[("location", location.name()), ("status", status.name())],
+                1,
+            );
+        }
+        self.total += 1;
+        if flags & FLAG_REDIRECTED != 0 {
+            self.redirected += 1;
+        }
+        if cmps.len() > 1 {
+            self.multi_cmp += 1;
+        }
+        let host = &mut self.index[id as usize];
+        let shard = &mut self.shards[usize::from(host.shard)];
+        host.rows.push(shard.rows());
+        let sealed = shard.append(
+            id,
+            day,
+            location_bits(location),
+            status_bits(status),
+            cmps.bits(),
             flags,
         );
         if sealed {
             self.sealed += 1;
             consent_telemetry::count("capture_db.segment.sealed", 1);
         }
-        self.by_domain.entry(summary.domain).or_default().push(row);
     }
 
-    /// Intern a host, assigning the next id on first sight.
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.host_ids.get(name) {
-            return id;
-        }
+    /// Intern a host the table does not hold yet, under the next id.
+    fn intern(&mut self, name: String) -> u32 {
         let id = self.hosts.len() as u32;
-        self.hosts.push(name.to_owned());
-        self.host_ids.insert(name.to_owned(), id);
+        self.index.push(HostRows {
+            shard: shard_of(&name) as u8,
+            rows: Vec::new(),
+        });
+        self.host_ids.insert(name.clone(), id);
+        self.hosts.push(name);
         id
     }
 
-    /// Pre-populate the interning table in id order (checkpoint import
-    /// path). The caller must feed hosts in exactly their original
-    /// first-insert order or later appends would diverge.
-    pub(crate) fn preintern(&mut self, name: &str) {
+    /// Intern the next host of a checkpoint's host table (import path),
+    /// or return false if the table already holds it: a repeated host
+    /// would shift every later id. The caller must feed hosts in exactly
+    /// their original first-insert order or later appends would diverge.
+    pub(crate) fn preintern(&mut self, name: String) -> bool {
+        if self.host_ids.contains_key(&name) {
+            return false;
+        }
         self.intern(name);
+        true
     }
 
     /// Interned host names, in id order.
@@ -517,11 +564,15 @@ impl CaptureDb {
         &self.shards[shard].segments
     }
 
-    /// Append a raw row by column values (delta-import path). Telemetry
-    /// and counters go through [`insert`](Self::insert), so replays
-    /// reconcile identically to original inserts.
+    /// Append a raw row of shard `shard` by column values (the full and
+    /// the delta import). Every value is checked, the host's shard
+    /// included, and the row goes through the same append as
+    /// [`insert`](Self::insert), so counters and telemetry reconcile
+    /// identically to original inserts.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_row(
         &mut self,
+        shard: usize,
         domain_id: u32,
         day: i32,
         loc: u8,
@@ -529,41 +580,46 @@ impl CaptureDb {
         cmps: u8,
         flags: u8,
     ) -> Result<(), String> {
-        let domain = self
-            .hosts
+        let host = self
+            .index
             .get(domain_id as usize)
-            .ok_or_else(|| format!("domain id {domain_id} out of range"))?
-            .clone();
+            .ok_or_else(|| format!("domain id {domain_id} out of range"))?;
+        if usize::from(host.shard) != shard {
+            let name = &self.hosts[domain_id as usize];
+            return Err(format!("host {name:?} does not belong to shard {shard}"));
+        }
         let location = location_from_bits(loc).ok_or_else(|| format!("bad location {loc}"))?;
         let status = status_from_bits(status).ok_or_else(|| format!("bad status {status}"))?;
+        let cmps = CmpSet::from_bits(cmps).ok_or_else(|| format!("bad cmps {cmps}"))?;
         if flags & !(FLAG_REDIRECTED | FLAG_DIALOG) != 0 {
             return Err(format!("bad flags {flags}"));
         }
-        self.insert(CaptureSummary {
-            domain,
-            day: Day(day),
-            location,
-            status,
-            cmps: CmpSet::from_bits(cmps),
-            redirected: flags & FLAG_REDIRECTED != 0,
-            dialog_visible: flags & FLAG_DIALOG != 0,
-        });
+        self.append(domain_id, day, location, status, cmps, flags);
         Ok(())
     }
 
-    /// Materialize the row at `(shard, row)`.
-    fn row(&self, shard: usize, row: u32) -> CaptureSummary {
-        let seg = &self.shards[shard].segments[row as usize / SEGMENT_ROWS];
-        let i = row as usize % SEGMENT_ROWS;
-        CaptureSummary {
-            domain: self.hosts[seg.domain_ids[i] as usize].clone(),
-            day: Day(seg.days[i]),
-            location: location_from_bits(seg.locations[i]).expect("stored location"),
-            status: status_from_bits(seg.statuses[i]).expect("stored status"),
-            cmps: CmpSet::from_bits(seg.cmps[i]),
-            redirected: seg.flags[i] & FLAG_REDIRECTED != 0,
-            dialog_visible: seg.flags[i] & FLAG_DIALOG != 0,
-        }
+    /// Materialize the rows of one host, in insertion order, with the
+    /// domain borrowed from the host table.
+    fn history(&self, id: usize) -> Vec<CaptureSummary<'_>> {
+        let domain = self.hosts[id].as_str();
+        let host = &self.index[id];
+        let segments = &self.shards[usize::from(host.shard)].segments;
+        host.rows
+            .iter()
+            .map(|&row| {
+                let seg = &segments[row as usize / SEGMENT_ROWS];
+                let i = row as usize % SEGMENT_ROWS;
+                CaptureSummary {
+                    domain: Cow::Borrowed(domain),
+                    day: Day(seg.days[i]),
+                    location: location_from_bits(seg.locations[i]).expect("stored location"),
+                    status: status_from_bits(seg.statuses[i]).expect("stored status"),
+                    cmps: CmpSet(seg.cmps[i]),
+                    redirected: seg.flags[i] & FLAG_REDIRECTED != 0,
+                    dialog_visible: seg.flags[i] & FLAG_DIALOG != 0,
+                }
+            })
+            .collect()
     }
 
     /// Total stored captures.
@@ -576,9 +632,10 @@ impl CaptureDb {
         self.total == 0
     }
 
-    /// Number of distinct domains observed.
+    /// Number of distinct domains observed: the interned hosts that
+    /// have rows.
     pub fn domain_count(&self) -> usize {
-        self.by_domain.len()
+        self.index.iter().filter(|h| !h.rows.is_empty()).count()
     }
 
     /// Number of sealed (immutable, full) segments across all shards.
@@ -614,26 +671,25 @@ impl CaptureDb {
 
     /// All captures of one domain, materialized in insertion (time)
     /// order from the domain's shard.
-    pub fn domain_history(&self, domain: &str) -> Vec<CaptureSummary> {
+    pub fn domain_history(&self, domain: &str) -> Vec<CaptureSummary<'_>> {
         consent_telemetry::count("capture_db.query.domain_history", 1);
-        let Some(rows) = self.by_domain.get(domain) else {
-            return Vec::new();
-        };
-        let shard = shard_of(domain);
-        rows.iter().map(|&r| self.row(shard, r)).collect()
+        match self.host_ids.get(domain) {
+            Some(&id) => self.history(id as usize),
+            None => Vec::new(),
+        }
     }
 
-    /// Iterate all `(domain, history)` pairs in domain order, each
-    /// history materialized from its shard's columns.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, Vec<CaptureSummary>)> {
+    /// Iterate all `(domain, history)` pairs in host-id order, which is
+    /// the order of each domain's first insert, each history
+    /// materialized from its shard's columns as
+    /// [`domain_history`](Self::domain_history) would.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Vec<CaptureSummary<'_>>)> {
         consent_telemetry::count("capture_db.query.scan", 1);
-        self.by_domain.iter().map(|(d, rows)| {
-            let shard = shard_of(d);
-            (
-                d.as_str(),
-                rows.iter().map(|&r| self.row(shard, r)).collect(),
-            )
-        })
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|(_, host)| !host.rows.is_empty())
+            .map(|(id, _)| (self.hosts[id].as_str(), self.history(id)))
     }
 }
 
@@ -641,7 +697,7 @@ impl CaptureDb {
 mod tests {
     use super::*;
 
-    fn summary(domain: &str, day: Day, cmps: CmpSet, redirected: bool) -> CaptureSummary {
+    fn summary(domain: &str, day: Day, cmps: CmpSet, redirected: bool) -> CaptureSummary<'_> {
         CaptureSummary {
             domain: domain.into(),
             day,
@@ -668,7 +724,9 @@ mod tests {
         let from = CmpSet::from_iter([Cmp::LiveRamp]);
         assert!(from.contains(Cmp::LiveRamp));
         assert_eq!(from.len(), 1);
-        assert_eq!(CmpSet::from_bits(s.bits()), s);
+        assert_eq!(CmpSet::from_bits(s.bits()), Some(s));
+        // Bits past the six CMPs belong to none of them.
+        assert_eq!(CmpSet::from_bits(1 << ALL_CMPS.len()), None);
     }
 
     #[test]

@@ -272,12 +272,20 @@ pub(crate) fn check_domains(domains: &[String]) -> io::Result<()> {
     Ok(())
 }
 
-/// One host line of an interning table (see [`is_host_line`]).
-fn host_line(p: &Parser<'_>, l: &str) -> Result<String, ImportError> {
-    if !is_host_line(l) {
-        return Err(p.err(format!("bad host {l:?}")));
+/// Read the next `n` host lines of an interning table (see
+/// [`is_host_line`]) into `db`'s host table. A host the table already
+/// holds is refused: it would shift the id of every later host.
+fn read_hosts(p: &mut Parser<'_>, db: &mut CaptureDb, n: usize) -> Result<(), ImportError> {
+    for _ in 0..n {
+        let l = p.expect("host line")?;
+        if !is_host_line(l) {
+            return Err(p.err(format!("bad host {l:?}")));
+        }
+        if !db.preintern(l.to_owned()) {
+            return Err(p.err(format!("repeated host {l:?}")));
+        }
     }
-    Ok(l.to_owned())
+    Ok(())
 }
 
 /// Parse one shard block's rows into `db` via the insert path.
@@ -303,14 +311,7 @@ fn import_shard_rows(
         let c: Vec<u8> = p.column("c", n)?;
         let f: Vec<u8> = p.column("f", n)?;
         for i in 0..n {
-            let name = db
-                .host_table()
-                .get(d[i] as usize)
-                .ok_or_else(|| p.err(format!("domain id {} out of range", d[i])))?;
-            if crate::capture_db::shard_of(name) != shard {
-                return Err(p.err(format!("host {name:?} does not belong to shard {shard}")));
-            }
-            db.insert_row(d[i], t[i], l[i], s[i], c[i], f[i])
+            db.insert_row(shard, d[i], t[i], l[i], s[i], c[i], f[i])
                 .map_err(|m| p.err(m))?;
         }
         remaining -= n;
@@ -338,11 +339,7 @@ pub fn import(text: &str) -> Result<CaptureDb, ImportError> {
         .strip_prefix("hosts=")
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| p.err(format!("bad hosts line {hosts_line:?}")))?;
-    for _ in 0..n {
-        let l = p.expect("host line")?;
-        let host = host_line(&p, l)?;
-        db.preintern(&host);
-    }
+    read_hosts(&mut p, &mut db, n)?;
     let mut prev_shard = None;
     while let Some(l) = p.next() {
         if l.is_empty() {
@@ -397,11 +394,7 @@ pub(crate) fn apply_delta(db: &mut CaptureDb, text: &str) -> Result<(), ImportEr
             db.host_table().len()
         )));
     }
-    for _ in 0..new {
-        let l = p.expect("host line")?;
-        let host = host_line(&p, l)?;
-        db.preintern(&host);
-    }
+    read_hosts(&mut p, db, new)?;
     let mut prev_shard = None;
     while let Some(l) = p.next() {
         if l.is_empty() {
@@ -633,6 +626,59 @@ mod tests {
         // Error display includes the line number.
         let e = import(&format!("{h}hosts=0\nbad line\n")).unwrap_err();
         assert!(e.to_string().contains("line 3"));
+    }
+
+    #[test]
+    fn a_repeated_host_is_refused_on_its_line() {
+        // sample_db interns a.com, b.co.uk and c.net, in that order.
+        let text = export(&sample_db());
+        let repeated = text.replacen("hosts=3\na.com\n", "hosts=4\na.com\na.com\n", 1);
+        let e = import(&repeated).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert_eq!(e.message, "repeated host \"a.com\"");
+
+        let mut db = sample_db();
+        let marks = db.marks();
+        db.insert(CaptureSummary {
+            domain: "d.org".into(),
+            day: Day::from_ymd(2020, 6, 1),
+            location: Location::UsCloud,
+            status: CaptureStatus::Ok,
+            cmps: CmpSet::empty(),
+            redirected: false,
+            dialog_visible: false,
+        });
+        let delta = export_delta(&db, &marks);
+        // A host repeated within the delta, and one the base holds.
+        for (hosts, line, host) in [
+            ("hosts=3+2\nd.org\nd.org\n", 4, "d.org"),
+            ("hosts=3+2\nb.co.uk\nd.org\n", 3, "b.co.uk"),
+        ] {
+            let bad = delta.replacen("hosts=3+1\nd.org\n", hosts, 1);
+            assert_ne!(bad, delta);
+            let mut base = sample_db();
+            let e = apply_delta(&mut base, &bad).unwrap_err();
+            assert_eq!(e.line, line, "{e}");
+            assert_eq!(e.message, format!("repeated host {host:?}"));
+        }
+    }
+
+    #[test]
+    fn cmp_bits_that_no_cmp_owns_are_refused() {
+        let shard = crate::capture_db::shard_of("a.com");
+        let db = |c: u8| {
+            format!(
+                "#consent-capture-db v3\nhosts=1\na.com\nshard={shard} rows=1\n\
+                 d=0\nt=18383\nl=0\ns=0\nc={c}\nf=0\n"
+            )
+        };
+        // Bits 0–5 are the six CMPs of ALL_CMPS.
+        let all = import(&db(63)).unwrap();
+        assert_eq!(all.domain_history("a.com")[0].cmps.len(), 6);
+        for c in [64, 128, 192] {
+            let e = import(&db(c)).unwrap_err();
+            assert_eq!(e.message, format!("bad cmps {c}"));
+        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl<'w> Platform<'w> {
 
     /// Capture one admitted URL from its vantage, detect its CMPs and
     /// summarize it into its database row.
-    fn capture(&self, (item, vantage): &(FeedItem, Vantage)) -> CaptureSummary {
+    fn capture(&self, (item, vantage): &(FeedItem, Vantage)) -> CaptureSummary<'static> {
         let capture = self
             .engine
             .capture(&item.url, item.day, *vantage, CaptureOptions::default());

@@ -32,15 +32,20 @@ impl Location {
     pub fn is_cloud(self) -> bool {
         matches!(self, Location::UsCloud | Location::EuCloud)
     }
+
+    /// Stable name for telemetry labels and reports; `Display` writes it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Location::UsCloud => "US cloud",
+            Location::EuCloud => "EU cloud",
+            Location::EuUniversity => "EU university",
+        }
+    }
 }
 
 impl fmt::Display for Location {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Location::UsCloud => "US cloud",
-            Location::EuCloud => "EU cloud",
-            Location::EuUniversity => "EU university",
-        })
+        f.write_str(self.name())
     }
 }
 

@@ -13,16 +13,16 @@
 //! they are.
 
 use consent_crawler::{
-    build_toplist, run_campaign_parallel, Admission, BreakerConfig, CampaignConfig, CaptureSummary,
-    CmpSet, DedupQueue, Feed, FeedConfig, ParallelOpts, RetryPolicy,
+    build_toplist, run_campaign_parallel, Admission, BreakerConfig, CampaignConfig, CaptureDb,
+    CaptureSummary, CmpSet, DedupQueue, Feed, FeedConfig, ParallelOpts, RetryPolicy,
 };
 use consent_faultsim::{FaultProfile, FaultyEngine};
 use consent_fingerprint::Detector;
-use consent_httpsim::{CaptureOptions, Vantage};
+use consent_httpsim::{CaptureOptions, CaptureStatus, Location, Vantage};
 use consent_psl::PublicSuffixList;
 use consent_util::{Day, SeedTree};
 use consent_webgraph::site::rank_of_host;
-use consent_webgraph::{AdoptionConfig, World, WorldConfig};
+use consent_webgraph::{AdoptionConfig, World, WorldConfig, ALL_CMPS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -179,6 +179,43 @@ fn feed_urls_and_captures_allocate_little() {
     assert!(
         per_url <= 0.4 * OLD_ALLOCS_PER_URL,
         "{per_url:.2} allocations per URL, more than 40% of {OLD_ALLOCS_PER_URL}"
+    );
+}
+
+#[test]
+fn a_capture_db_scan_allocates_once_per_domain() {
+    let mut db = CaptureDb::new();
+    let day = Day::from_ymd(2020, 1, 1);
+    for i in 0..3_000u32 {
+        let domain = format!("site-{}.example", i % 700);
+        db.insert(CaptureSummary {
+            domain: domain.into(),
+            day: day + (i / 7) as i32,
+            location: Location::EuCloud,
+            status: CaptureStatus::Ok,
+            cmps: CmpSet::from_iter(ALL_CMPS.get(i as usize % 9).copied()),
+            redirected: i % 5 == 0,
+            dialog_visible: i % 3 == 0,
+        });
+    }
+    let scan = || {
+        for (domain, history) in db.iter() {
+            black_box((domain, history));
+        }
+    };
+    // A first scan initializes the telemetry registry the scan counter
+    // checks.
+    scan();
+    let (n, ()) = counted(scan);
+    let domains = db.domain_count() as u64;
+    println!(
+        "{n} allocations to scan {} rows of {domains} domains",
+        db.len()
+    );
+    assert!(
+        n <= domains,
+        "a scan of {} rows of {domains} domains allocated {n} times",
+        db.len()
     );
 }
 

@@ -7,7 +7,7 @@ use consent_util::Day;
 use consent_webgraph::{Cmp, ALL_CMPS};
 use proptest::prelude::*;
 
-fn capture_strategy() -> impl Strategy<Value = CaptureSummary> {
+fn capture_strategy() -> impl Strategy<Value = CaptureSummary<'static>> {
     (
         0i32..400,
         proptest::option::of(0usize..6),
