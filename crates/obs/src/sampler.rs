@@ -19,7 +19,7 @@
 //! # Resume
 //!
 //! After recovery a resumed process re-counts work it never performed
-//! (checkpoint import calls `CaptureDb::insert`, the store counts
+//! (checkpoint import counts its rows as inserts, the store counts
 //! `checkpoint.opens`, the trace replay re-crawls recovered pairs). The
 //! driver opens its window only after recovery and that replay, so
 //! none of this traffic reaches a sample. Because a sample's identity

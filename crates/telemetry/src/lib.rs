@@ -36,8 +36,8 @@ pub use span::Span;
 
 use std::sync::OnceLock;
 
-/// The counter family `CaptureDb::insert` increments once per stored
-/// capture, labeled with `location` and `status`.
+/// The counter family the capture store increments once per stored
+/// capture, inserted or imported, labeled with `location` and `status`.
 pub const CAPTURE_FAMILY: &str = "capture_db.insert";
 
 /// The process-global registry, created disabled.

@@ -1,4 +1,5 @@
-//! Heap allocations on the capture path, counted without a clock.
+//! Heap allocations on the capture path and in a capture-store scan,
+//! counted without a clock.
 //!
 //! This binary installs a counting global allocator. Counts are kept
 //! per thread, so the tests of this binary, which the harness runs on
