@@ -75,7 +75,10 @@ impl ArchiveContext {
             day,
             seed: seed.seed(),
             domains: domains.to_vec(),
-            vantages: vantages.iter().map(|v| vantage_code(*v)).collect(),
+            vantages: vantages
+                .iter()
+                .map(|&v| vantage_code(v).to_owned())
+                .collect(),
         }
     }
 

@@ -270,26 +270,34 @@ pub fn build_toplist(world: &World, n: usize, seed: SeedTree) -> Vec<String> {
     toplist.top(n).map(str::to_owned).collect()
 }
 
-/// Compact stable code for a vantage, e.g. `uni-ext-de`. Shared by the
-/// provenance line format, the bundle `config` document and trace
-/// attributes, so every persistence layer names the six Table 1
-/// columns identically.
-pub fn vantage_code(v: Vantage) -> String {
-    let loc = match v.location {
-        Location::UsCloud => "us",
-        Location::EuCloud => "eu",
-        Location::EuUniversity => "uni",
-    };
-    let timing = match v.timing {
-        Timing::Aggressive => "fast",
-        Timing::Extended => "ext",
-    };
-    let lang = match v.language {
-        Language::EnUs => "enus",
-        Language::De => "de",
-        Language::EnGb => "engb",
-    };
-    format!("{loc}-{timing}-{lang}")
+/// Compact stable code for a vantage, `location-timing-language`
+/// (e.g. `uni-ext-de`). Shared by the provenance line format, the
+/// bundle `config` document and trace attributes, so every persistence
+/// layer names the six Table 1 columns identically.
+pub fn vantage_code(v: Vantage) -> &'static str {
+    use Language::{De, EnGb, EnUs};
+    use Location::{EuCloud, EuUniversity, UsCloud};
+    use Timing::{Aggressive, Extended};
+    match (v.location, v.timing, v.language) {
+        (UsCloud, Aggressive, EnUs) => "us-fast-enus",
+        (UsCloud, Aggressive, De) => "us-fast-de",
+        (UsCloud, Aggressive, EnGb) => "us-fast-engb",
+        (UsCloud, Extended, EnUs) => "us-ext-enus",
+        (UsCloud, Extended, De) => "us-ext-de",
+        (UsCloud, Extended, EnGb) => "us-ext-engb",
+        (EuCloud, Aggressive, EnUs) => "eu-fast-enus",
+        (EuCloud, Aggressive, De) => "eu-fast-de",
+        (EuCloud, Aggressive, EnGb) => "eu-fast-engb",
+        (EuCloud, Extended, EnUs) => "eu-ext-enus",
+        (EuCloud, Extended, De) => "eu-ext-de",
+        (EuCloud, Extended, EnGb) => "eu-ext-engb",
+        (EuUniversity, Aggressive, EnUs) => "uni-fast-enus",
+        (EuUniversity, Aggressive, De) => "uni-fast-de",
+        (EuUniversity, Aggressive, EnGb) => "uni-fast-engb",
+        (EuUniversity, Extended, EnUs) => "uni-ext-enus",
+        (EuUniversity, Extended, De) => "uni-ext-de",
+        (EuUniversity, Extended, EnGb) => "uni-ext-engb",
+    }
 }
 
 /// Parse a [`vantage_code`] back into its [`Vantage`].
@@ -354,13 +362,12 @@ pub(crate) struct PairOutput {
 fn pair_record(plan: &CampaignPlan<'_>, idx: u64) -> Provenance {
     let (s, rank, _, vantage) = plan.locate(idx);
     let vantage = vantage_code(vantage);
-    let day = plan.day.to_string();
     Provenance {
-        trace_id: stable_id(&["pair", &s.domain, &vantage, &day]),
+        trace_id: stable_id(&["pair", &s.domain, vantage, &plan.day_text]),
         domain: s.domain.clone(),
         rank: rank as u64,
-        vantage,
-        day,
+        vantage: vantage.to_owned(),
+        day: plan.day_text.clone(),
         attempts: Vec::new(),
         outcome: String::new(),
         final_status: String::new(),
@@ -432,7 +439,8 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
     let mut breaker = CircuitBreaker::new(plan.config.breaker);
     let mut capture = None;
     let mut outcome = Outcome::Permanent;
-    for (attempt, &attempt_day) in plan.schedule.iter().enumerate() {
+    for (attempt, (attempt_day, day_text)) in plan.schedule.iter().enumerate() {
+        let attempt_day = *attempt_day;
         let attempt_no = attempt as u8 + 1;
         let _span = consent_trace::span("attempt", |a| {
             a.push("attempt", attempt_no);
@@ -452,7 +460,7 @@ pub(crate) fn process_pair(plan: &CampaignPlan<'_>, idx: u64) -> PairOutput {
             a.push("outcome", outcome.name());
         });
         record.attempts.push(AttemptProvenance {
-            day: attempt_day.to_string(),
+            day: day_text.clone(),
             status: status_code(c.status).to_string(),
             // Re-derive the decided fault from the pure plan so the
             // record is identical with tracing on or off (and matches
@@ -540,7 +548,10 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
     // day: the real history died with the stack, but downstream
     // invariants (≥1 attempt per pair, `pairs_done == db.len()`,
     // unusable ⇒ dead-lettered) must hold regardless.
-    let first_day = plan.schedule.first().copied().unwrap_or(plan.day);
+    let (first_day, first_text) = plan
+        .schedule
+        .first()
+        .map_or((plan.day, &plan.day_text), |(day, text)| (*day, text));
     let capture = consent_httpsim::Capture {
         seed_url: s.url.clone(),
         final_url: s.url.clone(),
@@ -554,7 +565,7 @@ pub(crate) fn process_pair_contained(plan: &CampaignPlan<'_>, idx: u64) -> PairO
         dom: None,
     };
     record.attempts.push(AttemptProvenance {
-        day: first_day.to_string(),
+        day: first_text.clone(),
         status: status_code(capture.status).to_string(),
         fault: Some("panic".to_string()),
     });
@@ -673,7 +684,7 @@ mod tests {
             assert!(p.injected_faults().next().is_none(), "{}", p.domain);
             assert_eq!(
                 (p.domain.as_str(), p.vantage.as_str()),
-                (c.domain.as_str(), vantage_code(v).as_str())
+                (c.domain.as_str(), vantage_code(v))
             );
             assert_eq!(p.dead_lettered, !c.status.usable(), "{}", p.domain);
         }
@@ -859,16 +870,33 @@ mod tests {
 
     #[test]
     fn vantage_codes_are_unique_and_roundtrip() {
-        let mut codes: Vec<String> = Vantage::table1_columns()
-            .iter()
-            .map(|&v| vantage_code(v))
-            .collect();
-        for (code, &v) in codes.iter().zip(Vantage::table1_columns().iter()) {
-            assert_eq!(vantage_from(code), Some(v));
+        let mut codes = Vec::new();
+        for (location, loc) in [
+            (Location::UsCloud, "us"),
+            (Location::EuCloud, "eu"),
+            (Location::EuUniversity, "uni"),
+        ] {
+            for (timing, t) in [(Timing::Aggressive, "fast"), (Timing::Extended, "ext")] {
+                for (language, lang) in [
+                    (Language::EnUs, "enus"),
+                    (Language::De, "de"),
+                    (Language::EnGb, "engb"),
+                ] {
+                    let v = Vantage {
+                        location,
+                        timing,
+                        language,
+                    };
+                    let code = vantage_code(v);
+                    assert_eq!(code, format!("{loc}-{t}-{lang}"));
+                    assert_eq!(vantage_from(code), Some(v));
+                    codes.push(code);
+                }
+            }
         }
         codes.sort();
         codes.dedup();
-        assert_eq!(codes.len(), 6);
+        assert_eq!(codes.len(), 18);
         assert_eq!(vantage_from("us-fast"), None);
         assert_eq!(vantage_from("us-fast-enus-extra"), None);
         assert_eq!(vantage_from("moon-fast-enus"), None);

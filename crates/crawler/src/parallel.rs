@@ -219,7 +219,11 @@ pub(crate) struct CampaignPlan<'a> {
     seeds: Vec<SeedUrl>,
     vantages: &'a [Vantage],
     pub(crate) day: Day,
-    pub(crate) schedule: Vec<Day>,
+    /// `day` as every pair's provenance record writes it, rendered once.
+    pub(crate) day_text: String,
+    /// The retry schedule's days, each with its rendering for the
+    /// attempt records.
+    pub(crate) schedule: Vec<(Day, String)>,
     pub(crate) config: CampaignConfig,
     pub(crate) detector: Detector,
     pub(crate) psl: PublicSuffixList,
@@ -244,7 +248,13 @@ impl<'a> CampaignPlan<'a> {
             seeds: resolve_all(domains.iter().cloned(), &prober, &attempt_days),
             vantages,
             day,
-            schedule: config.retry.schedule(day),
+            day_text: day.to_string(),
+            schedule: config
+                .retry
+                .schedule(day)
+                .into_iter()
+                .map(|d| (d, d.to_string()))
+                .collect(),
             config: *config,
             detector: Detector::hostname_only(),
             psl: PublicSuffixList::embedded(),

@@ -3,7 +3,7 @@
 use crate::plan::{Fault, FaultPlan};
 use crate::profile::FaultProfile;
 use consent_httpsim::{
-    split_url, Capture, CaptureOptions, CaptureStatus, Engine, RequestRecord, Vantage,
+    split_url, Capture, CaptureOptions, CaptureStatus, Engine, Host, RequestRecord, Url, Vantage,
 };
 use consent_util::{Day, SeedTree, SimInstant};
 
@@ -133,8 +133,13 @@ fn truncate(mut c: Capture, status: CaptureStatus, cut: CutAt) -> Capture {
     }
     // The surviving request log defines the surviving record: cookies
     // from hosts that were cut are gone, and so is the DOM snapshot.
-    c.cookies
-        .retain(|cookie| c.requests.iter().any(|r| r.host == cookie.host));
+    // Hosts compare as rendered, whatever names them.
+    let mut cookies = std::mem::take(&mut c.cookies);
+    cookies.retain(|cookie| {
+        let host = c.host(&cookie.host);
+        c.requests.iter().any(|r| c.host(&r.host) == host)
+    });
+    c.cookies = cookies;
     c.dom = None;
     c.status = status;
     c
@@ -158,16 +163,16 @@ fn no_content(url: &str, host: &str, day: Day, vantage: Vantage, status: Capture
 fn interstitial(url: &str, host: &str, day: Day, vantage: Vantage) -> Capture {
     let mut c = no_content(url, host, day, vantage, CaptureStatus::AntiBotInterstitial);
     c.requests.push(RequestRecord {
-        url: url.to_owned().into(),
-        host: host.to_owned().into(),
+        url: Url::Seed,
+        host: Host::Seed,
         status: 403,
         bytes: 2_048,
         started: SimInstant::ZERO,
         third_party: false,
     });
     c.requests.push(RequestRecord {
-        url: "https://challenge.cdn-shield.net/turnstile".into(),
-        host: "challenge.cdn-shield.net".into(),
+        url: Url::Static("https://challenge.cdn-shield.net/turnstile"),
+        host: Host::Static("challenge.cdn-shield.net"),
         status: 200,
         bytes: 12_288,
         started: SimInstant::from_millis(120),
@@ -283,9 +288,63 @@ mod tests {
         );
         // Surviving cookies only reference surviving hosts.
         for cookie in &cut.cookies {
-            assert!(cut.requests.iter().any(|r| r.host == cookie.host));
+            let host = cut.host(&cookie.host);
+            assert!(cut.requests.iter().any(|r| cut.host(&r.host) == host));
         }
         let _ = host;
+    }
+
+    /// Every cut of a redirected capture: a cookie survives exactly when
+    /// a surviving request renders its host, so the session cookie
+    /// lives exactly as long as a request to the final host, and the
+    /// 301 from the alias alone keeps none of the final host's cookies.
+    #[test]
+    fn a_cookie_survives_truncation_exactly_with_a_request_to_its_host() {
+        let w = world();
+        let day = Day::from_ymd(2020, 5, 15);
+        let alias = (1..=10_000)
+            .map(|r| w.profile(r))
+            .find_map(|p| {
+                let ok = p.reachability == Reachability::Ok
+                    && p.behavior.as_ref().is_none_or(|b| !b.anti_bot_cdn);
+                p.alias.clone().filter(|_| ok)
+            })
+            .expect("aliased site exists");
+        let url = format!("https://{alias}/");
+        let plain = Engine::new(&w, SeedTree::new(4).child("engine"));
+        let full = plain.capture(&url, day, Vantage::eu_cloud(), CaptureOptions::default());
+        assert_eq!(full.requests[0].host, Host::Seed);
+        assert_eq!(full.host(&full.requests[0].host), alias);
+        assert!(full.cookies.iter().any(|k| k.name == "session"));
+
+        let cuts = full
+            .requests
+            .iter()
+            .map(|r| CutAt::Millis(r.started.as_millis() + 1))
+            .chain([CutAt::Fraction(0.0), CutAt::Fraction(0.5)]);
+        let (mut kept, mut dropped) = (0, 0);
+        for cut in cuts {
+            let c = truncate(full.clone(), CaptureStatus::Truncated, cut);
+            let survives = |host: &str| c.requests.iter().any(|r| c.host(&r.host) == host);
+            for cookie in &full.cookies {
+                assert_eq!(
+                    c.cookies.contains(cookie),
+                    survives(full.host(&cookie.host)),
+                    "{cookie:?} after a cut to {} requests",
+                    c.requests.len()
+                );
+            }
+            let session = c.cookies.iter().any(|k| k.name == "session");
+            assert_eq!(session, survives(&full.final_host));
+            if session {
+                kept += 1;
+            } else {
+                dropped += 1;
+            }
+        }
+        // The 301 alone (the first millisecond, or a zero fraction)
+        // drops the session cookie; later cuts keep it.
+        assert!(kept > 0 && dropped >= 2, "kept {kept}, dropped {dropped}");
     }
 
     #[test]
@@ -322,6 +381,24 @@ mod tests {
             faulty.capture_attempt(&url, day, Vantage::eu_cloud(), CaptureOptions::default(), 2);
         assert_eq!(second.status, CaptureStatus::AntiBotInterstitial);
         assert!(second.contacted("challenge.cdn-shield.net"));
+        // The refused request names the seed URL and its host; the
+        // challenge names constants.
+        let rendered: Vec<_> = second
+            .requests
+            .iter()
+            .map(|r| (second.url(&r.url), second.host(&r.host), r.status))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                (url.as_str().into(), split_url(&url).0, 403),
+                (
+                    "https://challenge.cdn-shield.net/turnstile".into(),
+                    "challenge.cdn-shield.net",
+                    200
+                ),
+            ]
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::rules::{all_rules, Fingerprint, Signal, GDPR_PHRASES};
 use consent_httpsim::Capture;
 use consent_webgraph::Cmp;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// A compiled detector.
@@ -70,13 +71,25 @@ impl Detector {
         if degraded {
             consent_telemetry::count("fingerprint.detect.degraded", 1);
         }
+        // The URL rules read rendered URLs, and an asset URL is formatted
+        // when rendered: render the log once, for the first such rule.
+        let mut urls: Option<Vec<Cow<str>>> = None;
         for rule in &self.rules {
             if rule.specificity < self.min_specificity {
                 continue;
             }
             let hit = match &rule.signal {
                 Signal::Hostname(h) => capture.contacted(h),
-                Signal::UrlSubstring(s) => capture.requests.iter().any(|r| r.url.contains(s)),
+                Signal::UrlSubstring(s) => urls
+                    .get_or_insert_with(|| {
+                        capture
+                            .requests
+                            .iter()
+                            .map(|r| capture.url(&r.url))
+                            .collect()
+                    })
+                    .iter()
+                    .any(|u| u.contains(s)),
                 Signal::CssClass(c) => capture
                     .dom
                     .as_ref()

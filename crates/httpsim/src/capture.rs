@@ -5,23 +5,84 @@
 //! main page, all cookies … a screenshot of the visible area." The
 //! analysis pipeline consumes only these records, never the synthetic web
 //! directly, so the substitution boundary is exactly this module.
+//!
+//! A [`Capture`] owns its three strings (seed URL, final URL, final
+//! host). Its request and cookie logs own none: a [`RequestRecord`] or
+//! [`CookieRecord`] is a `Copy` value that *names* its strings — one of
+//! the capture's own, a constant of the engine, or a first-party asset
+//! by index — and readers render them through the capture's total
+//! accessors, [`Capture::host`] and [`Capture::url`]. An asset URL is
+//! formatted only when a reader asks for it.
 
+use crate::engine::split_url;
 use crate::vantage::Vantage;
 use consent_util::{Day, SimInstant};
 use std::borrow::Cow;
+use std::fmt;
 
-/// One HTTP request observed during a page load.
-///
-/// The engine's constant requests borrow their strings: the tracker
-/// hosts and their `/collect` URLs, the CMP hosts and their script and
-/// configuration URLs, and the anti-bot challenge. Only first-party and
-/// seed-URL requests own theirs.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The host a request or cookie names, rendered by [`Capture::host`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Host {
+    /// The host of the capture's seed URL (a redirect's first hop).
+    Seed,
+    /// The capture's final host.
+    Final,
+    /// A constant host: a tracker, a CMP or the anti-bot challenge.
+    Static(&'static str),
+}
+
+/// The URL a request names, rendered by [`Capture::url`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Url {
+    /// The capture's seed URL.
+    Seed,
+    /// The capture's final URL.
+    Final,
+    /// First-party asset `n`: `https://{final_host}/static/asset{n}.js`.
+    Asset(u8),
+    /// A constant URL: a tracker beacon, a CMP embed or the anti-bot
+    /// challenge.
+    Static(&'static str),
+}
+
+/// A cookie's value. [`fmt::Display`] renders it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CookieValue {
+    /// A constant value, such as the consent marker's `1`.
+    Static(&'static str),
+    /// `prefix`, then `value` as `width` lowercase hex digits (zero
+    /// padded).
+    Hex {
+        /// The leading character.
+        prefix: char,
+        /// The random part.
+        value: u64,
+        /// Hex digits, zero padded.
+        width: u8,
+    },
+}
+
+impl fmt::Display for CookieValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            CookieValue::Static(s) => f.write_str(s),
+            CookieValue::Hex {
+                prefix,
+                value,
+                width,
+            } => write!(f, "{prefix}{value:0width$x}", width = usize::from(width)),
+        }
+    }
+}
+
+/// One HTTP request observed during a page load. Its URL and host are
+/// names, rendered by [`Capture::url`] and [`Capture::host`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Full URL requested.
-    pub url: Cow<'static, str>,
+    pub url: Url,
     /// Hostname component.
-    pub host: Cow<'static, str>,
+    pub host: Host,
     /// Response status (0 if the request never completed).
     pub status: u16,
     /// Compressed transfer size in bytes.
@@ -32,16 +93,16 @@ pub struct RequestRecord {
     pub third_party: bool,
 }
 
-/// One cookie set during a page load. Names, third-party hosts and
-/// constant values are borrowed, like [`RequestRecord`]'s strings.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One cookie set during a page load. Its host is a name, rendered by
+/// [`Capture::host`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CookieRecord {
     /// Cookie name.
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Host that set it.
-    pub host: Cow<'static, str>,
+    pub host: Host,
     /// Value (consent cookies carry a TCF consent string).
-    pub value: Cow<'static, str>,
+    pub value: CookieValue,
     /// True if set by a third-party context.
     pub third_party: bool,
 }
@@ -143,12 +204,33 @@ pub struct Capture {
 }
 
 impl Capture {
+    /// The string `host` names in this capture.
+    pub fn host(&self, host: &Host) -> &str {
+        match *host {
+            Host::Seed => split_url(&self.seed_url).0,
+            Host::Final => &self.final_host,
+            Host::Static(h) => h,
+        }
+    }
+
+    /// The string `url` names in this capture: borrowed, except an
+    /// asset URL, which is formatted here.
+    pub fn url(&self, url: &Url) -> Cow<'_, str> {
+        match *url {
+            Url::Seed => Cow::Borrowed(&self.seed_url),
+            Url::Final => Cow::Borrowed(&self.final_url),
+            Url::Asset(n) => Cow::Owned(format!("https://{}/static/asset{n}.js", self.final_host)),
+            Url::Static(u) => Cow::Borrowed(u),
+        }
+    }
+
     /// Hosts contacted during the load (deduplicated, order preserved).
     pub fn hosts(&self) -> Vec<&str> {
         let mut seen = Vec::new();
         for r in &self.requests {
-            if !seen.contains(&&*r.host) {
-                seen.push(&*r.host);
+            let host = self.host(&r.host);
+            if !seen.contains(&host) {
+                seen.push(host);
             }
         }
         seen
@@ -156,7 +238,7 @@ impl Capture {
 
     /// True if any request went to `host`.
     pub fn contacted(&self, host: &str) -> bool {
-        self.requests.iter().any(|r| r.host == host)
+        self.requests.iter().any(|r| self.host(&r.host) == host)
     }
 
     /// Total compressed bytes transferred.
@@ -187,10 +269,10 @@ mod tests {
     use super::*;
     use crate::vantage::Vantage;
 
-    fn req(host: &str, third_party: bool, bytes: u64) -> RequestRecord {
+    fn req(url: Url, host: Host, third_party: bool, bytes: u64) -> RequestRecord {
         RequestRecord {
-            url: format!("https://{host}/x").into(),
-            host: host.to_owned().into(),
+            url,
+            host,
             status: 200,
             bytes,
             started: SimInstant::ZERO,
@@ -201,8 +283,8 @@ mod tests {
     fn capture_with(requests: Vec<RequestRecord>) -> Capture {
         Capture {
             seed_url: "https://a.com/".into(),
-            final_url: "https://a.com/".into(),
-            final_host: "a.com".into(),
+            final_url: "https://www.a.com/".into(),
+            final_host: "www.a.com".into(),
             day: Day::from_ymd(2020, 5, 15),
             vantage: Vantage::eu_cloud(),
             status: CaptureStatus::Ok,
@@ -216,16 +298,74 @@ mod tests {
     #[test]
     fn host_dedup_and_queries() {
         let c = capture_with(vec![
-            req("a.com", false, 1000),
-            req("cdn.cookielaw.org", true, 300),
-            req("a.com", false, 200),
+            req(Url::Seed, Host::Seed, false, 320),
+            req(Url::Final, Host::Final, false, 1000),
+            req(
+                Url::Static("https://cdn.cookielaw.org/consent.js"),
+                Host::Static("cdn.cookielaw.org"),
+                true,
+                300,
+            ),
+            req(Url::Asset(0), Host::Final, false, 200),
         ]);
-        assert_eq!(c.hosts(), ["a.com", "cdn.cookielaw.org"]);
+        assert_eq!(c.hosts(), ["a.com", "www.a.com", "cdn.cookielaw.org"]);
+        assert!(c.contacted("a.com"));
+        assert!(c.contacted("www.a.com"));
         assert!(c.contacted("cdn.cookielaw.org"));
         assert!(!c.contacted("consent.trustarc.com"));
-        assert_eq!(c.total_bytes(), 1500);
+        assert_eq!(c.total_bytes(), 1820);
         assert_eq!(c.third_party_requests(), 1);
         assert!(c.usable());
+    }
+
+    /// The strings an alias capture's records owned before they named
+    /// them: a 301 from the alias, the final page and its assets, a
+    /// tracker and its cookie.
+    #[test]
+    fn every_name_renders_the_string_it_stands_for() {
+        let mut c = capture_with(Vec::new());
+        c.seed_url = "https://ce-alt.net/".into();
+        c.final_url = "https://www.ce.at/".into();
+        c.final_host = "www.ce.at".into();
+
+        assert_eq!(c.host(&Host::Seed), "ce-alt.net");
+        assert_eq!(c.host(&Host::Final), "www.ce.at");
+        let tracker = "pixel.adgrid.example";
+        assert_eq!(c.host(&Host::Static(tracker)), "pixel.adgrid.example");
+
+        assert_eq!(c.url(&Url::Seed), "https://ce-alt.net/");
+        assert_eq!(c.url(&Url::Final), "https://www.ce.at/");
+        assert_eq!(c.url(&Url::Asset(0)), "https://www.ce.at/static/asset0.js");
+        assert_eq!(c.url(&Url::Asset(5)), "https://www.ce.at/static/asset5.js");
+        let beacon = "https://pixel.adgrid.example/collect";
+        assert_eq!(c.url(&Url::Static(beacon)), beacon);
+        // Only an asset URL is formatted; the others are borrowed.
+        for url in [Url::Seed, Url::Final, Url::Static(beacon)] {
+            assert!(matches!(c.url(&url), Cow::Borrowed(_)), "{url:?}");
+        }
+        assert!(matches!(c.url(&Url::Asset(1)), Cow::Owned(_)));
+
+        // A seed URL without a path still names its host.
+        c.seed_url = "https://ce-alt.net".into();
+        assert_eq!(c.host(&Host::Seed), "ce-alt.net");
+    }
+
+    #[test]
+    fn cookie_values_render_as_zero_padded_hex() {
+        let hex = |prefix, value, width| CookieValue::Hex {
+            prefix,
+            value,
+            width,
+        };
+        assert_eq!(
+            hex('s', 0x76ed_8f01_181a_1430, 16).to_string(),
+            "s76ed8f01181a1430"
+        );
+        // Leading zero digits are kept: the value fills its width.
+        assert_eq!(hex('u', 0x02c0_29a9_0685, 12).to_string(), "u02c029a90685");
+        assert_eq!(hex('s', 0xbeef, 16).to_string(), "s000000000000beef");
+        assert_eq!(hex('u', 0, 12).to_string(), "u000000000000");
+        assert_eq!(CookieValue::Static("1").to_string(), "1");
     }
 
     #[test]

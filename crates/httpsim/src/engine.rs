@@ -8,7 +8,9 @@
 //! mechanically — geo gating, anti-bot interstitials, and late-loading
 //! CMP scripts that the aggressive timeout misses.
 
-use crate::capture::{Capture, CaptureStatus, CookieRecord, DomSnapshot, RequestRecord};
+use crate::capture::{
+    Capture, CaptureStatus, CookieRecord, CookieValue, DomSnapshot, Host, RequestRecord, Url,
+};
 use crate::vantage::{Timing, Vantage};
 use consent_util::{Day, SeedTree, SimInstant};
 use consent_webgraph::{
@@ -16,8 +18,6 @@ use consent_webgraph::{
 };
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::borrow::Cow;
-use std::fmt::Write;
 use std::sync::Arc;
 
 /// Idle timeout under aggressive timing (§3.5: five seconds).
@@ -67,7 +67,7 @@ impl<'w> Engine<'w> {
             // never iterates the request log here.
             for r in &capture.requests {
                 consent_trace::event("request", |a| {
-                    a.push("host", &*r.host);
+                    a.push("host", capture.host(&r.host));
                     a.push("status", r.status);
                     a.push("ms", r.started.as_millis());
                     if r.third_party {
@@ -157,8 +157,8 @@ impl<'w> Engine<'w> {
             && vantage.location.appears_eu()
         {
             let blocked = RequestRecord {
-                url: final_url.clone().into(),
-                host: final_host.clone().into(),
+                url: Url::Final,
+                host: Host::Final,
                 status: 451,
                 bytes: 512,
                 started: SimInstant::ZERO,
@@ -180,8 +180,8 @@ impl<'w> Engine<'w> {
         if profile.behavior.as_ref().is_some_and(|b| b.anti_bot_cdn) && vantage.location.is_cloud()
         {
             let refused = RequestRecord {
-                url: final_url.clone().into(),
-                host: final_host.clone().into(),
+                url: Url::Final,
+                host: Host::Final,
                 status: 403,
                 bytes: 2_048,
                 started: SimInstant::ZERO,
@@ -197,8 +197,8 @@ impl<'w> Engine<'w> {
             );
             c.requests.push(refused);
             c.requests.push(RequestRecord {
-                url: "https://challenge.cdn-shield.net/turnstile".into(),
-                host: "challenge.cdn-shield.net".into(),
+                url: Url::Static("https://challenge.cdn-shield.net/turnstile"),
+                host: Host::Static("challenge.cdn-shield.net"),
                 status: 200,
                 bytes: 12_288,
                 started: SimInstant::from_millis(120),
@@ -234,10 +234,9 @@ impl<'w> Engine<'w> {
         let mut cookies = Vec::new();
 
         if redirected {
-            let (h, _) = split_url(seed_url);
             requests.push(RequestRecord {
-                url: seed_url.to_owned().into(),
-                host: h.to_owned().into(),
+                url: Url::Seed,
+                host: Host::Seed,
                 status: 301,
                 bytes: 320,
                 started: SimInstant::ZERO,
@@ -245,26 +244,31 @@ impl<'w> Engine<'w> {
             });
         }
         requests.push(RequestRecord {
-            url: final_url.clone().into(),
-            host: final_host.clone().into(),
+            url: Url::Final,
+            host: Host::Final,
             status: 200,
             bytes: rng.gen_range(8_000..60_000),
             started: SimInstant::from_millis(if redirected { 180 } else { 0 }),
             third_party: false,
         });
         cookies.push(CookieRecord {
-            name: "session".into(),
-            host: final_host.clone().into(),
-            value: hex_value('s', rng.gen::<u64>(), 16),
+            name: "session",
+            host: Host::Final,
+            value: CookieValue::Hex {
+                prefix: 's',
+                value: rng.gen::<u64>(),
+                width: 16,
+            },
             third_party: false,
         });
 
-        // First-party assets.
-        let n_assets = rng.gen_range(2..8);
-        for i in 0..n_assets {
+        // First-party assets. The count is drawn as an `i32`, as it
+        // always was: the draw's type is part of the RNG stream.
+        let n_assets: i32 = rng.gen_range(2..8);
+        for i in 0..n_assets as u8 {
             requests.push(RequestRecord {
-                url: format!("https://{final_host}/static/asset{i}.js").into(),
-                host: final_host.clone().into(),
+                url: Url::Asset(i),
+                host: Host::Final,
                 status: 200,
                 bytes: rng.gen_range(1_000..40_000),
                 started: SimInstant::from_millis(rng.gen_range(100..1_500)),
@@ -290,8 +294,8 @@ impl<'w> Engine<'w> {
             for _ in 0..n_third {
                 let (host, url) = THIRD_PARTY_POOL[rng.gen_range(0..THIRD_PARTY_POOL.len())];
                 requests.push(RequestRecord {
-                    url: url.into(),
-                    host: host.into(),
+                    url: Url::Static(url),
+                    host: Host::Static(host),
                     status: 200,
                     bytes: rng.gen_range(200..8_000),
                     started: SimInstant::from_millis(rng.gen_range(300..4_000)),
@@ -299,9 +303,13 @@ impl<'w> Engine<'w> {
                 });
                 if rng.gen::<f64>() < 0.5 {
                     cookies.push(CookieRecord {
-                        name: "uid".into(),
-                        host: host.into(),
-                        value: hex_value('u', rng.gen::<u64>() & 0xFFFF_FFFF_FFFF, 12),
+                        name: "uid",
+                        host: Host::Static(host),
+                        value: CookieValue::Hex {
+                            prefix: 'u',
+                            value: rng.gen::<u64>() & 0xFFFF_FFFF_FFFF,
+                            width: 12,
+                        },
                         third_party: true,
                     });
                 }
@@ -353,9 +361,9 @@ impl<'w> Engine<'w> {
                     // A fresh crawler never has a stored decision, so no
                     // consent cookie — but the CMP sets a "seen" marker.
                     cookies.push(CookieRecord {
-                        name: "euconsent-seen".into(),
-                        host: cmp.indicator_hostname().into(),
-                        value: "1".into(),
+                        name: "euconsent-seen",
+                        host: Host::Static(cmp.indicator_hostname()),
+                        value: CookieValue::Static("1"),
                         third_party: true,
                     });
                 }
@@ -409,29 +417,20 @@ const THIRD_PARTY_POOL: [(&str, &str); 12] = trackers![
     "api.signalscope.example",
 ];
 
-/// `prefix` and then `value` as `width` lowercase hex digits, built in
-/// one allocation (`format!` would grow its buffer on the way).
-fn hex_value(prefix: char, value: u64, width: usize) -> Cow<'static, str> {
-    let mut out = String::with_capacity(1 + width);
-    // Writing to a `String` cannot fail.
-    let _ = write!(out, "{prefix}{value:0width$x}");
-    out.into()
-}
-
 fn push_cmp_requests(requests: &mut Vec<RequestRecord>, cmp: Cmp, start_ms: u64, rng: &mut StdRng) {
-    let host = cmp.indicator_hostname();
+    let host = Host::Static(cmp.indicator_hostname());
     let [script, config] = cmp.embed_urls();
     requests.push(RequestRecord {
-        url: script.into(),
-        host: host.into(),
+        url: Url::Static(script),
+        host,
         status: 200,
         bytes: rng.gen_range(20_000..90_000),
         started: SimInstant::from_millis(start_ms),
         third_party: true,
     });
     requests.push(RequestRecord {
-        url: config.into(),
-        host: host.into(),
+        url: Url::Static(config),
+        host,
         status: 200,
         bytes: rng.gen_range(2_000..9_000),
         started: SimInstant::from_millis(start_ms + rng.gen_range(50..400)),
@@ -803,6 +802,80 @@ mod tests {
         assert_eq!(c.status, CaptureStatus::Ok);
         assert_eq!(c.final_host, format!("www.{}", p.domain));
         assert_eq!(c.requests[0].status, 301);
+    }
+
+    /// The strings the same alias capture's records owned before they
+    /// named them, rendered through the capture: the 301 from the seed
+    /// URL and host, the final page, its assets by index, the trackers,
+    /// and the session and tracker cookies with their hex values.
+    #[test]
+    fn alias_capture_renders_the_strings_its_records_owned() {
+        let w = world();
+        let c = engine(&w).capture(
+            "https://ce-alt.net/",
+            Day::from_ymd(2020, 5, 15),
+            Vantage::eu_cloud(),
+            CaptureOptions::default(),
+        );
+        assert_eq!(c.final_url, "https://www.ce.at/");
+        assert_eq!(
+            (c.requests[0].url, c.requests[0].host),
+            (Url::Seed, Host::Seed)
+        );
+        assert_eq!(c.requests[3].url, Url::Asset(5));
+        let requests: Vec<(String, &str, u16)> = c
+            .requests
+            .iter()
+            .map(|r| (c.url(&r.url).into_owned(), c.host(&r.host), r.status))
+            .collect();
+        let tracker = |host: &'static str| (format!("https://{host}/collect"), host, 200);
+        let asset = |i: u8| {
+            (
+                format!("https://www.ce.at/static/asset{i}.js"),
+                "www.ce.at",
+                200,
+            )
+        };
+        assert_eq!(
+            requests,
+            [
+                ("https://ce-alt.net/".to_owned(), "ce-alt.net", 301),
+                ("https://www.ce.at/".to_owned(), "www.ce.at", 200),
+                tracker("pixel.adgrid.example"),
+                asset(5),
+                tracker("rtb.sparkmedia.example"),
+                asset(0),
+                asset(2),
+                tracker("stats.atlassense.example"),
+                asset(1),
+                asset(3),
+                asset(4),
+                tracker("tags.primeserve.example"),
+                tracker("ads.vertexlab.example"),
+                tracker("id.deltagraph.example"),
+                tracker("ads.vertexlab.example"),
+                tracker("tags.primeserve.example"),
+                tracker("tags.primeserve.example"),
+                tracker("rtb.sparkmedia.example"),
+            ]
+        );
+        let cookies: Vec<(&str, &str, String)> = c
+            .cookies
+            .iter()
+            .map(|k| (k.name, c.host(&k.host), k.value.to_string()))
+            .collect();
+        let owned = |name, host, value: &str| (name, host, value.to_owned());
+        assert_eq!(
+            cookies,
+            [
+                owned("session", "www.ce.at", "s76ed8f01181a1430"),
+                owned("uid", "pixel.adgrid.example", "u9bbd42a3855a"),
+                owned("uid", "tags.primeserve.example", "u02c029a90685"),
+                owned("uid", "rtb.sparkmedia.example", "u11642082a0f8"),
+                owned("uid", "id.deltagraph.example", "u3d950446b3a3"),
+                owned("uid", "tags.primeserve.example", "ucaeee230fcc9"),
+            ]
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@ pub mod engine;
 pub mod prober;
 pub mod vantage;
 
-pub use capture::{Capture, CaptureStatus, CookieRecord, DomSnapshot, RequestRecord};
+pub use capture::{
+    Capture, CaptureStatus, CookieRecord, CookieValue, DomSnapshot, Host, RequestRecord, Url,
+};
 pub use engine::{split_url, CaptureOptions, Engine, IDLE_TIMEOUT_MS, TOTAL_TIMEOUT_MS};
 pub use prober::WorldProber;
 pub use vantage::{Language, Location, Timing, Vantage};

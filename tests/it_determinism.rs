@@ -131,8 +131,8 @@ fn render_capture(c: &Capture) -> String {
     for r in &c.requests {
         out.push_str(&format!(
             "req {} {} {} {} {} {}\n",
-            r.url,
-            r.host,
+            c.url(&r.url),
+            c.host(&r.host),
             r.status,
             r.bytes,
             r.started.as_millis(),
@@ -142,7 +142,10 @@ fn render_capture(c: &Capture) -> String {
     for k in &c.cookies {
         out.push_str(&format!(
             "cookie {} {} {} {}\n",
-            k.name, k.host, k.value, k.third_party
+            k.name,
+            c.host(&k.host),
+            k.value,
+            k.third_party
         ));
     }
     if let Some(dom) = &c.dom {
