@@ -179,6 +179,10 @@ pub struct DomSnapshot {
 }
 
 /// One complete crawl of one URL.
+///
+/// Its seed URL, final URL and final host are the only strings it owns
+/// (besides the DOM snapshot): the request and cookie logs name them,
+/// and [`Capture::host`] and [`Capture::url`] render those names.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Capture {
     /// The URL submitted to the queue.

@@ -262,8 +262,8 @@ impl<'w> Engine<'w> {
             third_party: false,
         });
 
-        // First-party assets. The count is drawn as an `i32`, as it
-        // always was: the draw's type is part of the RNG stream.
+        // First-party assets. The count is drawn as an `i32`: the draw's
+        // type is part of the RNG stream, which every later draw follows.
         let n_assets: i32 = rng.gen_range(2..8);
         for i in 0..n_assets as u8 {
             requests.push(RequestRecord {
